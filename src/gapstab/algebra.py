@@ -239,11 +239,56 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 # -- projective valued measures and representations ---------------------------
 
 
+# Validation compares operator-norm residuals with a tolerance.  The families
+# are screened in stacked arrays first: a residual passes when its Frobenius
+# norm, an upper bound for the operator norm, is within the tolerance shrunk by
+# _SCREEN_MARGIN, which absorbs the rounding in the two computed norms.  Only
+# residuals that fail the screen get an exact operator norm (an SVD), so the
+# accept/reject decision is that of the exact check.
+_SCREEN_MARGIN = 1.0 - 1e-6
+# Most complex entries one stacked temporary holds (4 MB): a 512 x 512 block.
+_STACK_ENTRIES = 1 << 18
+
+
+def _frobenius_sq(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a complex (m, n, n) stack."""
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _screen_failures(dims, count: int, residuals, tol: float) -> np.ndarray:
+    """Indices of the terms whose residual may exceed ``tol`` in operator norm.
+
+    ``residuals(b, start, stop)`` yields, for block ``b``, stacked
+    ``(stop - start, n, n)`` residual arrays of the terms ``start..stop-1``
+    (one array per checked identity).  A term passes when every one of its
+    residual blocks passes the Frobenius screen; the indices of the others
+    come back in increasing order and need the exact check.  Terms go
+    through in chunks of at most ``_STACK_ENTRIES`` entries per stacked array.
+    """
+    limit = (tol * _SCREEN_MARGIN) ** 2 if tol >= 0 else -1.0
+    failed = np.zeros(count, dtype=bool)
+    for b, n in enumerate(dims):
+        step = max(1, _STACK_ENTRIES // max(1, n * n))
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            for r in residuals(b, start, stop):
+                failed[start:stop] |= ~(_frobenius_sq(r) <= limit)
+    return np.flatnonzero(failed)
+
+
 class PVM:
     """A projection valued measure: projections summing to a unit.
 
     ``outcomes`` is the list of labels; ``unit`` defaults to the algebra
     identity but may be any projection (for measures living in a corner).
+
+    Validation: every projection is self-adjoint and idempotent, the
+    projections sum to ``unit`` and distinct projections multiply to zero,
+    each up to an operator-norm residual of at most ``tol``.  The residuals
+    are screened by their Frobenius norms in stacked arrays and computed
+    exactly only where the screen fails; a failure raises :class:`InvalidPVM`
+    with the exact operator-norm residual.
     """
 
     def __init__(self, algebra, outcomes, projections, unit=None, tol=VALIDATION_TOL):
@@ -258,29 +303,51 @@ class PVM:
         self.projections = projections
         self.unit = unit if unit is not None else algebra.identity()
         self._by_outcome = dict(zip(outcomes, projections))
-        worst = 0.0
-        for p in projections:
-            worst = max(worst, algebra.norm_inf(p - p.H))
-            worst = max(worst, algebra.norm_inf(p * p - p))
-        total = algebra.zero()
-        for p in projections:
-            total = total + p
-        worst_sum = algebra.norm_inf(total - self.unit)
-        if worst > tol or worst_sum > tol:
-            raise InvalidPVM(
-                "projection family fails validation "
-                f"(projection residual {worst:.3g}, sum residual {worst_sum:.3g})",
-                residual=max(worst, worst_sum),
+        blocks = [[p.blocks[b] for p in projections] for b in range(algebra.nblocks)]
+
+        def own(b, start, stop):
+            p = np.stack(blocks[b][start:stop])
+            yield p - p.conj().transpose(0, 2, 1)
+            yield p @ p - p
+
+        def completeness(b, start, stop):
+            yield (sum(blocks[b]) - self.unit.blocks[b])[None]
+
+        if (
+            _screen_failures(algebra.dims, len(projections), own, tol).size
+            or _screen_failures(algebra.dims, 1, completeness, tol).size
+        ):
+            worst = 0.0
+            for p in projections:
+                worst = max(worst, algebra.norm_inf(p - p.H))
+                worst = max(worst, algebra.norm_inf(p * p - p))
+            total = algebra.zero()
+            for p in projections:
+                total = total + p
+            worst_sum = algebra.norm_inf(total - self.unit)
+            if worst > tol or worst_sum > tol:
+                raise InvalidPVM(
+                    "projection family fails validation "
+                    f"(projection residual {worst:.3g}, sum residual {worst_sum:.3g})",
+                    residual=max(worst, worst_sum),
+                )
+
+        left, right = np.triu_indices(len(projections), 1)
+
+        def products(b, start, stop):
+            yield np.stack([blocks[b][i] for i in left[start:stop]]) @ np.stack(
+                [blocks[b][j] for j in right[start:stop]]
             )
-        for i in range(len(projections)):
-            for j in range(i + 1, len(projections)):
-                r = algebra.norm_inf(projections[i] * projections[j])
-                if r > tol:
-                    raise InvalidPVM(
-                        f"projections for {outcomes[i]!r},{outcomes[j]!r} are not "
-                        f"orthogonal (residual {r:.3g})",
-                        residual=r,
-                    )
+
+        for t in _screen_failures(algebra.dims, len(left), products, tol):
+            i, j = left[t], right[t]
+            r = algebra.norm_inf(projections[i] * projections[j])
+            if r > tol:
+                raise InvalidPVM(
+                    f"projections for {outcomes[i]!r},{outcomes[j]!r} are not "
+                    f"orthogonal (residual {r:.3g})",
+                    residual=r,
+                )
 
     def __getitem__(self, outcome) -> AlgebraElement:
         return self._by_outcome[outcome]
@@ -299,7 +366,14 @@ class PVM:
 
 
 class AlmostHom:
-    """A map from a finite group into unitaries, not assumed multiplicative."""
+    """A map from a finite group into unitaries, not assumed multiplicative.
+
+    Validation: every image u satisfies ||u u* - 1|| <= tol and
+    ||u* u - 1|| <= tol in operator norm, screened by Frobenius norms in
+    stacked arrays and computed exactly only where the screen fails; a
+    failure raises :class:`InvalidRepresentation` with the exact worst
+    residual.
+    """
 
     multiplicative = False
 
@@ -311,8 +385,17 @@ class AlmostHom:
         if missing:
             raise InvalidArgument(f"missing images for {len(missing)} elements")
         ident = algebra.identity()
+        terms = list(self.images.values())
+
+        def unitarity(b, start, stop):
+            u = np.stack([x.blocks[b] for x in terms[start:stop]])
+            uh = u.conj().transpose(0, 2, 1)
+            yield u @ uh - ident.blocks[b]
+            yield uh @ u - ident.blocks[b]
+
         worst = 0.0
-        for g, u in self.images.items():
+        for t in _screen_failures(algebra.dims, len(terms), unitarity, tol):
+            u = terms[t]
             worst = max(worst, algebra.norm_inf(u * u.H - ident))
             worst = max(worst, algebra.norm_inf(u.H * u - ident))
         if worst > tol:
@@ -328,7 +411,8 @@ class UnitaryRep(AlmostHom):
     """A unitary representation; the multiplication law is validated.
 
     The check is exhaustive when |G|^2 matrix products are affordable and a
-    random spot check otherwise.
+    random spot check otherwise.  Residuals ||u(gh) - u(g)u(h)|| are screened
+    like the unitarity residuals of :class:`AlmostHom`.
     """
 
     multiplicative = True
@@ -350,11 +434,19 @@ class UnitaryRep(AlmostHom):
                 )
                 for _ in range(64)
             ]
+        products = [group.mul(g, h) for g, h in pairs]
+        images = self.images
+
+        def law(b, start, stop):
+            chunk = range(start, stop)
+            left = np.stack([images[pairs[t][0]].blocks[b] for t in chunk])
+            right = np.stack([images[pairs[t][1]].blocks[b] for t in chunk])
+            yield np.stack([images[products[t]].blocks[b] for t in chunk]) - left @ right
+
         worst = 0.0
-        for g, h in pairs:
-            r = algebra.norm_inf(
-                self.images[group.mul(g, h)] - self.images[g] * self.images[h]
-            )
+        for t in _screen_failures(algebra.dims, len(pairs), law, tol):
+            g, h = pairs[t]
+            r = algebra.norm_inf(images[products[t]] - images[g] * images[h])
             worst = max(worst, r)
         if worst > tol:
             raise InvalidRepresentation(

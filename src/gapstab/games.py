@@ -1061,6 +1061,21 @@ def _case_values(game: Game, strategy: SynchronousStrategy) -> dict:
     }
 
 
+def twisted_defect(u_rep: UnitaryRep, v_rep: UnitaryRep) -> float:
+    """E_{h,chi} ||U(h)V(chi) - chi(h) V(chi) U(h)||_2^2, uniform over the
+    group of ``u_rep`` and its dual, the group of ``v_rep``."""
+    group, dual = u_rep.group, v_rep.group
+    alg = u_rep.algebra
+    total = 0.0
+    for h in group.elements:
+        uh = u_rep.images[h]
+        for chi in dual.elements:
+            vchi = v_rep.images[chi]
+            s = float(group.pairing(chi, h))
+            total += alg.norm2(uh * vchi - s * (vchi * uh)) ** 2
+    return total / group.order**2
+
+
 def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
     """Measure a strategy's rigidity: value, defects, bounds, closeness.
 
@@ -1087,15 +1102,7 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
 
     u_rep = rep_from_pvm(strategy["PX"], group)
     v_rep = rep_from_pvm(strategy["PZ"], dual)
-    alg = strategy.algebra
-    lhs = 0.0
-    for h in group.elements:
-        uh = u_rep.images[h]
-        for chi in dual.elements:
-            vchi = v_rep.images[chi]
-            s = float(group.pairing(chi, h))
-            lhs += alg.norm2(uh * vchi - s * (vchi * uh)) ** 2
-    lhs /= group.order**2
+    lhs = twisted_defect(u_rep, v_rep)
     prop_bound = COMBINED_CONSTANT * c_alpha * c_beta * eps
     _check_bound(lhs, prop_bound, "twisted commutation defect")
 

@@ -2,9 +2,9 @@
 
 A group object exposes ``elements`` (a tuple of hashable labels), ``identity``,
 ``mul``, ``inv`` and ``index``.  Groups that know their full set of irreducible
-unitary representations return them from ``irreps()``; this powers the
-block-diagonal fast path of the rounding machinery.  Groups without that
-knowledge return None and fall back to dense computations.
+unitary representations return them from ``irreps()``, which
+``validate_irreps`` checks; groups without that knowledge return None.  The
+rounding machinery does not use the irreps: it works on dense matrices.
 """
 
 from __future__ import annotations

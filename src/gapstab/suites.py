@@ -45,6 +45,7 @@ from .games import (
     pauli_pvms,
     pauli_rigidity_report,
     perturb_strategy,
+    twisted_defect,
     value,
     _CELLS,
     _LINES,
@@ -573,22 +574,6 @@ def named_game(name: str):
     raise InvalidArgument(f"unknown built-in game {name!r}")
 
 
-def _prop_lhs(game, strategy) -> float:
-    group = game.h_group
-    dual = group.dual()
-    u = rep_from_pvm(strategy["PX"], group)
-    v = rep_from_pvm(strategy["PZ"], dual)
-    alg = strategy.algebra
-    total = 0.0
-    for h in group.elements:
-        uh = u.images[h]
-        for chi in dual.elements:
-            vchi = v.images[chi]
-            s = float(group.pairing(chi, h))
-            total += alg.norm2(uh * vchi - s * (vchi * uh)) ** 2
-    return total / group.order**2
-
-
 def rigidity_sweep(
     game,
     honest,
@@ -604,8 +589,9 @@ def rigidity_sweep(
     commutation defect is checked against 1320 c c' eps.
     """
     group = game.h_group
+    dual = group.dual()
     c_alpha = float(kappa(group, game.alpha_law).kappa)
-    c_beta = float(kappa(group.dual(), game.beta_law).kappa)
+    c_beta = float(kappa(dual, game.beta_law).kappa)
     points = []
     for j, sigma in enumerate(sigmas):
         rng = _rng(seed, spawn_base + j)
@@ -624,7 +610,9 @@ def rigidity_sweep(
             )
         else:
             eps = 1.0 - value(game, strat)
-            lhs = _prop_lhs(game, strat)
+            lhs = twisted_defect(
+                rep_from_pvm(strat["PX"], group), rep_from_pvm(strat["PZ"], dual)
+            )
             points.append(
                 {
                     "sigma": float(sigma),

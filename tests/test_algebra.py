@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapstab import algebra
 from gapstab.abelian import boolean_group, cyclic, regular_rep
 from gapstab.algebra import (
     PVM,
@@ -267,3 +268,192 @@ def test_norm_conditional_duality():
     member = conditional_expectation_commutant(rep, xi)
     lhs0, sup0 = norm_conditional_duality_check(rep, member)
     assert lhs0 < 1e-12 and sup0 == 0.0
+
+
+# -- screened validation at the tolerance boundary -----------------------------
+
+TOL = 1e-9
+
+
+def _count_exact_norms(monkeypatch):
+    """Count the exact operator-norm computations made by validation."""
+    calls = []
+    exact = TracialAlgebra.norm_inf
+
+    def counted(self, x):
+        calls.append(1)
+        return exact(self, x)
+
+    monkeypatch.setattr(TracialAlgebra, "norm_inf", counted)
+    return calls
+
+
+def _scaled_halves(d, delta):
+    """Two-outcome family on M_d whose first projection is (1 + delta) on half
+    the diagonal: its idempotence and sum residuals are diagonal, of operator
+    norm about delta and Frobenius norm about delta * sqrt(d / 2)."""
+    alg = TracialAlgebra.matrix(d)
+    half = np.r_[np.ones(d // 2), np.zeros(d - d // 2)]
+    p = alg.element([np.diag((1.0 + delta) * half).astype(complex)])
+    q = alg.element([np.diag(1.0 - half).astype(complex)])
+    return alg, [p, q]
+
+
+def _tilted_pairs(m, s):
+    """Two-outcome family on M_{2m}: in each 2 x 2 block, |e_0><e_0| and the
+    projection onto cos(t) e_1 + s e_0 with sin(t) = s.  The product and the
+    sum residual have operator norm s and Frobenius norm s * sqrt(m) or more."""
+    d = 2 * m
+    c = math.sqrt(1.0 - s * s)
+    a = np.zeros((d, d), dtype=complex)
+    b = np.zeros((d, d), dtype=complex)
+    for i in range(m):
+        a[2 * i, 2 * i] = 1.0
+        v = np.zeros(d, dtype=complex)
+        v[2 * i], v[2 * i + 1] = s, c
+        b += np.outer(v, v.conj())
+    alg = TracialAlgebra.matrix(d)
+    return alg, [alg.element([a]), alg.element([b])]
+
+
+def test_pvm_screen_accepts_without_exact_norms(monkeypatch):
+    calls = _count_exact_norms(monkeypatch)
+    alg = TracialAlgebra.matrix(32)
+    rng = np.random.default_rng(1)
+    u = alg.element([haar_unitary(32, rng)])
+    pvm = _two_point_pvm(alg, [1.0] * 12 + [0.0] * 20)
+    pvm.conjugated(u)
+    e = np.eye(32)
+    PVM(alg, list(range(32)), [alg.element([np.outer(e[i], e[i])]) for i in range(32)])
+    assert calls == []
+
+
+def test_pvm_accepts_operator_norm_below_tol_frobenius_above(monkeypatch):
+    calls = _count_exact_norms(monkeypatch)
+    alg, projs = _scaled_halves(64, 0.9 * TOL)
+    frob = np.linalg.norm(projs[0].blocks[0] @ projs[0].blocks[0] - projs[0].blocks[0])
+    assert frob > TOL
+    PVM(alg, [0, 1], projs, tol=TOL)
+    assert calls  # the screen failed and the exact path decided
+    alg, projs = _tilted_pairs(32, 0.9 * TOL)
+    assert np.linalg.norm(projs[0].blocks[0] @ projs[1].blocks[0]) > TOL
+    PVM(alg, ["a", "b"], projs, tol=TOL)
+
+
+def test_pvm_rejects_operator_norm_just_above_tol():
+    alg, projs = _scaled_halves(64, 1.1 * TOL)
+    with pytest.raises(InvalidPVM) as info:
+        PVM(alg, [0, 1], projs, tol=TOL)
+    p, q = projs
+    worst = max(alg.norm_inf(p * p - p), alg.norm_inf(p - p.H), alg.norm_inf(q * q - q))
+    worst_sum = alg.norm_inf(p + q - alg.identity())
+    assert info.value.residual == max(worst, worst_sum)
+    assert TOL < info.value.residual < 1.2 * TOL
+    alg, projs = _tilted_pairs(32, 1.1 * TOL)
+    with pytest.raises(InvalidPVM):
+        PVM(alg, ["a", "b"], projs, tol=TOL)
+
+
+@pytest.mark.parametrize("stack_entries", [None, 4 * 16 * 16])
+def test_pvm_names_first_non_orthogonal_pair(monkeypatch, stack_entries):
+    """The first failing pair in (i, j) order is named, with its exact
+    operator-norm residual, also when the pairs span several chunks (the
+    failing ones in the last, partial chunk)."""
+    if stack_entries is not None:
+        monkeypatch.setattr(algebra, "_STACK_ENTRIES", stack_entries)
+    alg = TracialAlgebra.matrix(16)
+    e = np.eye(16)
+    projs = [alg.element([np.outer(e[i], e[i]).astype(complex)]) for i in range(6)]
+    # outcomes 3 and 4 overlap, and so do 4 and 5
+    for i, j in ((3, 4), (4, 5)):
+        v = (e[i] + e[j]) / math.sqrt(2.0)
+        projs[j] = alg.element([np.outer(v, v).astype(complex)])
+    labels = ["x0", "x1", "x2", "x3", "x4", "x5"]
+    total = alg.zero()
+    for p in projs:
+        total = total + p
+    # a unit equal to the sum keeps the sum check out of the way
+    with pytest.raises(InvalidPVM, match="'x3','x4' are not orthogonal") as info:
+        PVM(alg, labels, projs, unit=total)
+    assert info.value.residual == alg.norm_inf(projs[3] * projs[4])
+
+
+def test_pvm_multi_block_and_corner():
+    alg = TracialAlgebra([(2, Fraction(1, 4)), (3, Fraction(3, 4))])
+    rng = np.random.default_rng(6)
+    u = alg.element([haar_unitary(2, rng), haar_unitary(3, rng)])
+    projs = [
+        alg.element([np.diag([1.0, 0.0]), np.diag([1.0, 0.0, 0.0])]),
+        alg.element([np.diag([0.0, 1.0]), np.diag([0.0, 1.0, 1.0])]),
+    ]
+    pvm = PVM(alg, ["a", "b"], projs)
+    pvm.conjugated(u)
+    # a defect in the second block alone is caught
+    bad = [projs[0], alg.element([np.diag([0.0, 1.0]), np.diag([0.0, 1.0, 0.5])])]
+    with pytest.raises(InvalidPVM):
+        PVM(alg, ["a", "b"], bad)
+    # a measure in the corner below diag(1, 1, 0) of M_3
+    m3 = TracialAlgebra.matrix(3)
+    unit = m3.element([np.diag([1.0, 1.0, 0.0])])
+    corner = PVM(
+        m3,
+        [0, 1],
+        [m3.element([np.diag([1.0, 0.0, 0.0])]), m3.element([np.diag([0.0, 1.0, 0.0])])],
+        unit=unit,
+    )
+    corner.conjugated(m3.element([haar_unitary(3, rng)]))
+    with pytest.raises(InvalidPVM):
+        PVM(m3, [0], [m3.element([np.diag([1.0, 0.0, 0.0])])], unit=unit)
+
+
+def test_almost_hom_unitarity_boundary():
+    grp = cyclic(2)
+    alg = TracialAlgebra.matrix(64)
+    ident = alg.identity()
+
+    def images(delta):
+        # (1 + delta)^2 - 1 is about 2 delta on every diagonal entry
+        return {(0,): ident, (1,): (1.0 + delta) * ident}
+
+    AlmostHom(grp, alg, images(0.45 * TOL), tol=TOL)
+    with pytest.raises(InvalidRepresentation) as info:
+        AlmostHom(grp, alg, images(0.55 * TOL), tol=TOL)
+    u = images(0.55 * TOL)[(1,)]
+    exact = max(alg.norm_inf(u * u.H - ident), alg.norm_inf(u.H * u - ident))
+    assert info.value.residual == exact
+    assert TOL < exact < 1.2 * TOL
+
+
+def test_unitary_rep_multiplication_boundary():
+    """u(g)^2 = e^{2i theta} 1 misses u(g^2) = 1 by |e^{2i theta} - 1| on all
+    64 diagonal entries: operator norm r, Frobenius norm 8 r."""
+    grp = cyclic(2)
+    alg = TracialAlgebra.matrix(64)
+    signs = np.diag(np.resize([1.0, -1.0], 64))
+
+    def images(r):
+        theta = math.asin(r / 2.0)
+        return {(0,): alg.identity(), (1,): alg.element([np.exp(1j * theta) * signs])}
+
+    UnitaryRep(grp, alg, images(0.9 * TOL), tol=TOL)
+    with pytest.raises(InvalidRepresentation) as info:
+        UnitaryRep(grp, alg, images(1.1 * TOL), tol=TOL)
+    u = images(1.1 * TOL)
+    assert info.value.residual == alg.norm_inf(u[(0,)] - u[(1,)] * u[(1,)])
+    assert TOL < info.value.residual < 1.2 * TOL
+
+
+def test_pvm_self_adjointness_boundary():
+    """{P, 1 - P} with P = [[1, x], [0, 0]] is idempotent, complete and
+    orthogonal; only P - P* = [[0, x], [-x, 0]] is off, with operator norm x
+    and Frobenius norm x sqrt(2)."""
+    alg = TracialAlgebra.matrix(2)
+
+    def family(x):
+        p = np.array([[1.0, x], [0.0, 0.0]], dtype=complex)
+        return [alg.element([p]), alg.element([np.eye(2) - p])]
+
+    PVM(alg, [0, 1], family(0.9 * TOL), tol=TOL)
+    with pytest.raises(InvalidPVM) as info:
+        PVM(alg, [0, 1], family(1.1 * TOL), tol=TOL)
+    assert TOL < info.value.residual < 1.2 * TOL

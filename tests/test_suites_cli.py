@@ -14,7 +14,8 @@ from gapstab.cli import (
     write_almost_hom,
 )
 from gapstab.errors import InvalidArgument
-from gapstab.suites import DEFAULT_TRIALS, SUITES, run_suite
+from gapstab.games import honest_strategy
+from gapstab.suites import DEFAULT_TRIALS, SUITES, named_game, rigidity_sweep, run_suite
 
 _TINY = {
     "lemma17": 6,
@@ -222,3 +223,16 @@ def test_cli_sweep(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "sigma,eps,lhs,bound,closeness,cc_eps"
     assert len(lines) == 4
+
+
+def test_sweep_defect_matches_report():
+    """The quick sweep and the full rigidity report take the twisted defect
+    from one implementation, so their per-point values agree exactly."""
+    game = named_game("repetition")
+    honest = honest_strategy(game)
+    sigmas = [0.02, 0.3]
+    full = rigidity_sweep(game, honest, sigmas, seed=3, full_report=True)
+    quick = rigidity_sweep(game, honest, sigmas, seed=3, full_report=False)
+    assert [p["lhs"] for p in quick] == [p["lhs"] for p in full]
+    assert [p["eps"] for p in quick] == [p["eps"] for p in full]
+    assert all(p["lhs"] > 0 for p in quick)
