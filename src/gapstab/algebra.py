@@ -5,10 +5,16 @@ M_{n_r} carrying the weighted trace
 
     tau(x) = sum_i  lambda_i * tr_{n_i}(x_i),      tr normalized, sum lambda_i = 1.
 
-The 2-norm is ||x||_2 = sqrt(tau(x* x)).  Amplified copies (x -> x tensor e_11
-inside M tensor M_k) keep the same trace functional on the image of the unit,
-so the trace of the ambient identity grows to k; this is deliberate and lets
-projections carry trace larger than 1.
+The 2-norm is ||x||_2 = sqrt(tau(x* x)).  An algebra built from dimensions
+and trace coefficients directly (``TracialAlgebra._raw``) need not have a
+unit of trace 1: the amplification M tensor M_k used by the rounding keeps
+the coefficients of M, so its identity has trace k and projections in it can
+carry trace larger than 1.
+
+Maps from a finite group store their images as one (|G|, n, n) stack per
+block.  The multiplication-law residuals phi(gh) - phi(g)phi(h) and the pair
+defects ||U(a)V(b) - gamma(a, b) V(b)U(a)||_2^2 are each formed on those
+stacks by one chunked kernel.
 """
 
 from __future__ import annotations
@@ -114,9 +120,6 @@ class TracialAlgebra:
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             mats.append((a + a.conj().T) / 2)
         return AlgebraElement(self, mats)
-
-    def random_unitary(self, rng: np.random.Generator) -> "AlgebraElement":
-        return AlgebraElement(self, [haar_unitary(n, rng) for n in self.dims])
 
     # -- trace and norms -----------------------------------------------------
 
@@ -246,14 +249,25 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 # residuals that fail the screen get an exact operator norm (an SVD), so the
 # accept/reject decision is that of the exact check.
 _SCREEN_MARGIN = 1.0 - 1e-6
-# Most complex entries one stacked temporary holds (4 MB): a 512 x 512 block.
-_STACK_ENTRIES = 1 << 18
+# Most complex entries one stacked temporary holds (1 MB): a 256 x 256 block.
+# On a 2 MB-L2 x86-64 core, 4 MB chunks made the law residuals of Z2^5 at
+# dimension 32 about twice as slow per entry, and validation no faster.
+_STACK_ENTRIES = 1 << 16
 
 
 def _frobenius_sq(stack: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix in a complex (m, n, n) stack."""
     flat = stack.reshape(len(stack), -1).view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
+
+
+def _chunks(dims, count: int):
+    """``(block, slice)`` ranges covering ``count`` stacked terms in every
+    block, each at most ``_STACK_ENTRIES`` complex entries (and one term)."""
+    for b, n in enumerate(dims):
+        step = max(1, _STACK_ENTRIES // max(1, n * n))
+        for start in range(0, count, step):
+            yield b, slice(start, min(start + step, count))
 
 
 def _screen_failures(dims, count: int, residuals, tol: float) -> np.ndarray:
@@ -264,16 +278,13 @@ def _screen_failures(dims, count: int, residuals, tol: float) -> np.ndarray:
     (one array per checked identity).  A term passes when every one of its
     residual blocks passes the Frobenius screen; the indices of the others
     come back in increasing order and need the exact check.  Terms go
-    through in chunks of at most ``_STACK_ENTRIES`` entries per stacked array.
+    through in the chunks of ``_chunks``.
     """
     limit = (tol * _SCREEN_MARGIN) ** 2 if tol >= 0 else -1.0
     failed = np.zeros(count, dtype=bool)
-    for b, n in enumerate(dims):
-        step = max(1, _STACK_ENTRIES // max(1, n * n))
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            for r in residuals(b, start, stop):
-                failed[start:stop] |= ~(_frobenius_sq(r) <= limit)
+    for b, sl in _chunks(dims, count):
+        for r in residuals(b, sl.start, sl.stop):
+            failed[sl] |= ~(_frobenius_sq(r) <= limit)
     return np.flatnonzero(failed)
 
 
@@ -368,6 +379,10 @@ class PVM:
 class AlmostHom:
     """A map from a finite group into unitaries, not assumed multiplicative.
 
+    The images are stored once, as one ``(|G|, n, n)`` stack per block in
+    ``group.elements`` order (``stacks``); ``images[g]`` is an element whose
+    blocks are read-only views into those stacks.
+
     Validation: every image u satisfies ||u u* - 1|| <= tol and
     ||u* u - 1|| <= tol in operator norm, screened by Frobenius norms in
     stacked arrays and computed exactly only where the screen fails; a
@@ -380,22 +395,31 @@ class AlmostHom:
     def __init__(self, group, algebra, images: dict, tol=VALIDATION_TOL):
         self.group = group
         self.algebra = algebra
-        self.images = dict(images)
-        missing = [g for g in group.elements if g not in self.images]
+        elements = group.elements
+        missing = [g for g in elements if g not in images]
         if missing:
             raise InvalidArgument(f"missing images for {len(missing)} elements")
+        stacks = []
+        for b in range(algebra.nblocks):
+            stack = np.stack([images[g].blocks[b] for g in elements])
+            stack.flags.writeable = False
+            stacks.append(stack)
+        self.stacks = tuple(stacks)
+        self.images = {
+            g: AlgebraElement(algebra, [s[i] for s in stacks])
+            for i, g in enumerate(elements)
+        }
         ident = algebra.identity()
-        terms = list(self.images.values())
 
         def unitarity(b, start, stop):
-            u = np.stack([x.blocks[b] for x in terms[start:stop]])
+            u = stacks[b][start:stop]
             uh = u.conj().transpose(0, 2, 1)
             yield u @ uh - ident.blocks[b]
             yield uh @ u - ident.blocks[b]
 
         worst = 0.0
-        for t in _screen_failures(algebra.dims, len(terms), unitarity, tol):
-            u = terms[t]
+        for t in _screen_failures(algebra.dims, len(elements), unitarity, tol):
+            u = self.images[elements[t]]
             worst = max(worst, algebra.norm_inf(u * u.H - ident))
             worst = max(worst, algebra.norm_inf(u.H * u - ident))
         if worst > tol:
@@ -410,9 +434,11 @@ class AlmostHom:
 class UnitaryRep(AlmostHom):
     """A unitary representation; the multiplication law is validated.
 
-    The check is exhaustive when |G|^2 matrix products are affordable and a
-    random spot check otherwise.  Residuals ||u(gh) - u(g)u(h)|| are screened
-    like the unitarity residuals of :class:`AlmostHom`.
+    Images are stored as in :class:`AlmostHom`.  The law is checked on the
+    pairs of ``_law_pairs`` (every pair when |G|^2 matrix products are
+    affordable, else a fixed random sample), the same pairs
+    :func:`rep_residual` measures.  Residuals ||u(gh) - u(g)u(h)|| are
+    screened like the unitarity residuals of :class:`AlmostHom`.
     """
 
     multiplicative = True
@@ -421,32 +447,17 @@ class UnitaryRep(AlmostHom):
         super().__init__(group, algebra, images, tol=tol)
         if check == "none":
             return
-        n = group.order
-        cost = n * n * sum(d**3 for d in algebra.dims)
-        if check == "full" or (check == "auto" and cost <= 2e8):
-            pairs = [(g, h) for g in group.elements for h in group.elements]
-        else:
-            rng = np.random.default_rng(0)
-            pairs = [
-                (
-                    group.elements[rng.integers(n)],
-                    group.elements[rng.integers(n)],
-                )
-                for _ in range(64)
-            ]
-        products = [group.mul(g, h) for g, h in pairs]
-        images = self.images
+        left, right, prod = pairs = _law_pairs(group, algebra.dims, check == "full")
 
         def law(b, start, stop):
-            chunk = range(start, stop)
-            left = np.stack([images[pairs[t][0]].blocks[b] for t in chunk])
-            right = np.stack([images[pairs[t][1]].blocks[b] for t in chunk])
-            yield np.stack([images[products[t]].blocks[b] for t in chunk]) - left @ right
+            yield _law_residual(self.stacks[b], pairs, slice(start, stop))
 
+        els, images = group.elements, self.images
         worst = 0.0
-        for t in _screen_failures(algebra.dims, len(pairs), law, tol):
-            g, h = pairs[t]
-            r = algebra.norm_inf(images[products[t]] - images[g] * images[h])
+        for t in _screen_failures(algebra.dims, len(left), law, tol):
+            r = algebra.norm_inf(
+                images[els[prod[t]]] - images[els[left[t]]] * images[els[right[t]]]
+            )
             worst = max(worst, r)
         if worst > tol:
             raise InvalidRepresentation(
@@ -454,102 +465,107 @@ class UnitaryRep(AlmostHom):
             )
 
 
+# -- the two stacked kernels ---------------------------------------------------
+
+# The multiplication law is checked on every pair (g, h) when |G|^2 sum d^3 is
+# at most _LAW_COST_LIMIT, else on _LAW_SAMPLES pairs drawn from default_rng(0).
+_LAW_COST_LIMIT = 2e8
+_LAW_SAMPLES = 64
+
+
+def _indexed_pairs(group, left, right):
+    """``(left, right, product)`` element-index arrays of the pairs (g, h)."""
+    els = group.elements
+    prod = [group.index(group.mul(els[i], els[j])) for i, j in zip(left, right)]
+    return np.asarray(left), np.asarray(right), np.array(prod, dtype=np.intp)
+
+
+def _law_pairs(group, dims, exhaustive: bool = False):
+    """The pairs on which the multiplication law is checked (see above)."""
+    n = group.order
+    if exhaustive or n * n * sum(d**3 for d in dims) <= _LAW_COST_LIMIT:
+        left, right = np.divmod(np.arange(n * n), n)
+    else:
+        rng = np.random.default_rng(0)
+        left, right = np.array(
+            [(rng.integers(n), rng.integers(n)) for _ in range(_LAW_SAMPLES)]
+        ).T
+    return _indexed_pairs(group, left, right)
+
+
+def _law_residual(stack: np.ndarray, pairs, sl: slice) -> np.ndarray:
+    """Law residuals phi(g_t h_t) - phi(g_t) phi(h_t) in one block.
+
+    ``stack`` is the block's image stack and ``pairs`` holds ``(left,
+    right, product)`` index arrays into the group's elements; the result
+    stacks the residuals of the pairs ``t`` in the slice ``sl`` (one chunk of
+    ``_chunks``).
+    """
+    left, right, prod = pairs
+    return stack[prod[sl]] - stack[left[sl]] @ stack[right[sl]]
+
+
+def _pair_defects(u: AlmostHom, v: AlmostHom, gamma) -> np.ndarray:
+    """D[a, b] = ||U(a)V(b) - gamma[a, b] V(b)U(a)||_2^2 as an (|A|, |B|) array.
+
+    Rows and columns follow the element orders of the two groups; ``gamma``
+    is all ones for commutators.  Per block, a chunk of ka images U(a) and kb
+    images V(b) gives all ka * kb products of each side with one concatenated
+    product, (ka n x n) @ (n x kb n), of at most ``_STACK_ENTRIES`` entries.
+    """
+    if not u.algebra.compatible(v.algebra):
+        raise InvalidArgument("the two representations live on different algebras")
+    gamma = np.asarray(gamma)
+    na, nb = u.group.order, v.group.order
+    out = np.zeros((na, nb))
+    for us, vs, n, c in zip(u.stacks, v.stacks, u.algebra.dims, u.algebra.coeffs):
+        b_step = max(1, min(nb, _STACK_ENTRIES // (n * n)))
+        a_step = max(1, _STACK_ENTRIES // (b_step * n * n))
+        for a0 in range(0, na, a_step):
+            ua = us[a0 : a0 + a_step]
+            ka = len(ua)
+            ua_cols = ua.transpose(1, 0, 2).reshape(n, ka * n)
+            for b0 in range(0, nb, b_step):
+                vb = vs[b0 : b0 + b_step]
+                kb = len(vb)
+                uv = ua.reshape(ka * n, n) @ vb.transpose(1, 0, 2).reshape(n, kb * n)
+                vu = vb.reshape(kb * n, n) @ ua_cols
+                g = gamma[a0 : a0 + ka, None, b0 : b0 + kb, None]
+                vu = vu.reshape(kb, n, ka, n).transpose(2, 1, 0, 3)
+                d = uv.reshape(ka, n, kb, n) - g * vu
+                out[a0 : a0 + ka, b0 : b0 + kb] += c * (d.real**2 + d.imag**2).sum(
+                    axis=(1, 3)
+                )
+    return out
+
+
 def rep_residual(phi: AlmostHom) -> float:
-    """Worst-case multiplication-law residual in operator norm."""
-    g_elems = phi.group.elements
+    """Worst multiplication-law residual in operator norm.
+
+    Measured on the pairs the law check of :class:`UnitaryRep` uses (all of
+    them when affordable, else the same 64 sampled pairs), with one batched
+    singular-value computation per chunk of residuals.
+    """
+    pairs = _law_pairs(phi.group, phi.algebra.dims)
     worst = 0.0
-    for g in g_elems:
-        for h in g_elems:
-            worst = max(
-                worst,
-                phi.algebra.norm_inf(
-                    phi.images[phi.group.mul(g, h)] - phi.images[g] * phi.images[h]
-                ),
-            )
+    for b, sl in _chunks(phi.algebra.dims, len(pairs[0])):
+        r = _law_residual(phi.stacks[b], pairs, sl)
+        worst = max(worst, float(np.linalg.svd(r, compute_uv=False)[:, 0].max()))
     return worst
 
 
-# -- amplification ------------------------------------------------------------
-
-
-class Amplification:
-    """M tensor M_k with the auxiliary factor first in each block.
-
-    The trace coefficients are inherited from the base, so the embedded copy
-    of M (x -> e_00 tensor x) is trace preserving and the ambient identity has
-    trace k.
-    """
-
-    def __init__(self, base: TracialAlgebra, k: int):
-        if k <= 0:
-            raise InvalidArgument("amplification factor must be positive")
-        self.base = base
-        self.k = k
-        self.algebra = TracialAlgebra._raw(
-            [n * k for n in base.dims], base.coeffs
-        )
-
-    def embed(self, x: AlgebraElement, slot: int = 0) -> AlgebraElement:
-        if not self.base.compatible(x.algebra):
-            raise InvalidArgument("element does not belong to the base algebra")
-        mats = []
-        for n, b in zip(self.base.dims, x.blocks):
-            m = np.zeros((n * self.k, n * self.k), dtype=complex)
-            m[slot * n : (slot + 1) * n, slot * n : (slot + 1) * n] = b
-            mats.append(m)
-        return AlgebraElement(self.algebra, mats)
-
-    def unit(self, slot: int = 0) -> AlgebraElement:
-        return self.embed(self.base.identity(), slot=slot)
-
-
-def amplify(base: TracialAlgebra, k: int) -> Amplification:
-    return Amplification(base, k)
-
-
-# -- corner compression --------------------------------------------------------
-
-
-class CornerCompression:
-    """Unital compression onto the corner p M p of a projection p.
-
-    Stores one isometry per block (columns: an orthonormal basis of the range
-    of p) and produces a TracialAlgebra for the corner that keeps the ambient
-    trace coefficients, so tau is preserved by ``lift``.
-    """
-
-    def __init__(self, ambient: TracialAlgebra, p: AlgebraElement, tol=1e-9):
-        self.ambient = ambient
-        isoms = []
-        dims = []
-        for n, b in zip(ambient.dims, p.blocks):
-            if np.max(np.abs(b - b.conj().T)) > tol:
-                raise InvalidArgument("corner projection is not self-adjoint")
-            vals, vecs = np.linalg.eigh(b)
-            if np.any((vals > tol) & (vals < 1 - tol)):
-                raise InvalidArgument("corner element is not a projection")
-            cols = vecs[:, vals > 0.5]
-            isoms.append(cols)
-            dims.append(cols.shape[1])
-        if any(d == 0 for d in dims):
-            raise InvalidArgument("corner projection vanishes on some block")
-        self.isometries = isoms
-        self.algebra = TracialAlgebra._raw(dims, ambient.coeffs)
-
-    def compress(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            self.algebra,
-            [z.conj().T @ b @ z for z, b in zip(self.isometries, x.blocks)],
-        )
-
-    def lift(self, y: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            self.ambient,
-            [z @ b @ z.conj().T for z, b in zip(self.isometries, y.blocks)],
-        )
-
-
 # -- defect, conditional expectation, commutator gap ---------------------------
+
+
+def _measure_weights(group, mu):
+    """Element indices and float weights of a measure; uniform for None."""
+    if mu is None:
+        return np.arange(group.order), np.full(group.order, 1.0 / group.order)
+    items = list(mu.items_nonzero())
+    return (
+        np.array([group.index(g) for g, _ in items], dtype=np.intp),
+        np.array([float(w) for _, w in items]),
+    )
 
 
 def defect(phi: AlmostHom, mu=None, nu=None) -> float:
@@ -558,25 +574,15 @@ def defect(phi: AlmostHom, mu=None, nu=None) -> float:
     Averages ||phi(gh) - phi(g)phi(h)||_2^2 with g ~ mu and h ~ nu; both
     default to the uniform distribution on the group.
     """
-    group, alg = phi.group, phi.algebra
-
-    def pairs():
-        if mu is None:
-            gs = [(g, 1.0 / group.order) for g in group.elements]
-        else:
-            gs = [(g, float(w)) for g, w in mu.items_nonzero()]
-        if nu is None:
-            hs = [(h, 1.0 / group.order) for h in group.elements]
-        else:
-            hs = [(h, float(w)) for h, w in nu.items_nonzero()]
-        for g, wg in gs:
-            for h, wh in hs:
-                yield g, h, wg * wh
-
+    group = phi.group
+    gi, gw = _measure_weights(group, mu)
+    hi, hw = _measure_weights(group, nu)
+    weights = np.outer(gw, hw).ravel()
+    pairs = _indexed_pairs(group, np.repeat(gi, len(hi)), np.tile(hi, len(gi)))
     total = 0.0
-    for g, h, w in pairs():
-        d = phi.images[group.mul(g, h)] - phi.images[g] * phi.images[h]
-        total += w * alg.norm2(d) ** 2
+    for b, sl in _chunks(phi.algebra.dims, len(weights)):
+        sq = _frobenius_sq(_law_residual(phi.stacks[b], pairs, sl))
+        total += phi.algebra.coeffs[b] * float(weights[sl] @ sq)
     return total
 
 

@@ -185,9 +185,6 @@ class FiniteField:
     def digits(self, a: int):
         return tuple(int(c) for c in self._digits[a])
 
-    def undigits(self, ds) -> int:
-        return int(sum(int(d) % self.p * self.p**i for i, d in enumerate(ds)))
-
     def trace_pairing(self) -> np.ndarray:
         """T[s, t] = Tr(x^s x^t) in F_p; identifies the dual group with F_q."""
         if self.k == 1:

@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraElement,
     TracialAlgebra,
     UnitaryRep,
+    _pair_defects,
 )
 from .codes import LinearCode, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument, ResourceCap
@@ -1064,16 +1065,7 @@ def _case_values(game: Game, strategy: SynchronousStrategy) -> dict:
 def twisted_defect(u_rep: UnitaryRep, v_rep: UnitaryRep) -> float:
     """E_{h,chi} ||U(h)V(chi) - chi(h) V(chi) U(h)||_2^2, uniform over the
     group of ``u_rep`` and its dual, the group of ``v_rep``."""
-    group, dual = u_rep.group, v_rep.group
-    alg = u_rep.algebra
-    total = 0.0
-    for h in group.elements:
-        uh = u_rep.images[h]
-        for chi in dual.elements:
-            vchi = v_rep.images[chi]
-            s = float(group.pairing(chi, h))
-            total += alg.norm2(uh * vchi - s * (vchi * uh)) ** 2
-    return total / group.order**2
+    return float(_pair_defects(u_rep, v_rep, u_rep.group.character_table().T).mean())
 
 
 def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:

@@ -26,9 +26,13 @@ from .abelian import AbelianGroup, regular_rep
 from .algebra import (
     AlgebraElement,
     AlmostHom,
-    Amplification,
     TracialAlgebra,
     UnitaryRep,
+    _chunks,
+    _frobenius_sq,
+    _indexed_pairs,
+    _law_residual,
+    _pair_defects,
     commutant_blocks,
     conditional_expectation_commutant,
     defect,
@@ -74,6 +78,16 @@ def _check_bound(value: float, bound: float, label: str):
 
 def _ratio(value: float, bound: float):
     return value / bound if bound > 1e-300 else None
+
+
+def _check_rounding_dim(order: int, dims):
+    """Refuse a rounding whose amplified block, order * max(dims), exceeds
+    ``ROUNDING_DIM_CAP``, before any work is done."""
+    dim = order * max(dims)
+    if dim > ROUNDING_DIM_CAP:
+        raise ResourceCap(
+            f"amplified block dimension {dim} exceeds the cap {ROUNDING_DIM_CAP}"
+        )
 
 
 class Intertwiner:
@@ -122,18 +136,6 @@ class Intertwiner:
             self.target, [m @ m.conj().T for m in self.mats]
         )
 
-    def compose(self, inner: "Intertwiner") -> "Intertwiner":
-        """self after inner: maps inner.source into self.target."""
-        if inner.target is not self.source and not inner.target.compatible(
-            self.source
-        ):
-            raise InvalidArgument("composition shapes do not match")
-        return Intertwiner(
-            inner.source,
-            self.target,
-            [a @ b for a, b in zip(self.mats, inner.mats)],
-        )
-
     def isometry_defect(self) -> float:
         """||1 - w* w||_2^2 in the source trace; 0 for a true isometry."""
         diff = self.source.identity() - self.w_star_w()
@@ -144,30 +146,12 @@ class Intertwiner:
         return f"Intertwiner({shapes})"
 
 
-def _rep_residual_capped(rep: UnitaryRep, limit: float = 2e8, samples: int = 64):
-    """Multiplication-law residual, exhaustive when affordable else sampled."""
-    n = rep.group.order
-    cost = n * n * sum(d**3 for d in rep.algebra.dims)
-    if cost <= limit:
-        return rep_residual(rep)
-    rng = np.random.default_rng(0)
-    els = rep.group.elements
-    worst = 0.0
-    for _ in range(samples):
-        g = els[rng.integers(n)]
-        h = els[rng.integers(n)]
-        r = rep.algebra.norm_inf(
-            rep.images[rep.group.mul(g, h)] - rep.images[g] * rep.images[h]
-        )
-        worst = max(worst, r)
-    return worst
-
-
 class RoundingCertificate:
     """Everything the rounding produces, next to its guaranteed bounds.
 
     Attributes
     ----------
+    amplified : the amplified algebra M tensor M_|G| that contains ``P``.
     pi : UnitaryRep on the corner algebra (one block per base block).
     w : Intertwiner from the base algebra into the corner; an isometry.
     distance : mean squared 2-norm closeness E_g ||phi(g) - w* pi(g) w||_2^2.
@@ -186,7 +170,7 @@ class RoundingCertificate:
         self,
         group: FiniteGroup,
         base: TracialAlgebra,
-        amplification: Amplification,
+        amplified: TracialAlgebra,
         corner: TracialAlgebra,
         pi: UnitaryRep,
         w: Intertwiner,
@@ -203,7 +187,7 @@ class RoundingCertificate:
     ):
         self.group = group
         self.base = base
-        self.amplification = amplification
+        self.amplified = amplified
         self.corner = corner
         self.pi = pi
         self.w = w
@@ -224,7 +208,7 @@ class RoundingCertificate:
         """The corner projection as an element of the amplified algebra."""
         if self._p_cache is None:
             self._p_cache = AlgebraElement(
-                self.amplification.algebra,
+                self.amplified,
                 [f @ f.conj().T for f in self._corner_factors],
             )
         return self._p_cache
@@ -351,11 +335,7 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
         raise InvalidArgument("only the Hilbert-space case p = 2 is supported")
     group, base = phi.group, phi.algebra
     n = group.order
-    if n * max(base.dims) > ROUNDING_DIM_CAP:
-        raise ResourceCap(
-            f"amplified block dimension {n * max(base.dims)} exceeds "
-            f"the cap {ROUNDING_DIM_CAP}"
-        )
+    _check_rounding_dim(n, base.dims)
     eps = defect(phi)
     elements = group.elements
     inv_idx = np.array([group.index(group.inv(g)) for g in elements])
@@ -364,16 +344,15 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
         for j, h in enumerate(elements):
             mul_idx[i, j] = group.index(group.mul(g, h))
 
-    blocks = []
-    for b in range(base.nblocks):
-        stack = np.stack([phi.images[g].blocks[b] for g in elements])
-        blocks.append(_round_block(n, base.dims[b], mul_idx, inv_idx, stack))
+    blocks = [
+        _round_block(n, m, mul_idx, inv_idx, stack)
+        for m, stack in zip(base.dims, phi.stacks)
+    ]
 
     coeffs = base.coeffs
     corner = TracialAlgebra._raw(
         [blk["R"] + blk["t"] for blk in blocks], coeffs
     )
-    amp = Amplification(base, n)
 
     base_trace = float(np.real(base.tau(base.identity())))
     tau_spectral = sum(c * blk["R"] for c, blk in zip(coeffs, blocks))
@@ -437,7 +416,7 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
         "one_minus_xstarx": one_minus_xsx,
         "p_minus_xxstar": p_minus_xxs,
         "sqrt_defect_bound": 4.0 * math.sqrt(eps),
-        "pi_residual": _rep_residual_capped(pi),
+        "pi_residual": rep_residual(pi),
         "isometry_residual": w.isometry_defect(),
         "threshold_margin": min(blk["margin"] for blk in blocks),
         "tau_corner": tau_corner,
@@ -448,7 +427,7 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
     return RoundingCertificate(
         group=group,
         base=base,
-        amplification=amp,
+        amplified=TracialAlgebra._raw([n * m for m in base.dims], coeffs),
         corner=corner,
         pi=pi,
         w=w,
@@ -474,16 +453,18 @@ def equivariance_residual(phi: AlmostHom, subgroup, side: str = "left") -> float
     """Worst 2-norm failure of phi(hg) = phi(h)phi(g) (or the right version)."""
     if side not in ("left", "right"):
         raise InvalidArgument("side must be 'left' or 'right'")
-    group, alg = phi.group, phi.algebra
-    worst = 0.0
-    for h in subgroup:
-        for g in group.elements:
-            if side == "left":
-                d = phi.images[group.mul(h, g)] - phi.images[h] * phi.images[g]
-            else:
-                d = phi.images[group.mul(g, h)] - phi.images[g] * phi.images[h]
-            worst = max(worst, alg.norm2(d))
-    return worst
+    group = phi.group
+    n = group.order
+    sub = np.array([group.index(h) for h in subgroup], dtype=np.intp)
+    hs, gs = np.repeat(sub, n), np.tile(np.arange(n), len(sub))
+    left, right = (hs, gs) if side == "left" else (gs, hs)
+    pairs = _indexed_pairs(group, left, right)
+    sq = np.zeros(len(hs))
+    for b, sl in _chunks(phi.algebra.dims, len(hs)):
+        sq[sl] += phi.algebra.coeffs[b] * _frobenius_sq(
+            _law_residual(phi.stacks[b], pairs, sl)
+        )
+    return float(np.sqrt(sq.max(initial=0.0)))
 
 
 def subgroup_closeness_check(
@@ -553,15 +534,14 @@ class PairRoundingResult:
         }
 
 
-def _pair_products(u_rep: UnitaryRep, v_rep: UnitaryRep):
-    if not u_rep.algebra.compatible(v_rep.algebra):
-        raise InvalidArgument("the two representations live on different algebras")
-    prods = {}
-    for a in u_rep.group.elements:
-        ua = u_rep.images[a]
-        for b in v_rep.group.elements:
-            prods[(a, b)] = ua * v_rep.images[b]
-    return prods
+def _pair_products(u_rep: UnitaryRep, v_rep: UnitaryRep) -> dict:
+    """(a, b) -> U(a)V(b), one broadcast product of the stacks per block."""
+    stacks = [us[:, None] @ vs[None] for us, vs in zip(u_rep.stacks, v_rep.stacks)]
+    return {
+        (a, b): AlgebraElement(u_rep.algebra, [s[i, j] for s in stacks])
+        for i, a in enumerate(u_rep.group.elements)
+        for j, b in enumerate(v_rep.group.elements)
+    }
 
 
 def round_commuting_pair(u_rep: UnitaryRep, v_rep: UnitaryRep) -> PairRoundingResult:
@@ -574,15 +554,10 @@ def round_commuting_pair(u_rep: UnitaryRep, v_rep: UnitaryRep) -> PairRoundingRe
     """
     a_grp, b_grp = u_rep.group, v_rep.group
     alg = u_rep.algebra
-    prods = _pair_products(u_rep, v_rep)
-    eps = 0.0
-    for a in a_grp.elements:
-        for b in b_grp.elements:
-            eps += alg.norm2(prods[(a, b)] - v_rep.images[b] * u_rep.images[a]) ** 2
-    eps /= a_grp.order * b_grp.order
-
+    ones = np.ones((a_grp.order, b_grp.order))
+    eps = float(_pair_defects(u_rep, v_rep, ones).mean())
     group = ProductGroup(a_grp, b_grp)
-    phi = AlmostHom(group, alg, {g: prods[g] for g in group.elements})
+    phi = AlmostHom(group, alg, _pair_products(u_rep, v_rep))
     cert = gowers_hatami_round(phi)
     if abs(cert.input_defect - eps) > 1e-6 * max(1.0, eps):
         raise GapstabError(
@@ -611,14 +586,7 @@ def round_commuting_pair(u_rep: UnitaryRep, v_rep: UnitaryRep) -> PairRoundingRe
     _check_bound(distance_u, bound, "commuting-pair distance (first factor)")
     _check_bound(distance_v, bound, "commuting-pair distance (second factor)")
 
-    commuting_residual = 0.0
-    for a in a_grp.elements:
-        for b in b_grp.elements:
-            c = (
-                u_tilde.images[a] * v_tilde.images[b]
-                - v_tilde.images[b] * u_tilde.images[a]
-            )
-            commuting_residual = max(commuting_residual, cert.corner.norm2(c))
+    commuting_residual = math.sqrt(_pair_defects(u_tilde, v_tilde, ones).max())
 
     return PairRoundingResult(
         certificate=cert,
@@ -692,15 +660,14 @@ def round_twisted_pair(
     a_grp, b_grp = u_rep.group, v_rep.group
     alg = u_rep.algebra
     ext = CentralExtensionGroup(a_grp, b_grp, gam)
+    _check_rounding_dim(ext.order, alg.dims)
 
+    signs = np.array(
+        [[ext.gamma(a, b) for b in b_grp.elements] for a in a_grp.elements],
+        dtype=float,
+    )
+    eps = float(_pair_defects(u_rep, v_rep, signs).mean())
     prods = _pair_products(u_rep, v_rep)
-    eps = 0.0
-    for a in a_grp.elements:
-        for b in b_grp.elements:
-            tw = gam(a, b) * (v_rep.images[b] * u_rep.images[a])
-            eps += alg.norm2(prods[(a, b)] - tw) ** 2
-    eps /= a_grp.order * b_grp.order
-
     phi = AlmostHom(
         ext,
         alg,
@@ -760,12 +727,7 @@ def round_twisted_pair(
         check="none",
     )
 
-    relation_residual = 0.0
-    for a in a_grp.elements:
-        for b in b_grp.elements:
-            lhsm = u_tilde.images[a] * v_tilde.images[b]
-            rhsm = float(gam(a, b)) * (v_tilde.images[b] * u_tilde.images[a])
-            relation_residual = max(relation_residual, q_corner.norm2(lhsm - rhsm))
+    relation_residual = math.sqrt(_pair_defects(u_tilde, v_tilde, signs).max())
 
     # re-polar Qw to a partial isometry
     w_mats = []
@@ -815,6 +777,17 @@ def round_twisted_pair(
 AmplificationCheck = namedtuple("AmplificationCheck", ["lhs", "rhs"])
 
 
+def _amplification(defects, u_rep, v_rep, mu, nu) -> AmplificationCheck:
+    """The uniform mean of a pair-defect matrix against kappa(mu) kappa(nu)
+    times its (mu x nu)-integral."""
+    k_mu = float(kappa(u_rep.group, mu).kappa)
+    k_nu = float(kappa(v_rep.group, nu).kappa)
+    mu_w = np.array([float(mu(a)) for a in u_rep.group.elements])
+    nu_w = np.array([float(nu(b)) for b in v_rep.group.elements])
+    integral = float(mu_w @ defects @ nu_w)
+    return AmplificationCheck(float(defects.mean()), k_mu * k_nu * integral)
+
+
 def commutator_amplification_check(
     u_rep: UnitaryRep, v_rep: UnitaryRep, mu: ProbMeasure, nu: ProbMeasure
 ) -> AmplificationCheck:
@@ -824,30 +797,8 @@ def commutator_amplification_check(
     rhs = kappa(mu) kappa(nu) * integral of the same quantity d(mu x nu);
     the inequality lhs <= rhs holds whenever the supports generate.
     """
-    if not u_rep.algebra.compatible(v_rep.algebra):
-        raise InvalidArgument("the two representations live on different algebras")
-    alg = u_rep.algebra
-    k_mu = kappa(u_rep.group, mu)
-    k_nu = kappa(v_rep.group, nu)
-
-    def comm_sq(a, b):
-        c = (
-            u_rep.images[a] * v_rep.images[b]
-            - v_rep.images[b] * u_rep.images[a]
-        )
-        return alg.norm2(c) ** 2
-
-    lhs = 0.0
-    for a in u_rep.group.elements:
-        for b in v_rep.group.elements:
-            lhs += comm_sq(a, b)
-    lhs /= u_rep.group.order * v_rep.group.order
-    integral = 0.0
-    for a, pa in mu.items_nonzero():
-        for b, pb in nu.items_nonzero():
-            integral += float(pa * pb) * comm_sq(a, b)
-    rhs = float(k_mu.kappa) * float(k_nu.kappa) * integral
-    return AmplificationCheck(lhs, rhs)
+    ones = np.ones((u_rep.group.order, v_rep.group.order))
+    return _amplification(_pair_defects(u_rep, v_rep, ones), u_rep, v_rep, mu, nu)
 
 
 def twisted_amplification_check(
@@ -871,29 +822,9 @@ def twisted_amplification_check(
         raise InvalidArgument("twisted amplification needs abelian groups")
     if a_grp.orders != d_grp.orders:
         raise InvalidArgument("the second group must be the dual of the first")
-    if not u_rep.algebra.compatible(v_rep.algebra):
-        raise InvalidArgument("the two representations live on different algebras")
     alg = u_rep.algebra
-    k_mu = kappa(a_grp, mu)
-    k_nu = kappa(d_grp, nu)
-
-    def twist_sq(a, chi):
-        pairing = a_grp.pairing(chi, a)
-        c = u_rep.images[a] * v_rep.images[chi] - complex(pairing) * (
-            v_rep.images[chi] * u_rep.images[a]
-        )
-        return alg.norm2(c) ** 2
-
-    lhs = 0.0
-    for a in a_grp.elements:
-        for chi in d_grp.elements:
-            lhs += twist_sq(a, chi)
-    lhs /= a_grp.order * d_grp.order
-    integral = 0.0
-    for a, pa in mu.items_nonzero():
-        for chi, pb in nu.items_nonzero():
-            integral += float(pa * pb) * twist_sq(a, chi)
-    rhs = float(k_mu.kappa) * float(k_nu.kappa) * integral
+    defects = _pair_defects(u_rep, v_rep, a_grp.character_table().T)
+    lhs, rhs = _amplification(defects, u_rep, v_rep, mu, nu)
 
     if max(alg.dims) * a_grp.order <= tensor_cap:
         reg = regular_rep(a_grp)
@@ -987,6 +918,7 @@ def round_pauli_pair(
     d_grp = v_rep.group
     if not isinstance(d_grp, AbelianGroup) or d_grp.orders != a_grp.orders:
         raise InvalidArgument("the second group must be the dual of the first")
+    _check_rounding_dim(2 * a_grp.order * d_grp.order, u_rep.algebra.dims)
 
     amp = twisted_amplification_check(u_rep, v_rep, mu, nu)
     k_mu = float(kappa(a_grp, mu).kappa)
@@ -1044,34 +976,6 @@ class StabilizationReport:
     trace_excess: float = 0.0
     assembly_residual: float = 0.0
     pi_residual: float = 0.0
-
-    def as_dict(self) -> dict:
-        out = {
-            "epsilon": self.epsilon,
-            "split_identity_residual": self.split_identity_residual,
-            "kappa1": self.kappa1,
-            "stage1_exact": self.stage1_exact,
-            "d1_base": self.d1_base,
-            "d1_corner": self.d1_corner,
-            "eta_sq_mu2": self.eta_sq_mu2,
-            "eta_bound_triangle": self.eta_bound_triangle,
-            "eta_bound_gap_form": self.eta_bound_gap_form,
-            "v_defect_uniform": self.v_defect_uniform,
-            "v_defect_mu2": self.v_defect_mu2,
-            "v_defect_bound": self.v_defect_bound,
-            "stage2_exact": self.stage2_exact,
-            "distance_uniform": self.distance_uniform,
-            "distance_mu1": self.distance_mu1,
-            "distance_mu2": self.distance_mu2,
-            "distance_mixture": self.distance_mixture,
-            "trace_total": self.trace_total,
-            "trace_excess": self.trace_excess,
-            "assembly_residual": self.assembly_residual,
-            "pi_residual": self.pi_residual,
-        }
-        for key, val in self.epsilon_split.items():
-            out[f"epsilon_{key[0]}{key[1]}"] = val
-        return out
 
 
 def _embedded_measure(group: ProductGroup, mu: ProbMeasure, slot: int) -> ProbMeasure:
@@ -1321,6 +1225,6 @@ def stabilize_product(
         trace_total=trace_total,
         trace_excess=trace_total - base_trace,
         assembly_residual=assembly_residual,
-        pi_residual=_rep_residual_capped(pi_final),
+        pi_residual=rep_residual(pi_final),
     )
     return pi_final, report

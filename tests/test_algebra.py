@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapstab import algebra
-from gapstab.abelian import boolean_group, cyclic, regular_rep
+from gapstab.abelian import AbelianGroup, boolean_group, cyclic, regular_rep
 from gapstab.algebra import (
     PVM,
     AlgebraElement,
@@ -22,6 +22,7 @@ from gapstab.algebra import (
     nearest_unitary_in_commutant,
     norm_conditional_duality_check,
     polar,
+    rep_residual,
     unitary_polar_factor,
 )
 from gapstab.errors import (
@@ -457,3 +458,156 @@ def test_pvm_self_adjointness_boundary():
     with pytest.raises(InvalidPVM) as info:
         PVM(alg, [0, 1], family(1.1 * TOL), tol=TOL)
     assert TOL < info.value.residual < 1.2 * TOL
+
+
+# -- stacked images and the two kernels -------------------------------------------
+
+
+def _random_hom(group, alg, seed):
+    """Haar-random images: unitary, far from multiplicative."""
+    rng = np.random.default_rng(seed)
+    return AlmostHom(
+        group,
+        alg,
+        {g: alg.element([haar_unitary(n, rng) for n in alg.dims]) for g in group.elements},
+    )
+
+
+def _noisy_rep(rep, sigma, seed):
+    """A representation with each image rotated by about sigma."""
+    rng = np.random.default_rng(seed)
+    alg = rep.algebra
+    images = {}
+    for g in rep.group.elements:
+        blocks = []
+        for b in rep.images[g].blocks:
+            h = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+            vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+            blocks.append((vecs * np.exp(1j * sigma * vals)) @ vecs.conj().T @ b)
+        images[g] = alg.element(blocks)
+    return AlmostHom(rep.group, alg, images)
+
+
+def _two_block_rep(group, seed):
+    """The regular representation of ``group`` on both blocks of
+    M_n (+) M_n, conjugated by a different random unitary in each."""
+    n = group.order
+    alg = TracialAlgebra([(n, Fraction(1, 3)), (n, Fraction(2, 3))])
+    rng = np.random.default_rng(seed)
+    conj = [haar_unitary(n, rng) for _ in range(2)]
+    reg = regular_rep(group)
+    images = {
+        g: alg.element([c @ reg.images[g].blocks[0] @ c.conj().T for c in conj])
+        for g in group.elements
+    }
+    return UnitaryRep(group, alg, images)
+
+
+@pytest.mark.parametrize("stack_entries", [None, 2 * 3 * 3])
+def test_pair_defect_matrix_matches_pair_loop(monkeypatch, stack_entries):
+    """D[a, b] = ||U(a)V(b) - gamma[a, b] V(b)U(a)||_2^2 against the per-pair
+    loop over elements, on a two-block algebra with the complex characters of
+    Z3 x Z3 (and all-ones gamma), also when the products span several chunks;
+    the (mu x nu)-weighted sum mu_w @ D @ nu_w against the weighted loop."""
+    if stack_entries is not None:
+        monkeypatch.setattr(algebra, "_STACK_ENTRIES", stack_entries)
+    grp = AbelianGroup((3, 3))
+    alg = TracialAlgebra([(2, Fraction(1, 3)), (3, Fraction(2, 3))])
+    u = _random_hom(grp, alg, 1)
+    v = _random_hom(grp.dual(), alg, 2)
+    table = grp.character_table().T
+    for gamma in (table, np.ones(table.shape)):
+        d = algebra._pair_defects(u, v, gamma)
+        assert d.shape == (9, 9)
+        for i, a in enumerate(grp.elements):
+            for j, b in enumerate(grp.dual().elements):
+                c = u.images[a] * v.images[b] - gamma[i, j] * (v.images[b] * u.images[a])
+                assert d[i, j] == pytest.approx(alg.norm2(c) ** 2, rel=1e-12)
+    rng = np.random.default_rng(3)
+    mu = ProbMeasure(
+        grp, {a: Fraction(int(k), 45) for a, k in zip(grp.elements, rng.permutation(9) + 1)}
+    )
+    nu = ProbMeasure(grp.dual(), {(1, 0): Fraction(1, 4), (2, 2): Fraction(3, 4)})
+    d = algebra._pair_defects(u, v, table)
+    weighted = 0.0
+    for a, pa in mu.items_nonzero():
+        for b, pb in nu.items_nonzero():
+            c = u.images[a] * v.images[b] - grp.pairing(b, a) * (v.images[b] * u.images[a])
+            weighted += float(pa * pb) * alg.norm2(c) ** 2
+    mu_w = np.array([float(mu(a)) for a in grp.elements])
+    nu_w = np.array([float(nu(b)) for b in grp.dual().elements])
+    assert mu_w @ d @ nu_w == pytest.approx(weighted, rel=1e-12)
+
+
+def test_defect_matches_pair_loop():
+    phi = _noisy_rep(_two_block_rep(cyclic(4), 4), 0.1, 5)
+    grp, alg = phi.group, phi.algebra
+    mu = ProbMeasure(grp, {(1,): Fraction(1, 3), (2,): Fraction(2, 3)})
+    nu = ProbMeasure(grp, {(0,): Fraction(1, 2), (3,): Fraction(1, 2)})
+    for m, n in ((None, None), (mu, nu), (nu, None)):
+        gs = m.items_nonzero() if m else [(g, Fraction(1, 4)) for g in grp.elements]
+        hs = list(n.items_nonzero()) if n else [(h, Fraction(1, 4)) for h in grp.elements]
+        ref = 0.0
+        for g, wg in gs:
+            for h, wh in hs:
+                r = phi.images[grp.mul(g, h)] - phi.images[g] * phi.images[h]
+                ref += float(wg) * float(wh) * alg.norm2(r) ** 2
+        assert ref > 1e-4
+        assert defect(phi, m, n) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("group", [cyclic(5), AbelianGroup((2, 4))])
+def test_rep_residual_equals_pair_loop(group):
+    phi = _noisy_rep(_two_block_rep(group, 6), 0.05, 7)
+    worst = 0.0
+    for g in group.elements:
+        for h in group.elements:
+            r = phi.images[group.mul(g, h)] - phi.images[g] * phi.images[h]
+            worst = max(worst, phi.algebra.norm_inf(r))
+    assert worst > 1e-3
+    assert rep_residual(phi) == worst
+
+
+def test_rep_residual_and_unitary_rep_sample_the_same_pairs(monkeypatch):
+    """Above the cost limit both check the 64 pairs (g, h) drawn, g first,
+    from default_rng(0)."""
+    monkeypatch.setattr(algebra, "_LAW_COST_LIMIT", 0)
+    rep = regular_rep(boolean_group(4))
+    grp = rep.group
+    seen = []
+    pair_rule = algebra._law_pairs
+
+    def recording(*args):
+        seen.append(pair_rule(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(algebra, "_law_pairs", recording)
+    UnitaryRep(grp, rep.algebra, rep.images)
+    phi = _noisy_rep(rep, 0.05, 8)
+    worst = rep_residual(phi)
+    rng = np.random.default_rng(0)
+    drawn = [(int(rng.integers(16)), int(rng.integers(16))) for _ in range(64)]
+    assert len(seen) == 2
+    for left, right, prod in seen:
+        assert list(zip(left.tolist(), right.tolist())) == drawn
+        els = grp.elements
+        assert prod.tolist() == [grp.index(grp.mul(els[i], els[j])) for i, j in drawn]
+    els = grp.elements
+    assert worst == max(
+        phi.algebra.norm_inf(
+            phi.images[grp.mul(els[i], els[j])] - phi.images[els[i]] * phi.images[els[j]]
+        )
+        for i, j in drawn
+    )
+
+
+def test_images_are_read_only_views_of_the_stacks():
+    rep = _two_block_rep(cyclic(3), 9)
+    for i, g in enumerate(rep.group.elements):
+        for b, block in enumerate(rep.images[g].blocks):
+            assert np.shares_memory(block, rep.stacks[b])
+            assert np.array_equal(block, rep.stacks[b][i])
+    with pytest.raises(ValueError):
+        rep.images[(1,)].blocks[0][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        rep.stacks[1][0] += 1.0

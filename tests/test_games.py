@@ -44,6 +44,7 @@ from gapstab.games import (
     value,
 )
 from gapstab.stability import Intertwiner
+from gapstab.suites import named_game
 
 
 def _diag_strategy():
@@ -415,3 +416,17 @@ def test_rigidity_report_requires_structure():
     strat = _magic_strategy(game)
     with pytest.raises(InvalidArgument):
         pauli_rigidity_report(game, strat)
+
+
+def test_hamming_report_refuses_rounding_before_amplification(monkeypatch):
+    """The Hamming dilation (2 * 16 * 16 * 32 = 16384) is over the rounding
+    cap, which is reported before any amplification or tensor check runs."""
+    import gapstab.stability as stability
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("amplification check ran before the cap check")
+
+    monkeypatch.setattr(stability, "twisted_amplification_check", not_reached)
+    game = named_game("hamming")
+    with pytest.raises(ResourceCap, match="16384"):
+        pauli_rigidity_report(game, honest_strategy(game))

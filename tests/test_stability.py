@@ -19,7 +19,12 @@ from gapstab.errors import (
     PreconditionViolation,
     ResourceCap,
 )
-from gapstab.games import pauli_pvms
+from gapstab.games import (
+    honest_strategy,
+    pauli_pvms,
+    pauli_rigidity_report,
+    perturb_strategy,
+)
 from gapstab.groups import ProductGroup
 from gapstab.spectral import ProbMeasure
 from gapstab.stability import (
@@ -39,6 +44,7 @@ from gapstab.stability import (
     subgroup_closeness_check,
     twisted_amplification_check,
 )
+from gapstab.suites import named_game
 
 # module constants are the contract; everything below asserts against them
 assert (DISTANCE_CONSTANT, PROJECTION_CONSTANT) == (169.0, 16.0)
@@ -316,3 +322,39 @@ def test_intertwiner():
     x = alg.element([np.diag([1.0, 2.0, 3.0]).astype(complex)])
     assert alg.norm2(w.conjugate(x) - x) < 1e-12
     assert w.isometry_defect() < 1e-15
+
+
+def test_equivariance_residual_matches_pair_loop():
+    rng = np.random.default_rng(10)
+    rep = regular_rep(cyclic(6))
+    phi = AlmostHom(rep.group, rep.algebra, _noisy_images(rep, 0.1, rng))
+    grp, alg = phi.group, phi.algebra
+    sub = [(0,), (2,), (4,)]
+    for side in ("left", "right"):
+        worst = 0.0
+        for h in sub:
+            for g in grp.elements:
+                if side == "left":
+                    d = phi.images[grp.mul(h, g)] - phi.images[h] * phi.images[g]
+                else:
+                    d = phi.images[grp.mul(g, h)] - phi.images[g] * phi.images[h]
+                worst = max(worst, alg.norm2(d))
+        assert worst > 1e-3
+        residual = equivariance_residual(phi, sub, side=side)
+        assert residual == pytest.approx(worst, rel=1e-12)
+
+
+def test_report_twisted_defect_is_one_quantity():
+    """The report's prop_lhs, the amplification lhs and the rounding epsilon
+    are the same twisted defect, computed three times."""
+    game = named_game("repetition")
+    strat = perturb_strategy(honest_strategy(game), 0.1, np.random.default_rng(11))
+    rep = pauli_rigidity_report(game, strat)
+    group = game.h_group
+    u = rep_from_pvm(strat["PX"], group)
+    v = rep_from_pvm(strat["PZ"], group.dual())
+    res = round_pauli_pair(u, v, game.alpha_law, game.beta_law)
+    assert rep["prop_lhs"] > 1e-4
+    assert res.amplification.lhs == pytest.approx(rep["prop_lhs"], rel=1e-12)
+    assert res.rounding.epsilon == pytest.approx(rep["prop_lhs"], rel=1e-12)
+    assert rep["rounding_epsilon"] == pytest.approx(rep["prop_lhs"], rel=1e-12)

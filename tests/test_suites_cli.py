@@ -236,3 +236,16 @@ def test_sweep_defect_matches_report():
     assert [p["lhs"] for p in quick] == [p["lhs"] for p in full]
     assert [p["eps"] for p in quick] == [p["eps"] for p in full]
     assert all(p["lhs"] > 0 for p in quick)
+
+
+def test_cli_sweep_hamming_falls_back_to_left_side(capsys):
+    """The Hamming rounding is over the dimension cap, so the sweep reports
+    the twisted defect against 1320 c c' eps alone."""
+    code = [
+        "sweep", "--game", "hamming",
+        "--points", "2", "--sigma-min", "0.05", "--sigma-max", "0.1",
+    ]
+    assert main(code) == 0
+    out = capsys.readouterr().out
+    assert "reporting the left side only" in out
+    assert "2 points, 0 violations" in out
