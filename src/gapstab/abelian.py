@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .algebra import PVM, TracialAlgebra, UnitaryRep
+from .algebra import PVM, AlgebraElement, TracialAlgebra, UnitaryRep, _weighted_sums
 from .errors import InvalidArgument
 from .groups import FiniteGroup, Irrep
 
@@ -110,36 +110,31 @@ def regular_rep(group: FiniteGroup, algebra: TracialAlgebra | None = None) -> Un
 def rep_from_pvm(pvm: PVM, group: AbelianGroup) -> UnitaryRep:
     """Unitary representation of an abelian group from a PVM on its dual.
 
-    U(a) = sum_chi chi(a) P_chi.  The PVM outcomes must be exactly the dual
-    group elements.
+    U(a) = sum_chi chi(a) P_chi, one product of the character table
+    (reordered to the PVM's outcomes) with each block's projection stack.
+    The PVM outcomes must be exactly the dual group elements.
     """
     if set(pvm.outcomes) != set(group.elements):
         raise InvalidArgument("PVM outcomes must enumerate the dual group")
     alg = pvm.algebra
-    images = {}
-    for a in group.elements:
-        u = alg.zero()
-        for chi in group.elements:
-            u = u + group.pairing(chi, a) * pvm[chi]
-        images[a] = u
+    table = group.character_table()[[group.index(chi) for chi in pvm.outcomes]]
+    stacks = _weighted_sums(table.T, pvm.stacks)
+    images = {a: AlgebraElement(alg, bs) for a, bs in zip(group.elements, zip(*stacks))}
     return UnitaryRep(group, alg, images, check="none")
 
 
 def pvm_from_rep(rep: UnitaryRep, tol: float = 1e-9) -> PVM:
     """Spectral measure of a representation of an abelian group.
 
-    P_chi = E_a conj(chi(a)) U(a); inverse of :func:`rep_from_pvm`.  The
-    result is validated as a PVM, which fails if the input is not an honest
-    representation.
+    P_chi = E_a conj(chi(a)) U(a), one product of the conjugate character
+    table with each block's image stack; inverse of :func:`rep_from_pvm`.
+    The result is validated as a PVM, which fails if the input is not an
+    honest representation.
     """
     group = rep.group
     if not isinstance(group, AbelianGroup):
         raise InvalidArgument("spectral measure requires an abelian group")
     alg = rep.algebra
-    projections = []
-    for chi in group.elements:
-        p = alg.zero()
-        for a in group.elements:
-            p = p + np.conj(group.pairing(chi, a)) * rep.images[a]
-        projections.append((1.0 / group.order) * p)
+    stacks = _weighted_sums(np.conj(group.character_table()) / group.order, rep.stacks)
+    projections = [AlgebraElement(alg, bs) for bs in zip(*stacks)]
     return PVM(alg, list(group.elements), projections, tol=tol)

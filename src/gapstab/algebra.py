@@ -11,10 +11,12 @@ unit of trace 1: the amplification M tensor M_k used by the rounding keeps
 the coefficients of M, so its identity has trace k and projections in it can
 carry trace larger than 1.
 
-Maps from a finite group store their images as one (|G|, n, n) stack per
-block.  The multiplication-law residuals phi(gh) - phi(g)phi(h) and the pair
-defects ||U(a)V(b) - gamma(a, b) V(b)U(a)||_2^2 are each formed on those
-stacks by one chunked kernel.
+Maps from a finite group store their images, and PVMs their projections, as
+one (k, n, n) stack per block.  The multiplication-law residuals
+phi(gh) - phi(g)phi(h), the pair defects ||U(a)V(b) - gamma(a, b) V(b)U(a)||_2^2,
+the weighted sums sum_k W[j, k] X_k (the Fourier transforms between PVMs and
+representations) and the trace pairings tau(P Q) are each formed on those
+stacks by one kernel.
 """
 
 from __future__ import annotations
@@ -239,6 +241,17 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _noise_unitary(n: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """e^{i sigma H} for a Gaussian self-adjoint n x n H of operator norm 1."""
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2
+    nrm = np.linalg.norm(h, 2)
+    if nrm > 0:
+        h /= nrm
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * sigma * vals)) @ vecs.conj().T
+
+
 # -- projective valued measures and representations ---------------------------
 
 
@@ -270,6 +283,16 @@ def _chunks(dims, count: int):
             yield b, slice(start, min(start + step, count))
 
 
+def _read_only_stacks(dims, elements) -> tuple:
+    """The elements' blocks as one read-only ``(k, n, n)`` stack per block."""
+    stacks = []
+    for b, n in enumerate(dims):
+        stack = np.array([x.blocks[b] for x in elements], dtype=complex).reshape(-1, n, n)
+        stack.flags.writeable = False
+        stacks.append(stack)
+    return tuple(stacks)
+
+
 def _screen_failures(dims, count: int, residuals, tol: float) -> np.ndarray:
     """Indices of the terms whose residual may exceed ``tol`` in operator norm.
 
@@ -293,13 +316,17 @@ class PVM:
 
     ``outcomes`` is the list of labels; ``unit`` defaults to the algebra
     identity but may be any projection (for measures living in a corner).
+    The projections are stored once, as one read-only ``(k, n, n)`` stack per
+    block in ``outcomes`` order (``stacks``); ``pvm[a]`` and ``projections``
+    are elements whose blocks are views into those stacks, and
+    ``index(a)`` is the position of outcome ``a`` in them.
 
     Validation: every projection is self-adjoint and idempotent, the
     projections sum to ``unit`` and distinct projections multiply to zero,
     each up to an operator-norm residual of at most ``tol``.  The residuals
-    are screened by their Frobenius norms in stacked arrays and computed
-    exactly only where the screen fails; a failure raises :class:`InvalidPVM`
-    with the exact operator-norm residual.
+    are screened by their Frobenius norms on the stacks and computed exactly
+    only where the screen fails; a failure raises :class:`InvalidPVM` with
+    the exact operator-norm residual.
     """
 
     def __init__(self, algebra, outcomes, projections, unit=None, tol=VALIDATION_TOL):
@@ -311,29 +338,29 @@ class PVM:
             raise InvalidPVM("duplicate outcome labels")
         self.algebra = algebra
         self.outcomes = outcomes
-        self.projections = projections
         self.unit = unit if unit is not None else algebra.identity()
-        self._by_outcome = dict(zip(outcomes, projections))
-        blocks = [[p.blocks[b] for p in projections] for b in range(algebra.nblocks)]
+        self._index = {a: i for i, a in enumerate(outcomes)}
+        self.stacks = stacks = _read_only_stacks(algebra.dims, projections)
+        self.projections = [AlgebraElement(algebra, bs) for bs in zip(*stacks)]
 
         def own(b, start, stop):
-            p = np.stack(blocks[b][start:stop])
+            p = stacks[b][start:stop]
             yield p - p.conj().transpose(0, 2, 1)
             yield p @ p - p
 
         def completeness(b, start, stop):
-            yield (sum(blocks[b]) - self.unit.blocks[b])[None]
+            yield (stacks[b].sum(axis=0) - self.unit.blocks[b])[None]
 
         if (
-            _screen_failures(algebra.dims, len(projections), own, tol).size
+            _screen_failures(algebra.dims, len(outcomes), own, tol).size
             or _screen_failures(algebra.dims, 1, completeness, tol).size
         ):
             worst = 0.0
-            for p in projections:
+            for p in self.projections:
                 worst = max(worst, algebra.norm_inf(p - p.H))
                 worst = max(worst, algebra.norm_inf(p * p - p))
             total = algebra.zero()
-            for p in projections:
+            for p in self.projections:
                 total = total + p
             worst_sum = algebra.norm_inf(total - self.unit)
             if worst > tol or worst_sum > tol:
@@ -343,16 +370,14 @@ class PVM:
                     residual=max(worst, worst_sum),
                 )
 
-        left, right = np.triu_indices(len(projections), 1)
+        left, right = np.triu_indices(len(outcomes), 1)
 
         def products(b, start, stop):
-            yield np.stack([blocks[b][i] for i in left[start:stop]]) @ np.stack(
-                [blocks[b][j] for j in right[start:stop]]
-            )
+            yield stacks[b][left[start:stop]] @ stacks[b][right[start:stop]]
 
         for t in _screen_failures(algebra.dims, len(left), products, tol):
             i, j = left[t], right[t]
-            r = algebra.norm_inf(projections[i] * projections[j])
+            r = algebra.norm_inf(self.projections[i] * self.projections[j])
             if r > tol:
                 raise InvalidPVM(
                     f"projections for {outcomes[i]!r},{outcomes[j]!r} are not "
@@ -361,19 +386,20 @@ class PVM:
                 )
 
     def __getitem__(self, outcome) -> AlgebraElement:
-        return self._by_outcome[outcome]
+        return self.projections[self._index[outcome]]
 
     def __len__(self):
         return len(self.outcomes)
 
+    def index(self, outcome) -> int:
+        """Position of ``outcome`` in ``outcomes`` and in the stacks."""
+        return self._index[outcome]
+
     def conjugated(self, u: AlgebraElement) -> "PVM":
-        """u . u* applied to every projection (u unitary)."""
-        return PVM(
-            self.algebra,
-            self.outcomes,
-            [u * p * u.H for p in self.projections],
-            unit=u * self.unit * u.H,
-        )
+        """u . u* applied to every projection (u unitary); validated again."""
+        stacks = [(m @ s) @ m.conj().T for m, s in zip(u.blocks, self.stacks)]
+        projections = [AlgebraElement(self.algebra, bs) for bs in zip(*stacks)]
+        return PVM(self.algebra, self.outcomes, projections, unit=u * self.unit * u.H)
 
 
 class AlmostHom:
@@ -399,15 +425,9 @@ class AlmostHom:
         missing = [g for g in elements if g not in images]
         if missing:
             raise InvalidArgument(f"missing images for {len(missing)} elements")
-        stacks = []
-        for b in range(algebra.nblocks):
-            stack = np.stack([images[g].blocks[b] for g in elements])
-            stack.flags.writeable = False
-            stacks.append(stack)
-        self.stacks = tuple(stacks)
+        self.stacks = stacks = _read_only_stacks(algebra.dims, [images[g] for g in elements])
         self.images = {
-            g: AlgebraElement(algebra, [s[i] for s in stacks])
-            for i, g in enumerate(elements)
+            g: AlgebraElement(algebra, bs) for g, bs in zip(elements, zip(*stacks))
         }
         ident = algebra.identity()
 
@@ -465,7 +485,7 @@ class UnitaryRep(AlmostHom):
             )
 
 
-# -- the two stacked kernels ---------------------------------------------------
+# -- the stacked kernels -------------------------------------------------------
 
 # The multiplication law is checked on every pair (g, h) when |G|^2 sum d^3 is
 # at most _LAW_COST_LIMIT, else on _LAW_SAMPLES pairs drawn from default_rng(0).
@@ -537,6 +557,32 @@ def _pair_defects(u: AlmostHom, v: AlmostHom, gamma) -> np.ndarray:
                     axis=(1, 3)
                 )
     return out
+
+
+def _weighted_sums(weights, stacks) -> tuple:
+    """Per block, the stack of sums sum_k W[j, k] X_k, one for each row j.
+
+    ``stacks`` holds one ``(k, n, n)`` stack per block (a PVM's projections
+    or a representation's images); one product W @ X per block.
+    """
+    return tuple(
+        (weights @ s.reshape(len(s), -1)).reshape(-1, *s.shape[1:]) for s in stacks
+    )
+
+
+def _trace_pairing(algebra, left, right, i, j) -> float:
+    """sum_t Re tau(L_{i_t} R_{j_t}) for two per-block stacks ``left``, ``right``.
+
+    Each trace is the Hadamard-product sum tr(L R) = sum_{kl} L[k, l] R[l, k],
+    O(n^2) per term instead of a full product, weighted by the block
+    coefficients; terms go through in the chunks of ``_chunks``.
+    """
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    total = 0.0
+    for b, sl in _chunks(algebra.dims, len(i)):
+        tr = np.einsum("kij,kji->k", left[b][i[sl]], right[b][j[sl]])
+        total += algebra.coeffs[b] * float(tr.real.sum())
+    return total
 
 
 def rep_residual(phi: AlmostHom) -> float:

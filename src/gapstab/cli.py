@@ -37,7 +37,6 @@ from .spectral import ProbMeasure, kappa
 from .suites import SUITES, named_game, rigidity_sweep, run_suite
 
 DEFAULT_SEED = 7
-DEFAULT_DIM_CAP = 4096
 
 
 @dataclass
@@ -272,12 +271,7 @@ def _op_rigidity(man: ExperimentManifest) -> int:
 def _op_verify(man: ExperimentManifest) -> int:
     name = man.parameters["suite"]
     trials = man.parameters.get("trials")
-    res = run_suite(
-        name,
-        trials=None if trials is None else int(trials),
-        seed=man.seed,
-        dim_cap=int(man.parameters.get("dim_cap", DEFAULT_DIM_CAP)),
-    )
+    res = run_suite(name, trials=None if trials is None else int(trials), seed=man.seed)
     print(res.summary())
     for k, v in sorted(res.details.items()):
         print(f"  {k}: {v}")

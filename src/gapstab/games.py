@@ -21,13 +21,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import AbelianGroup, boolean_group, rep_from_pvm
+from .abelian import AbelianGroup, boolean_group, pvm_from_rep, rep_from_pvm
 from .algebra import (
     PVM,
     AlgebraElement,
     TracialAlgebra,
     UnitaryRep,
+    _frobenius_sq,
+    _noise_unitary,
     _pair_defects,
+    _trace_pairing,
+    _weighted_sums,
 )
 from .codes import LinearCode, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument, ResourceCap
@@ -311,16 +315,6 @@ def _sign_observable(pvm: PVM) -> AlgebraElement:
     return pvm[1] - pvm[-1]
 
 
-def _pauli_unitary(pvm: PVM, rule_tag: str, param, group: AbelianGroup):
-    """The strategy observable selecting the rule's accepted sign pattern."""
-    acc = None
-    for a in pvm.outcomes:
-        s = group.pairing(a, param) if rule_tag == "pauli_x" else group.pairing(param, a)
-        term = float(s) * pvm[a]
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache, pauli_mode):
     """sum_{a, b} D(x, y, a, b) tau(P^x_a P^y_b) for one support pair."""
     rule, swapped = game._rule_for(x, y)
@@ -329,36 +323,38 @@ def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache, pauli_mo
     tag, param = rule
     alg = strategy.algebra
     px, py = strategy[x], strategy[y]
+
+    def accepted(pairs):
+        """sum over the accepted (a, b) of Re tau(P^x_a P^y_b)."""
+        i, j = [px.index(a) for a, _ in pairs], [py.index(b) for _, b in pairs]
+        return _trace_pairing(alg, px.stacks, py.stacks, i, j)
+
     if tag == "pairs":
-        return sum(
-            float(np.real(alg.tau(px[a] * py[b]))) for a, b in param
-        )
+        return accepted(list(param))
     if tag == "match_coord":
-        return sum(
-            float(np.real(alg.tau(px[b[param]] * py[b]))) for b in py.outcomes
-        )
+        return accepted([(b[param], b) for b in py.outcomes])
     if tag in ("pauli_x", "pauli_z"):
+        group = game.h_group
+
+        def signs():
+            return [
+                group.pairing(a, param) if tag == "pauli_x" else group.pairing(param, a)
+                for a in px.outcomes
+            ]
+
         def explicit():
-            total = 0.0
-            for a in px.outcomes:
-                s = (
-                    game.h_group.pairing(a, param)
-                    if tag == "pauli_x"
-                    else game.h_group.pairing(param, a)
-                )
-                total += float(np.real(alg.tau(px[a] * py[s])))
-            return total
+            return accepted(list(zip(px.outcomes, signs())))
 
         if pauli_mode == "explicit":
             return explicit()
         key = (x, tag, param)
         if key not in cache:
-            cache[key] = _pauli_unitary(px, tag, param, game.h_group)
-        u = cache[key]
-        t = _sign_observable(py)
-        short = 0.5 + 0.5 * float(np.real(alg.tau(u * t)))
+            # the observable sum_a <a, .> P_a selecting the accepted signs
+            cache[key] = _weighted_sums(np.array([signs()], dtype=float), px.stacks)
+        t = [blk[None] for blk in _sign_observable(py).blocks]
+        short = 0.5 + 0.5 * _trace_pairing(alg, cache[key], t, [0], [0])
         # cheap regimes cross-check the shortcut against the literal sum
-        if game.h_group.order <= 16 and abs(short - explicit()) > 1e-10:
+        if group.order <= 16 and abs(short - explicit()) > 1e-10:
             raise GapstabError("observable shortcut disagrees with the explicit sum")
         return short
     raise InvalidArgument(f"unknown decision tag {tag!r}")
@@ -367,6 +363,8 @@ def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache, pauli_mo
 def value(game: Game, strategy: SynchronousStrategy, pauli_mode: str = "shortcut") -> float:
     """Accepted mass of the strategy: integral of the decision over mu.
 
+    Every tau(P Q) is a Hadamard-product trace sum_{ij} P[i, j] Q[j, i] on
+    the PVM stacks, O(d^2) per term instead of a d^3 product.
     Pauli-consistency pairs are evaluated through the sign observable
     sum_a <a, .> P_a (one trace per pair instead of a sum over the whole
     answer group); ``pauli_mode="explicit"`` forces the literal double sum
@@ -499,8 +497,9 @@ def closeness(
         pa, pb = strat_a[x], strat_b[x]
         if set(pa.outcomes) != set(pb.outcomes):
             raise InvalidArgument(f"answer sets differ at question {x!r}")
-        per_question[x] = sum(
-            base.norm2(pa[a] - w.conjugate(pb[a])) ** 2 for a in pa.outcomes
+        order = [pb.index(a) for a in pa.outcomes]
+        per_question[x] = _pullback_distance(
+            base, pa.stacks, [s[order] for s in pb.stacks], w
         )
     distance = sum(float(weights[x]) * per_question[x] for x in weights)
     return ClosenessCertificate(
@@ -511,6 +510,15 @@ def closeness(
         strategy_distance=distance,
         per_question=per_question,
     )
+
+
+def _pullback_distance(algebra, a_stacks, b_stacks, w: Intertwiner) -> float:
+    """sum_k ||A_k - w* B_k w||_2^2 over two aligned per-block stacks, A_k in
+    ``algebra`` (the source of w) and B_k in the target of w."""
+    total = 0.0
+    for a, b, m, c in zip(a_stacks, b_stacks, w.mats, algebra.coeffs):
+        total += c * float(_frobenius_sq(a - m.conj().T @ b @ m).sum())
+    return total
 
 
 UnitaryPvmBridge = namedtuple("UnitaryPvmBridge", ["unitary_side", "pvm_side"])
@@ -525,19 +533,10 @@ def unitary_pvm_bridge(
     same abelian group whose PVMs are recovered by Fourier averaging.  The
     two sides are computed independently.
     """
-    from .abelian import pvm_from_rep
-
-    group = u_rep.group
     base = u_rep.algebra
-    lhs = 0.0
-    for h in group.elements:
-        lhs += base.norm2(u_rep.images[h] - w.conjugate(v_rep.images[h])) ** 2
-    lhs /= group.order
-    pu = pvm_from_rep(u_rep)
-    pv = pvm_from_rep(v_rep)
-    rhs = sum(
-        base.norm2(pu[chi] - w.conjugate(pv[chi])) ** 2 for chi in pu.outcomes
-    )
+    lhs = _pullback_distance(base, u_rep.stacks, v_rep.stacks, w) / u_rep.group.order
+    pu, pv = pvm_from_rep(u_rep), pvm_from_rep(v_rep)
+    rhs = _pullback_distance(base, pu.stacks, pv.stacks, w)
     return UnitaryPvmBridge(lhs, rhs)
 
 
@@ -664,15 +663,12 @@ def anticommutation_bound_check(
     obs = {c: _sign_observable(strategy[c]) for c in _CELLS}
     eta_by_line = {}
     for line in _LINES:
-        cells = line_cells(line)
+        pvm = strategy[line]
+        # row k: the observable sum_b b[k] P_b the line induces on its k-th cell
+        induced = _weighted_sums(np.array(pvm.outcomes, dtype=float).T, pvm.stacks)
         total = 0.0
-        for k, c in enumerate(cells):
-            pvm = strategy[line]
-            induced = None
-            for b in pvm.outcomes:
-                term = float(b[k]) * pvm[b]
-                induced = term if induced is None else induced + term
-            total += alg.norm2(obs[c] - induced) ** 2
+        for c, blocks in zip(line_cells(line), zip(*induced)):
+            total += alg.norm2(obs[c] - AlgebraElement(alg, blocks)) ** 2
         eta_by_line[line] = math.sqrt(total)
     u = obs[(1, 1)]
     v = obs[(2, 2)]
@@ -861,24 +857,6 @@ def gn_game(n: int, code_source=None, rng=None) -> Game:
 # -- honest strategies ------------------------------------------------------------
 
 
-def _pauli_reps_matrices(group: AbelianGroup, tau_x: PVM, tau_z: PVM):
-    """lambda(h) and M(chi) as plain matrices from the Pauli PVMs."""
-    lam = {}
-    mod = {}
-    for h in group.elements:
-        acc_l = None
-        acc_m = None
-        for chi in group.elements:
-            s = float(group.pairing(chi, h))
-            tl = s * tau_x[chi].blocks[0]
-            tm = s * tau_z[chi].blocks[0]
-            acc_l = tl if acc_l is None else acc_l + tl
-            acc_m = tm if acc_m is None else acc_m + tm
-        lam[h] = acc_l
-        mod[h] = acc_m
-    return lam, mod
-
-
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -976,7 +954,8 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
     group = game.h_group
     n = len(group.orders)
     tau_x, tau_z = pauli_pvms(n)
-    lam, mod = _pauli_reps_matrices(group, tau_x, tau_z)
+    lam = rep_from_pvm(tau_x, group).images
+    mod = rep_from_pvm(tau_z, group).images
     dim = 2**n
     alg = TracialAlgebra.matrix(2 * dim)
 
@@ -984,20 +963,12 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
         return AlgebraElement(alg, [np.kron(m, np.eye(2))])
 
     pvms = {
-        "PX": PVM(
-            alg,
-            list(tau_x.outcomes),
-            [widen(tau_x[a].blocks[0]) for a in tau_x.outcomes],
-        ),
-        "PZ": PVM(
-            alg,
-            list(tau_z.outcomes),
-            [widen(tau_z[a].blocks[0]) for a in tau_z.outcomes],
-        ),
+        q: PVM(alg, pvm.outcomes, [widen(p.blocks[0]) for p in pvm.projections])
+        for q, pvm in (("PX", tau_x), ("PZ", tau_z))
     }
     for w, data in game.omega_data.items():
-        p_mat = lam[data["alpha"]]
-        q_mat = mod[data["beta"]]
+        p_mat = lam[data["alpha"]].blocks[0]
+        q_mat = mod[data["beta"]].blocks[0]
         if data["sign"] == 1:
             pw = np.kron(p_mat, np.eye(2))
             qw = np.kron(q_mat, np.eye(2))
@@ -1031,16 +1002,7 @@ def perturb_strategy(
     alg = strategy.algebra
     out = {}
     for x, pvm in strategy.pvms.items():
-        blocks = []
-        for d in alg.dims:
-            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = (h + h.conj().T) / 2
-            nrm = np.linalg.norm(h, 2)
-            if nrm > 0:
-                h /= nrm
-            vals, vecs = np.linalg.eigh(h)
-            blocks.append((vecs * np.exp(1j * sigma * vals)) @ vecs.conj().T)
-        u = AlgebraElement(alg, blocks)
+        u = AlgebraElement(alg, [_noise_unitary(d, sigma, rng) for d in alg.dims])
         out[x] = pvm.conjugated(u)
     return SynchronousStrategy(alg, out)
 
@@ -1100,8 +1062,6 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
 
     rounding = round_pauli_pair(u_rep, v_rep, game.alpha_law, game.beta_law)
     tr = rounding.rounding
-    from .abelian import pvm_from_rep
-
     corner_strategy = SynchronousStrategy(
         tr.u_tilde.algebra,
         {

@@ -22,6 +22,7 @@ from .algebra import (
     AlmostHom,
     TracialAlgebra,
     UnitaryRep,
+    _noise_unitary,
     commutator_gap_check,
     conditional_expectation_commutant,
     defect,
@@ -118,7 +119,7 @@ def _random_commuting_strategy(game, d: int, rng) -> SynchronousStrategy:
     )
 
 
-def suite_lemma17(trials: int = 500, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def suite_lemma17(trials: int = 500, seed: int = 7) -> SuiteResult:
     """Perturbed commutation-game strategies against the 16e and 64e bounds."""
     game = commutation_game((-1, 1), (-1, 1))
     rows = []
@@ -185,7 +186,7 @@ def _random_grid_strategy(game, k: int, rng) -> SynchronousStrategy:
     return SynchronousStrategy(alg, pvms)
 
 
-def suite_lemma19(trials: int = 500, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:
     """Perturbed magic-square strategies against the 432e bound."""
     game = magic_square_game()
     rows = []
@@ -258,21 +259,12 @@ def _noisy_hom(rep: UnitaryRep, sigma: float, rng) -> AlmostHom:
     alg = rep.algebra
     images = {}
     for g in rep.group.elements:
-        blocks = []
-        for b in rep.images[g].blocks:
-            d = b.shape[0]
-            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = (h + h.conj().T) / 2
-            nrm = np.linalg.norm(h, 2)
-            if nrm > 0:
-                h /= nrm
-            vals, vecs = np.linalg.eigh(h)
-            blocks.append(((vecs * np.exp(1j * sigma * vals)) @ vecs.conj().T) @ b)
+        blocks = [_noise_unitary(b.shape[0], sigma, rng) @ b for b in rep.images[g].blocks]
         images[g] = AlgebraElement(alg, blocks)
     return AlmostHom(rep.group, alg, images)
 
 
-def suite_gh(trials: int = 200, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def suite_gh(trials: int = 200, seed: int = 7) -> SuiteResult:
     """Random almost-homomorphisms through the full rounding pipeline."""
     rows = []
     failures = 0
@@ -343,7 +335,7 @@ def _small_rep(idx: int, rng) -> UnitaryRep:
     return UnitaryRep(grp, alg, images, check="none")
 
 
-def suite_sqrt2(trials: int = 1000, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def suite_sqrt2(trials: int = 1000, seed: int = 7) -> SuiteResult:
     """Nearest commutant unitary against sqrt(2) times the expectation distance.
 
     Trial 0 is the tightness witness: the regular two-element group with the
@@ -405,7 +397,7 @@ def _random_generating_measure(group, rng) -> ProbMeasure:
     return ProbMeasure.uniform(group)
 
 
-def suite_poincare(trials: int = 1000, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def suite_poincare(trials: int = 1000, seed: int = 7) -> SuiteResult:
     """Commutator and vector Poincare inequalities on random measures."""
     rows = []
     failures = 0
@@ -475,7 +467,7 @@ def _conjugated_pauli_reps(n: int, rng):
     return u, v
 
 
-def suite_thm12(trials: int = 500, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def suite_thm12(trials: int = 500, seed: int = 7) -> SuiteResult:
     """Commutator amplification with code-derived measures; uniform equality."""
     rows = []
     failures = 0
@@ -513,7 +505,7 @@ def suite_thm12(trials: int = 500, seed: int = 7, dim_cap: int = 4096) -> SuiteR
     )
 
 
-def suite_cor14(trials: int = 500, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def suite_cor14(trials: int = 500, seed: int = 7) -> SuiteResult:
     """Twisted amplification; the tensor reduction is cross-checked at N <= 3."""
     rows = []
     failures = 0
@@ -634,7 +626,7 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def suite_prop24(trials: int = 200, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def suite_prop24(trials: int = 200, seed: int = 7) -> SuiteResult:
     """Rigidity sweep on the repetition- and Hamming-code games.
 
     Half the points run the end-to-end report on the repetition game (one
@@ -717,11 +709,11 @@ DEFAULT_TRIALS = {
 }
 
 
-def run_suite(name: str, trials: int | None = None, seed: int = 7, dim_cap: int = 4096) -> SuiteResult:
+def run_suite(name: str, trials: int | None = None, seed: int = 7) -> SuiteResult:
     if name not in SUITES:
         raise InvalidArgument(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
     if trials is None:
         trials = DEFAULT_TRIALS[name]
-    return SUITES[name](trials=trials, seed=seed, dim_cap=dim_cap)
+    return SUITES[name](trials=trials, seed=seed)

@@ -1,4 +1,5 @@
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gapstab.abelian import (
     regular_rep,
     rep_from_pvm,
 )
-from gapstab.algebra import PVM, AlgebraElement, TracialAlgebra
+from gapstab.algebra import PVM, AlgebraElement, TracialAlgebra, haar_unitary
 from gapstab.errors import InvalidArgument
 from gapstab.groups import validate_irreps
 
@@ -142,3 +143,44 @@ def test_exponent():
     assert AbelianGroup((2, 4)).exponent == 4
     assert boolean_group(3).exponent == 2
     assert cmath.isclose(AbelianGroup((3,)).pairing((1,), (1,)), cmath.exp(2j * cmath.pi / 3))
+
+
+def _two_block_pvm(group, seed):
+    """A PVM on the dual of ``group`` in M_n (+) M_m with unequal weights,
+    its outcomes in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    alg = TracialAlgebra([(5, Fraction(1, 4)), (7, Fraction(3, 4))])
+    outcomes = [group.elements[i] for i in rng.permutation(group.order)]
+    blocks = [[] for _ in outcomes]
+    for n in alg.dims:
+        u = haar_unitary(n, rng)
+        labels = rng.integers(len(outcomes), size=n)
+        for k in range(len(outcomes)):
+            cols = u[:, labels == k]
+            blocks[k].append(cols @ cols.conj().T)
+    return PVM(alg, outcomes, [alg.element(b) for b in blocks])
+
+
+@pytest.mark.parametrize("orders", [(3, 3), (2, 2, 2), (4,)])
+def test_fourier_transforms_match_the_outcome_loops(orders):
+    """rep_from_pvm and pvm_from_rep against the per-element loops, with
+    complex characters (Z3 x Z3, Z4) on a two-block algebra."""
+    grp = AbelianGroup(orders)
+    pvm = _two_block_pvm(grp, sum(orders))
+    alg = pvm.algebra
+    rep = rep_from_pvm(pvm, grp)
+    for a in grp.elements:
+        u = alg.zero()
+        for chi in grp.elements:
+            u = u + grp.pairing(chi, a) * pvm[chi]
+        for got, want in zip(rep.images[a].blocks, u.blocks):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+    back = pvm_from_rep(rep)
+    for chi in grp.elements:
+        p = alg.zero()
+        for a in grp.elements:
+            p = p + np.conj(grp.pairing(chi, a)) * rep.images[a]
+        p = (1.0 / grp.order) * p
+        for got, want, orig in zip(back[chi].blocks, p.blocks, pvm[chi].blocks):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.allclose(got, orig, rtol=0, atol=1e-12)

@@ -611,3 +611,51 @@ def test_images_are_read_only_views_of_the_stacks():
         rep.images[(1,)].blocks[0][0, 0] = 2.0
     with pytest.raises(ValueError):
         rep.stacks[1][0] += 1.0
+
+
+def _random_pvm(alg, outcomes, seed):
+    """Random ranks of a random basis in every block, one projection per outcome."""
+    rng = np.random.default_rng(seed)
+    blocks = [[] for _ in outcomes]
+    for n in alg.dims:
+        u = haar_unitary(n, rng)
+        labels = rng.integers(len(outcomes), size=n)
+        for k in range(len(outcomes)):
+            cols = u[:, labels == k]
+            blocks[k].append(cols @ cols.conj().T)
+    return PVM(alg, outcomes, [alg.element(b) for b in blocks])
+
+
+@pytest.mark.parametrize("dims,k", [((2,), 2), ((5,), 7), ((3, 4), 3), ((16,), 16)])
+def test_pvm_conjugated_equals_per_projection_product(dims, k):
+    """The batched conjugation gives the bits of u * p * u.H per projection."""
+    alg = TracialAlgebra([(n, Fraction(1, len(dims))) for n in dims])
+    pvm = _random_pvm(alg, list(range(k)), 10 + k)
+    rng = np.random.default_rng(k)
+    u = alg.element([haar_unitary(n, rng) for n in dims])
+    moved = pvm.conjugated(u)
+    for a in pvm.outcomes:
+        ref = u * pvm[a] * u.H
+        for got, want in zip(moved[a].blocks, ref.blocks):
+            assert np.array_equal(got, want)
+
+
+def test_pvm_projections_are_read_only_views_of_the_stacks():
+    alg = TracialAlgebra([(2, Fraction(1, 3)), (3, Fraction(2, 3))])
+    pvm = _random_pvm(alg, ["x", "y", "z"], 11)
+    for i, a in enumerate(pvm.outcomes):
+        assert pvm.index(a) == i
+        assert pvm.projections[i] is pvm[a]
+        for b, block in enumerate(pvm[a].blocks):
+            assert np.shares_memory(block, pvm.stacks[b])
+            assert np.array_equal(block, pvm.stacks[b][i])
+    with pytest.raises(ValueError):
+        pvm["y"].blocks[0][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        pvm.stacks[1][0] += 1.0
+
+
+def test_pvm_without_outcomes_is_rejected():
+    alg = TracialAlgebra([(2, Fraction(1, 2)), (3, Fraction(1, 2))])
+    with pytest.raises(InvalidPVM, match="sum residual 1"):
+        PVM(alg, [], [])

@@ -430,3 +430,111 @@ def test_hamming_report_refuses_rounding_before_amplification(monkeypatch):
     game = named_game("hamming")
     with pytest.raises(ResourceCap, match="16384"):
         pauli_rigidity_report(game, honest_strategy(game))
+
+
+# -- the stacked kernels against the per-outcome loops ------------------------------
+
+
+def _random_pvm(alg, outcomes, rng):
+    blocks = [[] for _ in outcomes]
+    for n in alg.dims:
+        u = haar_unitary(n, rng)
+        labels = rng.integers(len(outcomes), size=n)
+        for k in range(len(outcomes)):
+            cols = u[:, labels == k]
+            blocks[k].append(cols @ cols.conj().T)
+    return PVM(alg, outcomes, [alg.element(b) for b in blocks])
+
+
+_H = boolean_group(2)
+_SIGNS = (-1, 1)
+_RULE_KINDS = {
+    "pairs": (("T", "S"), ("pairs", frozenset({(0, 1), (2, -1), (1, 1), (2, 1)}))),
+    "match_coord": (("S", "Y"), ("match_coord", 1)),
+    "pauli_x": (("PX", "S"), ("pauli_x", (1, 0))),
+    "pauli_z": (("PX", "S"), ("pauli_z", (1, 1))),
+    "swapped": (("S", "PX"), ("pauli_x", (0, 1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RULE_KINDS))
+def test_value_matches_the_literal_trace_sums(kind):
+    """value through the trace kernel against sum_{a, b} D tau(P_a Q_b) with
+    full products, on a two-block algebra with unequal weights."""
+    answers = {
+        "PX": _H.elements,
+        "S": _SIGNS,
+        "Y": tuple((a, b) for a in _SIGNS for b in _SIGNS),
+        "T": (0, 1, 2),
+    }
+    (x, y), rule = _RULE_KINDS[kind]
+    rule_pair = (y, x) if kind == "swapped" else (x, y)
+    game = Game(tuple(answers), answers, {(x, y): Fraction(1)}, {rule_pair: rule})
+    game.h_group = _H
+    alg = TracialAlgebra([(3, Fraction(1, 5)), (6, Fraction(4, 5))])
+    rng = np.random.default_rng(len(kind))
+    strat = SynchronousStrategy(
+        alg, {q: _random_pvm(alg, list(answers[q]), rng) for q in answers}
+    )
+    px, py = strat[x], strat[y]
+    literal = 0.0
+    for a in px.outcomes:
+        for b in py.outcomes:
+            if game.accepts(x, y, a, b):
+                literal += float(np.real(alg.tau(px[a] * py[b])))
+    assert 0.05 < literal < 0.95
+    for mode in ("shortcut", "explicit"):
+        assert value(game, strat, pauli_mode=mode) == pytest.approx(literal, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["repetition", "hamming"])
+def test_honest_strategy_matrices_unchanged(name):
+    """lambda(h) and M(chi) from rep_from_pvm give the bits of the old
+    per-character sums, and the honest PVMs are built from them."""
+    game = named_game(name)
+    group = game.h_group
+    tau_x, tau_z = pauli_pvms(len(group.orders))
+    lam, mod = {}, {}
+    for h in group.elements:
+        acc_l = acc_m = None
+        for chi in group.elements:
+            s = float(group.pairing(chi, h))
+            tl, tm = s * tau_x[chi].blocks[0], s * tau_z[chi].blocks[0]
+            acc_l = tl if acc_l is None else acc_l + tl
+            acc_m = tm if acc_m is None else acc_m + tm
+        lam[h], mod[h] = acc_l, acc_m
+    strat = honest_strategy(game)
+    alg = strat.algebra
+    eye = np.eye(2)
+    for w, data in game.omega_data.items():
+        p, q = lam[data["alpha"]], mod[data["beta"]]
+        if data["sign"] == 1:
+            expected = {
+                (w, "x1"): _sign_pvm(alg, np.kron(p, eye)),
+                (w, "x2"): _sign_pvm(alg, np.kron(q, eye)),
+            }
+        else:
+            grid = _magic_grid(p, q)
+            expected = {(w, c): _sign_pvm(alg, grid[c]) for c in _CELLS}
+        for x, pvm in expected.items():
+            for a in pvm.outcomes:
+                assert np.array_equal(strat[x][a].blocks[0], pvm[a].blocks[0])
+
+
+def test_perturb_strategy_draws_the_same_unitaries():
+    """perturb_strategy against the inline draw of e^{i sigma H} it replaced."""
+    strat = honest_strategy(named_game("repetition"))
+    alg = strat.algebra
+    moved = perturb_strategy(strat, 0.07, np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    for x, pvm in strat.pvms.items():
+        blocks = []
+        for d in alg.dims:
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = (h + h.conj().T) / 2
+            h /= np.linalg.norm(h, 2)
+            vals, vecs = np.linalg.eigh(h)
+            blocks.append((vecs * np.exp(1j * 0.07 * vals)) @ vecs.conj().T)
+        u = AlgebraElement(alg, blocks)
+        for a in pvm.outcomes:
+            assert np.array_equal(moved[x][a].blocks[0], (u * pvm[a] * u.H).blocks[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gapstab.stability as stability
+import gapstab.suites as suites
 from gapstab.abelian import cyclic, regular_rep
 from gapstab.algebra import AlmostHom
 from gapstab.cli import (
@@ -181,6 +182,31 @@ def test_cli_verify_csv(tmp_path, capsys):
     assert "[PASS] poincare" in text
     lines = out.read_text().splitlines()
     assert len(lines) == 11  # header + one row per trial
+
+
+def test_cli_verify_dim_cap_reaches_the_rounding(capsys):
+    """The cap reaches gowers_hatami_round through the manifest: every gh
+    trial is refused, so the suite fails."""
+    cap_before = stability.ROUNDING_DIM_CAP
+    assert main(["verify", "gh", "--trials", "2", "--dim-cap", "1"]) == 2
+    assert "[FAIL] gh: 2 trials, 2 violations" in capsys.readouterr().out
+    assert stability.ROUNDING_DIM_CAP == cap_before
+
+
+def test_noisy_hom_draws_the_same_unitaries():
+    """suites._noisy_hom against the inline draw of e^{i sigma H} it replaced."""
+    rep = regular_rep(cyclic(3))
+    phi = suites._noisy_hom(rep, 0.05, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    for g in rep.group.elements:
+        b = rep.images[g].blocks[0]
+        d = b.shape[0]
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (h + h.conj().T) / 2
+        h /= np.linalg.norm(h, 2)
+        vals, vecs = np.linalg.eigh(h)
+        want = ((vecs * np.exp(1j * 0.05 * vals)) @ vecs.conj().T) @ b
+        assert np.array_equal(phi.images[g].blocks[0], want)
 
 
 def test_cli_manifest_replay(tmp_path, capsys):
