@@ -13,6 +13,10 @@ from .algebra import PVM, AlgebraElement, TracialAlgebra, UnitaryRep, _weighted_
 from .errors import InvalidArgument
 from .groups import FiniteGroup, Irrep
 
+# phases per chunk of AbelianGroup._phase_chunks: 64 KB of int64, small next
+# to the rest of a kappa computation's working set
+_PHASE_ENTRIES = 1 << 13
+
 
 class AbelianGroup(FiniteGroup):
     """Product of cyclic groups Z/m_1 x ... x Z/m_r, elements are tuples."""
@@ -56,13 +60,37 @@ class AbelianGroup(FiniteGroup):
         return cmath.exp(2j * cmath.pi * num)
 
     def character_table(self) -> np.ndarray:
-        """Matrix T[chi_index, a_index] = chi(a) in element order."""
-        n = self.order
-        t = np.empty((n, n), dtype=complex)
-        for i, chi in enumerate(self.elements):
-            for j, a in enumerate(self.elements):
-                t[i, j] = self.pairing(chi, a)
+        """Matrix T[chi_index, a_index] = chi(a) in element order.
+
+        Entries are exactly +-1 at exponent at most 2, and the e-th roots of
+        unity exp(2 pi i k/e) looked up by integer phase otherwise.
+        """
+        points = np.array(self.elements, dtype=np.int64)
+        if self.exponent <= 2:
+            roots = np.array([1, -1], dtype=complex)
+        else:
+            roots = np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
+        t = np.empty((self.order, self.order), dtype=complex)
+        for start, ph in self._phase_chunks(points):
+            t[start : start + len(ph)] = roots[ph]
         return t
+
+    def _phase_chunks(self, points, first: int = 0):
+        """Integer character phases on ``points``, a (k, rank) integer array.
+
+        Yields (start, ph) where ph[i, s] in [0, e) is the phase of the
+        character with element index start + i at points[s], so that
+        chi(a) = exp(2 pi i ph / e) with e the exponent.  Characters run in
+        ``elements`` order from index ``first``, at most _PHASE_ENTRIES
+        phases per chunk, so memory stays flat in |G|.
+        """
+        e = self.exponent
+        scaled = points.T * (e // np.array(self.orders, dtype=np.int64))[:, None]
+        rows = max(1, _PHASE_ENTRIES // len(points))
+        for start in range(first, self.order, rows):
+            idx = np.arange(start, min(start + rows, self.order))
+            chars = np.stack(np.unravel_index(idx, self.orders), axis=1)
+            yield start, (chars @ scaled) % e
 
     def irreps(self):
         out = []

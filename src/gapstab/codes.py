@@ -327,16 +327,11 @@ def measure_from_code(code: LinearCode, dual_pairing=None):
         if round(np.linalg.det(_lift_to_float(pairing))) % p == 0:
             raise InvalidArgument("pairing matrix must be invertible mod p")
 
-    support = []
-    for i in range(code.length):
-        col = code.generator[:, i]
-        for t in range(1, f.q):
-            exps = []
-            for bj in col:
-                u = f.mul(t, int(bj))
-                exps.extend(int(c) for c in (pairing @ f._digits[u]) % p)
-            support.append(tuple(exps))
-    mu = ProbMeasure.uniform_on(group, support)
+    # exps[t-1, j, i] = pairing @ digits(t * b_j(i)) mod p; one support row per
+    # (column i, scalar t), entries ordered by generator row j, then digit
+    exps = f._digits[f.mul_table[1:, code.generator]] @ pairing.T % p
+    support = exps.transpose(2, 0, 1, 3).reshape(code.length * (f.q - 1), -1)
+    mu = ProbMeasure.uniform_on(group, map(tuple, support.tolist()))
     d = code.distance()
     predicted = Fraction(f.q - 1, f.q) * Fraction(code.length, d)
     return group, mu, predicted

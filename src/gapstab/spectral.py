@@ -4,6 +4,12 @@ kappa(mu) = 1/(1 - lambda_2), with lambda_2 the top eigenvalue of the
 symmetrized averaging operator away from constants.  For abelian groups this
 is a Fourier computation over characters; in general the regular
 representation contains every irreducible, so its gap is the universal one.
+
+Exactness: on an abelian group of exponent at most 2 (every Z2^r, so the
+measures of codes over F_2 and F_4) every character value is +-1, and kappa
+and lambda_2 are exact ``Fraction``s computed from integer numerators over
+the common denominator of the weights.  For any other exponent they are
+floats.
 """
 
 from __future__ import annotations
@@ -103,7 +109,17 @@ class ProbMeasure:
         return ProbMeasure(self.group, w)
 
     def generates(self) -> bool:
-        """Breadth-first saturation of the support (plus inverses)."""
+        """Whether the support generates the group.
+
+        On an abelian group this is the annihilator test: by duality the
+        support generates G exactly when no nontrivial character is 1 on all
+        of it, decided exactly on integer character phases.  On any other
+        group it is a breadth-first saturation of the support (plus
+        inverses).
+        """
+        if isinstance(self.group, AbelianGroup):
+            chunks = self.group._phase_chunks(np.array(self.support, dtype=np.int64), 1)
+            return all(ph.any(axis=1).all() for _, ph in chunks)
         seen = {self.group.identity}
         frontier = list(seen)
         gens = set(self.support) | {self.group.inv(g) for g in self.support}
@@ -148,40 +164,58 @@ class GapReport:
             raise InvalidArgument("kappa must be nonnegative")
 
 
+_NON_GENERATING = "support does not generate the group; kappa is not defined"
+
+
 def _require_generating(mu: ProbMeasure):
     if not mu.generates():
-        raise NonGeneratingSupport(
-            "support does not generate the group; kappa is not defined"
-        )
+        raise NonGeneratingSupport(_NON_GENERATING)
 
 
 def kappa_abelian(group: AbelianGroup, mu: ProbMeasure) -> GapReport:
     """Gap constant via characters: kappa = max_{chi != 1} 1/(1 - Re mu-hat).
 
-    Exact rational arithmetic whenever every character value is +-1, i.e. for
-    groups of exponent 2.
+    One pass over integer character phases (``AbelianGroup._phase_chunks``)
+    both checks generation (the annihilator test: no nontrivial character
+    may be 1 on the whole support) and takes the maximum.  At exponent at
+    most 2, mu-hat(chi) = (L - 2 ph @ n) / L with integer numerators n over
+    the common denominator L of the weights, so kappa and lambda_2 are exact
+    ``Fraction``s (int64 while L < 2^63, Python ints beyond).  For other
+    exponents Re mu-hat = cos(2 pi ph / e) @ w in floating point.
     """
     if not isinstance(group, AbelianGroup):
         raise InvalidArgument("kappa_abelian requires an AbelianGroup")
     if mu.group is not group and mu.group.elements != group.elements:
         raise InvalidArgument("measure lives on a different group")
-    _require_generating(mu)
-    if group.order == 1:
-        return GapReport(Fraction(0), -math.inf, "abelian-Fourier")
+    weights = list(mu.weights.values())
     exact = group.exponent <= 2
+    if exact:
+        denom = math.lcm(*(p.denominator for p in weights))
+        coef = np.array(
+            [p.numerator * (denom // p.denominator) for p in weights],
+            dtype=np.int64 if denom < 2**63 else object,
+        )
+    else:
+        e = group.exponent
+        coef = np.array([float(p) for p in weights])
+        cosines = np.cos(2 * np.pi * np.arange(e) / e)
     best = None
-    for chi in group.elements:
-        if chi == group.identity:
-            continue
+    for _, ph in group._phase_chunks(np.array(mu.support, dtype=np.int64), 1):
+        if not ph.any(axis=1).all():
+            raise NonGeneratingSupport(_NON_GENERATING)
         if exact:
-            val = mu.fourier(chi)  # a Fraction
+            val = denom - 2 * (ph @ coef).min()  # numerator of max mu-hat
         else:
-            val = float(np.real(mu.fourier(chi)))
+            val = (cosines[ph] @ coef).max()
         if best is None or val > best:
             best = val
+    if group.order == 1:
+        return GapReport(Fraction(0), -math.inf, "abelian-Fourier")
     if exact:
+        best = Fraction(int(best), denom)
         kappa = Fraction(1) / (1 - best)
     else:
+        best = float(best)
         kappa = 1.0 / (1.0 - best)
     return GapReport(kappa, best, "abelian-Fourier")
 

@@ -52,6 +52,30 @@ def test_pairing_rank_mismatch():
         cyclic(4).pairing((1,), (1, 0))
 
 
+@pytest.mark.parametrize(
+    "orders", [(2,), (2, 2, 2), (1, 2), (3, 9), (4, 6), (5, 5), (2, 8), (2, 2, 4, 3)]
+)
+def test_character_table_matches_pairing(orders):
+    grp = AbelianGroup(orders)
+    loop = np.array([[grp.pairing(chi, a) for a in grp.elements] for chi in grp.elements],
+                    dtype=complex)
+    table = grp.character_table()
+    if grp.exponent <= 2:
+        assert np.array_equal(table, loop)
+        return
+    # chi(a) = exp(2 pi i x) with x = sum_j chi_j a_j / m_j reduced mod 1 exactly
+    exact = np.array([
+        [cmath.exp(2j * cmath.pi * float(sum(Fraction(x * y, m) for x, y, m
+                                             in zip(chi, a, orders)) % 1))
+         for a in grp.elements]
+        for chi in grp.elements
+    ])
+    assert np.max(np.abs(table - exact)) <= 1e-15
+    # pairing adds the rank fractions in floating point before exp, an angle
+    # error of a few ulp of 2 pi * rank
+    assert np.max(np.abs(table - loop)) <= 1e-14
+
+
 def test_character_table_unitary():
     grp = AbelianGroup((2, 3))
     t = grp.character_table()

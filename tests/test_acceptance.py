@@ -52,6 +52,13 @@ def _ok(name, detail):
     print(f"{name} PASS: {detail}")
 
 
+def _headroom(elapsed, budget):
+    """Elapsed time against a runtime budget; under 2x headroom is flagged."""
+    ratio = budget / elapsed
+    flag = " LOW HEADROOM" if ratio < 2.0 else ""
+    return f"{elapsed:.1f}s of {budget:.0f}s budget, headroom {ratio:.1f}x{flag}"
+
+
 # -- 1. kappa identity on exhaustive and random code families ----------------------
 
 
@@ -99,7 +106,7 @@ def test_ac01_kappa_identity_exhaustive_and_random():
 
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
-    _ok("AC1", f"6378 exhaustive + 200 random codes, {elapsed:.1f}s")
+    _ok("AC1", f"6378 exhaustive + 200 random codes, {_headroom(elapsed, 30.0)}")
 
 
 # -- 2. repetition and Hamming anchors ----------------------------------------------
@@ -152,7 +159,7 @@ def test_ac03_gowers_hatami_rounding():
     _ok(
         "AC3",
         f"200 trials, worst ratio {res.worst_ratio:.3e}, "
-        f"eps in [{min(spread):.1e}, {max(spread):.1e}], {elapsed:.1f}s",
+        f"eps in [{min(spread):.1e}, {max(spread):.1e}], {_headroom(elapsed, 300.0)}",
     )
 
 
@@ -383,7 +390,7 @@ def test_ac09_rigidity_sweep_scaling():
     assert abs(slope - 1.0) <= 0.2
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
-    _ok("AC9", f"200 sweep points, log-log slope {slope:.3f}, {elapsed:.0f}s")
+    _ok("AC9", f"200 sweep points, log-log slope {slope:.3f}, {_headroom(elapsed, 600.0)}")
 
 
 # -- 10. replay determinism ----------------------------------------------------------

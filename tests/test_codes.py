@@ -22,7 +22,7 @@ from gapstab.errors import (
     ResourceCap,
     SamplingFailure,
 )
-from gapstab.spectral import kappa
+from gapstab.spectral import ProbMeasure, kappa
 
 HAMMING = [
     [1, 0, 0, 0, 0, 1, 1],
@@ -129,6 +129,32 @@ def test_measure_from_gf4_code():
     assert sum(p for _, p in mu.items_nonzero()) == 1
     assert predicted == Fraction(3, 4) * Fraction(2, code.distance())
     assert abs(float(kappa(group, mu).kappa) - float(predicted)) < 1e-9
+
+
+def _support_by_columns(code, pairing):
+    """The per-column loop measure_from_code replaced, as the order oracle."""
+    f = code.field
+    support = []
+    for i in range(code.length):
+        for t in range(1, f.q):
+            exps = []
+            for bj in code.generator[:, i]:
+                exps.extend(int(c) for c in (pairing @ f._digits[f.mul(t, int(bj))]) % f.p)
+            support.append(tuple(exps))
+    return support
+
+
+@pytest.mark.parametrize(
+    "q, dual_pairing",
+    [(2, None), (3, None), (4, None), (5, None), (8, None), (9, None), (9, [[1, 2], [0, 1]])],
+)
+def test_measure_support_order_matches_column_loop(q, dual_pairing):
+    rng = np.random.default_rng(q)
+    code = random_code(q, 5, 2, 1, rng=rng)
+    group, mu, _ = measure_from_code(code, dual_pairing=dual_pairing)
+    pairing = code.field.trace_pairing() if dual_pairing is None else np.array(dual_pairing)
+    want = ProbMeasure.uniform_on(group, _support_by_columns(code, pairing))
+    assert list(mu.weights.items()) == list(want.weights.items())
 
 
 def test_dual_pairing_validation():

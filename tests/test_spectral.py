@@ -1,17 +1,20 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapstab.abelian import boolean_group, cyclic, regular_rep
-from gapstab.codes import code_new
+from gapstab.abelian import AbelianGroup, boolean_group, cyclic, regular_rep
+from gapstab.codes import code_new, measure_from_code
 from gapstab.errors import (
     InvalidArgument,
     NonGeneratingSupport,
     ResourceCap,
     SamplingFailure,
 )
-from gapstab.groups import symmetric_group
+from gapstab.groups import FiniteGroup, symmetric_group
 from gapstab.spectral import (
     GROUP_ORDER_CAP,
     ProbMeasure,
@@ -95,8 +98,9 @@ def test_kappa_identity_code(n):
 
 
 def test_kappa_trivial_group():
-    grp = cyclic(1)
-    assert kappa_abelian(grp, ProbMeasure.uniform(grp)).kappa == 0
+    for grp in (cyclic(1), AbelianGroup((1, 1))):
+        rep = kappa_abelian(grp, ProbMeasure.uniform(grp))
+        assert rep.kappa == 0 and rep.second_eigenvalue == -math.inf
 
 
 def test_kappa_needs_generating_support():
@@ -179,3 +183,117 @@ def test_lazy_measure():
     assert lz((0,)) == Fraction(1, 2) and lz((1,)) == Fraction(1, 2)
     with pytest.raises(InvalidArgument):
         mu.lazy(1)
+
+
+# -- the integer character-phase kernel against the per-character loop ------------
+
+
+class _OpaqueGroup(FiniteGroup):
+    """An abelian group's elements and law behind a plain FiniteGroup, so that
+    ProbMeasure.generates takes its breadth-first path (the oracle)."""
+
+    def __init__(self, group):
+        self.elements, self.identity = group.elements, group.identity
+        self.mul, self.inv = group.mul, group.inv
+        self._post_init_common()
+
+
+def _kappa_by_characters(group, mu):
+    """The loop the kernel replaced: the max of mu.fourier over chi != 1."""
+    vals = [mu.fourier(chi) for chi in group.elements if chi != group.identity]
+    if group.exponent <= 2:
+        best = max(vals)
+        return Fraction(1) / (1 - best), best
+    best = max(float(np.real(v)) for v in vals)
+    return 1.0 / (1.0 - best), best
+
+
+def _random_measure(group, data):
+    idx = data.draw(
+        st.lists(st.integers(0, group.order - 1), min_size=1, max_size=12, unique=True)
+    )
+    raw = data.draw(
+        st.lists(st.integers(1, 60), min_size=len(idx), max_size=len(idx))
+    )
+    total = sum(raw)
+    return ProbMeasure(
+        group, {group.elements[i]: Fraction(r, total) for i, r in zip(idx, raw)}
+    )
+
+
+def _assert_kernel_matches_loop(group, mu, tol=None):
+    if not ProbMeasure(_OpaqueGroup(group), dict(mu.items_nonzero())).generates():
+        with pytest.raises(NonGeneratingSupport):
+            kappa_abelian(group, mu)
+        return
+    rep = kappa_abelian(group, mu)
+    want_kappa, want_lam = _kappa_by_characters(group, mu)
+    if tol is None:
+        assert isinstance(rep.kappa, Fraction)
+        assert isinstance(rep.second_eigenvalue, Fraction)
+        assert (rep.kappa, rep.second_eigenvalue) == (want_kappa, want_lam)
+    else:
+        assert abs(rep.second_eigenvalue - want_lam) <= tol
+        assert abs(rep.kappa - want_kappa) <= tol * max(1.0, want_kappa)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kappa_kernel_exact_on_boolean_groups(rank, data):
+    group = boolean_group(rank)
+    _assert_kernel_matches_loop(group, _random_measure(group, data))
+
+
+@pytest.mark.parametrize("orders", [(3, 9), (4, 6), (5, 5), (2, 8)])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_kappa_kernel_floats_agree_with_loop(orders, data):
+    group = AbelianGroup(orders)
+    _assert_kernel_matches_loop(group, _random_measure(group, data), tol=1e-12)
+
+
+def test_kappa_kernel_exact_on_every_binary_code_shape():
+    rng = np.random.default_rng(5)
+    for n in range(1, 5):
+        for k in range(n, 9):
+            cols = rng.integers(2**n, size=k - n)
+            rows = [[int(j == i) for j in range(n)] + [int(c >> i & 1) for c in cols]
+                    for i in range(n)]
+            group, mu, predicted = measure_from_code(code_new(2, rows))
+            assert kappa_abelian(group, mu).kappa == predicted
+            _assert_kernel_matches_loop(group, mu)
+
+
+def test_kappa_exact_above_int64_denominator():
+    group = boolean_group(3)
+    den = 3**41  # above 2^63: the numerators leave int64
+    assert den >= 2**63
+    mu = ProbMeasure(group, {(1, 0, 0): Fraction(1, den), (0, 1, 0): Fraction(2, 3),
+                             (1, 1, 1): 1 - Fraction(2, 3) - Fraction(1, den)})
+    _assert_kernel_matches_loop(group, mu)
+    assert kappa_abelian(group, mu).second_eigenvalue.denominator == den
+
+
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=3),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_annihilator_test_matches_breadth_first_search(orders, in_subgroup, data):
+    group = AbelianGroup(orders)
+    pool = list(group.elements)
+    if in_subgroup and group.order > 1:
+        # the kernel of a nontrivial character is a proper subgroup
+        chi = group.elements[data.draw(st.integers(1, group.order - 1))]
+        pool = [a for a in pool if abs(group.pairing(chi, a) - 1) < 1e-9]
+    support = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    mu = ProbMeasure.uniform_on(group, support)
+    oracle = ProbMeasure.uniform_on(_OpaqueGroup(group), support).generates()
+    if in_subgroup and group.order > 1:
+        assert not oracle
+    assert mu.generates() == oracle
+    if not oracle:
+        with pytest.raises(NonGeneratingSupport) as info:
+            kappa_abelian(group, mu)
+        assert str(info.value) == "support does not generate the group; kappa is not defined"
