@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import PVM, AlgebraElement, TracialAlgebra, UnitaryRep, _weighted_sums
 from .errors import InvalidArgument
-from .groups import FiniteGroup, Irrep
+from .groups import FiniteGroup
 
 # phases per chunk of AbelianGroup._phase_chunks: 64 KB of int64, small next
 # to the rest of a kappa computation's working set
@@ -92,15 +92,9 @@ class AbelianGroup(FiniteGroup):
             chars = np.stack(np.unravel_index(idx, self.orders), axis=1)
             yield start, (chars @ scaled) % e
 
-    def irreps(self):
-        out = []
-        for chi in self.elements:
-            images = {
-                a: np.array([[self.pairing(chi, a)]], dtype=complex)
-                for a in self.elements
-            }
-            out.append(Irrep(self, images, 1))
-        return out
+    def irrep_stacks(self):
+        """The characters, one (|G|, |G|, 1, 1) stack in ``elements`` order."""
+        return [self.character_table()[:, :, None, None]]
 
     def __repr__(self):
         return "Z" + "x".join(f"/{m}" for m in self.orders)

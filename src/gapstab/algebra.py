@@ -592,10 +592,16 @@ def rep_residual(phi: AlmostHom) -> float:
     them when affordable, else the same 64 sampled pairs), with one batched
     singular-value computation per chunk of residuals.
     """
-    pairs = _law_pairs(phi.group, phi.algebra.dims)
+    dims = phi.algebra.dims
+    return _law_norm(phi.stacks, dims, _law_pairs(phi.group, dims))
+
+
+def _law_norm(stacks, dims, pairs) -> float:
+    """Worst operator-norm law residual of per-block image stacks on the
+    ``(left, right, product)`` index arrays ``pairs``."""
     worst = 0.0
-    for b, sl in _chunks(phi.algebra.dims, len(pairs[0])):
-        r = _law_residual(phi.stacks[b], pairs, sl)
+    for b, sl in _chunks(dims, len(pairs[0])):
+        r = _law_residual(stacks[b], pairs, sl)
         worst = max(worst, float(np.linalg.svd(r, compute_uv=False)[:, 0].max()))
     return worst
 

@@ -337,10 +337,13 @@ def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache, pauli_mo
         group = game.h_group
 
         def signs():
-            return [
-                group.pairing(a, param) if tag == "pauli_x" else group.pairing(param, a)
-                for a in px.outcomes
-            ]
+            """<a, param> (pauli_x) or <param, a> (pauli_z) over the outcomes
+            a: the pairing is symmetric, so both are the character row of
+            param, exactly +-1 at exponent 2."""
+            if "characters" not in cache:
+                cache["characters"] = group.character_table().real
+            row = cache["characters"][group.index(param)]
+            return row[[group.index(a) for a in px.outcomes]]
 
         def explicit():
             return accepted(list(zip(px.outcomes, signs())))
@@ -350,7 +353,7 @@ def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache, pauli_mo
         key = (x, tag, param)
         if key not in cache:
             # the observable sum_a <a, .> P_a selecting the accepted signs
-            cache[key] = _weighted_sums(np.array([signs()], dtype=float), px.stacks)
+            cache[key] = _weighted_sums(signs()[None], px.stacks)
         t = [blk[None] for blk in _sign_observable(py).blocks]
         short = 0.5 + 0.5 * _trace_pairing(alg, cache[key], t, [0], [0])
         # cheap regimes cross-check the shortcut against the literal sum

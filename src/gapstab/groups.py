@@ -2,9 +2,10 @@
 
 A group object exposes ``elements`` (a tuple of hashable labels), ``identity``,
 ``mul``, ``inv`` and ``index``.  Groups that know their full set of irreducible
-unitary representations return them from ``irreps()``, which
+unitary representations return them as stacked image arrays from
+``irrep_stacks()`` (and one :class:`Irrep` each from ``irreps()``), which
 ``validate_irreps`` checks; groups without that knowledge return None.  The
-rounding machinery does not use the irreps: it works on dense matrices.
+Gowers-Hatami rounding splits its averaged operator along these irreps.
 """
 
 from __future__ import annotations
@@ -60,8 +61,25 @@ class FiniteGroup:
     def inv(self, g):
         raise NotImplementedError
 
-    def irreps(self) -> list[Irrep] | None:
+    def irrep_stacks(self) -> list[np.ndarray] | None:
+        """The irreducible unitary representations as image stacks, or None.
+
+        Each array has shape (k, |G|, d, d) and holds k irreps of dimension
+        d, with images in ``elements`` order; together they form a complete
+        family.  Groups that do not know their irreps return None.
+        """
         return None
+
+    def irreps(self) -> list[Irrep] | None:
+        """The irreps of ``irrep_stacks()``, one :class:`Irrep` each."""
+        families = self.irrep_stacks()
+        if families is None:
+            return None
+        return [
+            Irrep(self, dict(zip(self.elements, images)), fam.shape[-1])
+            for fam in families
+            for images in fam
+        ]
 
     def is_subgroup(self, subset) -> bool:
         """Check that ``subset`` is closed under multiplication and inverse."""
@@ -140,20 +158,17 @@ class ProductGroup(FiniteGroup):
     def embed_second(self, h):
         return (self.first.identity, h)
 
-    def irreps(self):
-        r1 = self.first.irreps()
-        r2 = self.second.irreps()
-        if r1 is None or r2 is None:
+    def irrep_stacks(self):
+        f1 = self.first.irrep_stacks()
+        f2 = self.second.irrep_stacks()
+        if f1 is None or f2 is None:
             return None
         out = []
-        for s1 in r1:
-            for s2 in r2:
-                images = {
-                    (g, h): np.kron(s1.images[g], s2.images[h])
-                    for g in self.first.elements
-                    for h in self.second.elements
-                }
-                out.append(Irrep(self, images, s1.dim * s2.dim))
+        for s1 in f1:
+            for s2 in f2:
+                (k1, n1, d1, _), (k2, n2, d2, _) = s1.shape, s2.shape
+                kron = np.einsum("kgij,lhab->klghiajb", s1, s2)
+                out.append(kron.reshape(k1 * k2, n1 * n2, d1 * d2, d1 * d2))
         return out
 
     def __repr__(self):
@@ -231,7 +246,7 @@ class CentralExtensionGroup(FiniteGroup):
     def embed_b(self, b):
         return (self.a_group.identity, b, 1)
 
-    def irreps(self):
+    def irrep_stacks(self):
         """All irreducibles when the twist is a nondegenerate pairing.
 
         The sign-blind characters of A x B lift to |A|*|B| one-dimensional
@@ -241,46 +256,36 @@ class CentralExtensionGroup(FiniteGroup):
         dimensions equals the order) is checked; if it fails we return None
         and callers fall back to dense algorithms.
         """
-        a_chars = self.a_group.irreps()
-        b_chars = self.b_group.irreps()
-        if a_chars is None or b_chars is None:
+        fa = self.a_group.irrep_stacks()
+        fb = self.b_group.irrep_stacks()
+        if fa is None or fb is None:
             return None
-        if any(s.dim != 1 for s in a_chars) or any(s.dim != 1 for s in b_chars):
+        if any(f.shape[-1] != 1 for f in fa + fb):
             return None
-        out = []
-        for sa in a_chars:
-            for sb in b_chars:
-                images = {
-                    (a, b, z): sa.images[a] * sb.images[b]
-                    for (a, b, z) in self.elements
-                }
-                out.append(Irrep(self, images, 1))
+        ta = np.concatenate([f[:, :, 0, 0] for f in fa])
+        tb = np.concatenate([f[:, :, 0, 0] for f in fb])
+        chars = np.einsum("ka,lb->klab", ta, tb).reshape(len(ta) * len(tb), -1)
+        # elements run (a, b, z) with z innermost; the characters ignore z
+        out = [np.repeat(chars, 2, axis=1)[:, :, None, None]]
         na, nb = self.a_group.order, self.b_group.order
         if self.order == 2 * na * nb and na == nb:
             # candidate faithful block: pi(a,b,z) = z * (translation by a) *
             # diag_x gamma(x, b) on l2(A)
-            aelems = self.a_group.elements
-            aidx = {a: i for i, a in enumerate(aelems)}
-            perms = {}
-            for a in aelems:
-                p = np.zeros((na, na), dtype=complex)
-                for x in aelems:
-                    p[aidx[self.a_group.mul(a, x)], aidx[x]] = 1.0
-                perms[a] = p
-            diags = {
-                b: np.diag([float(self._gamma[(x, b)]) for x in aelems]).astype(complex)
-                for b in self.b_group.elements
-            }
-            images = {
-                (a, b, z): z * (perms[a] @ diags[b]) for (a, b, z) in self.elements
-            }
-            pi0 = Irrep(self, images, na)
-            # irreducibility and homomorphism sanity via the character criterion
-            tr2 = sum(abs(np.trace(m)) ** 2 for m in images.values()) / self.order
+            aelems, belems = self.a_group.elements, self.b_group.elements
+            perms = np.zeros((na, na, na))
+            for i, a in enumerate(aelems):
+                for j, x in enumerate(aelems):
+                    perms[i, self.a_group.index(self.a_group.mul(a, x)), j] = 1.0
+            gam = np.array([[self._gamma[(x, b)] for x in aelems] for b in belems])
+            signs = np.array([1.0, -1.0])
+            images = np.einsum("aij,bj,z->abzij", perms, gam, signs)
+            pi0 = images.reshape(self.order, na, na).astype(complex)
+            # irreducibility via the character criterion
+            tr2 = np.sum(np.abs(np.trace(pi0, axis1=1, axis2=2)) ** 2) / self.order
             if abs(tr2 - 1.0) > 1e-9:
                 return None
-            out.append(pi0)
-        if sum(s.dim**2 for s in out) != self.order:
+            out.append(pi0[None])
+        if sum(len(f) * f.shape[-1] ** 2 for f in out) != self.order:
             return None
         return out
 

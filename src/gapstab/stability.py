@@ -16,6 +16,7 @@ almost-homomorphism of a direct product.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -31,6 +32,8 @@ from .algebra import (
     _chunks,
     _frobenius_sq,
     _indexed_pairs,
+    _law_norm,
+    _law_pairs,
     _law_residual,
     _pair_defects,
     commutant_blocks,
@@ -57,7 +60,8 @@ SUBGROUP_CONSTANT = 38.0
 PAIR_CONSTANT = 1444.0
 TWISTED_CONSTANT = 30000.0
 
-# Largest amplified block dimension the dense rounding engine accepts.
+# Largest Hermitian block the rounding factorises, and the square root of the
+# largest |G| m^2 (the size of the dilation and of its spectral isometry).
 ROUNDING_DIM_CAP = 4096
 
 # Eigenvalues this close to the 1/2 cut are kept and flagged.
@@ -80,14 +84,28 @@ def _ratio(value: float, bound: float):
     return value / bound if bound > 1e-300 else None
 
 
-def _check_rounding_dim(order: int, dims):
-    """Refuse a rounding whose amplified block, order * max(dims), exceeds
-    ``ROUNDING_DIM_CAP``, before any work is done."""
-    dim = order * max(dims)
-    if dim > ROUNDING_DIM_CAP:
+def _check_rounding_dim(group: FiniteGroup, dims):
+    """Refuse a rounding over ``ROUNDING_DIM_CAP`` before any work is done.
+
+    Bounds the group order (the defect and the irrep stacks hold |G|^2
+    terms), the largest Hermitian block the rounding factorises (|G| m on
+    the dense path, m d_rho on the Fourier path) and, by the cap squared,
+    |G| m^2: the dilation V and the spectral isometry Z, since tr A = m
+    leaves at most 2m eigenvalues >= 1/2.  Returns the group's irrep stacks,
+    None when the rounding takes the dense path.
+    """
+    cap, n, m = ROUNDING_DIM_CAP, group.order, max(dims)
+    if n > cap:
+        raise ResourceCap(f"group order {n} exceeds the cap {cap}")
+    families = group.irrep_stacks()
+    block = m * (n if families is None else max(f.shape[-1] for f in families))
+    if block > cap:
+        raise ResourceCap(f"largest rounding block {block} exceeds the cap {cap}")
+    if n * m * m > cap * cap:
         raise ResourceCap(
-            f"amplified block dimension {dim} exceeds the cap {ROUNDING_DIM_CAP}"
+            f"rounding isometry of {n * m * m} entries exceeds the cap {cap} squared"
         )
+    return families
 
 
 class Intertwiner:
@@ -246,12 +264,47 @@ class RoundingCertificate:
         )
 
 
+def _polar_completion(x_mat, room: int):
+    """The polar part w0 of the compressed dilation X (R x m), completed by
+    a basis of its kernel to the isometry w; returns (w0, w, t) with t the
+    kernel dimension, which ``room`` low eigenvectors must be able to hold."""
+    m = x_mat.shape[1]
+    u_svd, s, vh = np.linalg.svd(x_mat, full_matrices=False)
+    big = s > _KERNEL_CUT
+    w0 = u_svd[:, big] @ vh[big]
+    t_dim = m - int(np.count_nonzero(big))
+    if t_dim == 0:
+        return w0, w0, 0
+    ker_proj = np.eye(m) - vh[big].conj().T @ vh[big]
+    kvals, kvecs = np.linalg.eigh(ker_proj)
+    k_basis = kvecs[:, kvals > 0.5]
+    if k_basis.shape[1] != t_dim:
+        raise DegenerateDecomposition(
+            "kernel of the compressed dilation is numerically ambiguous"
+        )
+    if room < t_dim:
+        raise DegenerateDecomposition(
+            "no room orthogonal to the spectral projection to complete "
+            "the polar part to an isometry"
+        )
+    return w0, np.vstack([w0, k_basis.conj().T]), t_dim
+
+
+def _cut(vals):
+    """Keep mask, tie count and margin of the cut at 1/2 of a spectrum."""
+    gap = np.abs(vals - 0.5)
+    keep = vals >= 0.5 - THRESHOLD_TIE_TOL
+    ties = int(np.count_nonzero(gap <= THRESHOLD_TIE_TOL))
+    return keep, ties, float(gap.min(initial=math.inf))
+
+
 def _round_block(n, m, mul_idx, inv_idx, phi_stack):
-    """Round one base block; all the linear algebra lives here.
+    """Round one base block with the dense averaged operator.
 
     Returns the spectral isometry Z, the completion columns C, the
     compressed dilation X, the completed isometry w (corner coordinates),
-    ranks and threshold diagnostics.
+    the stack of compressions Z* lambda(g) Z, ranks and threshold
+    diagnostics.
     """
     v_rect = (phi_stack[inv_idx] / math.sqrt(n)).reshape(n * m, m)
 
@@ -271,58 +324,127 @@ def _round_block(n, m, mul_idx, inv_idx, phi_stack):
     a_op = (a_op + a_op.conj().T) / 2.0
 
     vals, vecs = np.linalg.eigh(a_op)
-    keep = vals >= 0.5 - THRESHOLD_TIE_TOL
-    ties = int(np.count_nonzero(np.abs(vals - 0.5) <= THRESHOLD_TIE_TOL))
-    margin = float(np.min(np.abs(vals - 0.5))) if vals.size else math.inf
+    keep, ties, margin = _cut(vals)
     z_iso = vecs[:, keep]
     low = vecs[:, ~keep]
     r_dim = z_iso.shape[1]
 
     x_mat = z_iso.conj().T @ v_rect
-    u_svd, s, vh = np.linalg.svd(x_mat, full_matrices=False)
-    big = s > _KERNEL_CUT
-    w0 = u_svd[:, big] @ vh[big]
-    t_dim = m - int(np.count_nonzero(big))
-    if t_dim > 0:
-        ker_proj = np.eye(m) - vh[big].conj().T @ vh[big]
-        kvals, kvecs = np.linalg.eigh(ker_proj)
-        k_basis = kvecs[:, kvals > 0.5]
-        if k_basis.shape[1] != t_dim:
-            raise DegenerateDecomposition(
-                "kernel of the compressed dilation is numerically ambiguous"
-            )
-        if low.shape[1] < t_dim:
-            raise DegenerateDecomposition(
-                "no room orthogonal to the spectral projection to complete "
-                "the polar part to an isometry"
-            )
-        c_cols = low[:, :t_dim]
-        w_mat = np.vstack([w0, k_basis.conj().T])
-    else:
-        c_cols = np.zeros((n * m, 0), dtype=complex)
-        w_mat = w0
+    w0, w_mat, t_dim = _polar_completion(x_mat, low.shape[1])
+    z_blocks = z_iso.reshape(n, m, r_dim)
+    core = np.stack(
+        [
+            z_iso.conj().T @ z_blocks[mul_idx[inv_idx[gi]]].reshape(n * m, r_dim)
+            for gi in range(n)
+        ]
+    )
     return {
         "Z": z_iso,
-        "C": c_cols,
+        "C": low[:, :t_dim],
         "R": r_dim,
         "t": t_dim,
         "X": x_mat,
         "w": w_mat,
         "w0": w0,
+        "core": core,
         "ties": ties,
         "margin": margin,
+        "largest": n * m,
+    }
+
+
+def _fourier_round_block(n, m, families, phi_stack):
+    """Round one base block through the group Fourier transform.
+
+    For an irrep rho of dimension d, the averaged operator A leaves
+    invariant the d spaces {x[h] = Y rho(h)* c} (Y an m x d matrix, c fixed)
+    and acts on each as Y -> sum_k B(k) Y rho(k), the Gram block F F* with
+    F = (1/n) sum_v phi(v) (x) conj(rho(v)) in row-major coordinates.  A
+    unit eigenvector Y of that block and a column j give the unit vector
+    x[h] = sqrt(d/n) Y rho(h)* e_j of A, with the same eigenvalue; the rows
+    of X = Z* V are sqrt(d) (y* F) at column j, and lambda(g) moves x_j to
+    sum_i rho(g)[i, j] x_i, so the compressed translation is rho(g) on each
+    kept eigenvector.  Returns what :func:`_round_block` returns, and the
+    (family, irrep) pairs that occur in the corner.
+    """
+    phi_flat = phi_stack.reshape(n, m * m)
+    kept_vecs, kept_irreps, x_rows, spectra = [], [], [], []
+    ties, margin = 0, math.inf
+    for f, fam in enumerate(families):
+        k, _, d, _ = fam.shape
+        fhat = np.conj(fam).transpose(0, 2, 3, 1).reshape(k * d * d, n) @ phi_flat
+        fhat = fhat.reshape(k, d, d, m, m).transpose(0, 3, 1, 4, 2)
+        fhat = fhat.reshape(k, m * d, m * d) / n
+        vals, vecs = np.linalg.eigh(fhat @ fhat.conj().transpose(0, 2, 1))
+        keep, fam_ties, fam_margin = _cut(vals)
+        ties += d * fam_ties
+        margin = min(margin, fam_margin)
+        qs, es = np.nonzero(keep)
+        y = vecs[qs, :, es]
+        rows = np.einsum("ka,kab->kb", y.conj(), fhat[qs]) * math.sqrt(d)
+        x_rows.append(rows.reshape(-1, m, d).transpose(0, 2, 1).reshape(-1, m))
+        kept_vecs.append((fam, qs, y))
+        kept_irreps += [(f, int(q)) for q in qs]
+        spectra.append((vals, vecs, keep))
+
+    def columns(fam, qs, y):
+        """The unit vectors sqrt(d/n) Y rho(h)* e_j of A, j innermost."""
+        d = fam.shape[-1]
+        cols = np.einsum("kal,khjl->hakj", y.reshape(-1, m, d), np.conj(fam[qs]))
+        return cols.reshape(n * m, -1) * math.sqrt(d / n)
+
+    x_mat = np.vstack(x_rows)
+    r_dim = x_mat.shape[0]
+    w0, w_mat, t_dim = _polar_completion(x_mat, n * m - r_dim)
+
+    core = np.zeros((n, r_dim, r_dim), dtype=complex)
+    off = 0
+    for f, q in kept_irreps:
+        d = families[f].shape[-1]
+        core[:, off : off + d, off : off + d] = families[f][q]
+        off += d
+
+    def low_end():
+        """(value, irrep, index) of every eigenvector of A below the cut, one
+        per Gram eigenvector and column j, then what builds its column."""
+        first = 0
+        for (vals, vecs, keep), fam in zip(spectra, families):
+            d = fam.shape[-1]
+            for q, e in zip(*np.nonzero(~keep)):
+                for j in range(d):
+                    yield vals[q, e], first + q, e * d + j, fam, q, vecs[q, :, e], j
+            first += len(vals)
+
+    # completion columns: the t lowest eigenvectors of A
+    c_cols = [
+        columns(fam, [q], y[None])[:, j]
+        for *_, fam, q, y, j in heapq.nsmallest(t_dim, low_end(), key=lambda e: e[:3])
+    ]
+    return {
+        "Z": np.hstack([columns(*kv) for kv in kept_vecs]),
+        "C": np.array(c_cols, dtype=complex).reshape(t_dim, n * m).T,
+        "R": r_dim,
+        "t": t_dim,
+        "X": x_mat,
+        "w": w_mat,
+        "w0": w0,
+        "core": core,
+        "ties": ties,
+        "margin": margin,
+        "largest": max(m * fam.shape[-1] for fam in families),
+        "irreps": kept_irreps,
     }
 
 
 def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
     """Round an almost-homomorphism to a representation on a corner.
 
-    Implements the dilation construction literally: V stacks phi(g^{-1})
-    row blocks, A averages the range projection of V over left
-    translations, P is the spectral projection of A above 1/2, pi is the
-    left translation action compressed to P (extended by the identity on
-    the completion part), X = PV, and w completes the polar part of X to
-    an isometry.  The certificate records
+    Implements the dilation construction: V stacks phi(g^{-1}) row blocks,
+    A averages the range projection of V over left translations, P is the
+    spectral projection of A above 1/2, pi is the left translation action
+    compressed to P (extended by the identity on the completion part),
+    X = PV, and w completes the polar part of X to an isometry.  The
+    certificate records
 
         distance        <= 169 * defect        (squared form)
         ||P - w w*||_2^2 <= 16 * defect
@@ -330,24 +452,38 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
 
     together with the contraction-stage intermediates.  Eigenvalues within
     1e-9 of the 1/2 cut are kept in the projection and flagged.
+
+    A is a group convolution, A[h1, h2] = B(h2^{-1} h1) with
+    B(k) = n^-2 sum_v phi(v) phi(kv)*.  For a group that provides its
+    irreps (``irrep_stacks()``) the rounding takes the Fourier path: the
+    Fourier transform splits A into one Hermitian block of size m d_rho per
+    irrep rho, each of multiplicity d_rho, and pi is a direct sum of copies
+    of the irreps (see :func:`_fourier_round_block`).  Other groups take
+    the dense path, one eigendecomposition of the (|G| m)^2 operator A.
+    ``intermediates`` names the path and the largest block factorised.
     """
     if p != 2:
         raise InvalidArgument("only the Hilbert-space case p = 2 is supported")
     group, base = phi.group, phi.algebra
     n = group.order
-    _check_rounding_dim(n, base.dims)
+    families = _check_rounding_dim(group, base.dims)
     eps = defect(phi)
     elements = group.elements
-    inv_idx = np.array([group.index(group.inv(g)) for g in elements])
-    mul_idx = np.empty((n, n), dtype=int)
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            mul_idx[i, j] = group.index(group.mul(g, h))
-
-    blocks = [
-        _round_block(n, m, mul_idx, inv_idx, stack)
-        for m, stack in zip(base.dims, phi.stacks)
-    ]
+    if families is None:
+        inv_idx = np.array([group.index(group.inv(g)) for g in elements])
+        mul_idx = np.empty((n, n), dtype=int)
+        for i, g in enumerate(elements):
+            for j, h in enumerate(elements):
+                mul_idx[i, j] = group.index(group.mul(g, h))
+        blocks = [
+            _round_block(n, m, mul_idx, inv_idx, stack)
+            for m, stack in zip(base.dims, phi.stacks)
+        ]
+    else:
+        blocks = [
+            _fourier_round_block(n, m, families, stack)
+            for m, stack in zip(base.dims, phi.stacks)
+        ]
 
     coeffs = base.coeffs
     corner = TracialAlgebra._raw(
@@ -380,48 +516,54 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
 
     w = Intertwiner(base, corner, [blk["w"] for blk in blocks])
 
-    # one pass over the group: corner images, isometry and contraction pulls
-    images = {}
-    per_element = {}
+    # corner images, isometry and contraction pulls, stacked over the group
+    pi_stacks = []
+    per_sq = np.zeros(n)
     contraction = 0.0
-    for gi, g in enumerate(elements):
-        perm = mul_idx[inv_idx[gi]]
-        mats = []
-        xpull = []
-        for blk, m in zip(blocks, base.dims):
-            r_dim, t_dim = blk["R"], blk["t"]
-            z_iso = blk["Z"]
-            zg = z_iso.reshape(n, m, r_dim)[perm].reshape(n * m, r_dim)
-            core = z_iso.conj().T @ zg
-            mat = np.zeros((r_dim + t_dim, r_dim + t_dim), dtype=complex)
-            mat[:r_dim, :r_dim] = core
-            if t_dim:
-                mat[r_dim:, r_dim:] = np.eye(t_dim)
-            mats.append(mat)
-            xpull.append(blk["X"].conj().T @ core @ blk["X"])
-        img = AlgebraElement(corner, mats)
-        images[g] = img
-        diff = phi.images[g] - w.conjugate(img)
-        per_element[g] = base.norm2(diff) ** 2
-        contraction += (
-            base.norm2(phi.images[g] - AlgebraElement(base, xpull)) ** 2
-        )
+    for c, blk, stack in zip(coeffs, blocks, phi.stacks):
+        r_dim, t_dim = blk["R"], blk["t"]
+        pi_b = np.zeros((n, r_dim + t_dim, r_dim + t_dim), dtype=complex)
+        pi_b[:, :r_dim, :r_dim] = blk["core"]
+        pi_b[:, r_dim:, r_dim:] = np.eye(t_dim)
+        pi_stacks.append(pi_b)
+        w_mat, x_mat = blk["w"], blk["X"]
+        per_sq += c * _frobenius_sq(stack - w_mat.conj().T @ pi_b @ w_mat)
+        xpull = x_mat.conj().T @ blk["core"] @ x_mat
+        contraction += c * float(_frobenius_sq(stack - xpull).sum())
     contraction /= n
+    per_element = dict(zip(elements, per_sq.tolist()))
     distance = sum(per_element.values()) / n
 
+    images = {
+        g: AlgebraElement(corner, [s[i] for s in pi_stacks])
+        for i, g in enumerate(elements)
+    }
     pi = UnitaryRep(group, corner, images, tol=1e-6, check="none")
+    if families is None:
+        pi_residual = rep_residual(pi)
+    else:
+        # pi is a direct sum of irreps (and an identity block): its law
+        # residual is the worst over the distinct irreps that occur
+        occurring = sorted({fq for blk in blocks for fq in blk["irreps"]})
+        pi_residual = _law_norm(
+            [families[f][q] for f, q in occurring],
+            [families[f].shape[-1] for f, _ in occurring],
+            _law_pairs(group, corner.dims),
+        )
     intermediates = {
         "contraction_distance": contraction,
         "contraction_bound": CONTRACTION_CONSTANT * eps,
         "one_minus_xstarx": one_minus_xsx,
         "p_minus_xxstar": p_minus_xxs,
         "sqrt_defect_bound": 4.0 * math.sqrt(eps),
-        "pi_residual": rep_residual(pi),
+        "pi_residual": pi_residual,
         "isometry_residual": w.isometry_defect(),
         "threshold_margin": min(blk["margin"] for blk in blocks),
         "tau_corner": tau_corner,
         "tau_spectral_projection": tau_spectral,
         "base_trace": base_trace,
+        "path": "dense" if families is None else "fourier",
+        "largest_block": max(blk["largest"] for blk in blocks),
     }
 
     return RoundingCertificate(
@@ -657,10 +799,18 @@ def round_twisted_pair(
     Distances stay below 30000 * epsilon.
     """
     gam = gamma if callable(gamma) else (lambda a, b: gamma[(a, b)])
+    ext = CentralExtensionGroup(u_rep.group, v_rep.group, gam)
+    return _round_twisted(u_rep, v_rep, ext)
+
+
+def _round_twisted(
+    u_rep: UnitaryRep, v_rep: UnitaryRep, ext: CentralExtensionGroup
+) -> TwistedRoundingResult:
+    """:func:`round_twisted_pair` on ``ext``, the extension of the pair's groups
+    by the twist."""
     a_grp, b_grp = u_rep.group, v_rep.group
     alg = u_rep.algebra
-    ext = CentralExtensionGroup(a_grp, b_grp, gam)
-    _check_rounding_dim(ext.order, alg.dims)
+    _check_rounding_dim(ext, alg.dims)
 
     signs = np.array(
         [[ext.gamma(a, b) for b in b_grp.elements] for a in a_grp.elements],
@@ -918,16 +1068,15 @@ def round_pauli_pair(
     d_grp = v_rep.group
     if not isinstance(d_grp, AbelianGroup) or d_grp.orders != a_grp.orders:
         raise InvalidArgument("the second group must be the dual of the first")
-    _check_rounding_dim(2 * a_grp.order * d_grp.order, u_rep.algebra.dims)
+    ext = CentralExtensionGroup(a_grp, d_grp, lambda a, chi: int(a_grp.pairing(chi, a)))
+    _check_rounding_dim(ext, u_rep.algebra.dims)
 
     amp = twisted_amplification_check(u_rep, v_rep, mu, nu)
     k_mu = float(kappa(a_grp, mu).kappa)
     k_nu = float(kappa(d_grp, nu).kappa)
     integral = amp.rhs / (k_mu * k_nu) if k_mu * k_nu > 0 else 0.0
 
-    rounding = round_twisted_pair(
-        u_rep, v_rep, lambda a, chi: int(a_grp.pairing(chi, a))
-    )
+    rounding = _round_twisted(u_rep, v_rep, ext)
     composed_constant = TWISTED_CONSTANT * k_mu * k_nu
     composed_bound = composed_constant * integral
     _check_bound(rounding.distance_u, composed_bound, "composed Pauli distance (U)")

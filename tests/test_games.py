@@ -419,17 +419,34 @@ def test_rigidity_report_requires_structure():
 
 
 def test_hamming_report_refuses_rounding_before_amplification(monkeypatch):
-    """The Hamming dilation (2 * 16 * 16 * 32 = 16384) is over the rounding
-    cap, which is reported before any amplification or tensor check runs."""
+    """Under a cap of 511 the Hamming rounding is refused: its extension has
+    order 512 and its largest Fourier block (m = 32 times the 16-dimensional
+    faithful irrep) is 512.  The refusal comes before any amplification or
+    tensor check runs."""
     import gapstab.stability as stability
 
     def not_reached(*args, **kwargs):
         raise AssertionError("amplification check ran before the cap check")
 
     monkeypatch.setattr(stability, "twisted_amplification_check", not_reached)
+    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 511)
     game = named_game("hamming")
-    with pytest.raises(ResourceCap, match="16384"):
+    with pytest.raises(ResourceCap, match="512"):
         pauli_rigidity_report(game, honest_strategy(game))
+
+
+@pytest.mark.parametrize("name", ["repetition", "hamming"])
+def test_pauli_signs_are_the_pairing(name, monkeypatch):
+    """value reads the Pauli signs off a character-table row; against the
+    table built from one pairing call per entry it is bit-identical."""
+    game = named_game(name)
+    group = game.h_group
+    strat = perturb_strategy(honest_strategy(game), 0.1, np.random.default_rng(5))
+    fast = [value(game, strat, pauli_mode=mode) for mode in ("shortcut", "explicit")]
+    els = group.elements
+    paired = np.array([[complex(group.pairing(chi, a)) for a in els] for chi in els])
+    monkeypatch.setattr(group, "character_table", lambda: paired)
+    assert fast == [value(game, strat, pauli_mode=mode) for mode in ("shortcut", "explicit")]
 
 
 # -- the stacked kernels against the per-outcome loops ------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gapstab.abelian import boolean_group, cyclic
+from gapstab.abelian import AbelianGroup, boolean_group, cyclic
 from gapstab.errors import InvalidArgument
 from gapstab.groups import (
     CentralExtensionGroup,
@@ -124,13 +124,23 @@ def test_central_extension_validates_gamma():
     [
         cyclic(6),
         boolean_group(2),
+        AbelianGroup((3, 3)),
+        AbelianGroup((2, 4)),
+        boolean_group(5),
         ProductGroup(cyclic(2), cyclic(3)),
+        ProductGroup(AbelianGroup((2, 2)), cyclic(4)),
         _pauli_extension(1),
         _pauli_extension(2),
+        _pauli_extension(4),
     ],
-    ids=["Z6", "Z2^2", "Z2xZ3", "pauli1", "pauli2"],
+    ids=[
+        "Z6", "Z2^2", "Z3xZ3", "Z2xZ4", "Z2^5", "Z2xZ3", "Z2^2xZ4",
+        "pauli1", "pauli2", "pauli4",
+    ],
 )
 def test_validate_irreps(grp):
+    """Every group the Fourier rounding serves; pauli1 is the repetition-game
+    extension and pauli4 the Hamming-game extension (order 512)."""
     validate_irreps(grp)
 
 

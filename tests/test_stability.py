@@ -1,10 +1,18 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gapstab.abelian import boolean_group, cyclic, regular_rep, rep_from_pvm
+from gapstab import suites
+from gapstab.abelian import (
+    AbelianGroup,
+    boolean_group,
+    cyclic,
+    regular_rep,
+    rep_from_pvm,
+)
 from gapstab.algebra import (
     AlgebraElement,
     AlmostHom,
@@ -12,6 +20,7 @@ from gapstab.algebra import (
     UnitaryRep,
     defect,
     haar_unitary,
+    rep_residual,
 )
 from gapstab.errors import (
     GapstabError,
@@ -25,7 +34,7 @@ from gapstab.games import (
     pauli_rigidity_report,
     perturb_strategy,
 )
-from gapstab.groups import ProductGroup
+from gapstab.groups import CentralExtensionGroup, ProductGroup, symmetric_group
 from gapstab.spectral import ProbMeasure
 from gapstab.stability import (
     DISTANCE_CONSTANT,
@@ -125,6 +134,127 @@ def test_rounding_dim_cap(monkeypatch):
     phi = AlmostHom(rep.group, rep.algebra, rep.images)
     with pytest.raises(ResourceCap):
         gowers_hatami_round(phi)
+
+
+def test_rounding_cap_names_the_largest_block(monkeypatch):
+    """The cap bounds the largest Hermitian block: m d_rho on the Fourier
+    path (the extension of Z2 x Z2 has a 2-dimensional irrep), |G| m on the
+    dense one."""
+    import gapstab.stability as stability
+
+    for rep, block in (
+        (regular_rep(_pauli_extension(1)), 16),
+        (regular_rep(symmetric_group(3)), 36),
+    ):
+        monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", block - 1)
+        with pytest.raises(ResourceCap, match=f"largest rounding block {block} "):
+            gowers_hatami_round(AlmostHom(rep.group, rep.algebra, rep.images))
+
+
+# -- the Fourier path against the dense oracle ----------------------------------
+
+
+def _pauli_extension(r):
+    grp = boolean_group(r)
+    dual = grp.dual()
+    return CentralExtensionGroup(grp, dual, lambda a, chi: int(grp.pairing(chi, a)))
+
+
+def _permutation_rep(group):
+    """The defining representation of a permutation group."""
+    alg = TracialAlgebra.matrix(group.degree)
+    eye = np.eye(group.degree)
+    images = {g: AlgebraElement(alg, [eye[:, list(g)]]) for g in group.elements}
+    return UnitaryRep(group, alg, images)
+
+
+def _two_block_rep(group):
+    """The regular representation (weight 1/5) next to a nontrivial
+    character (weight 4/5) of an abelian group."""
+    reg = regular_rep(group)
+    alg = TracialAlgebra([(group.order, Fraction(1, 5)), (1, Fraction(4, 5))])
+    chi = group.character_table()[1]
+    images = {
+        g: AlgebraElement(alg, [reg.images[g].blocks[0], np.array([[chi[i]]])])
+        for i, g in enumerate(group.elements)
+    }
+    return UnitaryRep(group, alg, images)
+
+
+# (representation, sigma, seed); "completion" needs t > 0 completion columns
+_ORACLE_CASES = {
+    "cyclic5": (lambda: regular_rep(cyclic(5)), 0.2, 1),
+    "boolean3": (lambda: regular_rep(boolean_group(3)), 0.3, 1),
+    "z3xz3": (lambda: regular_rep(AbelianGroup((3, 3))), 0.2, 1),
+    "z2xz4": (lambda: regular_rep(AbelianGroup((2, 4))), 0.25, 1),
+    "product": (
+        lambda: regular_rep(ProductGroup(cyclic(2), AbelianGroup((2, 2)))), 0.2, 2
+    ),
+    "repetition-extension": (lambda: regular_rep(_pauli_extension(1)), 0.2, 3),
+    "two-block": (lambda: _two_block_rep(AbelianGroup((2, 3))), 0.3, 4),
+    "completion": (lambda: regular_rep(boolean_group(2)), 1.6, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_fourier_rounding_matches_dense(case, monkeypatch):
+    make, sigma, seed = _ORACLE_CASES[case]
+    rep = make()
+    phi = suites._noisy_hom(rep, sigma, np.random.default_rng(seed))
+    fourier = gowers_hatami_round(phi)
+    monkeypatch.setattr(phi.group, "irrep_stacks", lambda: None)
+    dense = gowers_hatami_round(phi)
+    rf, rd = fourier.report(), dense.report()
+    assert (rf["path"], rd["path"]) == ("fourier", "dense")
+    for key in (
+        "distance",
+        "trace_excess",
+        "contraction_distance",
+        "one_minus_xstarx",
+        "p_minus_xxstar",
+        "threshold_margin",
+    ):
+        assert rf[key] == pytest.approx(rd[key], rel=1e-9, abs=1e-300), key
+    assert fourier.spectral_ranks == dense.spectral_ranks
+    assert (rf["tie_count"], rf["corner_dims"]) == (rd["tie_count"], rd["corner_dims"])
+    if case == "completion":
+        assert fourier.spectral_ranks[0][1] > 0
+    # P = Z Z* + C C*; its low eigenvalues are simple in every case here
+    for pf, pd in zip(fourier.P.blocks, dense.P.blocks):
+        assert np.abs(pf - pd).max() < 1e-9
+    # pi is a direct sum of irreps: its residual is read off the irreps
+    assert abs(rf["pi_residual"] - rep_residual(fourier.pi)) <= 1e-14
+
+
+def test_rounding_path_and_largest_block():
+    """Z2^5 at m = 32 rounds through 32 one-dimensional blocks of size 32;
+    S4 provides no irreps and stays dense at |G| m = 96."""
+    rng = np.random.default_rng(5)
+    for rep, path, block in (
+        (regular_rep(boolean_group(5)), "fourier", 32),
+        (_permutation_rep(symmetric_group(4)), "dense", 96),
+    ):
+        report = gowers_hatami_round(suites._noisy_hom(rep, 0.05, rng)).report()
+        assert (report["path"], report["largest_block"]) == (path, block)
+
+
+def test_round_twisted_pair_hamming():
+    """The Hamming pair (extension of order 512, m = 32) rounds through its
+    512-dimensional faithful block, not the 16384-dimensional dense operator."""
+    game = named_game("hamming")
+    strat = perturb_strategy(honest_strategy(game), 0.05, np.random.default_rng(3))
+    group = game.h_group
+    u = rep_from_pvm(strat["PX"], group)
+    v = rep_from_pvm(strat["PZ"], group.dual())
+    start = time.perf_counter()
+    res = round_twisted_pair(u, v, lambda a, chi: int(group.pairing(chi, a)))
+    elapsed = time.perf_counter() - start
+    assert res.epsilon > 1e-4
+    assert max(res.distance_u, res.distance_v) <= TWISTED_CONSTANT * res.epsilon
+    assert res.relation_residual <= 1e-9
+    report = res.certificate.report()
+    assert (report["path"], report["largest_block"]) == ("fourier", 512)
+    assert elapsed <= 15.0
 
 
 def _product_form_phi(a_grp, b_grp, sigma, rng):

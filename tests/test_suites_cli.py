@@ -265,10 +265,11 @@ def test_sweep_defect_matches_report():
 
 
 def test_cli_sweep_hamming_falls_back_to_left_side(capsys):
-    """The Hamming rounding is over the dimension cap, so the sweep reports
-    the twisted defect against 1320 c c' eps alone."""
+    """Under a cap of 511 the Hamming rounding (extension order and largest
+    Fourier block 512) is refused, so the sweep reports the twisted defect
+    against 1320 c c' eps alone."""
     code = [
-        "sweep", "--game", "hamming",
+        "sweep", "--game", "hamming", "--dim-cap", "511",
         "--points", "2", "--sigma-min", "0.05", "--sigma-max", "0.1",
     ]
     assert main(code) == 0
