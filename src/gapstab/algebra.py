@@ -525,38 +525,59 @@ def _law_residual(stack: np.ndarray, pairs, sl: slice) -> np.ndarray:
     return stack[prod[sl]] - stack[left[sl]] @ stack[right[sl]]
 
 
+def _product_chunks(us: np.ndarray, vs: np.ndarray):
+    """U(a)V(b) and V(b)U(a) for every pair of images of two ``(k, n, n)``
+    stacks, as ``(sa, sb, uv, vu)`` chunks with ``uv[i, :, j, :]`` the product
+    of the i-th a in slice ``sa`` and the j-th b in ``sb``.  Each side of a
+    chunk is one concatenated product (ka n x n) @ (n x kb n) of at most
+    ``_STACK_ENTRIES`` entries."""
+    (na, n, _), nb = us.shape, len(vs)
+    b_step = max(1, min(nb, _STACK_ENTRIES // (n * n)))
+    a_step = max(1, _STACK_ENTRIES // (b_step * n * n))
+    for a0 in range(0, na, a_step):
+        ua = us[a0 : a0 + a_step]
+        ka = len(ua)
+        ua_cols = ua.transpose(1, 0, 2).reshape(n, ka * n)
+        for b0 in range(0, nb, b_step):
+            vb = vs[b0 : b0 + b_step]
+            kb = len(vb)
+            uv = ua.reshape(ka * n, n) @ vb.transpose(1, 0, 2).reshape(n, kb * n)
+            vu = vb.reshape(kb * n, n) @ ua_cols
+            yield (
+                slice(a0, a0 + ka),
+                slice(b0, b0 + kb),
+                uv.reshape(ka, n, kb, n),
+                vu.reshape(kb, n, ka, n).transpose(2, 1, 0, 3),
+            )
+
+
 def _pair_defects(u: AlmostHom, v: AlmostHom, gamma) -> np.ndarray:
     """D[a, b] = ||U(a)V(b) - gamma[a, b] V(b)U(a)||_2^2 as an (|A|, |B|) array.
 
     Rows and columns follow the element orders of the two groups; ``gamma``
-    is all ones for commutators.  Per block, a chunk of ka images U(a) and kb
-    images V(b) gives all ka * kb products of each side with one concatenated
-    product, (ka n x n) @ (n x kb n), of at most ``_STACK_ENTRIES`` entries.
+    is all ones for commutators.  The products come from ``_product_chunks``.
     """
     if not u.algebra.compatible(v.algebra):
         raise InvalidArgument("the two representations live on different algebras")
     gamma = np.asarray(gamma)
-    na, nb = u.group.order, v.group.order
-    out = np.zeros((na, nb))
-    for us, vs, n, c in zip(u.stacks, v.stacks, u.algebra.dims, u.algebra.coeffs):
-        b_step = max(1, min(nb, _STACK_ENTRIES // (n * n)))
-        a_step = max(1, _STACK_ENTRIES // (b_step * n * n))
-        for a0 in range(0, na, a_step):
-            ua = us[a0 : a0 + a_step]
-            ka = len(ua)
-            ua_cols = ua.transpose(1, 0, 2).reshape(n, ka * n)
-            for b0 in range(0, nb, b_step):
-                vb = vs[b0 : b0 + b_step]
-                kb = len(vb)
-                uv = ua.reshape(ka * n, n) @ vb.transpose(1, 0, 2).reshape(n, kb * n)
-                vu = vb.reshape(kb * n, n) @ ua_cols
-                g = gamma[a0 : a0 + ka, None, b0 : b0 + kb, None]
-                vu = vu.reshape(kb, n, ka, n).transpose(2, 1, 0, 3)
-                d = uv.reshape(ka, n, kb, n) - g * vu
-                out[a0 : a0 + ka, b0 : b0 + kb] += c * (d.real**2 + d.imag**2).sum(
-                    axis=(1, 3)
-                )
+    out = np.zeros((u.group.order, v.group.order))
+    for us, vs, c in zip(u.stacks, v.stacks, u.algebra.coeffs):
+        for sa, sb, uv, vu in _product_chunks(us, vs):
+            d = uv - gamma[sa, None, sb, None] * vu
+            out[sa, sb] += c * (d.real**2 + d.imag**2).sum(axis=(1, 3))
     return out
+
+
+def _pair_traces(us: np.ndarray, vs: np.ndarray) -> tuple:
+    """tr X*X, tr Z*Z and tr X*Z for X = U(a)V(b), Z = V(b)U(a), as three
+    (|A|, |B|) arrays over two ``(k, n, n)`` image stacks."""
+    shape = (len(us), len(vs))
+    xx, zz, xz = np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
+    for sa, sb, uv, vu in _product_chunks(us, vs):
+        xx[sa, sb] = (uv.real**2 + uv.imag**2).sum(axis=(1, 3))
+        zz[sa, sb] = (vu.real**2 + vu.imag**2).sum(axis=(1, 3))
+        xz[sa, sb] = (uv.conj() * vu).sum(axis=(1, 3))
+    return xx, zz, xz
 
 
 def _weighted_sums(weights, stacks) -> tuple:

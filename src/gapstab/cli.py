@@ -291,13 +291,16 @@ def _op_sweep(man: ExperimentManifest) -> int:
     if not (0 < lo <= hi):
         raise InvalidArgument("need 0 < sigma_min <= sigma_max")
     sigmas = np.logspace(math.log10(lo), math.log10(hi), points)
+    # the probe's point is kept: point j draws its noise from (seed, j) in either call
     try:
-        rigidity_sweep(game, honest, sigmas[:1], seed=man.seed, full_report=True)
-        full = True
+        pts = rigidity_sweep(game, honest, sigmas[:1], seed=man.seed, full_report=True)
     except ResourceCap:
-        full = False
+        pts = []
         print("rounding exceeds the dimension cap; reporting the left side only")
-    pts = rigidity_sweep(game, honest, sigmas, seed=man.seed, full_report=full)
+    k = len(pts)
+    pts += rigidity_sweep(
+        game, honest, sigmas[k:], seed=man.seed, full_report=k > 0, spawn_base=k
+    )
     header = ("sigma", "eps", "lhs", "bound", "closeness", "cc_eps")
     rows = [
         (q["sigma"], q["eps"], q["lhs"], q["bound"], q["closeness"], q["cc_eps"])

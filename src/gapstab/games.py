@@ -27,7 +27,6 @@ from .algebra import (
     AlgebraElement,
     TracialAlgebra,
     UnitaryRep,
-    _frobenius_sq,
     _noise_unitary,
     _pair_defects,
     _trace_pairing,
@@ -35,8 +34,14 @@ from .algebra import (
 )
 from .codes import LinearCode, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument, ResourceCap
-from .spectral import ProbMeasure, kappa
-from .stability import Intertwiner, _check_bound, round_pauli_pair
+from .spectral import ProbMeasure
+from .stability import (
+    Intertwiner,
+    _check_bound,
+    _pauli_pair,
+    _pullback_distance,
+    _round_pauli,
+)
 
 COMMUTATION_PROJECTION_CONSTANT = 16.0
 COMMUTATION_UNITARY_CONSTANT = 64.0
@@ -375,6 +380,12 @@ def value(game: Game, strategy: SynchronousStrategy, pauli_mode: str = "shortcut
     """
     if pauli_mode not in ("shortcut", "explicit"):
         raise InvalidArgument("pauli_mode must be 'shortcut' or 'explicit'")
+    return _value_terms(game, strategy, pauli_mode)[0]
+
+
+def _value_terms(game: Game, strategy: SynchronousStrategy, pauli_mode) -> tuple:
+    """The value and its terms {(x, y): mu(x, y) times the pair's value}, from
+    one pass over the support of mu with one cache for every pair."""
     missing = [x for pair in game.mu for x in pair if x not in strategy.pvms]
     if missing:
         raise InvalidArgument(f"strategy lacks PVMs for {sorted(set(map(repr, missing)))}")
@@ -385,12 +396,14 @@ def value(game: Game, strategy: SynchronousStrategy, pauli_mode: str = "shortcut
             if have != want:
                 raise InvalidArgument(f"answer set mismatch at question {q!r}")
     cache = {}
+    terms = {}
     total = 0.0
     for (x, y), p in game.mu.items():
-        total += float(p) * _pair_value(game, strategy, x, y, cache, pauli_mode)
+        terms[(x, y)] = t = float(p) * _pair_value(game, strategy, x, y, cache, pauli_mode)
+        total += t
     if total < -1e-9 or total > 1 + 1e-9:
         raise GapstabError(f"game value {total} escaped [0, 1]")
-    return min(max(total, 0.0), 1.0)
+    return min(max(total, 0.0), 1.0), terms
 
 
 def expand_rules(game: Game, cap: int = 4096) -> Game:
@@ -501,9 +514,7 @@ def closeness(
         if set(pa.outcomes) != set(pb.outcomes):
             raise InvalidArgument(f"answer sets differ at question {x!r}")
         order = [pb.index(a) for a in pa.outcomes]
-        per_question[x] = _pullback_distance(
-            base, pa.stacks, [s[order] for s in pb.stacks], w
-        )
+        per_question[x] = _pullback_distance(w, pa.stacks, [s[order] for s in pb.stacks])
     distance = sum(float(weights[x]) * per_question[x] for x in weights)
     return ClosenessCertificate(
         p=p,
@@ -513,15 +524,6 @@ def closeness(
         strategy_distance=distance,
         per_question=per_question,
     )
-
-
-def _pullback_distance(algebra, a_stacks, b_stacks, w: Intertwiner) -> float:
-    """sum_k ||A_k - w* B_k w||_2^2 over two aligned per-block stacks, A_k in
-    ``algebra`` (the source of w) and B_k in the target of w."""
-    total = 0.0
-    for a, b, m, c in zip(a_stacks, b_stacks, w.mats, algebra.coeffs):
-        total += c * float(_frobenius_sq(a - m.conj().T @ b @ m).sum())
-    return total
 
 
 UnitaryPvmBridge = namedtuple("UnitaryPvmBridge", ["unitary_side", "pvm_side"])
@@ -536,10 +538,9 @@ def unitary_pvm_bridge(
     same abelian group whose PVMs are recovered by Fourier averaging.  The
     two sides are computed independently.
     """
-    base = u_rep.algebra
-    lhs = _pullback_distance(base, u_rep.stacks, v_rep.stacks, w) / u_rep.group.order
+    lhs = _pullback_distance(w, u_rep.stacks, v_rep.stacks) / u_rep.group.order
     pu, pv = pvm_from_rep(u_rep), pvm_from_rep(v_rep)
-    rhs = _pullback_distance(base, pu.stacks, pv.stacks, w)
+    rhs = _pullback_distance(w, pu.stacks, pv.stacks)
     return UnitaryPvmBridge(lhs, rhs)
 
 
@@ -1013,20 +1014,6 @@ def perturb_strategy(
 # -- rigidity ---------------------------------------------------------------------
 
 
-def _case_values(game: Game, strategy: SynchronousStrategy) -> dict:
-    """Conditional values of the three combined-game cases."""
-    cache = {}
-    masses = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
-    sums = {1: 0.0, 2: 0.0, 3: 0.0}
-    for (x, y), p in game.mu.items():
-        c = game.case_of[(x, y)]
-        masses[c] += p
-        sums[c] += float(p) * _pair_value(game, strategy, x, y, cache, "shortcut")
-    return {
-        c: (sums[c] / float(masses[c]) if masses[c] else 1.0) for c in (1, 2, 3)
-    }
-
-
 def twisted_defect(u_rep: UnitaryRep, v_rep: UnitaryRep) -> float:
     """E_{h,chi} ||U(h)V(chi) - chi(h) V(chi) U(h)||_2^2, uniform over the
     group of ``u_rep`` and its dual, the group of ``v_rep``."""
@@ -1040,31 +1027,33 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
     twisted-commutation bound 1320 c c' epsilon at the PX/PZ restriction;
     rounds the PX/PZ representation pair to an exactly twisted pair and
     reports the strategy-level closeness certificate of the corner strategy
-    it induces, together with the unitary/PVM bridge residual.
+    it induces, together with the unitary/PVM bridge residual.  The value,
+    the case values and the pair's defects and gap constants come once each.
     """
     if game.h_group is None or not game.case_of:
         raise InvalidArgument("the game does not carry combined-game structure")
     group = game.h_group
-    dual = group.dual()
-    val = value(game, strategy)
+    val, terms = _value_terms(game, strategy, "shortcut")
     eps = 1.0 - val
-    case_vals = _case_values(game, strategy)
-    eps_cases = {c: 1.0 - v for c, v in case_vals.items()}
+    # one minus the conditional value of each of the three combined-game cases
+    masses = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
+    sums = {1: 0.0, 2: 0.0, 3: 0.0}
+    for pair, p in game.mu.items():
+        masses[game.case_of[pair]] += p
+        sums[game.case_of[pair]] += terms[pair]
+    eps_cases = {c: 1.0 - (sums[c] / float(masses[c]) if masses[c] else 1.0) for c in sums}
     eps_sum = sum(eps_cases.values())
 
     _check_bound(eps_sum, 3.0 * eps, "sum of per-case defects")
 
-    c_alpha = float(kappa(group, game.alpha_law).kappa)
-    c_beta = float(kappa(dual, game.beta_law).kappa)
-
     u_rep = rep_from_pvm(strategy["PX"], group)
-    v_rep = rep_from_pvm(strategy["PZ"], dual)
-    lhs = twisted_defect(u_rep, v_rep)
+    v_rep = rep_from_pvm(strategy["PZ"], group.dual())
+    pair = _pauli_pair(u_rep, v_rep, game.alpha_law, game.beta_law, rounding=True)
+    lhs, c_alpha, c_beta = float(pair.defects.mean()), pair.k_mu, pair.k_nu
     prop_bound = COMBINED_CONSTANT * c_alpha * c_beta * eps
     _check_bound(lhs, prop_bound, "twisted commutation defect")
 
-    rounding = round_pauli_pair(u_rep, v_rep, game.alpha_law, game.beta_law)
-    tr = rounding.rounding
+    tr = _round_pauli(pair).rounding
     corner_strategy = SynchronousStrategy(
         tr.u_tilde.algebra,
         {
@@ -1078,8 +1067,6 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
         tr.w,
         weights={"PX": 0.5, "PZ": 0.5},
     )
-    bridge = unitary_pvm_bridge(u_rep, tr.u_tilde, tr.w)
-
     report = {
         "value": val,
         "epsilon": eps,
@@ -1100,7 +1087,9 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
         "closeness_constant": (
             cert.strategy_distance / (c_alpha * c_beta * eps) if eps > 1e-300 else None
         ),
-        "bridge_residual": abs(bridge.unitary_side - bridge.pvm_side),
+        # the unitary/PVM bridge: E_a ||U(a) - w* U~(a) w||^2 is the rounding's
+        # distance_u, sum_chi ||P_chi - w* P~_chi w||^2 the certificate's PX term
+        "bridge_residual": abs(tr.distance_u - cert.per_question["PX"]),
         "certificate": cert,
     }
     return report

@@ -36,6 +36,7 @@ from .algebra import (
     _law_pairs,
     _law_residual,
     _pair_defects,
+    _pair_traces,
     commutant_blocks,
     conditional_expectation_commutant,
     defect,
@@ -162,6 +163,15 @@ class Intertwiner:
     def __repr__(self):
         shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in self.mats)
         return f"Intertwiner({shapes})"
+
+
+def _pullback_distance(w: Intertwiner, a_stacks, b_stacks) -> float:
+    """sum_k ||A_k - w* B_k w||_2^2 over two aligned per-block stacks, A_k in
+    the source of w and B_k in its target."""
+    total = 0.0
+    for a, b, m, c in zip(a_stacks, b_stacks, w.mats, w.source.coeffs):
+        total += c * float(_frobenius_sq(a - m.conj().T @ b @ m).sum())
+    return total
 
 
 class RoundingCertificate:
@@ -800,23 +810,20 @@ def round_twisted_pair(
     """
     gam = gamma if callable(gamma) else (lambda a, b: gamma[(a, b)])
     ext = CentralExtensionGroup(u_rep.group, v_rep.group, gam)
-    return _round_twisted(u_rep, v_rep, ext)
-
-
-def _round_twisted(
-    u_rep: UnitaryRep, v_rep: UnitaryRep, ext: CentralExtensionGroup
-) -> TwistedRoundingResult:
-    """:func:`round_twisted_pair` on ``ext``, the extension of the pair's groups
-    by the twist."""
-    a_grp, b_grp = u_rep.group, v_rep.group
-    alg = u_rep.algebra
-    _check_rounding_dim(ext, alg.dims)
-
+    _check_rounding_dim(ext, u_rep.algebra.dims)
     signs = np.array(
-        [[ext.gamma(a, b) for b in b_grp.elements] for a in a_grp.elements],
+        [[ext.gamma(a, b) for b in v_rep.group.elements] for a in u_rep.group.elements],
         dtype=float,
     )
     eps = float(_pair_defects(u_rep, v_rep, signs).mean())
+    return _round_twisted(u_rep, v_rep, ext, signs, eps)
+
+
+def _round_twisted(u_rep, v_rep, ext, signs, eps: float) -> TwistedRoundingResult:
+    """:func:`round_twisted_pair` on ``ext`` once the cap is checked: ``signs[a, b]``
+    is the twist and ``eps`` the mean of the pair defects it defines."""
+    a_grp, b_grp = u_rep.group, v_rep.group
+    alg = u_rep.algebra
     prods = _pair_products(u_rep, v_rep)
     phi = AlmostHom(
         ext,
@@ -890,16 +897,8 @@ def _round_twisted(
     isometry_defect = w_prime.isometry_defect()
     isometry_bound = p_minus_q_bound**2
 
-    distance_u = 0.0
-    for a in a_grp.elements:
-        diff = u_rep.images[a] - w_prime.conjugate(u_tilde.images[a])
-        distance_u += alg.norm2(diff) ** 2
-    distance_u /= a_grp.order
-    distance_v = 0.0
-    for b in b_grp.elements:
-        diff = v_rep.images[b] - w_prime.conjugate(v_tilde.images[b])
-        distance_v += alg.norm2(diff) ** 2
-    distance_v /= b_grp.order
+    distance_u = _pullback_distance(w_prime, u_rep.stacks, u_tilde.stacks) / a_grp.order
+    distance_v = _pullback_distance(w_prime, v_rep.stacks, v_tilde.stacks) / b_grp.order
     bound = TWISTED_CONSTANT * eps
     _check_bound(distance_u, bound, "twisted-pair distance (first factor)")
     _check_bound(distance_v, bound, "twisted-pair distance (second factor)")
@@ -927,15 +926,12 @@ def _round_twisted(
 AmplificationCheck = namedtuple("AmplificationCheck", ["lhs", "rhs"])
 
 
-def _amplification(defects, u_rep, v_rep, mu, nu) -> AmplificationCheck:
+def _amplification(defects, mu, nu, k_mu_nu: float) -> AmplificationCheck:
     """The uniform mean of a pair-defect matrix against kappa(mu) kappa(nu)
     times its (mu x nu)-integral."""
-    k_mu = float(kappa(u_rep.group, mu).kappa)
-    k_nu = float(kappa(v_rep.group, nu).kappa)
-    mu_w = np.array([float(mu(a)) for a in u_rep.group.elements])
-    nu_w = np.array([float(nu(b)) for b in v_rep.group.elements])
-    integral = float(mu_w @ defects @ nu_w)
-    return AmplificationCheck(float(defects.mean()), k_mu * k_nu * integral)
+    mu_w = np.array([float(mu(a)) for a in mu.group.elements])
+    nu_w = np.array([float(nu(b)) for b in nu.group.elements])
+    return AmplificationCheck(float(defects.mean()), k_mu_nu * float(mu_w @ defects @ nu_w))
 
 
 def commutator_amplification_check(
@@ -947,8 +943,74 @@ def commutator_amplification_check(
     rhs = kappa(mu) kappa(nu) * integral of the same quantity d(mu x nu);
     the inequality lhs <= rhs holds whenever the supports generate.
     """
+    k = float(kappa(u_rep.group, mu).kappa) * float(kappa(v_rep.group, nu).kappa)
     ones = np.ones((u_rep.group.order, v_rep.group.order))
-    return _amplification(_pair_defects(u_rep, v_rep, ones), u_rep, v_rep, mu, nu)
+    return _amplification(_pair_defects(u_rep, v_rep, ones), mu, nu, k)
+
+
+# A representation U of an abelian group A and V of its dual, with what the
+# amplification and the Pauli rounding share, each computed once: the gap
+# constants of mu and nu, gamma[a, chi] = chi(a), the pair defects
+# ||U(a)V(chi) - chi(a)V(chi)U(a)||_2^2 and, for a rounding, the central
+# extension of A x A^ by the pairing.
+_PauliPair = namedtuple("_PauliPair", "u v mu nu k_mu k_nu gamma defects ext")
+
+
+def _pauli_pair(u_rep, v_rep, mu, nu, rounding: bool = False) -> _PauliPair:
+    """Check the groups and, for a rounding, the exponent and the rounding
+    cap, before any amplification work; then build the pair."""
+    a_grp, d_grp = u_rep.group, v_rep.group
+    if not isinstance(a_grp, AbelianGroup) or not isinstance(d_grp, AbelianGroup):
+        raise InvalidArgument("twisted pairs need abelian groups")
+    if rounding and a_grp.exponent > 2:
+        raise InvalidArgument("the first group must be abelian of exponent 2")
+    if a_grp.orders != d_grp.orders:
+        raise InvalidArgument("the second group must be the dual of the first")
+    ext = None
+    if rounding:
+        ext = CentralExtensionGroup(a_grp, d_grp, lambda a, chi: int(a_grp.pairing(chi, a)))
+        _check_rounding_dim(ext, u_rep.algebra.dims)
+    gamma = a_grp.character_table().T
+    defects = _pair_defects(u_rep, v_rep, gamma)
+    k_mu, k_nu = float(kappa(a_grp, mu).kappa), float(kappa(d_grp, nu).kappa)
+    return _PauliPair(u_rep, v_rep, mu, nu, k_mu, k_nu, gamma, defects, ext)
+
+
+def _tensor_defects(u_rep: UnitaryRep, v_rep: UnitaryRep) -> np.ndarray:
+    """Commutator defects of the tensor reduction U(a) (x) lambda(a),
+    V(chi) (x) M(chi), without forming a tensor product.
+
+    With X = U(a)V(chi), Z = V(chi)U(a), Y = lambda(a)M(chi) and
+    W = M(chi)lambda(a), the Kronecker trace identity
+    tr((X (x) Y)*(Z (x) W)) = tr(X*Z) tr(Y*W) gives, per block of weight
+    coefficient c, ||X (x) Y - Z (x) W||_2^2 = (c/|A|) (tr X*X tr Y*Y +
+    tr Z*Z tr W*W - 2 Re tr X*Z tr Y*W).  lambda is the regular
+    representation and M(chi) = diag(chi(x)) comes from ``pairing``, so the
+    twist of the direct value enters only through the commutation of lambda
+    and M.
+    """
+    a_grp = u_rep.group
+    lam = regular_rep(a_grp).stacks[0].real  # permutation matrices
+    els = a_grp.elements
+    chars = [[a_grp.pairing(chi, x) for x in els] for chi in v_rep.group.elements]
+    mod = np.array([np.diag(row) for row in chars])  # integer at exponent 2
+    yy, ww, yw = _pair_traces(lam, mod)
+    out = np.zeros(yy.shape)
+    for us, vs, c in zip(u_rep.stacks, v_rep.stacks, u_rep.algebra.coeffs):
+        xx, zz, xz = _pair_traces(us, vs)
+        out += (c / a_grp.order) * (xx * yy + zz * ww - 2.0 * (xz * yw).real)
+    return out
+
+
+def _twisted_amplification(pair: _PauliPair) -> AmplificationCheck:
+    """The pair's amplification inequality, its direct value cross-checked
+    against the tensor reduction."""
+    k = pair.k_mu * pair.k_nu
+    lhs, rhs = _amplification(pair.defects, pair.mu, pair.nu, k)
+    tensor = _amplification(_tensor_defects(pair.u, pair.v), pair.mu, pair.nu, k)
+    if any(abs(t - d) > 1e-8 * max(1.0, d) for t, d in zip(tensor, (lhs, rhs))):
+        raise GapstabError("tensor reduction cross-check failed")
+    return AmplificationCheck(lhs, rhs)
 
 
 def twisted_amplification_check(
@@ -962,65 +1024,14 @@ def twisted_amplification_check(
 
     For U on an abelian group A and V on its dual, compares the uniform
     mean of ||U(a)V(chi) - chi(a)V(chi)U(a)||_2^2 with kappa(mu) kappa(nu)
-    times its (mu x nu)-integral.  Implemented through the tensor reduction
-    U(a) -> U(a) (x) lambda(a), V(chi) -> V(chi) (x) M(chi), which turns the
-    twisted defect into an honest commutator; a direct evaluation
-    cross-checks the reduction whenever the tensor dimension fits.
+    times its (mu x nu)-integral.  Every call cross-checks the direct value
+    against the tensor reduction U(a) -> U(a) (x) lambda(a),
+    V(chi) -> V(chi) (x) M(chi), which turns the twisted defect into an
+    honest commutator; the reduction is evaluated through the Kronecker
+    trace identity, so it runs at every size.  ``tensor_cap`` is accepted
+    and ignored.
     """
-    a_grp, d_grp = u_rep.group, v_rep.group
-    if not isinstance(a_grp, AbelianGroup) or not isinstance(d_grp, AbelianGroup):
-        raise InvalidArgument("twisted amplification needs abelian groups")
-    if a_grp.orders != d_grp.orders:
-        raise InvalidArgument("the second group must be the dual of the first")
-    alg = u_rep.algebra
-    defects = _pair_defects(u_rep, v_rep, a_grp.character_table().T)
-    lhs, rhs = _amplification(defects, u_rep, v_rep, mu, nu)
-
-    if max(alg.dims) * a_grp.order <= tensor_cap:
-        reg = regular_rep(a_grp)
-        big = TracialAlgebra(
-            [
-                (d * a_grp.order, w)
-                for d, w in zip(alg.dims, alg.weights)
-            ]
-        )
-        lam = {a: reg.images[a].blocks[0] for a in a_grp.elements}
-        mod = {
-            chi: np.diag(
-                [complex(a_grp.pairing(chi, x)) for x in a_grp.elements]
-            )
-            for chi in d_grp.elements
-        }
-        u_tensor = UnitaryRep(
-            a_grp,
-            big,
-            {
-                a: AlgebraElement(
-                    big, [np.kron(b, lam[a]) for b in u_rep.images[a].blocks]
-                )
-                for a in a_grp.elements
-            },
-            tol=1e-6,
-            check="none",
-        )
-        v_tensor = UnitaryRep(
-            d_grp,
-            big,
-            {
-                chi: AlgebraElement(
-                    big, [np.kron(b, mod[chi]) for b in v_rep.images[chi].blocks]
-                )
-                for chi in d_grp.elements
-            },
-            tol=1e-6,
-            check="none",
-        )
-        tensor_check = commutator_amplification_check(u_tensor, v_tensor, mu, nu)
-        if abs(tensor_check.lhs - lhs) > 1e-8 * max(1.0, lhs) or abs(
-            tensor_check.rhs - rhs
-        ) > 1e-8 * max(1.0, rhs):
-            raise GapstabError("tensor reduction cross-check failed")
-    return AmplificationCheck(lhs, rhs)
+    return _twisted_amplification(_pauli_pair(u_rep, v_rep, mu, nu))
 
 
 @dataclass
@@ -1062,21 +1073,17 @@ def round_pauli_pair(
     kappa(nu) * integral, and the composed constant is reported explicitly.
     The output w is a partial isometry with ||1 - w* w||_2^2 recorded.
     """
-    a_grp = u_rep.group
-    if not isinstance(a_grp, AbelianGroup) or a_grp.exponent > 2:
-        raise InvalidArgument("the first group must be abelian of exponent 2")
-    d_grp = v_rep.group
-    if not isinstance(d_grp, AbelianGroup) or d_grp.orders != a_grp.orders:
-        raise InvalidArgument("the second group must be the dual of the first")
-    ext = CentralExtensionGroup(a_grp, d_grp, lambda a, chi: int(a_grp.pairing(chi, a)))
-    _check_rounding_dim(ext, u_rep.algebra.dims)
+    return _round_pauli(_pauli_pair(u_rep, v_rep, mu, nu, rounding=True))
 
-    amp = twisted_amplification_check(u_rep, v_rep, mu, nu)
-    k_mu = float(kappa(a_grp, mu).kappa)
-    k_nu = float(kappa(d_grp, nu).kappa)
+
+def _round_pauli(pair: _PauliPair) -> PauliRoundingResult:
+    """:func:`round_pauli_pair` on a pair built for a rounding."""
+    amp = _twisted_amplification(pair)
+    k_mu, k_nu = pair.k_mu, pair.k_nu
     integral = amp.rhs / (k_mu * k_nu) if k_mu * k_nu > 0 else 0.0
 
-    rounding = _round_twisted(u_rep, v_rep, ext)
+    # the rounding's epsilon is the amplified defect, the mean of the pair defects
+    rounding = _round_twisted(pair.u, pair.v, pair.ext, pair.gamma.real, amp.lhs)
     composed_constant = TWISTED_CONSTANT * k_mu * k_nu
     composed_bound = composed_constant * integral
     _check_bound(rounding.distance_u, composed_bound, "composed Pauli distance (U)")

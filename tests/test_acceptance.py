@@ -1,4 +1,4 @@
-"""Acceptance gate: ten criteria, one test per criterion.
+"""Acceptance gate: eleven criteria, one test per criterion.
 
 Each test asserts the criterion's tolerances and runtime budget and prints a
 single summary line; ``pytest -v`` therefore yields one pass/fail line per
@@ -33,6 +33,8 @@ from gapstab.games import (
     line_sign,
     magic_square_game,
     pauli_pvms,
+    pauli_rigidity_report,
+    perturb_strategy,
     value,
 )
 from gapstab.groups import ProductGroup
@@ -417,3 +419,32 @@ def test_ac10_replay_determinism(tmp_path, capsys):
         assert outputs[0] == outputs[1], f"{suite} replay diverged"
     capsys.readouterr()
     _ok("AC10", "manifest replays byte-identical for poincare and lemma17")
+
+
+# -- 11. the Hamming rigidity report end to end --------------------------------------
+
+
+def test_ac11_hamming_rigidity_report():
+    """One full report on a perturbed Hamming [7,4,3] strategy (four qubits,
+    449 questions): every bound of the chain holds and the closeness
+    constant strategy_distance / (c c' eps) is finite."""
+    game = named_game("hamming")
+    strat = perturb_strategy(honest_strategy(game), 0.05, np.random.default_rng(0))
+    t0 = time.monotonic()
+    rep = pauli_rigidity_report(game, strat)
+    elapsed = time.monotonic() - t0
+    assert rep["epsilon"] > 1e-4
+    assert rep["epsilon_sum"] <= rep["epsilon_sum_bound"] * (1 + 1e-9) + 1e-12
+    assert rep["prop_lhs"] <= rep["prop_bound"] * (1 + 1e-9) + 1e-12
+    bound = 30000.0 * rep["rounding_epsilon"]
+    assert max(rep["rounding_distance_u"], rep["rounding_distance_v"]) <= bound
+    assert rep["relation_residual"] <= 1e-9
+    assert rep["bridge_residual"] <= 1e-12
+    constant = rep["closeness_constant"]
+    assert constant is not None and math.isfinite(constant)
+    assert elapsed < 30.0
+    _ok(
+        "AC11",
+        f"Hamming report eps {rep['epsilon']:.2e}, prop ratio {rep['prop_ratio']:.3e}, "
+        f"closeness constant {constant:.3f}, {_headroom(elapsed, 30.0)}",
+    )

@@ -421,18 +421,23 @@ def test_rigidity_report_requires_structure():
 def test_hamming_report_refuses_rounding_before_amplification(monkeypatch):
     """Under a cap of 511 the Hamming rounding is refused: its extension has
     order 512 and its largest Fourier block (m = 32 times the 16-dimensional
-    faithful irrep) is 512.  The refusal comes before any amplification or
-    tensor check runs."""
+    faithful irrep) is 512.  The refusal comes before the pair's defects, its
+    gap constants or the amplification check are computed; under the default
+    cap the report does reach them."""
     import gapstab.stability as stability
 
     def not_reached(*args, **kwargs):
-        raise AssertionError("amplification check ran before the cap check")
+        raise AssertionError("amplification work ran before the cap check")
 
-    monkeypatch.setattr(stability, "twisted_amplification_check", not_reached)
-    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 511)
+    for name in ("_pair_defects", "kappa", "_twisted_amplification"):
+        monkeypatch.setattr(stability, name, not_reached)
     game = named_game("hamming")
+    strat = honest_strategy(game)
+    with pytest.raises(AssertionError, match="before the cap check"):
+        pauli_rigidity_report(game, strat)
+    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 511)
     with pytest.raises(ResourceCap, match="512"):
-        pauli_rigidity_report(game, honest_strategy(game))
+        pauli_rigidity_report(game, strat)
 
 
 @pytest.mark.parametrize("name", ["repetition", "hamming"])

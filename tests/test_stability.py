@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapstab import suites
+from gapstab import algebra, stability, suites
 from gapstab.abelian import (
     AbelianGroup,
     boolean_group,
@@ -33,6 +33,7 @@ from gapstab.games import (
     pauli_pvms,
     pauli_rigidity_report,
     perturb_strategy,
+    twisted_defect,
 )
 from gapstab.groups import CentralExtensionGroup, ProductGroup, symmetric_group
 from gapstab.spectral import ProbMeasure
@@ -401,6 +402,90 @@ def test_amplification_with_gap():
     assert chk.lhs <= chk.rhs * (1 + 1e-9) + 1e-12
 
 
+def _kron_defects(u, v):
+    """The materialised tensor reduction: ||[U(a) (x) lambda(a), V(chi) (x)
+    M(chi)]||_2^2 pair by pair, in the algebra amplified by M_|A|."""
+    grp = u.group
+    lam = regular_rep(grp)
+    big = TracialAlgebra([(d * grp.order, w) for d, w in zip(u.algebra.dims, u.algebra.weights)])
+    out = np.zeros((grp.order, v.group.order))
+    for i, a in enumerate(grp.elements):
+        ut = big.element([np.kron(b, lam.images[a].blocks[0]) for b in u.images[a].blocks])
+        for j, chi in enumerate(v.group.elements):
+            mod = np.diag([complex(grp.pairing(chi, x)) for x in grp.elements])
+            vt = big.element([np.kron(b, mod) for b in v.images[chi].blocks])
+            out[i, j] = big.norm2(ut * vt - vt * ut) ** 2
+    return out
+
+
+def _two_block_pair():
+    """Haar-random images of Z2 x Z2 and its dual on M_2 (+) M_3."""
+    grp = boolean_group(2)
+    alg = TracialAlgebra([(2, Fraction(1, 3)), (3, Fraction(2, 3))])
+    rng = np.random.default_rng(12)
+
+    def images(g):
+        return {x: alg.element([haar_unitary(d, rng) for d in alg.dims]) for x in g.elements}
+
+    return AlmostHom(grp, alg, images(grp)), AlmostHom(grp.dual(), alg, images(grp.dual()))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "two-block"])
+def test_tensor_trace_identity_matches_kronecker(case):
+    """The Kronecker trace identity gives the materialised tensor reduction's
+    defects, and the direct twisted defects, pair by pair."""
+    if case == "two-block":
+        u, v = _two_block_pair()
+    else:
+        u, v = suites._conjugated_pauli_reps(case, np.random.default_rng(case))
+    got = stability._tensor_defects(u, v)
+    want = _kron_defects(u, v)
+    assert want.max() > 1e-3
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    direct = algebra._pair_defects(u, v, u.group.character_table().T)
+    np.testing.assert_allclose(got, direct, rtol=0, atol=1e-12)
+
+
+def _flip_one_character(monkeypatch):
+    """Make character_table() return one wrong sign, so the direct twisted
+    defect is wrong while the tensor reduction (built from ``pairing``) is not."""
+    table = AbelianGroup.character_table
+
+    def flipped(self):
+        t = table(self).copy()
+        t[1, 1] *= -1
+        return t
+
+    monkeypatch.setattr(AbelianGroup, "character_table", flipped)
+
+
+@pytest.mark.parametrize("n, factor, tensor_cap", [(5, 2, 1024), (2, 1, 0)])
+def test_tensor_cross_check_runs_at_every_size(monkeypatch, n, factor, tensor_cap):
+    """A wrong twist in the direct value is caught above the old cap of
+    m |A| = 1024 (here 64 * 32) and with the cross-check once disabled by
+    ``tensor_cap=0``: the keyword no longer selects anything."""
+    u, v = _pauli_reps(n)
+    if factor > 1:
+        big = TracialAlgebra.matrix(u.algebra.dims[0] * factor)
+
+        def widen(rep):
+            eye = np.eye(factor)
+            return UnitaryRep(
+                rep.group,
+                big,
+                {g: big.element([np.kron(rep.images[g].blocks[0], eye)]) for g in rep.group.elements},
+                check="none",
+            )
+
+        u, v = widen(u), widen(v)
+    assert max(u.algebra.dims) * u.group.order == (2048 if factor > 1 else 16)
+    mu, nu = ProbMeasure.uniform(u.group), ProbMeasure.uniform(v.group)
+    assert twisted_amplification_check(u, v, mu, nu, tensor_cap=tensor_cap).lhs < 1e-20
+    _flip_one_character(monkeypatch)
+    with pytest.raises(GapstabError, match="tensor reduction cross-check failed"):
+        twisted_amplification_check(u, v, mu, nu, tensor_cap=tensor_cap)
+
+
 def test_round_pauli_pair():
     u, v = _pauli_reps(1)
     mu = ProbMeasure.uniform_on(u.group, [(1,), (1,), (1,)])  # repetition law
@@ -476,7 +561,7 @@ def test_equivariance_residual_matches_pair_loop():
 
 def test_report_twisted_defect_is_one_quantity():
     """The report's prop_lhs, the amplification lhs and the rounding epsilon
-    are the same twisted defect, computed three times."""
+    are the same twisted defect, the mean of one pair-defect matrix."""
     game = named_game("repetition")
     strat = perturb_strategy(honest_strategy(game), 0.1, np.random.default_rng(11))
     rep = pauli_rigidity_report(game, strat)
@@ -485,6 +570,43 @@ def test_report_twisted_defect_is_one_quantity():
     v = rep_from_pvm(strat["PZ"], group.dual())
     res = round_pauli_pair(u, v, game.alpha_law, game.beta_law)
     assert rep["prop_lhs"] > 1e-4
-    assert res.amplification.lhs == pytest.approx(rep["prop_lhs"], rel=1e-12)
-    assert res.rounding.epsilon == pytest.approx(rep["prop_lhs"], rel=1e-12)
-    assert rep["rounding_epsilon"] == pytest.approx(rep["prop_lhs"], rel=1e-12)
+    assert res.amplification.lhs == rep["prop_lhs"]
+    assert res.rounding.epsilon == rep["prop_lhs"]
+    assert rep["rounding_epsilon"] == rep["prop_lhs"]
+    assert twisted_defect(u, v) == rep["prop_lhs"]
+
+
+def test_report_builds_the_pair_once(monkeypatch):
+    """One report computes the input pair's defect matrix once, calls kappa
+    twice and builds the two corner PVMs."""
+    import gapstab.games as games
+
+    game = named_game("repetition")
+    strat = perturb_strategy(honest_strategy(game), 0.1, np.random.default_rng(11))
+    calls = {"defects": 0, "kappa": 0, "pvm_from_rep": 0}
+    inputs = []
+
+    def counted(name, fn, counts=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            calls[name] += counts(*args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def tracked(pvm, group):
+        inputs.append(rep_from_pvm(pvm, group))
+        return inputs[-1]
+
+    def on_input(u, v, gamma):
+        return any(u is r for r in inputs)
+
+    monkeypatch.setattr(games, "rep_from_pvm", tracked)
+    monkeypatch.setattr(
+        stability, "_pair_defects", counted("defects", stability._pair_defects, on_input)
+    )
+    monkeypatch.setattr(stability, "kappa", counted("kappa", stability.kappa))
+    monkeypatch.setattr(games, "pvm_from_rep", counted("pvm_from_rep", games.pvm_from_rep))
+    rep = pauli_rigidity_report(game, strat)
+    assert rep["bridge_residual"] <= 1e-12
+    assert len(inputs) == 2
+    assert calls == {"defects": 1, "kappa": 2, "pvm_from_rep": 2}

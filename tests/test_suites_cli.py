@@ -8,6 +8,7 @@ import gapstab.suites as suites
 from gapstab.abelian import cyclic, regular_rep
 from gapstab.algebra import AlmostHom
 from gapstab.cli import (
+    DEFAULT_SEED,
     ExperimentManifest,
     dispatch,
     main,
@@ -249,6 +250,34 @@ def test_cli_sweep(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "sigma,eps,lhs,bound,closeness,cc_eps"
     assert len(lines) == 4
+
+
+def test_cli_sweep_keeps_the_probe_point(monkeypatch, tmp_path):
+    """The full report that probes the rounding cap is the sweep's first
+    point: three points cost three reports, and the CSV holds exactly the
+    points of one uninterrupted sweep."""
+    calls = []
+    report = suites.pauli_rigidity_report
+
+    def counted(game, strat):
+        calls.append(strat)
+        return report(game, strat)
+
+    out = tmp_path / "sweep.csv"
+    code = [
+        "sweep", "--game", "repetition",
+        "--points", "3", "--sigma-min", "0.05", "--sigma-max", "0.2",
+        "--out", str(out),
+    ]
+    monkeypatch.setattr(suites, "pauli_rigidity_report", counted)
+    assert main(code) == 0
+    assert len(calls) == 3
+    game = named_game("repetition")
+    sigmas = np.logspace(np.log10(0.05), np.log10(0.2), 3)
+    points = rigidity_sweep(game, honest_strategy(game), sigmas, seed=DEFAULT_SEED)
+    header = out.read_text().splitlines()[0].split(",")
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows == [[repr(q[k]) for k in header] for q in points]
 
 
 def test_sweep_defect_matches_report():
