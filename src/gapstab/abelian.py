@@ -37,6 +37,12 @@ class AbelianGroup(FiniteGroup):
     def inv(self, g):
         return tuple((-a) % m for a, m in zip(g, self.orders))
 
+    def mul_index(self, i, j):
+        x, y = np.unravel_index(i, self.orders), np.unravel_index(j, self.orders)
+        return np.ravel_multi_index(
+            tuple((a + b) % m for a, b, m in zip(x, y, self.orders)), self.orders
+        )
+
     def power(self, g, k: int):
         return tuple((a * k) % m for a, m in zip(g, self.orders))
 

@@ -493,15 +493,9 @@ _LAW_COST_LIMIT = 2e8
 _LAW_SAMPLES = 64
 
 
-def _indexed_pairs(group, left, right):
-    """``(left, right, product)`` element-index arrays of the pairs (g, h)."""
-    els = group.elements
-    prod = [group.index(group.mul(els[i], els[j])) for i, j in zip(left, right)]
-    return np.asarray(left), np.asarray(right), np.array(prod, dtype=np.intp)
-
-
 def _law_pairs(group, dims, exhaustive: bool = False):
-    """The pairs on which the multiplication law is checked (see above)."""
+    """``(left, right, product)`` element-index arrays of the pairs (g, h) on
+    which the multiplication law is checked (see above)."""
     n = group.order
     if exhaustive or n * n * sum(d**3 for d in dims) <= _LAW_COST_LIMIT:
         left, right = np.divmod(np.arange(n * n), n)
@@ -510,7 +504,7 @@ def _law_pairs(group, dims, exhaustive: bool = False):
         left, right = np.array(
             [(rng.integers(n), rng.integers(n)) for _ in range(_LAW_SAMPLES)]
         ).T
-    return _indexed_pairs(group, left, right)
+    return left, right, group.mul_index(left, right)
 
 
 def _law_residual(stack: np.ndarray, pairs, sl: slice) -> np.ndarray:
@@ -651,7 +645,8 @@ def defect(phi: AlmostHom, mu=None, nu=None) -> float:
     gi, gw = _measure_weights(group, mu)
     hi, hw = _measure_weights(group, nu)
     weights = np.outer(gw, hw).ravel()
-    pairs = _indexed_pairs(group, np.repeat(gi, len(hi)), np.tile(hi, len(gi)))
+    left, right = np.repeat(gi, len(hi)), np.tile(hi, len(gi))
+    pairs = (left, right, group.mul_index(left, right))
     total = 0.0
     for b, sl in _chunks(phi.algebra.dims, len(weights)):
         sq = _frobenius_sq(_law_residual(phi.stacks[b], pairs, sl))

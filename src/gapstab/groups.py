@@ -1,11 +1,13 @@
 """Finite groups given by explicit element lists.
 
 A group object exposes ``elements`` (a tuple of hashable labels), ``identity``,
-``mul``, ``inv`` and ``index``.  Groups that know their full set of irreducible
-unitary representations return them as stacked image arrays from
-``irrep_stacks()`` (and one :class:`Irrep` each from ``irreps()``), which
-``validate_irreps`` checks; groups without that knowledge return None.  The
-Gowers-Hatami rounding splits its averaged operator along these irreps.
+``mul``, ``inv``, ``index`` and ``mul_index``.  The last multiplies whole
+arrays of element indices; the defect, the law checks, the rounding and the
+spectral gap read every product through it.  Groups that know their full set of
+irreducible unitary representations return them as stacked image arrays from
+``irrep_stacks()``, which ``validate_irreps`` checks; groups without that
+knowledge return None.  The Gowers-Hatami rounding splits its averaged
+operator along these irreps.
 """
 
 from __future__ import annotations
@@ -16,18 +18,6 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument
-
-
-class Irrep:
-    """A unitary irreducible representation as an explicit matrix table."""
-
-    def __init__(self, group, images: dict, dim: int):
-        self.group = group
-        self.images = images
-        self.dim = dim
-
-    def __call__(self, g):
-        return self.images[g]
 
 
 class FiniteGroup:
@@ -61,6 +51,17 @@ class FiniteGroup:
     def inv(self, g):
         raise NotImplementedError
 
+    def mul_index(self, i, j) -> np.ndarray:
+        """Element indices of the products g_i g_j, for two equal-length
+        arrays of element indices.  This generic version multiplies labels;
+        subclasses with an arithmetic law override it with array arithmetic.
+        """
+        els = self.elements
+        return np.array(
+            [self._index[self.mul(els[a], els[b])] for a, b in zip(i, j)],
+            dtype=np.intp,
+        )
+
     def irrep_stacks(self) -> list[np.ndarray] | None:
         """The irreducible unitary representations as image stacks, or None.
 
@@ -69,17 +70,6 @@ class FiniteGroup:
         family.  Groups that do not know their irreps return None.
         """
         return None
-
-    def irreps(self) -> list[Irrep] | None:
-        """The irreps of ``irrep_stacks()``, one :class:`Irrep` each."""
-        families = self.irrep_stacks()
-        if families is None:
-            return None
-        return [
-            Irrep(self, dict(zip(self.elements, images)), fam.shape[-1])
-            for fam in families
-            for images in fam
-        ]
 
     def is_subgroup(self, subset) -> bool:
         """Check that ``subset`` is closed under multiplication and inverse."""
@@ -110,27 +100,25 @@ class MulTableGroup(FiniteGroup):
         if len(ident) != 1:
             raise InvalidArgument("table has no (or several) identity rows")
         self.identity = ident[0]
-        inv = {}
-        for g in range(n):
-            js = np.nonzero(table[g] == self.identity)[0]
-            if len(js) != 1:
-                raise InvalidArgument(f"element {g} has no unique inverse")
-            inv[g] = int(js[0])
-        self._inv = inv
-        # associativity spot check on full table is O(n^3); keep it for small n
-        if n <= 64:
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if table[table[a, b], c] != table[a, table[b, c]]:
-                            raise InvalidArgument("table is not associative")
+        is_inverse = table == self.identity
+        bad = np.flatnonzero(is_inverse.sum(axis=1) != 1)
+        if bad.size:
+            raise InvalidArgument(f"element {bad[0]} has no unique inverse")
+        self._inv = is_inverse.argmax(axis=1)
+        # associativity, table[table[a, b], c] == table[a, table[b, c]], is an
+        # O(n^3) array; keep it for small n
+        if n <= 64 and not np.array_equal(table[table], table[:, table]):
+            raise InvalidArgument("table is not associative")
         self._post_init_common()
 
     def mul(self, g, h):
         return int(self.table[g, h])
 
     def inv(self, g):
-        return self._inv[g]
+        return int(self._inv[g])
+
+    def mul_index(self, i, j):
+        return self.table[i, j]
 
     def __repr__(self):
         return f"MulTableGroup(order={self.order})"
@@ -151,6 +139,11 @@ class ProductGroup(FiniteGroup):
 
     def inv(self, g):
         return (self.first.inv(g[0]), self.second.inv(g[1]))
+
+    def mul_index(self, i, j):
+        n2 = self.second.order
+        (i1, i2), (j1, j2) = np.divmod(i, n2), np.divmod(j, n2)
+        return self.first.mul_index(i1, j1) * n2 + self.second.mul_index(i2, j2)
 
     def embed_first(self, g):
         return (g, self.second.identity)
@@ -183,46 +176,41 @@ class CentralExtensionGroup(FiniteGroup):
         (a, b, z) * (a', b', z') = (a a', b b', gamma(a', b) z z').
 
     ``gamma(a, b)`` must take values in {+1,-1} and be multiplicative in each
-    argument; this is validated exhaustively at construction.
+    argument; this is validated exhaustively at construction.  The signs are
+    kept as one read-only (|A|, |B|) array, ``signs[i, j] = gamma(a_i, b_j)``
+    in element order.
     """
 
     def __init__(self, a_group, b_group, gamma):
         self.a_group = a_group
         self.b_group = b_group
-        gtab = {}
-        for a in a_group.elements:
-            for b in b_group.elements:
+        signs = np.empty((a_group.order, b_group.order), dtype=int)
+        for i, a in enumerate(a_group.elements):
+            for j, b in enumerate(b_group.elements):
                 v = gamma(a, b)
                 if v not in (1, -1):
-                    raise InvalidArgument(
-                        f"gamma({a!r},{b!r}) = {v!r} is not a sign")
-                gtab[(a, b)] = int(v)
-        self._gamma = gtab
-        ea, eb = a_group.identity, b_group.identity
-        for a in a_group.elements:
-            for a2 in a_group.elements:
-                for b in b_group.elements:
-                    if gtab[(a_group.mul(a, a2), b)] != gtab[(a, b)] * gtab[(a2, b)]:
-                        raise InvalidArgument("gamma is not multiplicative in a")
-        for b in b_group.elements:
-            for b2 in b_group.elements:
-                for a in a_group.elements:
-                    if gtab[(a, b_group.mul(b, b2))] != gtab[(a, b)] * gtab[(a, b2)]:
-                        raise InvalidArgument("gamma is not multiplicative in b")
-        if gtab[(ea, eb)] != 1:
-            raise InvalidArgument("gamma must be 1 at the identity")
+                    raise InvalidArgument(f"gamma({a!r},{b!r}) = {v!r} is not a sign")
+                signs[i, j] = v
+        # gamma(x x', y) = gamma(x, y) gamma(x', y) on every pair (x, x') at once
+        for grp, table, side in ((a_group, signs, "a"), (b_group, signs.T, "b")):
+            i, j = np.divmod(np.arange(grp.order**2), grp.order)
+            if not np.array_equal(table[grp.mul_index(i, j)], table[i] * table[j]):
+                raise InvalidArgument(f"gamma is not multiplicative in {side}")
+        signs.flags.writeable = False
+        self.signs = signs
         self.elements = tuple(
             (a, b, z)
             for a in a_group.elements
             for b in b_group.elements
             for z in (1, -1)
         )
+        ea, eb = a_group.identity, b_group.identity
         self.identity = (ea, eb, 1)
         self.central_sign = (ea, eb, -1)
         self._post_init_common()
 
     def gamma(self, a, b) -> int:
-        return self._gamma[(a, b)]
+        return int(self.signs[self.a_group.index(a), self.b_group.index(b)])
 
     def mul(self, g, h):
         a, b, z = g
@@ -230,7 +218,7 @@ class CentralExtensionGroup(FiniteGroup):
         return (
             self.a_group.mul(a, a2),
             self.b_group.mul(b, b2),
-            self._gamma[(a2, b)] * z * z2,
+            self.gamma(a2, b) * z * z2,
         )
 
     def inv(self, g):
@@ -238,7 +226,18 @@ class CentralExtensionGroup(FiniteGroup):
         ai = self.a_group.inv(a)
         bi = self.b_group.inv(b)
         # (a,b,z)(ai,bi,z') = (e,e, gamma(ai,b) z z') -> z' = z * gamma(ai,b)
-        return (ai, bi, z * self._gamma[(ai, b)])
+        return (ai, bi, z * self.gamma(ai, b))
+
+    def mul_index(self, i, j):
+        # elements run over (a, b, z) with z innermost, z index 1 for -1; the
+        # product's sign bit is z xor z' xor [gamma(a', b) = -1]
+        shape = (self.a_group.order, self.b_group.order, 2)
+        a, b, z = np.unravel_index(i, shape)
+        a2, b2, z2 = np.unravel_index(j, shape)
+        sign = z ^ z2 ^ (self.signs[a2, b] < 0)
+        return np.ravel_multi_index(
+            (self.a_group.mul_index(a, a2), self.b_group.mul_index(b, b2), sign), shape
+        )
 
     def embed_a(self, a):
         return (a, self.b_group.identity, 1)
@@ -271,12 +270,10 @@ class CentralExtensionGroup(FiniteGroup):
         if self.order == 2 * na * nb and na == nb:
             # candidate faithful block: pi(a,b,z) = z * (translation by a) *
             # diag_x gamma(x, b) on l2(A)
-            aelems, belems = self.a_group.elements, self.b_group.elements
+            ia, jx = np.divmod(np.arange(na * na), na)
             perms = np.zeros((na, na, na))
-            for i, a in enumerate(aelems):
-                for j, x in enumerate(aelems):
-                    perms[i, self.a_group.index(self.a_group.mul(a, x)), j] = 1.0
-            gam = np.array([[self._gamma[(x, b)] for x in aelems] for b in belems])
+            perms[ia, self.a_group.mul_index(ia, jx), jx] = 1.0
+            gam = self.signs.T
             signs = np.array([1.0, -1.0])
             images = np.einsum("aij,bj,z->abzij", perms, gam, signs)
             pi0 = images.reshape(self.order, na, na).astype(complex)
@@ -341,34 +338,32 @@ def symmetric_group(n: int) -> PermutationGroup:
 
 
 def validate_irreps(group: FiniteGroup, tol: float = 1e-9) -> None:
-    """Assert that group.irreps() is a complete orthonormal family.
+    """Assert that group.irrep_stacks() is a complete orthonormal family.
 
-    Checks the homomorphism law on random pairs, unitarity, Schur
-    orthogonality of matrix coefficients and the dimension count.
+    Checks the dimension count, unitarity of the Peter-Weyl matrix (Schur
+    orthogonality of matrix coefficients) and the homomorphism law on the
+    pairs of the first eight elements.
     """
-    reps = group.irreps()
-    if reps is None:
+    families = group.irrep_stacks()
+    if families is None:
         raise InvalidArgument("group does not provide irreducibles")
-    if sum(s.dim**2 for s in reps) != group.order:
+    if sum(len(f) * f.shape[-1] ** 2 for f in families) != group.order:
         raise InvalidArgument("irreducibles do not exhaust the group order")
     n = group.order
-    # Build the Peter-Weyl matrix and verify it is unitary.
-    rows = []
-    for s in reps:
-        scale = np.sqrt(s.dim / n)
-        block = np.stack([s.images[g] for g in group.elements], axis=-1)
-        rows.append(scale * block.reshape(s.dim * s.dim, n))
-    f = np.vstack(rows)
+    # The Peter-Weyl matrix: row (rho, i, j) is sqrt(d_rho / n) rho_ij(g).
+    f = np.vstack(
+        [
+            np.sqrt(fam.shape[-1] / n) * fam.transpose(0, 2, 3, 1).reshape(-1, n)
+            for fam in families
+        ]
+    )
     err = np.max(np.abs(f @ f.conj().T - np.eye(n)))
     if err > tol:
         raise InvalidArgument(f"irreducibles fail orthogonality: residual {err:g}")
-    for s in reps:
-        for g in group.elements[: min(8, n)]:
-            for h in group.elements[: min(8, n)]:
-                err = np.max(
-                    np.abs(s.images[group.mul(g, h)] - s.images[g] @ s.images[h])
-                )
-                if err > tol:
-                    raise InvalidArgument(
-                        f"irrep fails multiplication law: residual {err:g}"
-                    )
+    k = min(8, n)
+    left, right = np.divmod(np.arange(k * k), k)
+    prod = group.mul_index(left, right)
+    for fam in families:
+        err = np.max(np.abs(fam[:, prod] - fam[:, left] @ fam[:, right]))
+        if err > tol:
+            raise InvalidArgument(f"irrep fails multiplication law: residual {err:g}")

@@ -232,10 +232,9 @@ def kappa_general(group: FiniteGroup, mu: ProbMeasure, cap: int = GROUP_ORDER_CA
         return GapReport(Fraction(0), -math.inf, "regular-rep")
     nu = mu.symmetrized()
     a = np.zeros((n, n))
+    cols = np.arange(n)
     for g, p in nu.items_nonzero():
-        fp = float(p)
-        for h in group.elements:
-            a[group.index(group.mul(g, h)), group.index(h)] += fp
+        a[group.mul_index(np.full(n, group.index(g)), cols), cols] += float(p)
     vals = np.linalg.eigvalsh(a)
     lam2 = float(vals[-2])  # top eigenvalue 1 is simple: support generates
     return GapReport(1.0 / (1.0 - lam2), lam2, "regular-rep")

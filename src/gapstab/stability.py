@@ -31,7 +31,6 @@ from .algebra import (
     UnitaryRep,
     _chunks,
     _frobenius_sq,
-    _indexed_pairs,
     _law_norm,
     _law_pairs,
     _law_residual,
@@ -480,11 +479,9 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
     eps = defect(phi)
     elements = group.elements
     if families is None:
-        inv_idx = np.array([group.index(group.inv(g)) for g in elements])
-        mul_idx = np.empty((n, n), dtype=int)
-        for i, g in enumerate(elements):
-            for j, h in enumerate(elements):
-                mul_idx[i, j] = group.index(group.mul(g, h))
+        mul_idx = group.mul_index(*np.divmod(np.arange(n * n), n)).reshape(n, n)
+        # the inverse of g_i is the column of the identity in row i
+        inv_idx = np.nonzero(mul_idx == group.index(group.identity))[1]
         blocks = [
             _round_block(n, m, mul_idx, inv_idx, stack)
             for m, stack in zip(base.dims, phi.stacks)
@@ -610,7 +607,7 @@ def equivariance_residual(phi: AlmostHom, subgroup, side: str = "left") -> float
     sub = np.array([group.index(h) for h in subgroup], dtype=np.intp)
     hs, gs = np.repeat(sub, n), np.tile(np.arange(n), len(sub))
     left, right = (hs, gs) if side == "left" else (gs, hs)
-    pairs = _indexed_pairs(group, left, right)
+    pairs = (left, right, group.mul_index(left, right))
     sq = np.zeros(len(hs))
     for b, sl in _chunks(phi.algebra.dims, len(hs)):
         sq[sl] += phi.algebra.coeffs[b] * _frobenius_sq(
@@ -811,10 +808,7 @@ def round_twisted_pair(
     gam = gamma if callable(gamma) else (lambda a, b: gamma[(a, b)])
     ext = CentralExtensionGroup(u_rep.group, v_rep.group, gam)
     _check_rounding_dim(ext, u_rep.algebra.dims)
-    signs = np.array(
-        [[ext.gamma(a, b) for b in v_rep.group.elements] for a in u_rep.group.elements],
-        dtype=float,
-    )
+    signs = ext.signs.astype(float)
     eps = float(_pair_defects(u_rep, v_rep, signs).mean())
     return _round_twisted(u_rep, v_rep, ext, signs, eps)
 

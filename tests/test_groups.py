@@ -66,6 +66,19 @@ def test_mul_table_rejects_non_group():
     # constant rows: no identity / not a latin square
     with pytest.raises(InvalidArgument):
         MulTableGroup([[0, 0], [0, 0]])
+    with pytest.raises(InvalidArgument, match="element 1 has no unique inverse"):
+        MulTableGroup([[0, 1, 2], [1, 0, 0], [2, 2, 1]])
+    # a Latin square with identity 0 and x x = 0 for all x: a loop of order 5,
+    # which no group is
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(InvalidArgument, match="table is not associative"):
+        MulTableGroup(loop)
 
 
 def test_permutation_group_closure():
@@ -112,11 +125,48 @@ def test_central_extension_weyl_relation():
 
 def test_central_extension_validates_gamma():
     a = boolean_group(1)
-    with pytest.raises(InvalidArgument):
-        CentralExtensionGroup(a, a, lambda x, y: 2)  # not a sign
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match="is not a sign"):
+        CentralExtensionGroup(a, a, lambda x, y: 2)
+    with pytest.raises(InvalidArgument, match="not multiplicative in a"):
         # not multiplicative in either argument
         CentralExtensionGroup(a, a, lambda x, y: -1)
+    with pytest.raises(InvalidArgument, match="not multiplicative in b"):
+        # a character of x for each y, but gamma(1, .) = (-1, 1) is not one of y
+        CentralExtensionGroup(a, a, lambda x, y: -1 if (x, y) == ((1,), (0,)) else 1)
+
+
+def test_central_extension_signs():
+    grp = _pauli_extension(2)
+    a, b = grp.a_group, grp.b_group
+    for i, x in enumerate(a.elements):
+        for j, y in enumerate(b.elements):
+            assert grp.signs[i, j] == grp.gamma(x, y) == a.pairing(x, y)
+    with pytest.raises(ValueError):
+        grp.signs[0, 0] = -1
+
+
+@pytest.mark.parametrize(
+    "grp",
+    [
+        AbelianGroup((2, 4)),
+        AbelianGroup((3, 3)),
+        ProductGroup(cyclic(2), symmetric_group(3)),
+        ProductGroup(AbelianGroup((2, 2)), cyclic(4)),
+        _pauli_extension(1),
+        _pauli_extension(2),
+        MulTableGroup([[(i + j) % 6 for j in range(6)] for i in range(6)]),
+        symmetric_group(3),
+    ],
+    ids=[
+        "Z2xZ4", "Z3xZ3", "Z2xS3", "Z2^2xZ4", "pauli1", "pauli2", "table-Z6", "S3",
+    ],
+)
+def test_mul_index_matches_mul(grp):
+    """On every pair, mul_index agrees with multiplying the labels."""
+    n, els = grp.order, grp.elements
+    left, right = np.divmod(np.arange(n * n), n)
+    expected = [grp.index(grp.mul(els[a], els[b])) for a, b in zip(left, right)]
+    assert grp.mul_index(left, right).tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -147,3 +197,13 @@ def test_validate_irreps(grp):
 def test_validate_irreps_unavailable():
     with pytest.raises(InvalidArgument):
         validate_irreps(symmetric_group(4))
+
+
+def test_validate_irreps_rejects_a_family_that_breaks_the_law(monkeypatch):
+    """Swapping the images of 1 and 2 in Z4 keeps the characters orthonormal
+    (a column permutation of a unitary matrix) but is no automorphism."""
+    grp = cyclic(4)
+    stacks = grp.irrep_stacks()
+    monkeypatch.setattr(grp, "irrep_stacks", lambda: [s[:, [0, 2, 1, 3]] for s in stacks])
+    with pytest.raises(InvalidArgument, match="irrep fails multiplication law"):
+        validate_irreps(grp)

@@ -227,6 +227,23 @@ def test_fourier_rounding_matches_dense(case, monkeypatch):
     assert abs(rf["pi_residual"] - rep_residual(fourier.pi)) <= 1e-14
 
 
+def test_defect_and_rounding_make_no_label_products(monkeypatch):
+    """defect and gowers_hatami_round read every product through mul_index,
+    with no label-level mul call on an abelian group or an extension."""
+    reps = [regular_rep(boolean_group(3)), regular_rep(_pauli_extension(1))]
+    calls = []
+    for cls in (AbelianGroup, CentralExtensionGroup):
+        mul = cls.mul
+        monkeypatch.setattr(
+            cls, "mul", lambda self, g, h, mul=mul: calls.append((g, h)) or mul(self, g, h)
+        )
+    for seed, rep in enumerate(reps):
+        phi = suites._noisy_hom(rep, 0.1, np.random.default_rng(seed))
+        defect(phi)
+        gowers_hatami_round(phi)
+    assert calls == []
+
+
 def test_rounding_path_and_largest_block():
     """Z2^5 at m = 32 rounds through 32 one-dimensional blocks of size 32;
     S4 provides no irreps and stays dense at |G| m = 96."""
