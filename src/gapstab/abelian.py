@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .algebra import PVM, AlgebraElement, TracialAlgebra, UnitaryRep, _weighted_sums
+from .algebra import PVM, TracialAlgebra, UnitaryRep, _weighted_sums
 from .errors import InvalidArgument
 from .groups import FiniteGroup
 
@@ -126,13 +126,11 @@ def regular_rep(group: FiniteGroup, algebra: TracialAlgebra | None = None) -> Un
         algebra = TracialAlgebra.matrix(n)
     if algebra.dims != (n,):
         raise InvalidArgument("regular representation needs one block of size |G|")
-    images = {}
-    for g in group.elements:
-        m = np.zeros((n, n), dtype=complex)
-        for h in group.elements:
-            m[group.index(group.mul(g, h)), group.index(h)] = 1.0
-        images[g] = algebra.element([m])
-    return UnitaryRep(group, algebra, images, check="none")
+    stack = np.zeros((n, n, n), dtype=complex)
+    for i, g in enumerate(group.elements):
+        for j, h in enumerate(group.elements):
+            stack[i, group.index(group.mul(g, h)), j] = 1.0
+    return UnitaryRep(group, algebra, [stack], check="none")
 
 
 def rep_from_pvm(pvm: PVM, group: AbelianGroup) -> UnitaryRep:
@@ -144,11 +142,8 @@ def rep_from_pvm(pvm: PVM, group: AbelianGroup) -> UnitaryRep:
     """
     if set(pvm.outcomes) != set(group.elements):
         raise InvalidArgument("PVM outcomes must enumerate the dual group")
-    alg = pvm.algebra
     table = group.character_table()[[group.index(chi) for chi in pvm.outcomes]]
-    stacks = _weighted_sums(table.T, pvm.stacks)
-    images = {a: AlgebraElement(alg, bs) for a, bs in zip(group.elements, zip(*stacks))}
-    return UnitaryRep(group, alg, images, check="none")
+    return UnitaryRep(group, pvm.algebra, _weighted_sums(table.T, pvm.stacks), check="none")
 
 
 def pvm_from_rep(rep: UnitaryRep, tol: float = 1e-9) -> PVM:
@@ -162,7 +157,5 @@ def pvm_from_rep(rep: UnitaryRep, tol: float = 1e-9) -> PVM:
     group = rep.group
     if not isinstance(group, AbelianGroup):
         raise InvalidArgument("spectral measure requires an abelian group")
-    alg = rep.algebra
     stacks = _weighted_sums(np.conj(group.character_table()) / group.order, rep.stacks)
-    projections = [AlgebraElement(alg, bs) for bs in zip(*stacks)]
-    return PVM(alg, list(group.elements), projections, tol=tol)
+    return PVM(rep.algebra, list(group.elements), stacks, tol=tol)

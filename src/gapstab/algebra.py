@@ -283,11 +283,27 @@ def _chunks(dims, count: int):
             yield b, slice(start, min(start + step, count))
 
 
-def _read_only_stacks(dims, elements) -> tuple:
-    """The elements' blocks as one read-only ``(k, n, n)`` stack per block."""
+def _read_only_stacks(dims, family) -> tuple:
+    """A family of operators as one read-only ``(k, n, n)`` copy per block.
+
+    ``family`` is either a list of k elements or one array (or list of
+    ``(n, n)`` matrices) per block whose last two axes are ``(n, n)``;
+    leading axes are merged, so a ``(k1, k2, n, n)`` array holds k1 * k2
+    operators in row-major order.  A wrong block count or block shape raises
+    :class:`InvalidArgument`.
+    """
+    if len(family) and not isinstance(family[0], AlgebraElement):
+        if len(family) != len(dims):
+            raise InvalidArgument(f"{len(family)} stacks for {len(dims)} blocks")
+        arrays = family
+    else:
+        arrays = [[x.blocks[b] for x in family] for b in range(len(dims))]
     stacks = []
-    for b, n in enumerate(dims):
-        stack = np.array([x.blocks[b] for x in elements], dtype=complex).reshape(-1, n, n)
+    for n, a in zip(dims, arrays):
+        stack = np.array(a, dtype=complex)
+        if stack.size and (stack.ndim < 3 or stack.shape[-2:] != (n, n)):
+            raise InvalidArgument(f"stack shape {stack.shape}, expected (..., {n}, {n})")
+        stack = stack.reshape(-1, n, n)
         stack.flags.writeable = False
         stacks.append(stack)
     return tuple(stacks)
@@ -316,10 +332,11 @@ class PVM:
 
     ``outcomes`` is the list of labels; ``unit`` defaults to the algebra
     identity but may be any projection (for measures living in a corner).
-    The projections are stored once, as one read-only ``(k, n, n)`` stack per
-    block in ``outcomes`` order (``stacks``); ``pvm[a]`` and ``projections``
-    are elements whose blocks are views into those stacks, and
-    ``index(a)`` is the position of outcome ``a`` in them.
+    ``projections`` lists one element per outcome, or gives one ``(k, n, n)``
+    stack per block in ``outcomes`` order (see :func:`_read_only_stacks`).
+    They are copied once into read-only stacks (``stacks``); ``pvm[a]`` and
+    ``projections`` are elements whose blocks are views into those stacks,
+    and ``index(a)`` is the position of outcome ``a`` in them.
 
     Validation: every projection is self-adjoint and idempotent, the
     projections sum to ``unit`` and distinct projections multiply to zero,
@@ -331,8 +348,8 @@ class PVM:
 
     def __init__(self, algebra, outcomes, projections, unit=None, tol=VALIDATION_TOL):
         outcomes = list(outcomes)
-        projections = list(projections)
-        if len(outcomes) != len(projections):
+        stacks = _read_only_stacks(algebra.dims, list(projections))
+        if any(len(s) != len(outcomes) for s in stacks):
             raise InvalidPVM("outcome/projection count mismatch")
         if len(set(outcomes)) != len(outcomes):
             raise InvalidPVM("duplicate outcome labels")
@@ -340,7 +357,7 @@ class PVM:
         self.outcomes = outcomes
         self.unit = unit if unit is not None else algebra.identity()
         self._index = {a: i for i, a in enumerate(outcomes)}
-        self.stacks = stacks = _read_only_stacks(algebra.dims, projections)
+        self.stacks = stacks
         self.projections = [AlgebraElement(algebra, bs) for bs in zip(*stacks)]
 
         def own(b, start, stop):
@@ -398,16 +415,17 @@ class PVM:
     def conjugated(self, u: AlgebraElement) -> "PVM":
         """u . u* applied to every projection (u unitary); validated again."""
         stacks = [(m @ s) @ m.conj().T for m, s in zip(u.blocks, self.stacks)]
-        projections = [AlgebraElement(self.algebra, bs) for bs in zip(*stacks)]
-        return PVM(self.algebra, self.outcomes, projections, unit=u * self.unit * u.H)
+        return PVM(self.algebra, self.outcomes, stacks, unit=u * self.unit * u.H)
 
 
 class AlmostHom:
     """A map from a finite group into unitaries, not assumed multiplicative.
 
-    The images are stored once, as one ``(|G|, n, n)`` stack per block in
-    ``group.elements`` order (``stacks``); ``images[g]`` is an element whose
-    blocks are read-only views into those stacks.
+    ``images`` maps every group element to its image, or gives one
+    ``(|G|, n, n)`` stack per block in ``group.elements`` order (see
+    :func:`_read_only_stacks`).  The images are copied once into read-only
+    stacks (``stacks``); ``images[g]`` is an element whose blocks are views
+    into those stacks.
 
     Validation: every image u satisfies ||u u* - 1|| <= tol and
     ||u* u - 1|| <= tol in operator norm, screened by Frobenius norms in
@@ -418,14 +436,18 @@ class AlmostHom:
 
     multiplicative = False
 
-    def __init__(self, group, algebra, images: dict, tol=VALIDATION_TOL):
+    def __init__(self, group, algebra, images, tol=VALIDATION_TOL):
         self.group = group
         self.algebra = algebra
         elements = group.elements
-        missing = [g for g in elements if g not in images]
-        if missing:
-            raise InvalidArgument(f"missing images for {len(missing)} elements")
-        self.stacks = stacks = _read_only_stacks(algebra.dims, [images[g] for g in elements])
+        if isinstance(images, dict):
+            missing = [g for g in elements if g not in images]
+            if missing:
+                raise InvalidArgument(f"missing images for {len(missing)} elements")
+            images = [images[g] for g in elements]
+        self.stacks = stacks = _read_only_stacks(algebra.dims, images)
+        if any(len(s) != len(elements) for s in stacks):
+            raise InvalidArgument(f"{len(stacks[0])} images for {len(elements)} elements")
         self.images = {
             g: AlgebraElement(algebra, bs) for g, bs in zip(elements, zip(*stacks))
         }
@@ -454,20 +476,24 @@ class AlmostHom:
 class UnitaryRep(AlmostHom):
     """A unitary representation; the multiplication law is validated.
 
-    Images are stored as in :class:`AlmostHom`.  The law is checked on the
-    pairs of ``_law_pairs`` (every pair when |G|^2 matrix products are
-    affordable, else a fixed random sample), the same pairs
-    :func:`rep_residual` measures.  Residuals ||u(gh) - u(g)u(h)|| are
-    screened like the unitarity residuals of :class:`AlmostHom`.
+    Images are given and stored as in :class:`AlmostHom`.  With
+    ``check="auto"`` the law is checked on the pairs of ``_law_pairs``
+    (every pair when |G|^2 matrix products are affordable, else a fixed
+    random sample), the same pairs :func:`rep_residual` measures; residuals
+    ||u(gh) - u(g)u(h)|| are screened like the unitarity residuals of
+    :class:`AlmostHom`.  ``check="none"`` skips the law, for images built
+    from a representation.
     """
 
     multiplicative = True
 
     def __init__(self, group, algebra, images, tol=VALIDATION_TOL, check="auto"):
+        if check not in ("auto", "none"):
+            raise InvalidArgument(f"check must be 'auto' or 'none', got {check!r}")
         super().__init__(group, algebra, images, tol=tol)
         if check == "none":
             return
-        left, right, prod = pairs = _law_pairs(group, algebra.dims, check == "full")
+        left, right, prod = pairs = _law_pairs(group, algebra.dims)
 
         def law(b, start, stop):
             yield _law_residual(self.stacks[b], pairs, slice(start, stop))
@@ -493,11 +519,11 @@ _LAW_COST_LIMIT = 2e8
 _LAW_SAMPLES = 64
 
 
-def _law_pairs(group, dims, exhaustive: bool = False):
+def _law_pairs(group, dims):
     """``(left, right, product)`` element-index arrays of the pairs (g, h) on
     which the multiplication law is checked (see above)."""
     n = group.order
-    if exhaustive or n * n * sum(d**3 for d in dims) <= _LAW_COST_LIMIT:
+    if n * n * sum(d**3 for d in dims) <= _LAW_COST_LIMIT:
         left, right = np.divmod(np.arange(n * n), n)
     else:
         rng = np.random.default_rng(0)

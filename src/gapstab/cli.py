@@ -355,7 +355,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sp, out=True):
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--dim-cap", type=int, default=None, help="override the rounding dimension cap")
     if out:
         sp.add_argument("--out", default=None, help="write the report/CSV here")
@@ -371,6 +370,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("code", help="code parameters and gap-constant cross-check")
     sp.add_argument("path")
+    sp.add_argument("--tol", type=float, default=1e-9, help="kappa agreement tolerance")
     _add_common(sp)
 
     sp = sub.add_parser("build-game", help="build a game file from codes")

@@ -689,14 +689,9 @@ def anticommutation_bound_check(
 
 # -- Pauli PVMs -------------------------------------------------------------------
 
-_TAU_X = {
-    0: np.array([[0.5, 0.5], [0.5, 0.5]]),
-    1: np.array([[0.5, -0.5], [-0.5, 0.5]]),
-}
-_TAU_Z = {
-    0: np.array([[1.0, 0.0], [0.0, 0.0]]),
-    1: np.array([[0.0, 0.0], [0.0, 1.0]]),
-}
+# the one-qubit X- and Z-basis projections, indexed by the outcome bit
+_TAU_X = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]])
+_TAU_Z = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
 
 
 def pauli_pvms(n: int, cap: int = PAULI_DIM_CAP):
@@ -712,17 +707,13 @@ def pauli_pvms(n: int, cap: int = PAULI_DIM_CAP):
         raise ResourceCap(f"{n} qubits exceed the cap {cap}")
     group = boolean_group(n)
     alg = TracialAlgebra.matrix(2**n)
-    x_projs, z_projs = [], []
-    for a in group.elements:
-        mx = np.array([[1.0]])
-        mz = np.array([[1.0]])
-        for bit in a:
-            mx = np.kron(mx, _TAU_X[bit])
-            mz = np.kron(mz, _TAU_Z[bit])
-        x_projs.append(AlgebraElement(alg, [mx]))
-        z_projs.append(AlgebraElement(alg, [mz]))
-    tau_x = PVM(alg, list(group.elements), x_projs)
-    tau_z = PVM(alg, list(group.elements), z_projs)
+    # the Kronecker product of stacks runs the outcome bits, first bit outermost,
+    # in the order of group.elements
+    x_stack = z_stack = np.ones((1, 1, 1))
+    for _ in range(n):
+        x_stack, z_stack = np.kron(x_stack, _TAU_X), np.kron(z_stack, _TAU_Z)
+    tau_x = PVM(alg, list(group.elements), [x_stack])
+    tau_z = PVM(alg, list(group.elements), [z_stack])
     return tau_x, tau_z
 
 
@@ -918,14 +909,7 @@ def _magic_grid(p_mat, q_mat, tol=1e-10):
 
 def _sign_pvm(alg, mat) -> PVM:
     eye = np.eye(mat.shape[0])
-    return PVM(
-        alg,
-        [-1, 1],
-        [
-            AlgebraElement(alg, [(eye - mat) / 2]),
-            AlgebraElement(alg, [(eye + mat) / 2]),
-        ],
-    )
+    return PVM(alg, [-1, 1], [[(eye - mat) / 2, (eye + mat) / 2]])
 
 
 def _joint_pvm(alg, outcomes, mats) -> PVM:
@@ -941,8 +925,8 @@ def _joint_pvm(alg, outcomes, mats) -> PVM:
         m = eye.astype(complex)
         for s, obs in zip(b, mats):
             m = m @ (eye + float(s) * obs) / 2
-        projs.append(AlgebraElement(alg, [m]))
-    return PVM(alg, list(outcomes), projs)
+        projs.append(m)
+    return PVM(alg, list(outcomes), [projs])
 
 
 def honest_strategy(game: Game) -> SynchronousStrategy:
@@ -960,14 +944,11 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
     tau_x, tau_z = pauli_pvms(n)
     lam = rep_from_pvm(tau_x, group).images
     mod = rep_from_pvm(tau_z, group).images
-    dim = 2**n
-    alg = TracialAlgebra.matrix(2 * dim)
-
-    def widen(m):
-        return AlgebraElement(alg, [np.kron(m, np.eye(2))])
-
+    alg = TracialAlgebra.matrix(2 ** (n + 1))
+    # PX and PZ act as the Pauli PVMs on the qubits and trivially on the
+    # auxiliary one: every projection p becomes p (x) 1_2
     pvms = {
-        q: PVM(alg, pvm.outcomes, [widen(p.blocks[0]) for p in pvm.projections])
+        q: PVM(alg, pvm.outcomes, [np.kron(pvm.stacks[0], np.eye(2)[None])])
         for q, pvm in (("PX", tau_x), ("PZ", tau_z))
     }
     for w, data in game.omega_data.items():

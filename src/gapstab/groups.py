@@ -21,7 +21,7 @@ from .errors import InvalidArgument
 
 
 class FiniteGroup:
-    """Base class; subclasses fill in elements/identity/mul/inv."""
+    """Base class; subclasses fill in elements/identity/mul/inv/mul_index."""
 
     elements: tuple
     identity = None
@@ -53,14 +53,8 @@ class FiniteGroup:
 
     def mul_index(self, i, j) -> np.ndarray:
         """Element indices of the products g_i g_j, for two equal-length
-        arrays of element indices.  This generic version multiplies labels;
-        subclasses with an arithmetic law override it with array arithmetic.
-        """
-        els = self.elements
-        return np.array(
-            [self._index[self.mul(els[a], els[b])] for a, b in zip(i, j)],
-            dtype=np.intp,
-        )
+        arrays of element indices, by array arithmetic or a table lookup."""
+        raise NotImplementedError
 
     def irrep_stacks(self) -> list[np.ndarray] | None:
         """The irreducible unitary representations as image stacks, or None.
@@ -294,7 +288,12 @@ class CentralExtensionGroup(FiniteGroup):
 
 
 class PermutationGroup(FiniteGroup):
-    """Group of permutations of {0..n-1}, elements stored as image tuples."""
+    """Group of permutations of {0..n-1}, elements stored as image tuples.
+
+    The elements are sorted, and the full product table (``_table[i, j]`` the
+    index of g_i g_j, in the smallest unsigned type that holds |G|) is built
+    once by array arithmetic; it is both the closure and the inverse check.
+    """
 
     def __init__(self, perms):
         elements = sorted(set(tuple(p) for p in perms))
@@ -311,12 +310,17 @@ class PermutationGroup(FiniteGroup):
         self.elements = tuple(elements)
         self.identity = ident
         self._post_init_common()
-        for g in elements:
-            if self.inv(g) not in self._index:
+        self._table = table = _permutation_table(elements)
+        # g has its inverse in the set iff some g h is the identity; a product
+        # outside the set has the index |G|
+        has_inverse = (table == self._index[ident]).any(axis=1)
+        closed = (table < len(elements)).all(axis=1)
+        bad = np.flatnonzero(~(has_inverse & closed))
+        if bad.size:
+            if not has_inverse[bad[0]]:
                 raise InvalidArgument("permutation set is not closed under inverse")
-            for h in elements:
-                if self.mul(g, h) not in self._index:
-                    raise InvalidArgument("permutation set is not closed")
+            raise InvalidArgument("permutation set is not closed")
+        table.flags.writeable = False
 
     def mul(self, g, h):
         return tuple(g[h[i]] for i in range(self.degree))
@@ -327,8 +331,38 @@ class PermutationGroup(FiniteGroup):
             out[gi] = i
         return tuple(out)
 
+    def mul_index(self, i, j):
+        return self._table[i, j].astype(np.intp)
+
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
+
+
+# Most product entries (group order times degree) one chunk of the permutation
+# product table composes at a time.
+_TABLE_CHUNK = 1 << 20
+
+
+def _permutation_table(elements) -> np.ndarray:
+    """table[i, j] = index of g_i g_j in the sorted permutations ``elements``,
+    or len(elements) where the product is not among them.
+
+    Rows are composed in chunks, (g h)(x) = g(h(x)), and looked up by binary
+    search: as big-endian unsigned bytes, the sorted rows compare like their
+    byte strings, so each row is one key of a sorted void array.
+    """
+    k, n = len(elements), len(elements[0])
+    perms = np.array(elements, dtype=np.min_scalar_type(n - 1).newbyteorder(">"))
+    key_type = np.dtype((np.void, perms.itemsize * n))
+    keys = perms.view(key_type).ravel()
+    table = np.empty((k, k), dtype=np.min_scalar_type(k))
+    step = max(1, _TABLE_CHUNK // (k * n))
+    for start in range(0, k, step):
+        prods = perms[start : start + step][:, perms].reshape(-1, n)
+        idx = np.minimum(np.searchsorted(keys, prods.view(key_type).ravel()), k - 1)
+        found = (perms[idx] == prods).all(axis=1)
+        table[start : start + step] = np.where(found, idx, k).reshape(-1, k)
+    return table
 
 
 def symmetric_group(n: int) -> PermutationGroup:

@@ -541,11 +541,7 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
     per_element = dict(zip(elements, per_sq.tolist()))
     distance = sum(per_element.values()) / n
 
-    images = {
-        g: AlgebraElement(corner, [s[i] for s in pi_stacks])
-        for i, g in enumerate(elements)
-    }
-    pi = UnitaryRep(group, corner, images, tol=1e-6, check="none")
+    pi = UnitaryRep(group, corner, pi_stacks, tol=1e-6, check="none")
     if families is None:
         pi_residual = rep_residual(pi)
     else:
@@ -683,14 +679,10 @@ class PairRoundingResult:
         }
 
 
-def _pair_products(u_rep: UnitaryRep, v_rep: UnitaryRep) -> dict:
-    """(a, b) -> U(a)V(b), one broadcast product of the stacks per block."""
-    stacks = [us[:, None] @ vs[None] for us, vs in zip(u_rep.stacks, v_rep.stacks)]
-    return {
-        (a, b): AlgebraElement(u_rep.algebra, [s[i, j] for s in stacks])
-        for i, a in enumerate(u_rep.group.elements)
-        for j, b in enumerate(v_rep.group.elements)
-    }
+def _pair_products(u_rep: UnitaryRep, v_rep: UnitaryRep) -> list:
+    """U(a)V(b) as one (|A|, |B|, n, n) stack per block, one broadcast product
+    of the two image stacks each."""
+    return [us[:, None] @ vs[None] for us, vs in zip(u_rep.stacks, v_rep.stacks)]
 
 
 def round_commuting_pair(u_rep: UnitaryRep, v_rep: UnitaryRep) -> PairRoundingResult:
@@ -715,19 +707,13 @@ def round_commuting_pair(u_rep: UnitaryRep, v_rep: UnitaryRep) -> PairRoundingRe
         )
 
     ea, eb = a_grp.identity, b_grp.identity
+    rows_u = [group.index((a, eb)) for a in a_grp.elements]
+    rows_v = [group.index((ea, b)) for b in b_grp.elements]
     u_tilde = UnitaryRep(
-        a_grp,
-        cert.corner,
-        {a: cert.pi.images[(a, eb)] for a in a_grp.elements},
-        tol=1e-6,
-        check="none",
+        a_grp, cert.corner, [s[rows_u] for s in cert.pi.stacks], tol=1e-6, check="none"
     )
     v_tilde = UnitaryRep(
-        b_grp,
-        cert.corner,
-        {b: cert.pi.images[(ea, b)] for b in b_grp.elements},
-        tol=1e-6,
-        check="none",
+        b_grp, cert.corner, [s[rows_v] for s in cert.pi.stacks], tol=1e-6, check="none"
     )
     distance_u = sum(cert.per_element[(a, eb)] for a in a_grp.elements) / a_grp.order
     distance_v = sum(cert.per_element[(ea, b)] for b in b_grp.elements) / b_grp.order
@@ -818,12 +804,8 @@ def _round_twisted(u_rep, v_rep, ext, signs, eps: float) -> TwistedRoundingResul
     is the twist and ``eps`` the mean of the pair defects it defines."""
     a_grp, b_grp = u_rep.group, v_rep.group
     alg = u_rep.algebra
-    prods = _pair_products(u_rep, v_rep)
-    phi = AlmostHom(
-        ext,
-        alg,
-        {(a, b, z): float(z) * prods[(a, b)] for (a, b, z) in ext.elements},
-    )
+    # phi(a, b, z) = z U(a)V(b), with z innermost as in ext.elements
+    phi = AlmostHom(ext, alg, [np.stack([p, -p], axis=2) for p in _pair_products(u_rep, v_rep)])
     cert = gowers_hatami_round(phi)
     if abs(cert.input_defect - eps) > 1e-6 * max(1.0, eps):
         raise GapstabError(
@@ -857,25 +839,16 @@ def _round_twisted(u_rep, v_rep, ext, signs, eps: float) -> TwistedRoundingResul
     q_corner = TracialAlgebra._raw([y.shape[1] for y in y_isos], coeffs)
     trace_q = sum(c * y.shape[1] for c, y in zip(coeffs, y_isos))
 
-    def cut(elt: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            q_corner,
-            [y.conj().T @ b @ y for y, b in zip(y_isos, elt.blocks)],
-        )
+    def cut(elements) -> list:
+        """y* pi(g) y over the given elements of ext, one product per block."""
+        rows = [ext.index(g) for g in elements]
+        return [y.conj().T @ s[rows] @ y for y, s in zip(y_isos, cert.pi.stacks)]
 
     u_tilde = UnitaryRep(
-        a_grp,
-        q_corner,
-        {a: cut(cert.pi.images[ext.embed_a(a)]) for a in a_grp.elements},
-        tol=1e-5,
-        check="none",
+        a_grp, q_corner, cut(map(ext.embed_a, a_grp.elements)), tol=1e-5, check="none"
     )
     v_tilde = UnitaryRep(
-        b_grp,
-        q_corner,
-        {b: cut(cert.pi.images[ext.embed_b(b)]) for b in b_grp.elements},
-        tol=1e-5,
-        check="none",
+        b_grp, q_corner, cut(map(ext.embed_b, b_grp.elements)), tol=1e-5, check="none"
     )
 
     relation_residual = math.sqrt(_pair_defects(u_tilde, v_tilde, signs).max())
@@ -1188,12 +1161,13 @@ def stabilize_product(
     kappa1 = float(kappa(g1, mu1).kappa)
 
     # stage one: the first factor
-    phi1 = AlmostHom(g1, base, {g: phi.images[(g, e2)] for g in g1.elements})
+    rows1 = [group.index((g, e2)) for g in g1.elements]
+    phi1 = AlmostHom(g1, base, [s[rows1] for s in phi.stacks])
     eps1_uniform = defect(phi1)
     stage1_exact = eps1_uniform <= _EXACT_STAGE_TOL
     if stage1_exact:
         corner1 = base
-        pi1 = UnitaryRep(g1, base, dict(phi1.images), tol=1e-6, check="none")
+        pi1 = UnitaryRep(g1, base, phi1.stacks, tol=1e-6, check="none")
         w1 = Intertwiner.identity(base)
         cert1 = None
     else:
@@ -1225,18 +1199,15 @@ def stabilize_product(
     n_alg = decomp.algebra_n
 
     eta = {}
-    v_images = {}
+    v_blocks = []
     v_to_phi = {}
     for h in g2.elements:
         expected = conditional_expectation_commutant(pi1, phi2_corner[h])
         eta[h] = corner1.norm2(phi2_corner[h] - expected)
         comp = decomp.compress(expected)
-        v_images[h] = AlgebraElement(
-            n_alg, [unitary_polar_factor(b) for b in comp.blocks]
-        )
-        v_to_phi[h] = corner1.norm2(
-            phi2_corner[h] - decomp.lift(v_images[h])
-        )
+        v = AlgebraElement(n_alg, [unitary_polar_factor(b) for b in comp.blocks])
+        v_to_phi[h] = corner1.norm2(phi2_corner[h] - decomp.lift(v))
+        v_blocks.append(v.blocks)
 
     eta_sq_mu2 = sum(float(p) * eta[h] ** 2 for h, p in mu2.items_nonzero())
     eta_bound_triangle = (
@@ -1244,7 +1215,7 @@ def stabilize_product(
     )
     eta_bound_gap_form = 12.0 * kappa1 * max(d1_corner, eps)
 
-    v_hom = AlmostHom(g2, n_alg, v_images)
+    v_hom = AlmostHom(g2, n_alg, [np.array(bs) for bs in zip(*v_blocks)])
     v_defect_uniform = defect(v_hom)
     v_defect_mu2 = defect(v_hom, mu2, mu2)
     eta_mu2 = math.sqrt(eta_sq_mu2)
@@ -1261,7 +1232,7 @@ def stabilize_product(
     stage2_exact = v_defect_uniform <= _EXACT_STAGE_TOL
     if stage2_exact:
         corner2 = n_alg
-        pi2 = UnitaryRep(g2, n_alg, dict(v_images), tol=1e-6, check="none")
+        pi2 = UnitaryRep(g2, n_alg, v_hom.stacks, tol=1e-6, check="none")
         w2 = Intertwiner.identity(n_alg)
         cert2 = None
     else:
@@ -1271,18 +1242,12 @@ def stabilize_product(
         w2 = cert2.w
 
     # assembly: on each commutant component the first factor acts through
-    # the component's small representation and the second through the
-    # rounded corner of N
+    # the component's small representation (the mean of the m diagonal d x d
+    # blocks of w* pi1(g) w) and the second through the rounded corner of N
     reps_u = []
-    for j, (bi, w_iso, m_dim, d_dim) in enumerate(decomp.components):
-        uj = {}
-        for g in g1.elements:
-            b = w_iso.conj().T @ pi1.images[g].blocks[bi] @ w_iso
-            acc = np.zeros((d_dim, d_dim), dtype=complex)
-            for s in range(m_dim):
-                acc += b[s * d_dim : (s + 1) * d_dim, s * d_dim : (s + 1) * d_dim]
-            uj[g] = acc / m_dim
-        reps_u.append(uj)
+    for bi, w_iso, m_dim, d_dim in decomp.components:
+        b = (w_iso.conj().T @ pi1.stacks[bi] @ w_iso).reshape(-1, m_dim, d_dim, m_dim, d_dim)
+        reps_u.append(np.einsum("gsasb->gab", b) / m_dim)
 
     per_block = [[] for _ in range(base.nblocks)]
     for j, (bi, _, _, _) in enumerate(decomp.components):
@@ -1307,29 +1272,26 @@ def stabilize_product(
         w_total_mats.append(np.vstack(rows))
     w_total = Intertwiner(base, final_alg, w_total_mats)
 
-    prod_group = group
-    images = {}
-    for g in g1.elements:
-        for h in g2.elements:
-            mats = []
-            for i, js in enumerate(per_block):
-                mat = np.zeros((final_dims[i], final_dims[i]), dtype=complex)
-                off = 0
-                for j in js:
-                    d_dim = decomp.components[j][3]
-                    blockjh = np.kron(pi2.images[h].blocks[j], reps_u[j][g])
-                    size = blockjh.shape[0]
-                    mat[off : off + size, off : off + size] = blockjh
-                    off += size
-                mats.append(mat)
-            images[(g, h)] = AlgebraElement(final_alg, mats)
-    pi_final = UnitaryRep(prod_group, final_alg, images, tol=1e-5, check="none")
+    # pi(g, h) is block diagonal over the components j of each base block,
+    # pi2(h)_j (x) u_j(g) on component j; the Kronecker product of the stacks
+    # (1, |G2|, ...) and (|G1|, 1, ...) runs g outermost, as group.elements
+    final_stacks = []
+    for n_final, js in zip(final_dims, per_block):
+        stack = np.zeros((g1.order, g2.order, n_final, n_final), dtype=complex)
+        off = 0
+        for j in js:
+            blk = np.kron(pi2.stacks[j][None], reps_u[j][:, None])
+            size = blk.shape[-1]
+            stack[:, :, off : off + size, off : off + size] = blk
+            off += size
+        final_stacks.append(stack)
+    pi_final = UnitaryRep(group, final_alg, final_stacks, tol=1e-5, check="none")
 
-    per_element = {
-        g: base.norm2(phi.images[g] - w_total.conjugate(images[g])) ** 2
-        for g in prod_group.elements
-    }
-    distance_uniform = sum(per_element.values()) / prod_group.order
+    per_sq = np.zeros(group.order)
+    for c, a, b, m in zip(base.coeffs, phi.stacks, pi_final.stacks, w_total.mats):
+        per_sq += c * _frobenius_sq(a - m.conj().T @ b @ m)
+    per_element = dict(zip(group.elements, per_sq.tolist()))
+    distance_uniform = sum(per_element.values()) / group.order
     distance_mu1 = sum(
         float(p) * per_element[(g, e2)] for g, p in mu1.items_nonzero()
     )
@@ -1339,7 +1301,7 @@ def stabilize_product(
 
     assembly_residual = max(
         base.norm2(
-            w_total.conjugate(images[(g, e2)]) - w1.conjugate(pi1.images[g])
+            w_total.conjugate(pi_final.images[(g, e2)]) - w1.conjugate(pi1.images[g])
         )
         for g in g1.elements
     )

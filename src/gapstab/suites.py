@@ -222,6 +222,19 @@ def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:
 # -- Gowers-Hatami rounding --------------------------------------------------------
 
 
+def _permutation_rep(n: int, flip: bool = False) -> UnitaryRep:
+    """S_n by its permutation matrices (e_i -> e_g(i)); with ``flip``, Z/2 x S_n
+    with the generator of Z/2 swapping the two halves of C^2 (x) C^n."""
+    grp = symmetric_group(n)
+    # stack[k] is the permutation matrix of the k-th element
+    stack = np.eye(n)[np.array(grp.elements)].transpose(0, 2, 1)
+    if flip:
+        grp = ProductGroup(cyclic(2), grp)
+        swaps = np.array([np.eye(2), np.eye(2)[::-1]])
+        stack = np.kron(swaps[:, None], stack[None])  # (2, n!, 2n, 2n)
+    return UnitaryRep(grp, TracialAlgebra.matrix(stack.shape[-1]), [stack], check="none")
+
+
 def _rep_pool_entry(idx: int, rng) -> UnitaryRep:
     """A small exact representation: |G| <= 24, dimension <= 8."""
     kind = idx % 4
@@ -230,38 +243,17 @@ def _rep_pool_entry(idx: int, rng) -> UnitaryRep:
     if kind == 1:
         return regular_rep(boolean_group(int(rng.integers(1, 4))))
     if kind == 2:
-        n = 4 if rng.integers(0, 2) else 3  # S4 hits the |G| = 24 edge
-        grp = symmetric_group(n)
-        alg = TracialAlgebra.matrix(n)
-        images = {}
-        for g in grp.elements:
-            m = np.zeros((n, n), dtype=complex)
-            for src, dst in enumerate(g):
-                m[dst, src] = 1.0
-            images[g] = AlgebraElement(alg, [m])
-        return UnitaryRep(grp, alg, images, check="none")
-    two = cyclic(2)
-    s3 = symmetric_group(3)
-    grp = ProductGroup(two, s3)
-    alg = TracialAlgebra.matrix(6)
-    flip = {(0,): np.eye(2), (1,): np.array([[0.0, 1.0], [1.0, 0.0]])}
-    images = {}
-    for a, g in grp.elements:
-        m = np.zeros((3, 3), dtype=complex)
-        for src, dst in enumerate(g):
-            m[dst, src] = 1.0
-        images[(a, g)] = AlgebraElement(alg, [np.kron(flip[a], m)])
-    return UnitaryRep(grp, alg, images, check="none")
+        return _permutation_rep(4 if rng.integers(0, 2) else 3)  # S4: the |G| = 24 edge
+    return _permutation_rep(3, flip=True)
 
 
 def _noisy_hom(rep: UnitaryRep, sigma: float, rng) -> AlmostHom:
     """Independent unitary noise e^{i sigma H} on every image."""
     alg = rep.algebra
-    images = {}
-    for g in rep.group.elements:
-        blocks = [_noise_unitary(b.shape[0], sigma, rng) @ b for b in rep.images[g].blocks]
-        images[g] = AlgebraElement(alg, blocks)
-    return AlmostHom(rep.group, alg, images)
+    # drawn image by image, block by block
+    noise = [[_noise_unitary(n, sigma, rng) for n in alg.dims] for _ in rep.group.elements]
+    stacks = [np.array(us) @ s for us, s in zip(zip(*noise), rep.stacks)]
+    return AlmostHom(rep.group, alg, stacks)
 
 
 def suite_gh(trials: int = 200, seed: int = 7) -> SuiteResult:
@@ -324,15 +316,7 @@ def _small_rep(idx: int, rng) -> UnitaryRep:
         return regular_rep(cyclic(int(rng.integers(2, 7))))
     if kind == 1:
         return regular_rep(boolean_group(int(rng.integers(1, 3))))
-    grp = symmetric_group(3)
-    alg = TracialAlgebra.matrix(3)
-    images = {}
-    for g in grp.elements:
-        m = np.zeros((3, 3), dtype=complex)
-        for src, dst in enumerate(g):
-            m[dst, src] = 1.0
-        images[g] = AlgebraElement(alg, [m])
-    return UnitaryRep(grp, alg, images, check="none")
+    return _permutation_rep(3)
 
 
 def suite_sqrt2(trials: int = 1000, seed: int = 7) -> SuiteResult:

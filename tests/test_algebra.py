@@ -659,3 +659,93 @@ def test_pvm_without_outcomes_is_rejected():
     alg = TracialAlgebra([(2, Fraction(1, 2)), (3, Fraction(1, 2))])
     with pytest.raises(InvalidPVM, match="sum residual 1"):
         PVM(alg, [], [])
+
+
+# -- one way in: families from per-block stacks or from elements --------------------
+
+
+def test_families_from_stacks_equal_families_from_elements():
+    """Stacks (leading axes merged) and elements give bit-identical stacks;
+    the caller's arrays are copied, not aliased, and stay writable."""
+    grp = AbelianGroup((2, 3))
+    rep = _two_block_rep(grp, 12)
+    alg = rep.algebra
+    copies = [np.array(s) for s in rep.stacks]
+    by_stack = [s.reshape(2, 3, *s.shape[1:]) for s in copies]
+    by_dict = {g: alg.element([s[i] for s in copies]) for i, g in enumerate(grp.elements)}
+    for cls in (AlmostHom, UnitaryRep):
+        from_stacks, from_dict = cls(grp, alg, by_stack), cls(grp, alg, by_dict)
+        for a, b, given in zip(from_stacks.stacks, from_dict.stacks, copies):
+            assert a.shape == given.shape and np.array_equal(a, b)
+            assert not np.shares_memory(a, given)
+            assert not a.flags.writeable and given.flags.writeable
+    pvm = _random_pvm(alg, ["x", "y", "z"], 13)
+    copies = [np.array(s) for s in pvm.stacks]
+    from_stacks = PVM(alg, pvm.outcomes, copies)
+    from_list = PVM(alg, pvm.outcomes, [alg.element(bs) for bs in zip(*copies)])
+    for a, b, given in zip(from_stacks.stacks, from_list.stacks, copies):
+        assert np.array_equal(a, b)
+        assert not np.shares_memory(a, given) and given.flags.writeable
+
+
+def test_invalid_families_fail_alike_from_either_form():
+    """A non-unitary family and a PVM whose projections are neither orthogonal
+    nor idempotent raise the same exception with the same residual, given as
+    stacks or as elements."""
+    grp = cyclic(3)
+    alg = TracialAlgebra([(2, Fraction(1, 2)), (3, Fraction(1, 2))])
+    rng = np.random.default_rng(14)
+    stacks = [np.array([haar_unitary(n, rng) for _ in range(3)]) for n in alg.dims]
+    stacks[1][2] *= 1.0 + 1e-6
+    as_dict = {g: alg.element([s[i] for s in stacks]) for i, g in enumerate(grp.elements)}
+    errors = []
+    for images in (stacks, as_dict):
+        with pytest.raises(InvalidRepresentation) as info:
+            AlmostHom(grp, alg, images)
+        errors.append((str(info.value), info.value.residual))
+    assert errors[0] == errors[1] and errors[0][1] > 1e-6
+    p = np.diag([1.0, 0.0, 0.0])
+    q = np.diag([0.0, 1.0, 1.0])
+    q[0, 1] = q[1, 0] = 1e-5
+    stacks = [np.array([np.eye(2), np.zeros((2, 2))]), np.array([p, q])]
+    errors = []
+    for family in (stacks, [alg.element(bs) for bs in zip(*stacks)]):
+        with pytest.raises(InvalidPVM) as info:
+            PVM(alg, ["a", "b"], family)
+        errors.append((str(info.value), info.value.residual))
+    assert errors[0] == errors[1] and errors[0][1] > 1e-6
+
+
+def test_stack_input_shape_errors():
+    """A wrong number of stacks or a wrong block shape is an invalid argument;
+    a wrong number of operators too, and for a PVM the count mismatch."""
+    grp = cyclic(2)
+    alg = TracialAlgebra([(2, Fraction(1, 2)), (3, Fraction(1, 2))])
+    good = [np.array([np.eye(n)] * 2, dtype=complex) for n in alg.dims]
+    AlmostHom(grp, alg, good)
+    for bad in (
+        good[:1],  # one stack for two blocks
+        good + good[:1],
+        [good[0], np.array([np.eye(2)] * 2)],  # 2 x 2 images in the 3 x 3 block
+        [good[0], np.eye(3)],  # no operator axis
+        [good[0][:1], good[1][:1]],  # one image for two elements
+        good[0],  # a bare array, not one stack per block
+    ):
+        with pytest.raises(InvalidArgument):
+            AlmostHom(grp, alg, bad)
+    units = [np.array([np.eye(n)]) for n in alg.dims]
+    PVM(alg, ["one"], units)
+    with pytest.raises(InvalidPVM, match="outcome/projection count mismatch"):
+        PVM(alg, ["one", "two"], units)
+    with pytest.raises(InvalidArgument):
+        PVM(alg, ["one"], units[:1])
+    with pytest.raises(InvalidArgument):
+        PVM(alg, ["one"], [units[0], np.array([np.eye(2)])])
+
+
+@pytest.mark.parametrize("check", ["full", "Auto", "", None])
+def test_unitary_rep_check_takes_two_values(check):
+    rep = regular_rep(cyclic(3))
+    UnitaryRep(rep.group, rep.algebra, rep.stacks, check="none")
+    with pytest.raises(InvalidArgument, match="check must be 'auto' or 'none'"):
+        UnitaryRep(rep.group, rep.algebra, rep.stacks, check=check)

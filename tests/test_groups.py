@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -111,6 +112,37 @@ def _pauli_extension(r):
     return CentralExtensionGroup(a, b, lambda x, y: a.pairing(x, y))
 
 
+def _dihedral4():
+    """The symmetries of a square as permutations of its corners."""
+    return PermutationGroup(
+        [tuple((i + k) % 4 for i in range(4)) for k in range(4)]
+        + [tuple((k - i) % 4 for i in range(4)) for k in range(4)]
+    )
+
+
+def _alternating4():
+    return PermutationGroup(
+        [p for p in itertools.permutations(range(4)) if _inversions(p) % 2 == 0]
+    )
+
+
+def _inversions(perm):
+    return sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
+def test_permutation_product_table():
+    """The product table is read-only, in the smallest unsigned type that
+    holds |G|, and answers mul_index with element indices."""
+    s5 = symmetric_group(5)
+    assert s5._table.dtype == np.uint8 and s5._table.shape == (120, 120)
+    assert symmetric_group(6)._table.dtype == np.uint16
+    with pytest.raises(ValueError):
+        s5._table[0, 0] = 1
+    assert s5.mul_index(np.array([1]), np.array([2])).dtype == np.intp
+    with pytest.raises(InvalidArgument, match="not closed under inverse"):
+        PermutationGroup([(0, 1, 2), (1, 2, 0)])  # the 3-cycle without its square
+
+
 def test_central_extension_weyl_relation():
     grp = _pauli_extension(1)
     assert grp.order == 8
@@ -156,9 +188,14 @@ def test_central_extension_signs():
         _pauli_extension(2),
         MulTableGroup([[(i + j) % 6 for j in range(6)] for i in range(6)]),
         symmetric_group(3),
+        symmetric_group(4),
+        _dihedral4(),
+        _alternating4(),
+        ProductGroup(symmetric_group(5), cyclic(3)),
     ],
     ids=[
         "Z2xZ4", "Z3xZ3", "Z2xS3", "Z2^2xZ4", "pauli1", "pauli2", "table-Z6", "S3",
+        "S4", "D4", "A4", "S5xZ3",
     ],
 )
 def test_mul_index_matches_mul(grp):

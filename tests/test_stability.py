@@ -399,6 +399,30 @@ def test_round_twisted_pair_exact():
     assert res.trace_q > 0
 
 
+def test_twisted_cut_matches_per_element_oracle():
+    """U~(a) and V~(b) are y* pi(g) y at the embedded g = (a, 1, +1) and
+    (1, b, +1), y the isometry onto the minus-one eigenspace of the rounded
+    central sign, as computed one element at a time."""
+    rng = np.random.default_rng(21)
+    u, v = _pauli_reps(2)
+    alg = u.algebra
+    noise = AlgebraElement(alg, [algebra._noise_unitary(4, 0.05, rng)])
+    v = UnitaryRep(v.group, alg, {b: noise * v(b) * noise.H for b in v.group.elements})
+    grp = u.group
+    res = round_twisted_pair(u, v, lambda a, chi: int(grp.pairing(chi, a)))
+    cert = res.certificate
+    ext = cert.group
+    ys = []
+    for zb in cert.pi(ext.central_sign).blocks:
+        qvals, qvecs = np.linalg.eigh((np.eye(len(zb)) - (zb + zb.conj().T) / 2.0) / 2.0)
+        ys.append(qvecs[:, qvals > 0.5])
+    assert res.epsilon > 1e-6
+    for tilde, embed in ((res.u_tilde, ext.embed_a), (res.v_tilde, ext.embed_b)):
+        for g in tilde.group.elements:
+            for y, got, blk in zip(ys, tilde(g).blocks, cert.pi(embed(g)).blocks):
+                assert np.abs(got - y.conj().T @ blk @ y).max() <= 1e-14
+
+
 def test_amplification_checks():
     u, v = _pauli_reps(2, conjugate=None)
     mu = ProbMeasure.uniform(u.group)
@@ -542,6 +566,7 @@ def test_stabilize_product_noisy():
     pi, rep = stabilize_product(phi, mu1, mu2)
     assert rep.epsilon > 0
     assert rep.pi_residual < 1e-8  # the assembled map is a genuine representation
+    assert rep.assembly_residual < 1e-10  # and on G1 it pulls back to stage one
     assert rep.split_identity_residual < 1e-12
     assert rep.distance_mixture >= 0
     assert rep.trace_total >= 1.0 - 1e-9

@@ -102,6 +102,19 @@ def test_cli_code_pass(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_cli_tol_belongs_to_code(tmp_path, capsys):
+    """``--tol`` is the kappa agreement tolerance of ``code``; no other
+    subcommand reads it, so the others refuse it as an input error."""
+    path = _write_code(tmp_path / "rep.code", "2 3 1", ["1 1 1"])
+    assert main(["code", path, "--tol", "1e-6"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    rep = regular_rep(cyclic(3))
+    hom = str(tmp_path / "hom.json")
+    write_almost_hom(hom, AlmostHom(rep.group, rep.algebra, rep.images))
+    assert main(["round", hom, "--tol", "1e-3"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
 def test_cli_code_declared_distance_mismatch(tmp_path, capsys):
     path = _write_code(tmp_path / "bad.code", "2 7 4", _HAMMING_ROWS + ["d 2"])
     assert main(["code", path]) == 2
