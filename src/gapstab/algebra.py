@@ -16,7 +16,11 @@ one (k, n, n) stack per block.  The multiplication-law residuals
 phi(gh) - phi(g)phi(h), the pair defects ||U(a)V(b) - gamma(a, b) V(b)U(a)||_2^2,
 the weighted sums sum_k W[j, k] X_k (the Fourier transforms between PVMs and
 representations) and the trace pairings tau(P Q) are each formed on those
-stacks by one kernel.
+stacks by one kernel.  Validation has one exact path: ``_exact_residuals``
+screens a family's residuals by Frobenius norm and computes the operator
+norms of the terms that fail the screen with one batched SVD; the PVM,
+unitarity and multiplication-law checks and :func:`rep_residual` all go
+through it.
 """
 
 from __future__ import annotations
@@ -105,17 +109,6 @@ class TracialAlgebra:
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.zeros((n, n), complex) for n in self.dims])
 
-    def diagonal(self, entries) -> "AlgebraElement":
-        """Block-diagonal element from a flat list of diagonal entries."""
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (self.total_dim,):
-            raise InvalidArgument("diagonal length does not match the algebra")
-        mats, k = [], 0
-        for n in self.dims:
-            mats.append(np.diag(entries[k : k + n]))
-            k += n
-        return AlgebraElement(self, mats)
-
     def random_selfadjoint(self, rng: np.random.Generator) -> "AlgebraElement":
         mats = []
         for n in self.dims:
@@ -128,13 +121,6 @@ class TracialAlgebra:
     def tau(self, x: "AlgebraElement") -> complex:
         return sum(c * np.trace(b) for c, b in zip(self.coeffs, x.blocks))
 
-    def inner(self, x: "AlgebraElement", y: "AlgebraElement") -> complex:
-        """tau(x* y)."""
-        return sum(
-            c * np.sum(bx.conj() * by)
-            for c, bx, by in zip(self.coeffs, x.blocks, y.blocks)
-        )
-
     def norm2(self, x: "AlgebraElement") -> float:
         s = sum(
             c * np.sum(np.abs(b) ** 2) for c, b in zip(self.coeffs, x.blocks)
@@ -143,23 +129,6 @@ class TracialAlgebra:
 
     def norm_inf(self, x: "AlgebraElement") -> float:
         return max(np.linalg.norm(b, 2) if b.size else 0.0 for b in x.blocks)
-
-    def norm1(self, x: "AlgebraElement") -> float:
-        return float(
-            sum(
-                c * np.sum(np.linalg.svd(b, compute_uv=False))
-                for c, b in zip(self.coeffs, x.blocks)
-            )
-        )
-
-    def norm(self, x: "AlgebraElement", q) -> float:
-        if q == 2:
-            return self.norm2(x)
-        if q == 1:
-            return self.norm1(x)
-        if q in ("inf", np.inf):
-            return self.norm_inf(x)
-        raise InvalidArgument(f"unsupported norm index {q!r}; use 1, 2 or 'inf'")
 
     def __repr__(self):
         parts = ", ".join(
@@ -309,22 +278,44 @@ def _read_only_stacks(dims, family) -> tuple:
     return tuple(stacks)
 
 
-def _screen_failures(dims, count: int, residuals, tol: float) -> np.ndarray:
-    """Indices of the terms whose residual may exceed ``tol`` in operator norm.
+# What _exact_residuals returns when every term passes the screen; being
+# empty, the shared arrays hold nothing a caller could change.
+_NO_FAILURES = (np.empty(0, dtype=np.intp), np.empty(0))
 
-    ``residuals(b, start, stop)`` yields, for block ``b``, stacked
-    ``(stop - start, n, n)`` residual arrays of the terms ``start..stop-1``
-    (one array per checked identity).  A term passes when every one of its
-    residual blocks passes the Frobenius screen; the indices of the others
-    come back in increasing order and need the exact check.  Terms go
+
+def _exact_residuals(dims, count: int, residuals, tol: float) -> tuple:
+    """The terms whose residual may exceed ``tol``, with their exact
+    operator-norm residuals, as ``(indices, norms)``.
+
+    ``residuals(b, sel)`` yields, for block ``b``, stacked ``(k, n, n)``
+    residual arrays of the terms ``sel`` (a slice or an index array), one
+    per checked identity.  A term passes when every one of its residual
+    blocks passes the Frobenius screen; the others come back in increasing
+    order with the largest operator norm over their blocks and identities,
+    from one batched singular-value computation per residual array.  A
+    negative ``tol`` skips the screen and returns every term.  Terms go
     through in the chunks of ``_chunks``.
     """
-    limit = (tol * _SCREEN_MARGIN) ** 2 if tol >= 0 else -1.0
-    failed = np.zeros(count, dtype=bool)
-    for b, sl in _chunks(dims, count):
-        for r in residuals(b, sl.start, sl.stop):
-            failed[sl] |= ~(_frobenius_sq(r) <= limit)
-    return np.flatnonzero(failed)
+    if tol < 0:
+        failed = np.arange(count)
+    else:
+        limit = (tol * _SCREEN_MARGIN) ** 2
+        mask = None
+        for b, sl in _chunks(dims, count):
+            for r in residuals(b, sl):
+                bad = ~(_frobenius_sq(r) <= limit)
+                if bad.any():
+                    if mask is None:
+                        mask = np.zeros(count, dtype=bool)
+                    mask[sl] |= bad
+        if mask is None:
+            return _NO_FAILURES
+        failed = np.flatnonzero(mask)
+    norms = np.zeros(len(failed))
+    for b, sl in _chunks(dims, len(failed)):
+        for r in residuals(b, failed[sl]):
+            np.maximum(norms[sl], np.linalg.svd(r, compute_uv=False)[:, 0], out=norms[sl])
+    return failed, norms
 
 
 class PVM:
@@ -360,42 +351,36 @@ class PVM:
         self.stacks = stacks
         self.projections = [AlgebraElement(algebra, bs) for bs in zip(*stacks)]
 
-        def own(b, start, stop):
-            p = stacks[b][start:stop]
+        def own(b, sel):
+            p = stacks[b][sel]
             yield p - p.conj().transpose(0, 2, 1)
             yield p @ p - p
 
-        def completeness(b, start, stop):
+        def completeness(b, sel):
             yield (stacks[b].sum(axis=0) - self.unit.blocks[b])[None]
 
-        if (
-            _screen_failures(algebra.dims, len(outcomes), own, tol).size
-            or _screen_failures(algebra.dims, 1, completeness, tol).size
-        ):
-            worst = 0.0
-            for p in self.projections:
-                worst = max(worst, algebra.norm_inf(p - p.H))
-                worst = max(worst, algebra.norm_inf(p * p - p))
-            total = algebra.zero()
-            for p in self.projections:
-                total = total + p
-            worst_sum = algebra.norm_inf(total - self.unit)
-            if worst > tol or worst_sum > tol:
-                raise InvalidPVM(
-                    "projection family fails validation "
-                    f"(projection residual {worst:.3g}, sum residual {worst_sum:.3g})",
-                    residual=max(worst, worst_sum),
-                )
+        _, own_norms = _exact_residuals(algebra.dims, len(outcomes), own, tol)
+        # the sum figure is exact whenever the message is printed
+        _, sum_norms = _exact_residuals(
+            algebra.dims, 1, completeness, -1.0 if own_norms.size else tol
+        )
+        worst, worst_sum = own_norms.max(initial=0.0), sum_norms.max(initial=0.0)
+        if worst > tol or worst_sum > tol:
+            raise InvalidPVM(
+                "projection family fails validation "
+                f"(projection residual {worst:.3g}, sum residual {worst_sum:.3g})",
+                residual=float(max(worst, worst_sum)),
+            )
 
         left, right = np.triu_indices(len(outcomes), 1)
 
-        def products(b, start, stop):
-            yield stacks[b][left[start:stop]] @ stacks[b][right[start:stop]]
+        def products(b, sel):
+            yield stacks[b][left[sel]] @ stacks[b][right[sel]]
 
-        for t in _screen_failures(algebra.dims, len(left), products, tol):
-            i, j = left[t], right[t]
-            r = algebra.norm_inf(self.projections[i] * self.projections[j])
+        failed, norms = _exact_residuals(algebra.dims, len(left), products, tol)
+        for t, r in zip(failed, norms.tolist()):
             if r > tol:
+                i, j = left[t], right[t]
                 raise InvalidPVM(
                     f"projections for {outcomes[i]!r},{outcomes[j]!r} are not "
                     f"orthogonal (residual {r:.3g})",
@@ -453,17 +438,14 @@ class AlmostHom:
         }
         ident = algebra.identity()
 
-        def unitarity(b, start, stop):
-            u = stacks[b][start:stop]
+        def unitarity(b, sel):
+            u = stacks[b][sel]
             uh = u.conj().transpose(0, 2, 1)
             yield u @ uh - ident.blocks[b]
             yield uh @ u - ident.blocks[b]
 
-        worst = 0.0
-        for t in _screen_failures(algebra.dims, len(elements), unitarity, tol):
-            u = self.images[elements[t]]
-            worst = max(worst, algebra.norm_inf(u * u.H - ident))
-            worst = max(worst, algebra.norm_inf(u.H * u - ident))
+        _, norms = _exact_residuals(algebra.dims, len(elements), unitarity, tol)
+        worst = float(norms.max(initial=0.0))
         if worst > tol:
             raise InvalidRepresentation(
                 f"images are not unitary (residual {worst:.3g})", residual=worst
@@ -493,18 +475,10 @@ class UnitaryRep(AlmostHom):
         super().__init__(group, algebra, images, tol=tol)
         if check == "none":
             return
-        left, right, prod = pairs = _law_pairs(group, algebra.dims)
-
-        def law(b, start, stop):
-            yield _law_residual(self.stacks[b], pairs, slice(start, stop))
-
-        els, images = group.elements, self.images
-        worst = 0.0
-        for t in _screen_failures(algebra.dims, len(left), law, tol):
-            r = algebra.norm_inf(
-                images[els[prod[t]]] - images[els[left[t]]] * images[els[right[t]]]
-            )
-            worst = max(worst, r)
+        pairs = _law_pairs(group, algebra.dims)
+        law = _law_residuals(self.stacks, pairs)
+        _, norms = _exact_residuals(algebra.dims, len(pairs[0]), law, tol)
+        worst = float(norms.max(initial=0.0))
         if worst > tol:
             raise InvalidRepresentation(
                 f"multiplication law fails (residual {worst:.3g})", residual=worst
@@ -533,16 +507,34 @@ def _law_pairs(group, dims):
     return left, right, group.mul_index(left, right)
 
 
-def _law_residual(stack: np.ndarray, pairs, sl: slice) -> np.ndarray:
-    """Law residuals phi(g_t h_t) - phi(g_t) phi(h_t) in one block.
+def _law_residuals(stacks, pairs):
+    """The :func:`_exact_residuals` callback of the multiplication law.
 
-    ``stack`` is the block's image stack and ``pairs`` holds ``(left,
-    right, product)`` index arrays into the group's elements; the result
-    stacks the residuals of the pairs ``t`` in the slice ``sl`` (one chunk of
-    ``_chunks``).
+    ``stacks`` holds one image stack per block and ``pairs`` the ``(left,
+    right, product)`` index arrays into the group's elements; the callback
+    yields the residuals phi(g_t h_t) - phi(g_t) phi(h_t) of the pairs ``t``
+    in ``sel``.
     """
     left, right, prod = pairs
-    return stack[prod[sl]] - stack[left[sl]] @ stack[right[sl]]
+
+    def residuals(b, sel):
+        s = stacks[b]
+        yield s[prod[sel]] - s[left[sel]] @ s[right[sel]]
+
+    return residuals
+
+
+def _law_sq(phi: AlmostHom, left, right) -> np.ndarray:
+    """||phi(g_t h_t) - phi(g_t) phi(h_t)||_2^2 for the element-index pairs
+    ``(left[t], right[t])``, as one array over t."""
+    dims, coeffs = phi.algebra.dims, phi.algebra.coeffs
+    residuals = _law_residuals(phi.stacks, (left, right, phi.group.mul_index(left, right)))
+    out = np.zeros(len(left))
+    for b, sl in _chunks(dims, len(left)):
+        # map, so no chunk's residual outlives its norms
+        for sq in map(_frobenius_sq, residuals(b, sl)):
+            out[sl] += coeffs[b] * sq
+    return out
 
 
 def _product_chunks(us: np.ndarray, vs: np.ndarray):
@@ -634,17 +626,9 @@ def rep_residual(phi: AlmostHom) -> float:
     singular-value computation per chunk of residuals.
     """
     dims = phi.algebra.dims
-    return _law_norm(phi.stacks, dims, _law_pairs(phi.group, dims))
-
-
-def _law_norm(stacks, dims, pairs) -> float:
-    """Worst operator-norm law residual of per-block image stacks on the
-    ``(left, right, product)`` index arrays ``pairs``."""
-    worst = 0.0
-    for b, sl in _chunks(dims, len(pairs[0])):
-        r = _law_residual(stacks[b], pairs, sl)
-        worst = max(worst, float(np.linalg.svd(r, compute_uv=False)[:, 0].max()))
-    return worst
+    pairs = _law_pairs(phi.group, dims)
+    _, norms = _exact_residuals(dims, len(pairs[0]), _law_residuals(phi.stacks, pairs), -1.0)
+    return float(norms.max(initial=0.0))
 
 
 # -- defect, conditional expectation, commutator gap ---------------------------
@@ -667,17 +651,10 @@ def defect(phi: AlmostHom, mu=None, nu=None) -> float:
     Averages ||phi(gh) - phi(g)phi(h)||_2^2 with g ~ mu and h ~ nu; both
     default to the uniform distribution on the group.
     """
-    group = phi.group
-    gi, gw = _measure_weights(group, mu)
-    hi, hw = _measure_weights(group, nu)
-    weights = np.outer(gw, hw).ravel()
+    gi, gw = _measure_weights(phi.group, mu)
+    hi, hw = _measure_weights(phi.group, nu)
     left, right = np.repeat(gi, len(hi)), np.tile(hi, len(gi))
-    pairs = (left, right, group.mul_index(left, right))
-    total = 0.0
-    for b, sl in _chunks(phi.algebra.dims, len(weights)):
-        sq = _frobenius_sq(_law_residual(phi.stacks[b], pairs, sl))
-        total += phi.algebra.coeffs[b] * float(weights[sl] @ sq)
-    return total
+    return float(np.outer(gw, hw).ravel() @ _law_sq(phi, left, right))
 
 
 def conditional_expectation_commutant(
@@ -714,16 +691,12 @@ def commutator_gap_check(u: UnitaryRep, mu, v: AlgebraElement) -> GapCheck:
     lhs = alg.norm2(v - ev) ** 2
     report = spectral.kappa(u.group, mu)
     kap = float(report.kappa)
-    integral = 0.0
-    for g, w in mu.items_nonzero():
-        c = u.images[g] * v - v * u.images[g]
-        integral += float(w) * alg.norm2(c) ** 2
-    uniform = 0.0
-    for g in u.group.elements:
-        c = u.images[g] * v - v * u.images[g]
-        uniform += alg.norm2(c) ** 2
-    uniform /= u.group.order
-    return GapCheck(lhs, kap / 2.0 * integral, kap * integral, uniform)
+    comm_sq = sum(
+        c * _frobenius_sq(s @ b - b @ s) for c, s, b in zip(alg.coeffs, u.stacks, v.blocks)
+    )
+    idx, weights = _measure_weights(u.group, mu)
+    integral = float(weights @ comm_sq[idx])
+    return GapCheck(lhs, kap / 2.0 * integral, kap * integral, float(comm_sq.mean()))
 
 
 # -- polar decomposition and the commutant's block structure -------------------

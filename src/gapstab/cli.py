@@ -34,7 +34,7 @@ from .games import (
     value,
 )
 from .spectral import ProbMeasure, kappa
-from .suites import SUITES, named_game, rigidity_sweep, run_suite
+from .suites import SUITES, _holds, named_game, rigidity_sweep, run_suite
 
 DEFAULT_SEED = 7
 
@@ -307,7 +307,7 @@ def _op_sweep(man: ExperimentManifest) -> int:
         for q in pts
     ]
     worst = max((q["lhs"] / q["bound"] for q in pts if q["bound"] > 0), default=0.0)
-    violations = sum(q["lhs"] > q["bound"] * (1 + 1e-9) + 1e-12 for q in pts)
+    violations = sum(not _holds(q["lhs"], q["bound"]) for q in pts)
     print(f"{points} points, {violations} violations, worst ratio {worst:.3e}")
     if man.out:
         _write_csv(man.out, header, rows)

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .abelian import AbelianGroup
+from .algebra import _measure_weights
 from .errors import (
     InvalidArgument,
     NonGeneratingSupport,
@@ -264,22 +265,12 @@ def poincare_residual(rep, mu: ProbMeasure, xi) -> tuple[float, float]:
     _require_generating(mu)
     report = kappa(rep.group, mu)
 
-    def act(g, v):
-        out = np.empty_like(v)
-        k = 0
-        for bi, d in enumerate(alg.dims):
-            out[k : k + d] = rep.images[g].blocks[bi] @ v[k : k + d]
-            k += d
-        return out
-
-    inv = np.zeros_like(xi)
-    for g in rep.group.elements:
-        inv += act(g, xi)
-    inv /= rep.group.order
-    lhs = float(np.sum(np.abs(xi - inv) ** 2))
-    total = 0.0
-    for g, p in mu.items_nonzero():
-        total += float(p) * float(np.sum(np.abs(act(g, xi) - xi) ** 2))
+    # acted[g] = rep(g) xi, one batched product per block
+    parts = np.split(xi, np.cumsum(alg.dims)[:-1])
+    acted = np.hstack([s @ x for s, x in zip(rep.stacks, parts)])
+    lhs = float(np.sum(np.abs(xi - acted.mean(axis=0)) ** 2))
+    idx, weights = _measure_weights(rep.group, mu)
+    total = float(weights @ np.sum(np.abs(acted[idx] - xi) ** 2, axis=1))
     rhs = float(report.kappa) / 2.0 * total
     return lhs, rhs
 

@@ -29,11 +29,12 @@ from .algebra import (
     AlmostHom,
     TracialAlgebra,
     UnitaryRep,
-    _chunks,
+    _exact_residuals,
     _frobenius_sq,
-    _law_norm,
     _law_pairs,
-    _law_residual,
+    _law_residuals,
+    _law_sq,
+    _measure_weights,
     _pair_defects,
     _pair_traces,
     commutant_blocks,
@@ -164,15 +165,23 @@ class Intertwiner:
         return f"Intertwiner({shapes})"
 
 
+def _pullback_sq(mats, coeffs, a_stacks, b_stacks) -> np.ndarray:
+    """||A_k - m* B_k m||_2^2 for each k, over two aligned per-block stacks
+    and one matrix m per block (an intertwiner's ``mats`` or the compressed
+    dilations); ``coeffs`` weight the blocks of the A side."""
+    out = np.zeros(len(a_stacks[0]))
+    for m, c, a, b in zip(mats, coeffs, a_stacks, b_stacks):
+        out += c * _frobenius_sq(a - m.conj().T @ b @ m)
+    return out
+
+
 def _pullback_distance(w: Intertwiner, a_stacks, b_stacks) -> float:
     """sum_k ||A_k - w* B_k w||_2^2 over two aligned per-block stacks, A_k in
     the source of w and B_k in its target."""
-    total = 0.0
-    for a, b, m, c in zip(a_stacks, b_stacks, w.mats, w.source.coeffs):
-        total += c * float(_frobenius_sq(a - m.conj().T @ b @ m).sum())
-    return total
+    return float(_pullback_sq(w.mats, w.source.coeffs, a_stacks, b_stacks).sum())
 
 
+@dataclass(eq=False)
 class RoundingCertificate:
     """Everything the rounding produces, next to its guaranteed bounds.
 
@@ -187,58 +196,34 @@ class RoundingCertificate:
     projection_defect : ||P - w w*||_2^2 in the amplified trace.
     per_element : dict g -> squared closeness at g.
     intermediates : contraction-stage numbers and numerical health figures.
+    corner_factors : per block, the isometry whose range is the corner.
 
     ``P`` materializes the corner projection inside the amplified algebra;
     pi(g) = P pi(g) P holds by construction because pi is stored in corner
     coordinates.
     """
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        base: TracialAlgebra,
-        amplified: TracialAlgebra,
-        corner: TracialAlgebra,
-        pi: UnitaryRep,
-        w: Intertwiner,
-        distance: float,
-        trace_excess: float,
-        input_defect: float,
-        projection_defect: float,
-        per_element: dict,
-        intermediates: dict,
-        threshold_ties: bool,
-        tie_count: int,
-        corner_factors,
-        spectral_ranks,
-    ):
-        self.group = group
-        self.base = base
-        self.amplified = amplified
-        self.corner = corner
-        self.pi = pi
-        self.w = w
-        self.distance = distance
-        self.trace_excess = trace_excess
-        self.input_defect = input_defect
-        self.projection_defect = projection_defect
-        self.per_element = per_element
-        self.intermediates = intermediates
-        self.threshold_ties = threshold_ties
-        self.tie_count = tie_count
-        self._corner_factors = corner_factors
-        self.spectral_ranks = spectral_ranks
-        self._p_cache = None
+    group: FiniteGroup
+    base: TracialAlgebra
+    amplified: TracialAlgebra
+    corner: TracialAlgebra
+    pi: UnitaryRep
+    w: Intertwiner
+    distance: float
+    trace_excess: float
+    input_defect: float
+    projection_defect: float
+    per_element: dict
+    intermediates: dict
+    threshold_ties: bool
+    tie_count: int
+    corner_factors: list
+    spectral_ranks: list
 
     @property
     def P(self) -> AlgebraElement:
         """The corner projection as an element of the amplified algebra."""
-        if self._p_cache is None:
-            self._p_cache = AlgebraElement(
-                self.amplified,
-                [f @ f.conj().T for f in self._corner_factors],
-            )
-        return self._p_cache
+        return AlgebraElement(self.amplified, [f @ f.conj().T for f in self.corner_factors])
 
     def pullback(self, g) -> AlgebraElement:
         """w* pi(g) w in the base algebra."""
@@ -523,23 +508,22 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
 
     w = Intertwiner(base, corner, [blk["w"] for blk in blocks])
 
-    # corner images, isometry and contraction pulls, stacked over the group
+    # corner images, with the identity on the completion part
     pi_stacks = []
-    per_sq = np.zeros(n)
-    contraction = 0.0
-    for c, blk, stack in zip(coeffs, blocks, phi.stacks):
+    for blk in blocks:
         r_dim, t_dim = blk["R"], blk["t"]
         pi_b = np.zeros((n, r_dim + t_dim, r_dim + t_dim), dtype=complex)
         pi_b[:, :r_dim, :r_dim] = blk["core"]
         pi_b[:, r_dim:, r_dim:] = np.eye(t_dim)
         pi_stacks.append(pi_b)
-        w_mat, x_mat = blk["w"], blk["X"]
-        per_sq += c * _frobenius_sq(stack - w_mat.conj().T @ pi_b @ w_mat)
-        xpull = x_mat.conj().T @ blk["core"] @ x_mat
-        contraction += c * float(_frobenius_sq(stack - xpull).sum())
-    contraction /= n
+    per_sq = _pullback_sq(w.mats, coeffs, phi.stacks, pi_stacks)
     per_element = dict(zip(elements, per_sq.tolist()))
     distance = sum(per_element.values()) / n
+    contraction = float(
+        _pullback_sq(
+            [blk["X"] for blk in blocks], coeffs, phi.stacks, [blk["core"] for blk in blocks]
+        ).mean()
+    )
 
     pi = UnitaryRep(group, corner, pi_stacks, tol=1e-6, check="none")
     if families is None:
@@ -548,11 +532,12 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
         # pi is a direct sum of irreps (and an identity block): its law
         # residual is the worst over the distinct irreps that occur
         occurring = sorted({fq for blk in blocks for fq in blk["irreps"]})
-        pi_residual = _law_norm(
-            [families[f][q] for f, q in occurring],
-            [families[f].shape[-1] for f, _ in occurring],
-            _law_pairs(group, corner.dims),
+        irreps = [families[f][q] for f, q in occurring]
+        pairs = _law_pairs(group, corner.dims)
+        _, norms = _exact_residuals(
+            [s.shape[-1] for s in irreps], len(pairs[0]), _law_residuals(irreps, pairs), -1.0
         )
+        pi_residual = float(norms.max(initial=0.0))
     intermediates = {
         "contraction_distance": contraction,
         "contraction_bound": CONTRACTION_CONSTANT * eps,
@@ -603,13 +588,7 @@ def equivariance_residual(phi: AlmostHom, subgroup, side: str = "left") -> float
     sub = np.array([group.index(h) for h in subgroup], dtype=np.intp)
     hs, gs = np.repeat(sub, n), np.tile(np.arange(n), len(sub))
     left, right = (hs, gs) if side == "left" else (gs, hs)
-    pairs = (left, right, group.mul_index(left, right))
-    sq = np.zeros(len(hs))
-    for b, sl in _chunks(phi.algebra.dims, len(hs)):
-        sq[sl] += phi.algebra.coeffs[b] * _frobenius_sq(
-            _law_residual(phi.stacks[b], pairs, sl)
-        )
-    return float(np.sqrt(sq.max(initial=0.0)))
+    return float(np.sqrt(_law_sq(phi, left, right).max(initial=0.0)))
 
 
 def subgroup_closeness_check(
@@ -1176,10 +1155,9 @@ def stabilize_product(
         pi1 = cert1.pi
         w1 = cert1.w
 
-    d1_base = sum(
-        float(p) * base.norm2(phi1.images[g] - w1.conjugate(pi1.images[g])) ** 2
-        for g, p in mu1.items_nonzero()
-    )
+    mu1_idx, mu1_w = _measure_weights(g1, mu1)
+    d1_per = _pullback_sq(w1.mats, base.coeffs, phi1.stacks, pi1.stacks)
+    d1_base = float(mu1_w @ d1_per[mu1_idx])
 
     one_c = corner1.identity()
     complement = one_c - w1.w_w_star()
@@ -1287,9 +1265,7 @@ def stabilize_product(
         final_stacks.append(stack)
     pi_final = UnitaryRep(group, final_alg, final_stacks, tol=1e-5, check="none")
 
-    per_sq = np.zeros(group.order)
-    for c, a, b, m in zip(base.coeffs, phi.stacks, pi_final.stacks, w_total.mats):
-        per_sq += c * _frobenius_sq(a - m.conj().T @ b @ m)
+    per_sq = _pullback_sq(w_total.mats, base.coeffs, phi.stacks, pi_final.stacks)
     per_element = dict(zip(group.elements, per_sq.tolist()))
     distance_uniform = sum(per_element.values()) / group.order
     distance_mu1 = sum(
@@ -1299,12 +1275,12 @@ def stabilize_product(
         float(p) * per_element[(e1, h)] for h, p in mu2.items_nonzero()
     )
 
-    assembly_residual = max(
-        base.norm2(
-            w_total.conjugate(pi_final.images[(g, e2)]) - w1.conjugate(pi1.images[g])
-        )
-        for g in g1.elements
+    # w_total* pi(g, e) w_total against w1* pi1(g) w1 along the first factor
+    pulled1 = [m.conj().T @ s @ m for m, s in zip(w1.mats, pi1.stacks)]
+    assembly_sq = _pullback_sq(
+        w_total.mats, base.coeffs, pulled1, [s[rows1] for s in pi_final.stacks]
     )
+    assembly_residual = math.sqrt(assembly_sq.max())
 
     trace_total = float(
         np.real(final_alg.tau(final_alg.identity()))

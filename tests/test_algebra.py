@@ -277,15 +277,17 @@ TOL = 1e-9
 
 
 def _count_exact_norms(monkeypatch):
-    """Count the exact operator-norm computations made by validation."""
+    """Count the exact operator-norm computations made by validation: one per
+    term that ``_exact_residuals`` evaluates exactly."""
     calls = []
-    exact = TracialAlgebra.norm_inf
+    exact = algebra._exact_residuals
 
-    def counted(self, x):
-        calls.append(1)
-        return exact(self, x)
+    def counted(*args):
+        failed, norms = exact(*args)
+        calls.extend(failed.tolist())
+        return failed, norms
 
-    monkeypatch.setattr(TracialAlgebra, "norm_inf", counted)
+    monkeypatch.setattr(algebra, "_exact_residuals", counted)
     return calls
 
 
@@ -458,6 +460,122 @@ def test_pvm_self_adjointness_boundary():
     with pytest.raises(InvalidPVM) as info:
         PVM(alg, [0, 1], family(1.1 * TOL), tol=TOL)
     assert TOL < info.value.residual < 1.2 * TOL
+
+
+# -- two-block families whose worst residual sits in the second block ------------
+
+
+def _two_block(n1, n2):
+    return TracialAlgebra([(n1, Fraction(1, 4)), (n2, Fraction(3, 4))])
+
+
+def _sheared(n, x):
+    """n/2 copies of [[1, x], [0, 0]]: idempotent, with P - P* of operator
+    norm x; P, 1 - P is complete and orthogonal in exact arithmetic."""
+    return np.kron(np.eye(n // 2), np.array([[1.0, x], [0.0, 0.0]])).astype(complex)
+
+
+def _tilted_two_block(s, pad):
+    """The _tilted_pairs projections on M_2 (tilt s/2) (+) M_32 (tilt s), the
+    second block padded by ``pad`` zero rows and columns."""
+    alg = _two_block(2, 32 + pad)
+    small, large = _tilted_pairs(1, s / 2)[1], _tilted_pairs(16, s)[1]
+    return alg, [
+        alg.element([a.blocks[0], np.pad(b.blocks[0], (0, pad))]) for a, b in zip(small, large)
+    ]
+
+
+def _case_pvm_own(r):
+    alg = _two_block(2, 32)
+    p = alg.element([_sheared(2, r / 2), _sheared(32, r)])
+    q = alg.identity() - p
+
+    def expected():
+        return max(alg.norm_inf(p - p.H), alg.norm_inf(q - q.H))
+
+    return lambda: PVM(alg, [0, 1], [p, q], tol=TOL), expected, InvalidPVM, "projection residual"
+
+
+def _case_pvm_sum(r):
+    alg, (a, b) = _tilted_two_block(r, 0)
+
+    def expected():
+        return alg.norm_inf(a + b - alg.identity())
+
+    return lambda: PVM(alg, ["a", "b"], [a, b], tol=TOL), expected, InvalidPVM, "sum residual"
+
+
+def _case_pvm_orthogonality(r):
+    alg, (a, b) = _tilted_two_block(r, 1)
+    x = alg.element([np.zeros((2, 2)), np.diag(np.r_[np.zeros(32), 1.0])])
+
+    def make():
+        return PVM(alg, ["x", "a", "b"], [x, a, b], unit=x + a + b, tol=TOL)
+
+    return make, lambda: alg.norm_inf(a * b), InvalidPVM, "'a','b' are not orthogonal"
+
+
+def _case_unitarity(r):
+    alg = _two_block(2, 64)
+    ident = alg.identity()
+    u = alg.element([(1.0 + r / 4) * np.eye(2), (1.0 + r / 2) * np.eye(64)])
+
+    def expected():
+        return max(alg.norm_inf(u * u.H - ident), alg.norm_inf(u.H * u - ident))
+
+    def make():
+        return AlmostHom(cyclic(2), alg, {(0,): ident, (1,): u}, tol=TOL)
+
+    return make, expected, InvalidRepresentation, "not unitary"
+
+
+def _case_law(r):
+    alg = _two_block(2, 64)
+    ident = alg.identity()
+    # g^2 = e^{2i theta} 1 misses g^2 = e by 2 sin(theta): r/2, then r
+    signs = [np.diag(np.resize([1.0, -1.0], n)) for n in alg.dims]
+    g = alg.element([np.exp(1j * math.asin(x / 2)) * s for x, s in zip((r / 2, r), signs)])
+
+    def make():
+        return UnitaryRep(cyclic(2), alg, {(0,): ident, (1,): g}, tol=TOL)
+
+    return make, lambda: alg.norm_inf(ident - g * g), InvalidRepresentation, "law fails"
+
+
+TWO_BLOCK_CASES = {
+    "pvm-own": _case_pvm_own,
+    "pvm-sum": _case_pvm_sum,
+    "pvm-orthogonality": _case_pvm_orthogonality,
+    "almost-hom-unitarity": _case_unitarity,
+    "unitary-rep-law": _case_law,
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_BLOCK_CASES))
+def test_two_block_residual_is_the_exact_worst(case):
+    """The worst residual of the family sits in the second block, the first
+    carrying half of it: validation raises with the exact operator norm of
+    the literal expression, bit for bit, and accepts the family at 0.9 tol."""
+    TWO_BLOCK_CASES[case](0.9 * TOL)[0]()
+    make, expected, error, match = TWO_BLOCK_CASES[case](1.1 * TOL)
+    with pytest.raises(error, match=match) as info:
+        make()
+    assert info.value.residual == expected()
+    assert TOL < info.value.residual < 1.2 * TOL
+
+
+@pytest.mark.parametrize("case", list(TWO_BLOCK_CASES))
+def test_screen_failing_validation_uses_no_element_norm(monkeypatch, case):
+    """Families that fail the Frobenius screen are decided on the stacks:
+    the exact kernel runs and TracialAlgebra.norm_inf is never called."""
+    element_norms = []
+    monkeypatch.setattr(TracialAlgebra, "norm_inf", lambda self, x: element_norms.append(x))
+    exact = _count_exact_norms(monkeypatch)
+    TWO_BLOCK_CASES[case](0.9 * TOL)[0]()
+    make, _, error, _ = TWO_BLOCK_CASES[case](1.1 * TOL)
+    with pytest.raises(error):
+        make()
+    assert exact and element_norms == []
 
 
 # -- stacked images and the two kernels -------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import gapstab.cli as cli
 import gapstab.stability as stability
 import gapstab.suites as suites
 from gapstab.abelian import cyclic, regular_rep
@@ -291,6 +292,20 @@ def test_cli_sweep_keeps_the_probe_point(monkeypatch, tmp_path):
     header = out.read_text().splitlines()[0].split(",")
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert rows == [[repr(q[k]) for k in header] for q in points]
+
+
+def test_cli_sweep_counts_a_nan_point_as_a_violation(monkeypatch, capsys):
+    """The sweep applies the suites' slack rule, under which a NaN left side
+    does not hold."""
+
+    def nan_sweep(game, honest, sigmas, **kwargs):
+        keys = ("sigma", "eps", "lhs", "bound", "closeness", "cc_eps")
+        return [dict(dict.fromkeys(keys, 0.1), sigma=s, lhs=float("nan")) for s in sigmas]
+
+    monkeypatch.setattr(cli, "rigidity_sweep", nan_sweep)
+    code = ["sweep", "--game", "repetition", "--points", "2"]
+    assert main(code) == 2
+    assert "2 points, 2 violations" in capsys.readouterr().out
 
 
 def test_sweep_defect_matches_report():
