@@ -341,6 +341,26 @@ class PermutationGroup(FiniteGroup):
 # Most product entries (group order times degree) one chunk of the permutation
 # product table composes at a time.
 _TABLE_CHUNK = 1 << 20
+# Largest degree n whose base-n row keys fit an int64: 15^15 < 2^63 <= 16^16.
+_INT_KEY_DEGREE = 15
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Keys of permutation rows that sort like the rows themselves.
+
+    Up to degree ``_INT_KEY_DEGREE`` the key is the int64 whose base-n digits
+    are the row's entries; above it, the row's big-endian unsigned bytes as
+    one void scalar, which compare like byte strings.
+    """
+    n = rows.shape[1]
+    if n <= _INT_KEY_DEGREE:
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for digits in rows.T:
+            keys *= n
+            keys += digits
+        return keys
+    wide = np.ascontiguousarray(rows, dtype=np.min_scalar_type(n - 1).newbyteorder(">"))
+    return wide.view(np.dtype((np.void, wide.itemsize * n))).ravel()
 
 
 def _permutation_table(elements) -> np.ndarray:
@@ -348,20 +368,18 @@ def _permutation_table(elements) -> np.ndarray:
     or len(elements) where the product is not among them.
 
     Rows are composed in chunks, (g h)(x) = g(h(x)), and looked up by binary
-    search: as big-endian unsigned bytes, the sorted rows compare like their
-    byte strings, so each row is one key of a sorted void array.
+    search of their :func:`_row_keys` among the elements' sorted keys; the
+    keys are exact, so a row is found where its key matches.
     """
     k, n = len(elements), len(elements[0])
-    perms = np.array(elements, dtype=np.min_scalar_type(n - 1).newbyteorder(">"))
-    key_type = np.dtype((np.void, perms.itemsize * n))
-    keys = perms.view(key_type).ravel()
+    perms = np.array(elements, dtype=np.min_scalar_type(n - 1))
+    keys = _row_keys(perms)
     table = np.empty((k, k), dtype=np.min_scalar_type(k))
     step = max(1, _TABLE_CHUNK // (k * n))
     for start in range(0, k, step):
-        prods = perms[start : start + step][:, perms].reshape(-1, n)
-        idx = np.minimum(np.searchsorted(keys, prods.view(key_type).ravel()), k - 1)
-        found = (perms[idx] == prods).all(axis=1)
-        table[start : start + step] = np.where(found, idx, k).reshape(-1, k)
+        prods = _row_keys(perms[start : start + step][:, perms].reshape(-1, n))
+        idx = np.minimum(np.searchsorted(keys, prods), k - 1)
+        table[start : start + step] = np.where(keys[idx] == prods, idx, k).reshape(-1, k)
     return table
 
 

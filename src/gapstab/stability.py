@@ -30,6 +30,8 @@ from .algebra import (
     TracialAlgebra,
     UnitaryRep,
     _exact_residuals,
+    _fourier_blocks,
+    _fourier_defect,
     _frobenius_sq,
     _law_pairs,
     _law_residuals,
@@ -37,6 +39,7 @@ from .algebra import (
     _measure_weights,
     _pair_defects,
     _pair_traces,
+    _pairwise_defect,
     commutant_blocks,
     conditional_expectation_commutant,
     defect,
@@ -88,12 +91,13 @@ def _ratio(value: float, bound: float):
 def _check_rounding_dim(group: FiniteGroup, dims):
     """Refuse a rounding over ``ROUNDING_DIM_CAP`` before any work is done.
 
-    Bounds the group order (the defect and the irrep stacks hold |G|^2
-    terms), the largest Hermitian block the rounding factorises (|G| m on
-    the dense path, m d_rho on the Fourier path) and, by the cap squared,
-    |G| m^2: the dilation V and the spectral isometry Z, since tr A = m
-    leaves at most 2m eigenvalues >= 1/2.  Returns the group's irrep stacks,
-    None when the rounding takes the dense path.
+    Bounds the group order (the irrep stacks hold |G|^2 entries, and the
+    pairwise defect, taken on the dense path and below the Fourier floor,
+    sums |G|^2 law residuals), the largest Hermitian block the rounding
+    factorises (|G| m on the dense path, m d_rho on the Fourier path) and,
+    by the cap squared, |G| m^2: the dilation V and the spectral isometry Z,
+    since tr A = m leaves at most 2m eigenvalues >= 1/2.  Returns the
+    group's irrep stacks, None when the rounding takes the dense path.
     """
     cap, n, m = ROUNDING_DIM_CAP, group.order, max(dims)
     if n > cap:
@@ -359,17 +363,17 @@ def _fourier_round_block(n, m, families, phi_stack):
     of X = Z* V are sqrt(d) (y* F) at column j, and lambda(g) moves x_j to
     sum_i rho(g)[i, j] x_i, so the compressed translation is rho(g) on each
     kept eigenvector.  Returns what :func:`_round_block` returns, and the
-    (family, irrep) pairs that occur in the corner.
+    (family, irrep) pairs that occur in the corner and, as ``cube``, the
+    block's sum_rho d_rho Tr(F_rho^2 F_rho*) for :func:`_fourier_defect`.
     """
-    phi_flat = phi_stack.reshape(n, m * m)
     kept_vecs, kept_irreps, x_rows, spectra = [], [], [], []
-    ties, margin = 0, math.inf
+    ties, margin, cube = 0, math.inf, 0
     for f, fam in enumerate(families):
-        k, _, d, _ = fam.shape
-        fhat = np.conj(fam).transpose(0, 2, 3, 1).reshape(k * d * d, n) @ phi_flat
-        fhat = fhat.reshape(k, d, d, m, m).transpose(0, 3, 1, 4, 2)
-        fhat = fhat.reshape(k, m * d, m * d) / n
-        vals, vecs = np.linalg.eigh(fhat @ fhat.conj().transpose(0, 2, 1))
+        d = fam.shape[-1]
+        fhat, gram, fam_cube = _fourier_blocks(fam, phi_stack)
+        cube += fam_cube
+        vals, vecs = np.linalg.eigh(gram)
+        del gram  # as large as F; not kept while the next family is formed
         keep, fam_ties, fam_margin = _cut(vals)
         ties += d * fam_ties
         margin = min(margin, fam_margin)
@@ -427,6 +431,7 @@ def _fourier_round_block(n, m, families, phi_stack):
         "margin": margin,
         "largest": max(m * fam.shape[-1] for fam in families),
         "irreps": kept_irreps,
+        "cube": cube,
     }
 
 
@@ -454,14 +459,24 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
     irrep rho, each of multiplicity d_rho, and pi is a direct sum of copies
     of the irreps (see :func:`_fourier_round_block`).  Other groups take
     the dense path, one eigendecomposition of the (|G| m)^2 operator A.
-    ``intermediates`` names the path and the largest block factorised.
+
+    The certificate's defect is :func:`~gapstab.algebra.defect` with
+    uniform weights, the same number bit for bit.  On the Fourier path it
+    is read off the blocks F_rho the rounding forms anyway, by the
+    three-term identity E_g ||phi(g)||_2^2 + tau(A B) -
+    2 Re sum_rho d_rho (tau (x) Tr)(F_rho^2 F_rho*) with
+    A = E_g phi(g)* phi(g) and B = E_h phi(h) phi(h)*, which assumes no
+    unitarity.  Below ``_FOURIER_DEFECT_FLOOR`` tau(1), where the identity's
+    cancellation error would show, and on the dense path the defect is the
+    pairwise sum of the |G|^2 law residuals.  ``intermediates`` names the
+    rounding path, the defect path (``"fourier"`` or ``"pairwise"``) and the
+    largest block factorised.
     """
     if p != 2:
         raise InvalidArgument("only the Hilbert-space case p = 2 is supported")
     group, base = phi.group, phi.algebra
     n = group.order
     families = _check_rounding_dim(group, base.dims)
-    eps = defect(phi)
     elements = group.elements
     if families is None:
         mul_idx = group.mul_index(*np.divmod(np.arange(n * n), n)).reshape(n, n)
@@ -471,11 +486,16 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
             _round_block(n, m, mul_idx, inv_idx, stack)
             for m, stack in zip(base.dims, phi.stacks)
         ]
+        eps = None
     else:
         blocks = [
             _fourier_round_block(n, m, families, stack)
             for m, stack in zip(base.dims, phi.stacks)
         ]
+        eps = _fourier_defect(phi, [blk["cube"] for blk in blocks])
+    defect_path = "pairwise" if eps is None else "fourier"
+    if eps is None:
+        eps = _pairwise_defect(phi)
 
     coeffs = base.coeffs
     corner = TracialAlgebra._raw(
@@ -551,6 +571,7 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
         "tau_spectral_projection": tau_spectral,
         "base_trace": base_trace,
         "path": "dense" if families is None else "fourier",
+        "defect_path": defect_path,
         "largest_block": max(blk["largest"] for blk in blocks),
     }
 

@@ -31,6 +31,7 @@ from gapstab.errors import (
     InvalidRepresentation,
     NonGeneratingSupport,
 )
+from gapstab.groups import CentralExtensionGroup, ProductGroup
 from gapstab.spectral import ProbMeasure
 
 
@@ -672,6 +673,62 @@ def test_defect_matches_pair_loop():
                 ref += float(wg) * float(wh) * alg.norm2(r) ** 2
         assert ref > 1e-4
         assert defect(phi, m, n) == pytest.approx(ref, rel=1e-12)
+
+
+def _pauli_extension(r):
+    a = boolean_group(r)
+    return CentralExtensionGroup(a, boolean_group(r), lambda x, y: a.pairing(x, y))
+
+
+# Groups with irreps, where the uniform defect has a Fourier path: abelian,
+# a product, the central extensions (irreps of dimension 2 and 4) and a
+# two-block algebra of weights 1/3 and 2/3.
+_FOURIER_DEFECT_REPS = {
+    "Z5": lambda: regular_rep(cyclic(5)),
+    "Z2xZ4": lambda: regular_rep(AbelianGroup((2, 4))),
+    "Z2 x Z3": lambda: regular_rep(ProductGroup(cyclic(2), cyclic(3))),
+    "extension-1": lambda: regular_rep(_pauli_extension(1)),
+    "extension-2": lambda: regular_rep(_pauli_extension(2)),
+    "two-block": lambda: _two_block_rep(AbelianGroup((2, 4)), 8),
+}
+
+
+def _uniform_pairwise(phi):
+    """The uniform defect as the mean of the law residuals of all pairs."""
+    n = phi.group.order
+    return float(algebra._law_sq(phi, *np.divmod(np.arange(n * n), n)).mean())
+
+
+@pytest.mark.parametrize("case", sorted(_FOURIER_DEFECT_REPS))
+def test_fourier_defect_matches_pairwise_sum(case, monkeypatch):
+    """Above the floor the uniform defect is read off the Fourier blocks,
+    with no pairwise residual, and agrees with the mean of the |G|^2 law
+    residuals to relative 1e-10, near and far from multiplicative."""
+    rep = _FOURIER_DEFECT_REPS[case]()
+    assert rep.group.irrep_stacks() is not None
+    tau_one = sum(rep.algebra.weights)
+    for phi in (_noisy_rep(rep, 0.1, 9), _random_hom(rep.group, rep.algebra, 10)):
+        ref = _uniform_pairwise(phi)
+        assert ref >= 10 * algebra._FOURIER_DEFECT_FLOOR * tau_one
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "_law_sq", None)  # any pairwise call fails
+            got = defect(phi)
+        assert got == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", sorted(_FOURIER_DEFECT_REPS))
+def test_fourier_defect_below_the_floor_is_the_pairwise_value(case):
+    """Exact and nearly exact inputs fall below the floor, where the Fourier
+    value is dropped and the pairwise sum is returned unchanged."""
+    rep = _FOURIER_DEFECT_REPS[case]()
+    for phi in (rep, _noisy_rep(rep, 1e-3, 11)):
+        cubes = [
+            sum(algebra._fourier_blocks(fam, s)[2] for fam in phi.group.irrep_stacks())
+            for s in phi.stacks
+        ]
+        assert algebra._fourier_defect(phi, cubes) is None
+        assert defect(phi) == algebra._pairwise_defect(phi)
+        assert defect(phi) == pytest.approx(_uniform_pairwise(phi), rel=1e-10, abs=1e-28)
 
 
 @pytest.mark.parametrize("group", [cyclic(5), AbelianGroup((2, 4))])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gapstab import groups
 from gapstab.abelian import AbelianGroup, boolean_group, cyclic
 from gapstab.errors import InvalidArgument
 from gapstab.groups import (
@@ -141,6 +142,43 @@ def test_permutation_product_table():
     assert s5.mul_index(np.array([1]), np.array([2])).dtype == np.intp
     with pytest.raises(InvalidArgument, match="not closed under inverse"):
         PermutationGroup([(0, 1, 2), (1, 2, 0)])  # the 3-cycle without its square
+
+
+def _void_key_table(elements):
+    """The product table by binary search of each product's big-endian
+    bytes among the sorted elements' bytes, as one void key per row."""
+    k, n = len(elements), len(elements[0])
+    perms = np.array(elements, dtype=np.min_scalar_type(n - 1).newbyteorder(">"))
+    key_type = np.dtype((np.void, perms.itemsize * n))
+    keys = perms.view(key_type).ravel()
+    prods = np.ascontiguousarray(perms[:, perms].reshape(-1, n))
+    idx = np.minimum(np.searchsorted(keys, prods.view(key_type).ravel()), k - 1)
+    found = (perms[idx] == prods).all(axis=1)
+    return np.where(found, idx, k).reshape(k, k)
+
+
+def test_permutation_table_matches_void_keys(monkeypatch):
+    """The int64 row keys give the byte-string key table on S1..S6, on
+    non-closed sets (a missing product is len(elements)) and, by void keys
+    again, above degree 15; also when the products span many chunks."""
+    rng = np.random.default_rng(4)
+    s5 = sorted(itertools.permutations(range(5)))
+    shifts = [tuple((i + k) % 16 for i in range(16)) for k in range(16)]
+    sets = [sorted(itertools.permutations(range(n))) for n in range(1, 7)]
+    sets += [
+        sorted(s5[i] for i in rng.choice(len(s5), 30, replace=False)),
+        [(0, 1, 2), (1, 2, 0)],
+        shifts,
+        sorted(shifts[:5]),
+    ]
+    for chunk in (None, 16):
+        if chunk is not None:
+            monkeypatch.setattr(groups, "_TABLE_CHUNK", chunk)
+        for elements in sets:
+            table = groups._permutation_table(elements)
+            assert table.dtype == np.min_scalar_type(len(elements))
+            assert np.array_equal(table, _void_key_table(elements))
+    assert (groups._permutation_table(sets[6]) == 30).any()
 
 
 def test_central_extension_weyl_relation():

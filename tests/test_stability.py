@@ -256,6 +256,61 @@ def test_rounding_path_and_largest_block():
         assert (report["path"], report["largest_block"]) == (path, block)
 
 
+def test_rounding_defect_comes_from_its_fourier_blocks(monkeypatch):
+    """On the Fourier path the certificate's defect is read off the blocks
+    the rounding factorises, one transform per irrep family and no pairwise
+    residual, and equals defect(phi) bit for bit; below the floor and on the
+    dense path it is the pairwise sum."""
+    rng = np.random.default_rng(12)
+    transforms = []
+    blocks = algebra._fourier_blocks
+    for module in (algebra, stability):
+        monkeypatch.setattr(
+            module, "_fourier_blocks", lambda *args: transforms.append(1) or blocks(*args)
+        )
+    for rep, sigma, path in (
+        (regular_rep(boolean_group(3)), 0.1, "fourier"),
+        (_two_block_rep(AbelianGroup((2, 3))), 0.1, "fourier"),
+        (regular_rep(_pauli_extension(1)), 0.1, "fourier"),
+        (regular_rep(boolean_group(3)), 1e-3, "pairwise"),
+        (_permutation_rep(symmetric_group(3)), 0.1, "pairwise"),
+    ):
+        phi = suites._noisy_hom(rep, sigma, rng)
+        families = rep.group.irrep_stacks()
+        transforms.clear()
+        with monkeypatch.context() as m:
+            if path == "fourier":
+                m.setattr(algebra, "_law_sq", None)  # any pairwise call fails
+            cert = gowers_hatami_round(phi)
+        assert cert.intermediates["defect_path"] == path
+        assert len(transforms) == (0 if families is None else len(families) * len(phi.stacks))
+        assert cert.input_defect == defect(phi)
+
+
+def test_twisted_defect_identity_is_checked(monkeypatch):
+    """The rounding's Fourier defect and the mean of the pair defects are
+    independent formulae for one number: they agree on a noisy Pauli pair,
+    and a pair-defect mean off by 1% fails the identity check."""
+    rng = np.random.default_rng(21)
+    u, v = _pauli_reps(2)
+    alg = u.algebra
+    noise = AlgebraElement(alg, [algebra._noise_unitary(4, 0.2, rng)])
+    v = UnitaryRep(v.group, alg, {b: noise * v(b) * noise.H for b in v.group.elements})
+    grp = u.group
+
+    def gamma(a, chi):
+        return int(grp.pairing(chi, a))
+
+    res = round_twisted_pair(u, v, gamma)
+    assert res.certificate.intermediates["defect_path"] == "fourier"
+    assert res.epsilon > 1e-3
+    assert res.certificate.input_defect == pytest.approx(res.epsilon, rel=1e-10)
+    pair_defects = stability._pair_defects
+    monkeypatch.setattr(stability, "_pair_defects", lambda *args: 1.01 * pair_defects(*args))
+    with pytest.raises(GapstabError, match="twisted defect identity failed"):
+        round_twisted_pair(u, v, gamma)
+
+
 def test_round_twisted_pair_hamming():
     """The Hamming pair (extension of order 512, m = 32) rounds through its
     512-dimensional faithful block, not the 16384-dimensional dense operator."""
