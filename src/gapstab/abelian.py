@@ -115,22 +115,14 @@ def boolean_group(r: int) -> AbelianGroup:
     return AbelianGroup((2,) * r)
 
 
-def regular_algebra(group: FiniteGroup) -> TracialAlgebra:
-    return TracialAlgebra.matrix(group.order)
-
-
-def regular_rep(group: FiniteGroup, algebra: TracialAlgebra | None = None) -> UnitaryRep:
+def regular_rep(group: FiniteGroup) -> UnitaryRep:
     """Left regular representation by permutation matrices."""
     n = group.order
-    if algebra is None:
-        algebra = TracialAlgebra.matrix(n)
-    if algebra.dims != (n,):
-        raise InvalidArgument("regular representation needs one block of size |G|")
     stack = np.zeros((n, n, n), dtype=complex)
     for i, g in enumerate(group.elements):
         for j, h in enumerate(group.elements):
             stack[i, group.index(group.mul(g, h)), j] = 1.0
-    return UnitaryRep(group, algebra, [stack], check="none")
+    return UnitaryRep(group, TracialAlgebra.matrix(n), [stack], check="none")
 
 
 def rep_from_pvm(pvm: PVM, group: AbelianGroup) -> UnitaryRep:
@@ -146,7 +138,7 @@ def rep_from_pvm(pvm: PVM, group: AbelianGroup) -> UnitaryRep:
     return UnitaryRep(group, pvm.algebra, _weighted_sums(table.T, pvm.stacks), check="none")
 
 
-def pvm_from_rep(rep: UnitaryRep, tol: float = 1e-9) -> PVM:
+def pvm_from_rep(rep: UnitaryRep) -> PVM:
     """Spectral measure of a representation of an abelian group.
 
     P_chi = E_a conj(chi(a)) U(a), one product of the conjugate character
@@ -158,4 +150,4 @@ def pvm_from_rep(rep: UnitaryRep, tol: float = 1e-9) -> PVM:
     if not isinstance(group, AbelianGroup):
         raise InvalidArgument("spectral measure requires an abelian group")
     stacks = _weighted_sums(np.conj(group.character_table()) / group.order, rep.stacks)
-    return PVM(rep.algebra, list(group.elements), stacks, tol=tol)
+    return PVM(rep.algebra, list(group.elements), stacks)

@@ -7,9 +7,9 @@ M_{n_r} carrying the weighted trace
 
 The 2-norm is ||x||_2 = sqrt(tau(x* x)).  An algebra built from dimensions
 and trace coefficients directly (``TracialAlgebra._raw``) need not have a
-unit of trace 1: the amplification M tensor M_k used by the rounding keeps
-the coefficients of M, so its identity has trace k and projections in it can
-carry trace larger than 1.
+unit of trace 1: the rounding's corner keeps the coefficients of the base
+algebra on larger blocks, so its identity carries the trace of a projection
+in the amplification M tensor M_|G|, which can exceed 1.
 
 Maps from a finite group store their images, and PVMs their projections, as
 one (k, n, n) stack per block.  The multiplication-law residuals
@@ -18,7 +18,8 @@ the weighted sums sum_k W[j, k] X_k (the Fourier transforms between PVMs and
 representations) and the trace pairings tau(P Q) are each formed on those
 stacks by one kernel.  Validation has one exact path: ``_exact_residuals``
 screens a family's residuals by Frobenius norm and computes the operator
-norms of the terms that fail the screen with one batched SVD; the PVM,
+norms of the terms that fail the screen with one batched SVD (a modulus for
+1 x 1 residuals, such as a character's); the PVM,
 unitarity and multiplication-law checks and :func:`rep_residual` all go
 through it.  The uniform defect of a map on a group with irreps is read off
 its Fourier blocks (``_fourier_blocks``, ``_fourier_defect``), which the
@@ -194,13 +195,6 @@ class AlgebraElement:
     def norm_inf(self) -> float:
         return self.algebra.norm_inf(self)
 
-    def is_close_to(self, other, tol=1e-9) -> bool:
-        self._check(other)
-        return all(
-            np.max(np.abs(a - b)) <= tol if a.size else True
-            for a, b in zip(self.blocks, other.blocks)
-        )
-
     def __repr__(self):
         return f"AlgebraElement({self.algebra!r})"
 
@@ -294,9 +288,9 @@ def _exact_residuals(dims, count: int, residuals, tol: float) -> tuple:
     per checked identity.  A term passes when every one of its residual
     blocks passes the Frobenius screen; the others come back in increasing
     order with the largest operator norm over their blocks and identities,
-    from one batched singular-value computation per residual array.  A
-    negative ``tol`` skips the screen and returns every term.  Terms go
-    through in the chunks of ``_chunks``.
+    from one batched singular-value computation per residual array (the
+    modulus, for 1 x 1 residuals).  A negative ``tol`` skips the screen and
+    returns every term.  Terms go through in the chunks of ``_chunks``.
     """
     if tol < 0:
         failed = np.arange(count)
@@ -316,9 +310,16 @@ def _exact_residuals(dims, count: int, residuals, tol: float) -> tuple:
         failed = np.flatnonzero(mask)
     norms = np.zeros(len(failed))
     for b, sl in _chunks(dims, len(failed)):
-        for r in residuals(b, failed[sl]):
-            np.maximum(norms[sl], np.linalg.svd(r, compute_uv=False)[:, 0], out=norms[sl])
+        for top in map(_operator_norms, residuals(b, failed[sl])):
+            np.maximum(norms[sl], top, out=norms[sl])
     return failed, norms
+
+
+def _operator_norms(r: np.ndarray) -> np.ndarray:
+    """The operator norm of each matrix of a (k, n, n) stack."""
+    if r.shape[-1] == 1:
+        return np.abs(r[:, 0, 0])
+    return np.linalg.svd(r, compute_uv=False)[:, 0]
 
 
 class PVM:
@@ -796,16 +797,16 @@ def commutator_gap_check(u: UnitaryRep, mu, v: AlgebraElement) -> GapCheck:
 # -- polar decomposition and the commutant's block structure -------------------
 
 
-def polar(x: AlgebraElement, kernel_tol: float = KERNEL_TOL):
+def polar(x: AlgebraElement):
     """x = w |x| with w the partial isometry vanishing on the kernel.
 
-    Singular values at or below ``kernel_tol`` are treated as zero, so w* w is
-    the support projection of |x| = (x* x)^(1/2).
+    Singular values at or below ``KERNEL_TOL`` are treated as zero, so w* w
+    is the support projection of |x| = (x* x)^(1/2).
     """
     ws, abss = [], []
     for b in x.blocks:
         u, s, vh = np.linalg.svd(b)
-        keep = s > kernel_tol
+        keep = s > KERNEL_TOL
         ws.append(u[:, keep] @ vh[keep, :])
         abss.append((vh.conj().T * s) @ vh)
     return (
@@ -830,7 +831,7 @@ class CommutantDecomposition:
     elements between the two pictures.
     """
 
-    def __init__(self, rep: UnitaryRep, components, tol=1e-8):
+    def __init__(self, rep: UnitaryRep, components):
         self.rep = rep
         self.ambient = rep.algebra
         self.components = components  # list of (block_index, W, m, d)
@@ -839,7 +840,6 @@ class CommutantDecomposition:
             self.ambient.coeffs[bi] * d for (bi, _, _, d) in components
         ]
         self.algebra_n = TracialAlgebra._raw(dims, coeffs)
-        self.tol = tol
 
     def compress(self, x: AlgebraElement) -> AlgebraElement:
         """Coordinates of an element of the commutant (x must lie in N)."""
@@ -864,30 +864,33 @@ class CommutantDecomposition:
         return self.ambient.norm_inf(self.lift(self.compress(x)) - x)
 
 
-def commutant_blocks(
-    rep: UnitaryRep, rng=None, max_tries: int = 8, tol: float = 1e-8
-) -> CommutantDecomposition:
+# commutant_blocks draws this many random pairs before it gives up, and
+# accepts a decomposition whose block-scalar residual is at most the tolerance
+_COMMUTANT_TRIES = 8
+_COMMUTANT_TOL = 1e-8
+
+
+def commutant_blocks(rep: UnitaryRep, rng=None) -> CommutantDecomposition:
     """Diagonalize the commutant of a representation into matrix blocks.
 
     Uses a generic self-adjoint element of the commutant (a conditional
     expectation of a random self-adjoint); eigenvalue clusters give the
     columns, a second random element links clusters belonging to the same
     component and aligns their bases.  Degenerate random draws are retried
-    with fresh randomness.
+    with fresh randomness, ``_COMMUTANT_TRIES`` times in all.
     """
     if rng is None:
         rng = np.random.default_rng(7)
     alg = rep.algebra
     # target commutant dimension per block from the character formula
-    targets = []
-    for bi in range(alg.nblocks):
-        s = 0.0
-        for g in rep.group.elements:
-            s += abs(np.trace(rep.images[g].blocks[bi])) ** 2
-        targets.append(round(s / rep.group.order))
+    # E_g |tr u(g)|^2, one trace over each block's image stack
+    targets = [
+        round(float(np.sum(np.abs(np.einsum("gii->g", s)) ** 2) / rep.group.order))
+        for s in rep.stacks
+    ]
 
     last_error = None
-    for _ in range(max_tries):
+    for _ in range(_COMMUTANT_TRIES):
         try:
             components = []
             t_el = conditional_expectation_commutant(
@@ -902,22 +905,22 @@ def commutant_blocks(
                 )
                 for w, m, d in comps:
                     components.append((bi, w, m, d))
-            dec = CommutantDecomposition(rep, components, tol=tol)
+            dec = CommutantDecomposition(rep, components)
             # validation: random commutant elements must be block-scalar
             for _ in range(3):
                 x = conditional_expectation_commutant(
                     rep, alg.random_selfadjoint(rng)
                 )
                 r = dec.scalar_block_residual(x)
-                if r > tol:
+                if r > _COMMUTANT_TOL:
                     raise DegenerateDecomposition(
-                        f"block-scalar residual {r:.3g} above {tol:g}"
+                        f"block-scalar residual {r:.3g} above {_COMMUTANT_TOL:g}"
                     )
             return dec
         except DegenerateDecomposition as exc:  # retry with fresh randomness
             last_error = exc
     raise DegenerateDecomposition(
-        f"no valid decomposition after {max_tries} tries: {last_error}"
+        f"no valid decomposition after {_COMMUTANT_TRIES} tries: {last_error}"
     )
 
 
@@ -972,12 +975,7 @@ def _split_block(t_mat, s_mat, n, target_dim):
     return comps
 
 
-def nearest_unitary_in_commutant(
-    rep: UnitaryRep,
-    v: AlgebraElement,
-    decomposition: CommutantDecomposition | None = None,
-    rng=None,
-) -> AlgebraElement:
+def nearest_unitary_in_commutant(rep: UnitaryRep, v: AlgebraElement, rng=None) -> AlgebraElement:
     """The unitary in the commutant closest to v in the 2-norm.
 
     Computes the conditional expectation onto the commutant and completes its
@@ -985,8 +983,7 @@ def nearest_unitary_in_commutant(
     output satisfies ||v - out||_2 <= sqrt(2) * ||v - E(v)||_2, and sqrt(2)
     cannot be improved.
     """
-    if decomposition is None:
-        decomposition = commutant_blocks(rep, rng=rng)
+    decomposition = commutant_blocks(rep, rng=rng)
     ev = conditional_expectation_commutant(rep, v)
     y = decomposition.compress(ev)
     u = AlgebraElement(

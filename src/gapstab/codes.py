@@ -287,13 +287,6 @@ class LinearCode:
         self._distance = best
         return best
 
-    def codeword(self, message) -> np.ndarray:
-        f = self.field
-        out = np.zeros(self.length, dtype=np.int64)
-        for j, y in enumerate(message):
-            out = f.add_table[out, f.mul_table[int(y)][self.generator[j]]]
-        return out
-
     def __repr__(self):
         d = self._distance if self._distance is not None else "?"
         return f"LinearCode[{self.length},{self.dim},{d}]_{self.q}"

@@ -125,10 +125,6 @@ class Game:
                 total += p
         return total / 2
 
-    def question_mass(self, x) -> Fraction:
-        """Row mass sum_y mu(x, y): the chance x is the first question."""
-        return sum((p for (a, _), p in self.mu.items() if a == x), Fraction(0))
-
     def _rule_for(self, x, y):
         """(rule, swapped) for an ordered support pair."""
         if (x, y) in self.rules:
@@ -320,7 +316,7 @@ def _sign_observable(pvm: PVM) -> AlgebraElement:
     return pvm[1] - pvm[-1]
 
 
-def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache, pauli_mode):
+def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache):
     """sum_{a, b} D(x, y, a, b) tau(P^x_a P^y_b) for one support pair."""
     rule, swapped = game._rule_for(x, y)
     if swapped:
@@ -353,8 +349,6 @@ def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache, pauli_mo
         def explicit():
             return accepted(list(zip(px.outcomes, signs())))
 
-        if pauli_mode == "explicit":
-            return explicit()
         key = (x, tag, param)
         if key not in cache:
             # the observable sum_a <a, .> P_a selecting the accepted signs
@@ -368,22 +362,21 @@ def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache, pauli_mo
     raise InvalidArgument(f"unknown decision tag {tag!r}")
 
 
-def value(game: Game, strategy: SynchronousStrategy, pauli_mode: str = "shortcut") -> float:
+def value(game: Game, strategy: SynchronousStrategy) -> float:
     """Accepted mass of the strategy: integral of the decision over mu.
 
     Every tau(P Q) is a Hadamard-product trace sum_{ij} P[i, j] Q[j, i] on
     the PVM stacks, O(d^2) per term instead of a d^3 product.
     Pauli-consistency pairs are evaluated through the sign observable
     sum_a <a, .> P_a (one trace per pair instead of a sum over the whole
-    answer group); ``pauli_mode="explicit"`` forces the literal double sum
-    for cross-checks.
+    answer group); on answer groups of order at most 16 each such pair is
+    cross-checked against the literal double sum.  The literal table of
+    every rule is :func:`expand_rules`.
     """
-    if pauli_mode not in ("shortcut", "explicit"):
-        raise InvalidArgument("pauli_mode must be 'shortcut' or 'explicit'")
-    return _value_terms(game, strategy, pauli_mode)[0]
+    return _value_terms(game, strategy)[0]
 
 
-def _value_terms(game: Game, strategy: SynchronousStrategy, pauli_mode) -> tuple:
+def _value_terms(game: Game, strategy: SynchronousStrategy) -> tuple:
     """The value and its terms {(x, y): mu(x, y) times the pair's value}, from
     one pass over the support of mu with one cache for every pair."""
     missing = [x for pair in game.mu for x in pair if x not in strategy.pvms]
@@ -399,7 +392,7 @@ def _value_terms(game: Game, strategy: SynchronousStrategy, pauli_mode) -> tuple
     terms = {}
     total = 0.0
     for (x, y), p in game.mu.items():
-        terms[(x, y)] = t = float(p) * _pair_value(game, strategy, x, y, cache, pauli_mode)
+        terms[(x, y)] = t = float(p) * _pair_value(game, strategy, x, y, cache)
         total += t
     if total < -1e-9 or total > 1 + 1e-9:
         raise GapstabError(f"game value {total} escaped [0, 1]")
@@ -433,19 +426,6 @@ def expand_rules(game: Game, cap: int = 4096) -> Game:
     return out
 
 
-def symmetrize(game: Game) -> Game:
-    """Replace mu by its transpose-average; strategy values are unchanged."""
-    mu = {}
-    for (x, y), p in game.mu.items():
-        mu[(x, y)] = mu.get((x, y), 0) + p / 2
-        mu[(y, x)] = mu.get((y, x), 0) + p / 2
-    out = Game(game.questions, game.answers, mu, game.rules)
-    out.copy_meta_from(game)
-    for (x, y), c in game.case_of.items():
-        out.case_of[(y, x)] = c
-    return out
-
-
 # -- closeness -------------------------------------------------------------------
 
 
@@ -454,24 +434,16 @@ class ClosenessCertificate:
     """The three quantities defining closeness of synchronous strategies.
 
     ``trace_defect_base`` is tau(1 - w* w) in the base algebra;
-    ``trace_defect_corner`` is tau'(P - w w*) in the corner trace normalized
-    so tau'(P) = 1; ``strategy_distance`` is the weighted question average
+    ``trace_defect_corner`` is tau'(1 - w w*) in the corner trace normalized
+    so tau'(1) = 1; ``strategy_distance`` is the uniform question average
     of sum_a ||P^x_a - w* Q^x_a w||_2^2.
     """
 
-    p: AlgebraElement
     w: Intertwiner
     trace_defect_base: float
     trace_defect_corner: float
     strategy_distance: float
     per_question: dict
-
-    def is_close(self, eps: float) -> bool:
-        return (
-            self.trace_defect_base <= eps
-            and self.trace_defect_corner <= eps
-            and self.strategy_distance <= eps
-        )
 
     def report(self) -> dict:
         return {
@@ -483,31 +455,26 @@ class ClosenessCertificate:
 
 
 def closeness(
-    strat_a: SynchronousStrategy,
-    strat_b: SynchronousStrategy,
-    w: Intertwiner,
-    p: AlgebraElement | None = None,
-    weights: dict | None = None,
+    strat_a: SynchronousStrategy, strat_b: SynchronousStrategy, w: Intertwiner
 ) -> ClosenessCertificate:
     """Measure how close strat_a is to the corner strategy strat_b via w.
 
-    ``weights`` assigns the question average (uniform over the common
-    questions by default); answer sets must agree question by question.
+    The question average is uniform over the common questions; answer sets
+    must agree question by question.  The corner projection is the
+    identity of strat_b's algebra.
     """
     base = strat_a.algebra
     corner = strat_b.algebra
-    if p is None:
-        p = corner.identity()
+    one = corner.identity()
     questions = sorted(
         set(strat_a.pvms) & set(strat_b.pvms), key=repr
     )
-    if weights is None:
-        weights = {x: 1.0 / len(questions) for x in questions}
-    tau_p = float(np.real(corner.tau(p)))
+    weights = {x: 1.0 / len(questions) for x in questions}
+    tau_p = float(np.real(corner.tau(one)))
     if tau_p <= 0:
         raise InvalidArgument("corner projection has nonpositive trace")
     trace_base = float(np.real(base.tau(base.identity() - w.w_star_w())))
-    trace_corner = float(np.real(corner.tau(p - w.w_w_star()))) / tau_p
+    trace_corner = float(np.real(corner.tau(one - w.w_w_star()))) / tau_p
     per_question = {}
     for x in weights:
         pa, pb = strat_a[x], strat_b[x]
@@ -517,7 +484,6 @@ def closeness(
         per_question[x] = _pullback_distance(w, pa.stacks, [s[order] for s in pb.stacks])
     distance = sum(float(weights[x]) * per_question[x] for x in weights)
     return ClosenessCertificate(
-        p=p,
         w=w,
         trace_defect_base=trace_base,
         trace_defect_corner=trace_corner,
@@ -694,7 +660,7 @@ _TAU_X = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]])
 _TAU_Z = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
 
 
-def pauli_pvms(n: int, cap: int = PAULI_DIM_CAP):
+def pauli_pvms(n: int):
     """The X- and Z-basis product PVMs on 2^n dimensions.
 
     Outcomes are the elements of (Z/2)^n read as characters (X side) and
@@ -703,8 +669,8 @@ def pauli_pvms(n: int, cap: int = PAULI_DIM_CAP):
     """
     if n < 1:
         raise InvalidArgument("the number of qubits must be positive")
-    if n > cap:
-        raise ResourceCap(f"{n} qubits exceed the cap {cap}")
+    if n > PAULI_DIM_CAP:
+        raise ResourceCap(f"{n} qubits exceed the cap {PAULI_DIM_CAP}")
     group = boolean_group(n)
     alg = TracialAlgebra.matrix(2**n)
     # the Kronecker product of stacks runs the outcome bits, first bit outermost,
@@ -1014,7 +980,7 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
     if game.h_group is None or not game.case_of:
         raise InvalidArgument("the game does not carry combined-game structure")
     group = game.h_group
-    val, terms = _value_terms(game, strategy, "shortcut")
+    val, terms = _value_terms(game, strategy)
     eps = 1.0 - val
     # one minus the conditional value of each of the three combined-game cases
     masses = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
@@ -1042,12 +1008,7 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
             "PZ": pvm_from_rep(tr.v_tilde),
         },
     )
-    cert = closeness(
-        strategy.restricted(["PX", "PZ"]),
-        corner_strategy,
-        tr.w,
-        weights={"PX": 0.5, "PZ": 0.5},
-    )
+    cert = closeness(strategy.restricted(["PX", "PZ"]), corner_strategy, tr.w)
     report = {
         "value": val,
         "epsilon": eps,

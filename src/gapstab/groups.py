@@ -139,12 +139,6 @@ class ProductGroup(FiniteGroup):
         (i1, i2), (j1, j2) = np.divmod(i, n2), np.divmod(j, n2)
         return self.first.mul_index(i1, j1) * n2 + self.second.mul_index(i2, j2)
 
-    def embed_first(self, g):
-        return (g, self.second.identity)
-
-    def embed_second(self, h):
-        return (self.first.identity, h)
-
     def irrep_stacks(self):
         f1 = self.first.irrep_stacks()
         f2 = self.second.irrep_stacks()
@@ -389,12 +383,16 @@ def symmetric_group(n: int) -> PermutationGroup:
     return PermutationGroup(itertools.permutations(range(n)))
 
 
-def validate_irreps(group: FiniteGroup, tol: float = 1e-9) -> None:
+# Largest entrywise residual validate_irreps accepts.
+_IRREP_TOL = 1e-9
+
+
+def validate_irreps(group: FiniteGroup) -> None:
     """Assert that group.irrep_stacks() is a complete orthonormal family.
 
     Checks the dimension count, unitarity of the Peter-Weyl matrix (Schur
     orthogonality of matrix coefficients) and the homomorphism law on the
-    pairs of the first eight elements.
+    pairs of the first eight elements, each to ``_IRREP_TOL`` entrywise.
     """
     families = group.irrep_stacks()
     if families is None:
@@ -410,12 +408,12 @@ def validate_irreps(group: FiniteGroup, tol: float = 1e-9) -> None:
         ]
     )
     err = np.max(np.abs(f @ f.conj().T - np.eye(n)))
-    if err > tol:
+    if err > _IRREP_TOL:
         raise InvalidArgument(f"irreducibles fail orthogonality: residual {err:g}")
     k = min(8, n)
     left, right = np.divmod(np.arange(k * k), k)
     prod = group.mul_index(left, right)
     for fam in families:
         err = np.max(np.abs(fam[:, prod] - fam[:, left] @ fam[:, right]))
-        if err > tol:
+        if err > _IRREP_TOL:
             raise InvalidArgument(f"irrep fails multiplication law: residual {err:g}")

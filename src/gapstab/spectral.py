@@ -88,16 +88,6 @@ class ProbMeasure:
             w[gi] = w.get(gi, 0) + half * p
         return ProbMeasure(self.group, w)
 
-    def lazy(self, lam) -> "ProbMeasure":
-        """Mix with the point mass at the identity: lam*delta_e + (1-lam)*mu."""
-        lam = Fraction(lam)
-        if not 0 <= lam < 1:
-            raise InvalidArgument("mixing weight must lie in [0, 1)")
-        w = {g: (1 - lam) * p for g, p in self.weights.items()}
-        e = self.group.identity
-        w[e] = w.get(e, 0) + lam
-        return ProbMeasure(self.group, w)
-
     def convolve(self, other: "ProbMeasure") -> "ProbMeasure":
         """Distribution of gh with g ~ self and h ~ other, exact weights."""
         if other.group is not self.group and other.group.elements != self.group.elements:
@@ -241,11 +231,12 @@ def kappa_general(group: FiniteGroup, mu: ProbMeasure, cap: int = GROUP_ORDER_CA
     return GapReport(1.0 / (1.0 - lam2), lam2, "regular-rep")
 
 
-def kappa(group: FiniteGroup, mu: ProbMeasure, cap: int = GROUP_ORDER_CAP) -> GapReport:
-    """Dispatch to the Fourier path for abelian groups, regular rep otherwise."""
+def kappa(group: FiniteGroup, mu: ProbMeasure) -> GapReport:
+    """Dispatch to the Fourier path for abelian groups, regular rep otherwise
+    (up to ``GROUP_ORDER_CAP``)."""
     if isinstance(group, AbelianGroup):
         return kappa_abelian(group, mu)
-    return kappa_general(group, mu, cap=cap)
+    return kappa_general(group, mu)
 
 
 def poincare_residual(rep, mu: ProbMeasure, xi) -> tuple[float, float]:

@@ -16,7 +16,6 @@ almost-homomorphism of a direct product.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -65,7 +64,8 @@ PAIR_CONSTANT = 1444.0
 TWISTED_CONSTANT = 30000.0
 
 # Largest Hermitian block the rounding factorises, and the square root of the
-# largest |G| m^2 (the size of the dilation and of its spectral isometry).
+# largest |G| m^2: the entries of the input stack phi and, on the Fourier
+# path, of the blocks F_rho, whose families hold |G| m^2 entries in all.
 ROUNDING_DIM_CAP = 4096
 
 # Eigenvalues this close to the 1/2 cut are kept and flagged.
@@ -95,9 +95,10 @@ def _check_rounding_dim(group: FiniteGroup, dims):
     pairwise defect, taken on the dense path and below the Fourier floor,
     sums |G|^2 law residuals), the largest Hermitian block the rounding
     factorises (|G| m on the dense path, m d_rho on the Fourier path) and,
-    by the cap squared, |G| m^2: the dilation V and the spectral isometry Z,
-    since tr A = m leaves at most 2m eigenvalues >= 1/2.  Returns the
-    group's irrep stacks, None when the rounding takes the dense path.
+    by the cap squared, |G| m^2: the entries of the input stack phi and of
+    the Fourier blocks F_rho, m^2 d_rho^2 each and so |G| m^2 over all the
+    families.  Returns the group's irrep stacks, None when the rounding
+    takes the dense path.
     """
     cap, n, m = ROUNDING_DIM_CAP, group.order, max(dims)
     if n > cap:
@@ -108,7 +109,7 @@ def _check_rounding_dim(group: FiniteGroup, dims):
         raise ResourceCap(f"largest rounding block {block} exceeds the cap {cap}")
     if n * m * m > cap * cap:
         raise ResourceCap(
-            f"rounding isometry of {n * m * m} entries exceeds the cap {cap} squared"
+            f"rounding stack of {n * m * m} entries exceeds the cap {cap} squared"
         )
     return families
 
@@ -191,7 +192,6 @@ class RoundingCertificate:
 
     Attributes
     ----------
-    amplified : the amplified algebra M tensor M_|G| that contains ``P``.
     pi : UnitaryRep on the corner algebra (one block per base block).
     w : Intertwiner from the base algebra into the corner; an isometry.
     distance : mean squared 2-norm closeness E_g ||phi(g) - w* pi(g) w||_2^2.
@@ -200,16 +200,16 @@ class RoundingCertificate:
     projection_defect : ||P - w w*||_2^2 in the amplified trace.
     per_element : dict g -> squared closeness at g.
     intermediates : contraction-stage numbers and numerical health figures.
-    corner_factors : per block, the isometry whose range is the corner.
+    spectral_ranks : per block, the rank R of the spectral projection and
+        the dimension t of its completion; the corner has dimension R + t.
 
-    ``P`` materializes the corner projection inside the amplified algebra;
-    pi(g) = P pi(g) P holds by construction because pi is stored in corner
-    coordinates.
+    The corner projection P lives in the amplified algebra M tensor M_|G|
+    and is not materialised: pi is stored in corner coordinates, where P is
+    the identity, and every number above is computed there.
     """
 
     group: FiniteGroup
     base: TracialAlgebra
-    amplified: TracialAlgebra
     corner: TracialAlgebra
     pi: UnitaryRep
     w: Intertwiner
@@ -221,13 +221,7 @@ class RoundingCertificate:
     intermediates: dict
     threshold_ties: bool
     tie_count: int
-    corner_factors: list
     spectral_ranks: list
-
-    @property
-    def P(self) -> AlgebraElement:
-        """The corner projection as an element of the amplified algebra."""
-        return AlgebraElement(self.amplified, [f @ f.conj().T for f in self.corner_factors])
 
     def pullback(self, g) -> AlgebraElement:
         """w* pi(g) w in the base algebra."""
@@ -299,9 +293,10 @@ def _cut(vals):
 def _round_block(n, m, mul_idx, inv_idx, phi_stack):
     """Round one base block with the dense averaged operator.
 
-    Returns the spectral isometry Z, the completion columns C, the
-    compressed dilation X, the completed isometry w (corner coordinates),
-    the stack of compressions Z* lambda(g) Z, ranks and threshold
+    Returns the rank R of the spectral projection, the completion dimension
+    t, the compressed dilation X = Z* V (Z the spectral isometry, used here
+    and not returned), the polar part w0 and completed isometry w (corner
+    coordinates), the stack of compressions Z* lambda(g) Z, and threshold
     diagnostics.
     """
     v_rect = (phi_stack[inv_idx] / math.sqrt(n)).reshape(n * m, m)
@@ -324,11 +319,10 @@ def _round_block(n, m, mul_idx, inv_idx, phi_stack):
     vals, vecs = np.linalg.eigh(a_op)
     keep, ties, margin = _cut(vals)
     z_iso = vecs[:, keep]
-    low = vecs[:, ~keep]
     r_dim = z_iso.shape[1]
 
     x_mat = z_iso.conj().T @ v_rect
-    w0, w_mat, t_dim = _polar_completion(x_mat, low.shape[1])
+    w0, w_mat, t_dim = _polar_completion(x_mat, n * m - r_dim)
     z_blocks = z_iso.reshape(n, m, r_dim)
     core = np.stack(
         [
@@ -337,8 +331,6 @@ def _round_block(n, m, mul_idx, inv_idx, phi_stack):
         ]
     )
     return {
-        "Z": z_iso,
-        "C": low[:, :t_dim],
         "R": r_dim,
         "t": t_dim,
         "X": x_mat,
@@ -362,11 +354,13 @@ def _fourier_round_block(n, m, families, phi_stack):
     x[h] = sqrt(d/n) Y rho(h)* e_j of A, with the same eigenvalue; the rows
     of X = Z* V are sqrt(d) (y* F) at column j, and lambda(g) moves x_j to
     sum_i rho(g)[i, j] x_i, so the compressed translation is rho(g) on each
-    kept eigenvector.  Returns what :func:`_round_block` returns, and the
-    (family, irrep) pairs that occur in the corner and, as ``cube``, the
-    block's sum_rho d_rho Tr(F_rho^2 F_rho*) for :func:`_fourier_defect`.
+    kept eigenvector.  Neither these eigenvectors of A nor the completion
+    columns are formed: the rounding's numbers need only X and the irreps.
+    Returns what :func:`_round_block` returns, and the (family, irrep)
+    pairs that occur in the corner and, as ``cube``, the block's
+    sum_rho d_rho Tr(F_rho^2 F_rho*) for :func:`_fourier_defect`.
     """
-    kept_vecs, kept_irreps, x_rows, spectra = [], [], [], []
+    kept_irreps, x_rows = [], []
     ties, margin, cube = 0, math.inf, 0
     for f, fam in enumerate(families):
         d = fam.shape[-1]
@@ -381,15 +375,7 @@ def _fourier_round_block(n, m, families, phi_stack):
         y = vecs[qs, :, es]
         rows = np.einsum("ka,kab->kb", y.conj(), fhat[qs]) * math.sqrt(d)
         x_rows.append(rows.reshape(-1, m, d).transpose(0, 2, 1).reshape(-1, m))
-        kept_vecs.append((fam, qs, y))
         kept_irreps += [(f, int(q)) for q in qs]
-        spectra.append((vals, vecs, keep))
-
-    def columns(fam, qs, y):
-        """The unit vectors sqrt(d/n) Y rho(h)* e_j of A, j innermost."""
-        d = fam.shape[-1]
-        cols = np.einsum("kal,khjl->hakj", y.reshape(-1, m, d), np.conj(fam[qs]))
-        return cols.reshape(n * m, -1) * math.sqrt(d / n)
 
     x_mat = np.vstack(x_rows)
     r_dim = x_mat.shape[0]
@@ -402,25 +388,7 @@ def _fourier_round_block(n, m, families, phi_stack):
         core[:, off : off + d, off : off + d] = families[f][q]
         off += d
 
-    def low_end():
-        """(value, irrep, index) of every eigenvector of A below the cut, one
-        per Gram eigenvector and column j, then what builds its column."""
-        first = 0
-        for (vals, vecs, keep), fam in zip(spectra, families):
-            d = fam.shape[-1]
-            for q, e in zip(*np.nonzero(~keep)):
-                for j in range(d):
-                    yield vals[q, e], first + q, e * d + j, fam, q, vecs[q, :, e], j
-            first += len(vals)
-
-    # completion columns: the t lowest eigenvectors of A
-    c_cols = [
-        columns(fam, [q], y[None])[:, j]
-        for *_, fam, q, y, j in heapq.nsmallest(t_dim, low_end(), key=lambda e: e[:3])
-    ]
     return {
-        "Z": np.hstack([columns(*kv) for kv in kept_vecs]),
-        "C": np.array(c_cols, dtype=complex).reshape(t_dim, n * m).T,
         "R": r_dim,
         "t": t_dim,
         "X": x_mat,
@@ -435,15 +403,17 @@ def _fourier_round_block(n, m, families, phi_stack):
     }
 
 
-def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
+def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
     """Round an almost-homomorphism to a representation on a corner.
 
-    Implements the dilation construction: V stacks phi(g^{-1}) row blocks,
-    A averages the range projection of V over left translations, P is the
-    spectral projection of A above 1/2, pi is the left translation action
-    compressed to P (extended by the identity on the completion part),
-    X = PV, and w completes the polar part of X to an isometry.  The
-    certificate records
+    Implements the dilation construction in the Hilbert-space case p = 2:
+    V stacks phi(g^{-1}) row blocks, A averages the range projection of V
+    over left translations, P is the spectral projection of A above 1/2, pi
+    is the left translation action compressed to P (extended by the
+    identity on the completion part), X = PV, and w completes the polar
+    part of X to an isometry.  P is defined but not materialised: every
+    number is computed in the corner's coordinates, from X, w and the
+    compressed translations.  The certificate records
 
         distance        <= 169 * defect        (squared form)
         ||P - w w*||_2^2 <= 16 * defect
@@ -472,8 +442,6 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
     rounding path, the defect path (``"fourier"`` or ``"pairwise"``) and the
     largest block factorised.
     """
-    if p != 2:
-        raise InvalidArgument("only the Hilbert-space case p = 2 is supported")
     group, base = phi.group, phi.algebra
     n = group.order
     families = _check_rounding_dim(group, base.dims)
@@ -578,7 +546,6 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
     return RoundingCertificate(
         group=group,
         base=base,
-        amplified=TracialAlgebra._raw([n * m for m in base.dims], coeffs),
         corner=corner,
         pi=pi,
         w=w,
@@ -590,7 +557,6 @@ def gowers_hatami_round(phi: AlmostHom, p: int = 2) -> RoundingCertificate:
         intermediates=intermediates,
         threshold_ties=any(blk["ties"] for blk in blocks),
         tie_count=sum(blk["ties"] for blk in blocks),
-        corner_factors=[np.hstack([blk["Z"], blk["C"]]) for blk in blocks],
         spectral_ranks=[(blk["R"], blk["t"]) for blk in blocks],
     )
 

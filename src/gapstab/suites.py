@@ -268,13 +268,14 @@ def suite_gh(trials: int = 200, seed: int = 7) -> SuiteResult:
         exact = i % 20 == 0
         sigma = 0.0 if exact else 10.0 ** rng.uniform(-2.85, -0.5)
         phi = _noisy_hom(rep, sigma, rng)
-        eps = defect(phi)
         try:
             cert = stability.gowers_hatami_round(phi)
         except GapstabError:
             failures += 1
-            rows.append((i, rep.group.order, sum(rep.algebra.dims), eps) + (math.nan,) * 4)
+            rows.append((i, rep.group.order, sum(rep.algebra.dims), defect(phi)) + (math.nan,) * 4)
             continue
+        # the certificate's defect is defect(phi), bit for bit
+        eps = cert.input_defect
         rep_report = cert.report()
         dist = rep_report["distance"]
         ok = _holds(dist, 169.0 * eps) and _holds(rep_report["trace_excess"], 16.0 * eps)

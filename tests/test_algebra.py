@@ -924,3 +924,24 @@ def test_unitary_rep_check_takes_two_values(check):
     UnitaryRep(rep.group, rep.algebra, rep.stacks, check="none")
     with pytest.raises(InvalidArgument, match="check must be 'auto' or 'none'"):
         UnitaryRep(rep.group, rep.algebra, rep.stacks, check=check)
+
+
+def test_exact_residuals_of_1x1_stacks_take_no_svd(monkeypatch):
+    """A 1 x 1 residual's operator norm is its modulus: over stacks of 1 x 1
+    blocks _exact_residuals makes no SVD call and agrees with the SVD."""
+    rng = np.random.default_rng(11)
+    dims, count = (1, 1, 1), 5000  # several chunks per block
+    stacks = [rng.standard_normal((count, 1, 1)) + 1j * rng.standard_normal((count, 1, 1))
+              for _ in dims]
+
+    def residuals(b, sel):
+        yield stacks[b][sel]
+        yield 0.5 * stacks[(b + 1) % len(dims)][sel]
+
+    expected = np.max(
+        [np.linalg.svd(s, compute_uv=False)[:, 0] for s in stacks], axis=0
+    )
+    monkeypatch.setattr(np.linalg, "svd", None)  # any SVD call fails
+    failed, norms = algebra._exact_residuals(dims, count, residuals, -1.0)
+    assert np.array_equal(failed, np.arange(count))
+    assert np.all(np.abs(norms - expected) <= 1e-15 * expected)

@@ -78,7 +78,7 @@ def test_repetition_code():
     code = code_new(2, [[1, 1, 1]])
     assert code.params[:2] == (3, 1)
     assert code.distance() == 3
-    assert np.array_equal(code.codeword((1,)), [1, 1, 1])
+    assert np.array_equal(code.generator, [[1, 1, 1]])
 
 
 def test_hamming_code():

@@ -39,7 +39,6 @@ from gapstab.games import (
     perturb_strategy,
     strategy_from_jsonable,
     strategy_to_jsonable,
-    symmetrize,
     unitary_pvm_bridge,
     value,
 )
@@ -102,12 +101,17 @@ def test_accepts_swapped_orientation():
             assert game.accepts("x1", "y", a, b) == game.accepts("y", "x1", b, a)
 
 
+def _question_mass(game, x):
+    """Row mass sum_y mu(x, y): the chance x is the first question."""
+    return sum((p for (a, _), p in game.mu.items() if a == x), Fraction(0))
+
+
 def test_marginal_and_question_mass():
     game = game_from_code(LinearCode(2, [[1]]))
-    assert game.question_mass("PX") == Fraction(1, 3)
-    assert game.question_mass("PZ") == Fraction(1, 3)
+    assert _question_mass(game, "PX") == Fraction(1, 3)
+    assert _question_mass(game, "PZ") == Fraction(1, 3)
     assert game.marginal("PX") == Fraction(1, 6)
-    total = sum(game.question_mass(x) for x in game.questions)
+    total = sum(_question_mass(game, x) for x in game.questions)
     assert total == 1
 
 
@@ -289,7 +293,7 @@ def test_combined_game_rejects_higher_exponent():
 def test_game_from_code():
     game = game_from_code(LinearCode(2, [[1]]))
     assert game.rigidity_constant == Fraction(1, 4)
-    assert game.question_mass("PX") == Fraction(1, 3)
+    assert _question_mass(game, "PX") == Fraction(1, 3)
     with pytest.raises(InvalidArgument):
         game_from_code(LinearCode(2, [[1, 1, 1]]), LinearCode(2, [[1, 0], [0, 1]]))
     with pytest.raises(InvalidArgument):
@@ -313,15 +317,13 @@ def test_value_requires_full_strategy():
     partial = SynchronousStrategy(strat.algebra, {"x1": strat["x1"], "x2": strat["x2"]})
     with pytest.raises(InvalidArgument):
         value(game, partial)
-    with pytest.raises(InvalidArgument):
-        value(game, strat, pauli_mode="fast")
 
 
 def test_value_shortcut_matches_explicit():
     game = game_from_code(LinearCode(2, [[1]]))
     strat = perturb_strategy(honest_strategy(game), 0.2, np.random.default_rng(3))
     v_short = value(game, strat)
-    v_expl = value(game, strat, pauli_mode="explicit")
+    v_expl = value(expand_rules(game), strat)
     assert abs(v_short - v_expl) < 1e-12
 
 
@@ -333,16 +335,6 @@ def test_expand_rules_value_match():
     assert abs(value(game, strat) - value(expanded, strat)) < 1e-12
     with pytest.raises(ResourceCap):
         expand_rules(game, cap=1)
-
-
-def test_symmetrize_value_invariance():
-    game = game_from_code(LinearCode(2, [[1]]))
-    sym = symmetrize(game)
-    assert sum(sym.mu.values()) == 1
-    for (x, y), p in sym.mu.items():
-        assert p == sym.mu[(y, x)]
-    strat = perturb_strategy(honest_strategy(game), 0.1, np.random.default_rng(5))
-    assert abs(value(game, strat) - value(sym, strat)) < 1e-12
 
 
 def test_perturb_strategy_zero_sigma():
@@ -364,7 +356,6 @@ def test_closeness_identity_witness():
     assert cert.trace_defect_base < 1e-12
     assert cert.trace_defect_corner < 1e-12
     assert cert.strategy_distance < 1e-20
-    assert cert.is_close(1e-9)
     r = cert.report()
     assert set(r["per_question"]) == {"x1", "x2", "y"}
 
@@ -394,7 +385,8 @@ def test_rigidity_report_honest():
     assert rep["relation_residual"] < 1e-9
     assert rep["closeness"]["strategy_distance"] < 1e-9
     assert rep["bridge_residual"] < 1e-10
-    assert rep["certificate"].is_close(1e-8)
+    cert = rep["certificate"]
+    assert max(cert.trace_defect_base, cert.trace_defect_corner, cert.strategy_distance) <= 1e-8
 
 
 def test_rigidity_report_conjugated_honest():
@@ -447,11 +439,11 @@ def test_pauli_signs_are_the_pairing(name, monkeypatch):
     game = named_game(name)
     group = game.h_group
     strat = perturb_strategy(honest_strategy(game), 0.1, np.random.default_rng(5))
-    fast = [value(game, strat, pauli_mode=mode) for mode in ("shortcut", "explicit")]
+    fast = value(game, strat)
     els = group.elements
     paired = np.array([[complex(group.pairing(chi, a)) for a in els] for chi in els])
     monkeypatch.setattr(group, "character_table", lambda: paired)
-    assert fast == [value(game, strat, pauli_mode=mode) for mode in ("shortcut", "explicit")]
+    assert fast == value(game, strat)
 
 
 # -- the stacked kernels against the per-outcome loops ------------------------------
@@ -505,8 +497,8 @@ def test_value_matches_the_literal_trace_sums(kind):
             if game.accepts(x, y, a, b):
                 literal += float(np.real(alg.tau(px[a] * py[b])))
     assert 0.05 < literal < 0.95
-    for mode in ("shortcut", "explicit"):
-        assert value(game, strat, pauli_mode=mode) == pytest.approx(literal, rel=1e-12)
+    for g in (game, expand_rules(game)):
+        assert value(g, strat) == pytest.approx(literal, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["repetition", "hamming"])

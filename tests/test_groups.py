@@ -95,8 +95,8 @@ def test_product_group():
     grp = ProductGroup(cyclic(2), symmetric_group(3))
     assert grp.order == 12
     _check_group_axioms(grp)
-    a = grp.embed_first((1,))
-    b = grp.embed_second((1, 0, 2))
+    a = ((1,), grp.second.identity)
+    b = (grp.first.identity, (1, 0, 2))
     assert grp.mul(a, b) == ((1,), (1, 0, 2))
 
 

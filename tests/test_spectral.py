@@ -176,15 +176,6 @@ def test_alon_roichman_failure():
         )
 
 
-def test_lazy_measure():
-    grp = cyclic(2)
-    mu = ProbMeasure.delta(grp, (1,))
-    lz = mu.lazy("1/2")
-    assert lz((0,)) == Fraction(1, 2) and lz((1,)) == Fraction(1, 2)
-    with pytest.raises(InvalidArgument):
-        mu.lazy(1)
-
-
 # -- the integer character-phase kernel against the per-character loop ------------
 
 

@@ -76,6 +76,28 @@ def test_suite_determinism():
     assert c.rows != a.rows
 
 
+def test_suite_gh_computes_each_defect_once(monkeypatch):
+    """suite_gh reads eps off the certificate, which is defect(phi) bit for
+    bit, and calls defect only for a trial the rounding refuses."""
+    calls, expected = [], []
+    defect, round_ = suites.defect, stability.gowers_hatami_round
+
+    def recorded(phi):
+        expected.append(defect(phi))
+        return round_(phi)
+
+    monkeypatch.setattr(suites, "defect", lambda phi: calls.append(phi) or defect(phi))
+    monkeypatch.setattr(stability, "gowers_hatami_round", recorded)
+    res = suites.suite_gh(trials=6, seed=11)
+    assert calls == [] and res.failures == 0
+    assert [row[3] for row in res.rows] == expected
+    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 1)
+    expected.clear()
+    res = suites.suite_gh(trials=3, seed=11)
+    assert len(calls) == 3 and res.failures == 3
+    assert [row[3] for row in res.rows] == expected
+
+
 # -- manifests ----------------------------------------------------------------------
 
 
