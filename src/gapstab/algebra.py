@@ -19,15 +19,21 @@ representations) and the trace pairings tau(P Q) are each formed on those
 stacks by one kernel.  Validation has one exact path: ``_exact_residuals``
 screens a family's residuals by Frobenius norm and computes the operator
 norms of the terms that fail the screen with one batched SVD (a modulus for
-1 x 1 residuals, such as a character's); the PVM,
-unitarity and multiplication-law checks and :func:`rep_residual` all go
-through it.  The uniform defect of a map on a group with irreps is read off
-its Fourier blocks (``_fourier_blocks``, ``_fourier_defect``), which the
-Gowers-Hatami rounding forms anyway and shares.
+1 x 1 residuals, such as a character's); the PVM, unitarity and
+multiplication-law checks all go through it.  A validated PVM records a bound
+on its residuals, and its conjugate by a near-unitary takes a bound derived
+from that one and from the unitarity residual (``_conjugation_bound``)
+instead of a second validation, unless the derived bound exceeds half the
+tolerance.  :func:`rep_residual` takes operator norms only of the residuals
+whose Frobenius norm could exceed the worst one found.  The uniform defect of
+a map on a group with irreps is read off its Fourier blocks
+(``_fourier_blocks``, ``_fourier_defect``), which the Gowers-Hatami rounding
+forms anyway and shares.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -281,7 +287,8 @@ _NO_FAILURES = (np.empty(0, dtype=np.intp), np.empty(0))
 
 def _exact_residuals(dims, count: int, residuals, tol: float) -> tuple:
     """The terms whose residual may exceed ``tol``, with their exact
-    operator-norm residuals, as ``(indices, norms)``.
+    operator-norm residuals, and a bound on every term's residual, as
+    ``(indices, norms, bound)``.
 
     ``residuals(b, sel)`` yields, for block ``b``, stacked ``(k, n, n)``
     residual arrays of the terms ``sel`` (a slice or an index array), one
@@ -291,7 +298,11 @@ def _exact_residuals(dims, count: int, residuals, tol: float) -> tuple:
     from one batched singular-value computation per residual array (the
     modulus, for 1 x 1 residuals).  A negative ``tol`` skips the screen and
     returns every term.  Terms go through in the chunks of ``_chunks``.
+    ``bound`` is the largest Frobenius norm that passed the screen or exact
+    norm computed, over ``_SCREEN_MARGIN`` for the rounding in either: an
+    upper bound on the operator norm of every residual array as computed.
     """
+    screened = 0.0
     if tol < 0:
         failed = np.arange(count)
     else:
@@ -300,19 +311,20 @@ def _exact_residuals(dims, count: int, residuals, tol: float) -> tuple:
         for b, sl in _chunks(dims, count):
             # map, so no chunk's residual outlives its norms
             for sq in map(_frobenius_sq, residuals(b, sl)):
-                bad = ~(sq <= limit)
-                if bad.any():
+                passed = sq <= limit
+                screened = max(screened, float(sq.max(where=passed, initial=0.0)))
+                if not passed.all():
                     if mask is None:
                         mask = np.zeros(count, dtype=bool)
-                    mask[sl] |= bad
+                    mask[sl] |= ~passed
         if mask is None:
-            return _NO_FAILURES
+            return (*_NO_FAILURES, math.sqrt(screened) / _SCREEN_MARGIN)
         failed = np.flatnonzero(mask)
     norms = np.zeros(len(failed))
     for b, sl in _chunks(dims, len(failed)):
         for top in map(_operator_norms, residuals(b, failed[sl])):
             np.maximum(norms[sl], top, out=norms[sl])
-    return failed, norms
+    return failed, norms, max(math.sqrt(screened), norms.max(initial=0.0)) / _SCREEN_MARGIN
 
 
 def _operator_norms(r: np.ndarray) -> np.ndarray:
@@ -338,7 +350,11 @@ class PVM:
     each up to an operator-norm residual of at most ``tol``.  The residuals
     are screened by their Frobenius norms on the stacks and computed exactly
     only where the screen fails; a failure raises :class:`InvalidPVM` with
-    the exact operator-norm residual.
+    the exact operator-norm residual.  ``residual`` records an upper bound
+    on every one of these operator-norm residuals, in exact arithmetic on the
+    stored projections and as validation computes them: the largest screened
+    or exact norm plus the rounding of :func:`_rounding_slack`, or, for a
+    PVM from :meth:`conjugated`, the bound derived there.
     """
 
     def __init__(self, algebra, outcomes, projections, unit=None, tol=VALIDATION_TOL):
@@ -348,12 +364,7 @@ class PVM:
             raise InvalidPVM("outcome/projection count mismatch")
         if len(set(outcomes)) != len(outcomes):
             raise InvalidPVM("duplicate outcome labels")
-        self.algebra = algebra
-        self.outcomes = outcomes
-        self.unit = unit if unit is not None else algebra.identity()
-        self._index = {a: i for i, a in enumerate(outcomes)}
-        self.stacks = stacks
-        self.projections = [AlgebraElement(algebra, bs) for bs in zip(*stacks)]
+        self._store(algebra, outcomes, stacks, unit if unit is not None else algebra.identity())
 
         def own(b, sel):
             p = stacks[b][sel]
@@ -363,9 +374,9 @@ class PVM:
         def completeness(b, sel):
             yield (stacks[b].sum(axis=0) - self.unit.blocks[b])[None]
 
-        _, own_norms = _exact_residuals(algebra.dims, len(outcomes), own, tol)
+        _, own_norms, own_bound = _exact_residuals(algebra.dims, len(outcomes), own, tol)
         # the sum figure is exact whenever the message is printed
-        _, sum_norms = _exact_residuals(
+        _, sum_norms, sum_bound = _exact_residuals(
             algebra.dims, 1, completeness, -1.0 if own_norms.size else tol
         )
         worst, worst_sum = own_norms.max(initial=0.0), sum_norms.max(initial=0.0)
@@ -381,7 +392,7 @@ class PVM:
         def products(b, sel):
             yield stacks[b][left[sel]] @ stacks[b][right[sel]]
 
-        failed, norms = _exact_residuals(algebra.dims, len(left), products, tol)
+        failed, norms, product_bound = _exact_residuals(algebra.dims, len(left), products, tol)
         for t, r in zip(failed, norms.tolist()):
             if r > tol:
                 i, j = left[t], right[t]
@@ -390,6 +401,17 @@ class PVM:
                     f"orthogonal (residual {r:.3g})",
                     residual=r,
                 )
+        self.residual = max(own_bound, sum_bound, product_bound) + _rounding_slack(
+            max(algebra.dims), len(outcomes)
+        )
+
+    def _store(self, algebra, outcomes, stacks, unit):
+        self.algebra = algebra
+        self.outcomes = outcomes
+        self.unit = unit
+        self._index = {a: i for i, a in enumerate(outcomes)}
+        self.stacks = stacks
+        self.projections = [AlgebraElement(algebra, bs) for bs in zip(*stacks)]
 
     def __getitem__(self, outcome) -> AlgebraElement:
         return self.projections[self._index[outcome]]
@@ -402,9 +424,79 @@ class PVM:
         return self._index[outcome]
 
     def conjugated(self, u: AlgebraElement) -> "PVM":
-        """u . u* applied to every projection (u unitary); validated again."""
+        """u . u* applied to every projection and to the unit.
+
+        The stacks are formed per block as (u p) u*, bit for bit the products
+        ``u * p * u.H``.  Their residuals are not measured again: they are
+        bounded by :func:`_conjugation_bound` from this PVM's ``residual``
+        and the unitarity residual of u, one n x n product per block.  When
+        that bound is at most ``VALIDATION_TOL / 2`` it becomes the result's
+        ``residual``; the other half of the tolerance covers the rounding of
+        a full check, which would therefore accept.  Otherwise (u far from
+        unitary, or a family already near the tolerance) the result goes
+        through the full validation of :class:`PVM`, with its decision,
+        exception and residual.
+        """
         stacks = [(m @ s) @ m.conj().T for m, s in zip(u.blocks, self.stacks)]
-        return PVM(self.algebra, self.outcomes, stacks, unit=u * self.unit * u.H)
+        unit = u * self.unit * u.H
+        bound = _conjugation_bound(self.residual, u.blocks, len(self.outcomes))
+        if not bound <= VALIDATION_TOL / 2:
+            return PVM(self.algebra, self.outcomes, stacks, unit=unit)
+        for s in stacks:
+            s.flags.writeable = False
+        moved = PVM.__new__(PVM)
+        moved._store(self.algebra, list(self.outcomes), tuple(stacks), unit)
+        moved.residual = bound
+        return moved
+
+
+# Rounding in the residual bounds of PVMs, with u = 2^-53.  A computed product
+# of complex n x n matrices A, B is off by at most sqrt(2) gamma_{n+2}
+# ||A||_F ||B||_F (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., secs. 3.5-3.6), which is below _product_rounding(n) when
+# ||A||, ||B|| <= 1.5.  A bound is trusted only at or below
+# VALIDATION_TOL / 2, where the projections and u have norm at most 1 + 1e-9
+# and a unit of k projections at most 1.1 k, as the slack assumes.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _product_rounding(n: int) -> float:
+    return 4.0 * n * (n + 2) * _UNIT_ROUNDOFF
+
+
+def _rounding_slack(n: int, k: int) -> float:
+    """What rounding can add to an operator-norm residual of a k-outcome PVM
+    on blocks of dimension at most n: in forming the residual, and in forming
+    the projections and the unit by one conjugation (u p) u*.
+
+    A product residual (p p - p, p q) takes eight products' worth: one to form
+    it and seven for the two products of each of its conjugated factors.  The
+    sum residual takes two products' worth for each of its k conjugated
+    projections and at most 2.2 k for the conjugated unit, plus
+    gamma_{k+1} sqrt(n) (1.1 k + 1.3 k) for the summation.
+    """
+    e = _product_rounding(n)
+    return (5 * k + 8) * e + 3 * k * (k + 1) * math.sqrt(n) * _UNIT_ROUNDOFF
+
+
+def _conjugation_bound(residual: float, blocks, k: int) -> float:
+    """A bound on every validation residual of the k-outcome PVM u P u*,
+    given a bound ``residual`` on those of P and the blocks of u.
+
+    Take delta >= ||u* u - 1|| (the Frobenius norm of u* u - 1 per block, as
+    computed, over ``_SCREEN_MARGIN``, plus the rounding of its product),
+    r = ``residual``, so that ||p|| <= 1 + 2 r, and e the unit.  In exact
+    arithmetic ||u (p - p*) u*|| and ||u (sum p - e) u*|| are at most
+    (1 + delta) r; as u p u* u q u* = u p q u* + u p (u* u - 1) q u*, the
+    idempotence and orthogonality residuals are at most
+    (1 + delta)(r + delta (1 + 2 r)^2), the largest of the four.
+    ``_rounding_slack`` is added for the computed stacks.
+    """
+    n = max(len(m) for m in blocks)
+    delta = max(np.linalg.norm(m.conj().T @ m - np.eye(len(m))) for m in blocks)
+    delta = delta / _SCREEN_MARGIN + _product_rounding(n)
+    r = residual
+    return (1 + delta) * (r + delta * (1 + 2 * r) ** 2) + _rounding_slack(n, k)
 
 
 class AlmostHom:
@@ -448,7 +540,7 @@ class AlmostHom:
             yield u @ uh - ident.blocks[b]
             yield uh @ u - ident.blocks[b]
 
-        _, norms = _exact_residuals(algebra.dims, len(elements), unitarity, tol)
+        _, norms, _ = _exact_residuals(algebra.dims, len(elements), unitarity, tol)
         worst = float(norms.max(initial=0.0))
         if worst > tol:
             raise InvalidRepresentation(
@@ -481,7 +573,7 @@ class UnitaryRep(AlmostHom):
             return
         pairs = _law_pairs(group, algebra.dims)
         law = _law_residuals(self.stacks, pairs)
-        _, norms = _exact_residuals(algebra.dims, len(pairs[0]), law, tol)
+        _, norms, _ = _exact_residuals(algebra.dims, len(pairs[0]), law, tol)
         worst = float(norms.max(initial=0.0))
         if worst > tol:
             raise InvalidRepresentation(
@@ -640,13 +732,40 @@ def rep_residual(phi: AlmostHom) -> float:
     """Worst multiplication-law residual in operator norm.
 
     Measured on the pairs the law check of :class:`UnitaryRep` uses (all of
-    them when affordable, else the same 64 sampled pairs), with one batched
-    singular-value computation per chunk of residuals.
+    them when affordable, else the same 64 sampled pairs) by
+    :func:`_worst_residual`.
     """
     dims = phi.algebra.dims
     pairs = _law_pairs(phi.group, dims)
-    _, norms = _exact_residuals(dims, len(pairs[0]), _law_residuals(phi.stacks, pairs), -1.0)
-    return float(norms.max(initial=0.0))
+    return _worst_residual(dims, len(pairs[0]), _law_residuals(phi.stacks, pairs))
+
+
+def _worst_residual(dims, count: int, residuals) -> float:
+    """The largest operator norm over the residuals of ``count`` terms.
+
+    ``residuals(b, sel)`` yields one stacked ``(k, n, n)`` residual array of
+    the terms ``sel`` in block ``b``.  A residual's Frobenius norm bounds its
+    operator norm, so operator norms are taken in descending Frobenius order,
+    in batches that double up to ``_STACK_ENTRIES`` entries, until no
+    Frobenius norm left exceeds the largest operator norm found (shrunk by
+    ``_SCREEN_MARGIN`` for the rounding in both).  The result is the maximum
+    over every term, bit for bit.
+    """
+    worst = 0.0
+    for b, n in enumerate(dims):
+        sq = np.empty(count)
+        for _, sl in _chunks((n,), count):
+            sq[sl] = _frobenius_sq(next(residuals(b, sl)))
+        order = np.argsort(-sq, kind="stable")
+        start, step, cap = 0, 1, max(1, _STACK_ENTRIES // (n * n))
+        while start < count:
+            sel = order[start : start + step]
+            sel = sel[sq[sel] > (worst * _SCREEN_MARGIN) ** 2]
+            if not sel.size:
+                break
+            worst = max(worst, float(_operator_norms(next(residuals(b, sel))).max()))
+            start, step = start + step, min(2 * step, cap)
+    return worst
 
 
 # -- defect, conditional expectation, commutator gap ---------------------------

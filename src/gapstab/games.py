@@ -946,7 +946,11 @@ def perturb_strategy(
     """Conjugate every question's PVM by an independent unitary e^{i sigma H}.
 
     H is Gaussian self-adjoint scaled to operator norm 1 per block, so the
-    PVM structure is preserved exactly and sigma is the rotation angle.
+    PVM structure is preserved up to rounding and sigma is the rotation
+    angle.  Each conjugated PVM carries a residual bound derived from the
+    honest PVM's and from the unitarity residual of e^{i sigma H} (see
+    :meth:`PVM.conjugated`); it is validated in full only when that bound
+    exceeds half of ``VALIDATION_TOL``.
     """
     if sigma < 0:
         raise InvalidArgument("perturbation size must be nonnegative")

@@ -28,7 +28,6 @@ from .algebra import (
     AlmostHom,
     TracialAlgebra,
     UnitaryRep,
-    _exact_residuals,
     _fourier_blocks,
     _fourier_defect,
     _frobenius_sq,
@@ -39,6 +38,7 @@ from .algebra import (
     _pair_defects,
     _pair_traces,
     _pairwise_defect,
+    _worst_residual,
     commutant_blocks,
     conditional_expectation_commutant,
     defect,
@@ -522,10 +522,9 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
         occurring = sorted({fq for blk in blocks for fq in blk["irreps"]})
         irreps = [families[f][q] for f, q in occurring]
         pairs = _law_pairs(group, corner.dims)
-        _, norms = _exact_residuals(
-            [s.shape[-1] for s in irreps], len(pairs[0]), _law_residuals(irreps, pairs), -1.0
+        pi_residual = _worst_residual(
+            [s.shape[-1] for s in irreps], len(pairs[0]), _law_residuals(irreps, pairs)
         )
-        pi_residual = float(norms.max(initial=0.0))
     intermediates = {
         "contraction_distance": contraction,
         "contraction_bound": CONTRACTION_CONSTANT * eps,

@@ -284,9 +284,9 @@ def _count_exact_norms(monkeypatch):
     exact = algebra._exact_residuals
 
     def counted(*args):
-        failed, norms = exact(*args)
-        calls.extend(failed.tolist())
-        return failed, norms
+        out = exact(*args)
+        calls.extend(out[0].tolist())
+        return out
 
     monkeypatch.setattr(algebra, "_exact_residuals", counted)
     return calls
@@ -326,7 +326,8 @@ def test_pvm_screen_accepts_without_exact_norms(monkeypatch):
     rng = np.random.default_rng(1)
     u = alg.element([haar_unitary(32, rng)])
     pvm = _two_point_pvm(alg, [1.0] * 12 + [0.0] * 20)
-    pvm.conjugated(u)
+    moved = pvm.conjugated(u)
+    PVM(alg, moved.outcomes, moved.stacks)
     e = np.eye(32)
     PVM(alg, list(range(32)), [alg.element([np.outer(e[i], e[i])]) for i in range(32)])
     assert calls == []
@@ -788,17 +789,22 @@ def test_images_are_read_only_views_of_the_stacks():
         rep.stacks[1][0] += 1.0
 
 
-def _random_pvm(alg, outcomes, seed):
-    """Random ranks of a random basis in every block, one projection per outcome."""
+def _random_pvm(alg, outcomes, seed, corner=False):
+    """Random ranks of a random basis in every block, one projection per
+    outcome; with ``corner``, some basis vectors belong to no outcome and the
+    unit is the projection onto the others."""
     rng = np.random.default_rng(seed)
     blocks = [[] for _ in outcomes]
+    unit = []
     for n in alg.dims:
         u = haar_unitary(n, rng)
-        labels = rng.integers(len(outcomes), size=n)
+        labels = rng.integers(len(outcomes) + corner, size=n)
         for k in range(len(outcomes)):
             cols = u[:, labels == k]
             blocks[k].append(cols @ cols.conj().T)
-    return PVM(alg, outcomes, [alg.element(b) for b in blocks])
+        cols = u[:, labels < len(outcomes)]
+        unit.append(cols @ cols.conj().T)
+    return PVM(alg, outcomes, [alg.element(b) for b in blocks], unit=alg.element(unit))
 
 
 @pytest.mark.parametrize("dims,k", [((2,), 2), ((5,), 7), ((3, 4), 3), ((16,), 16)])
@@ -813,6 +819,97 @@ def test_pvm_conjugated_equals_per_projection_product(dims, k):
         ref = u * pvm[a] * u.H
         for got, want in zip(moved[a].blocks, ref.blocks):
             assert np.array_equal(got, want)
+
+
+def _count_residual_checks(monkeypatch):
+    """Record each call of ``_exact_residuals``, through which every
+    validation residual goes."""
+    checks = []
+    exact = algebra._exact_residuals
+    monkeypatch.setattr(algebra, "_exact_residuals", lambda *a: checks.append(1) or exact(*a))
+    return checks
+
+
+def _worst_pvm_residual(pvm):
+    """The largest operator-norm validation residual of a PVM, every term by
+    its own SVD: self-adjointness, idempotence, the sum and orthogonality."""
+    worst = 0.0
+    for s, e in zip(pvm.stacks, pvm.unit.blocks):
+        left, right = np.triu_indices(len(s), 1)
+        for r in (s - s.conj().transpose(0, 2, 1), s @ s - s, (s.sum(axis=0) - e)[None],
+                  s[left] @ s[right]):
+            worst = max(worst, np.linalg.norm(r, 2, axis=(1, 2)).max(initial=0.0))
+    return worst
+
+
+def _outcome(make):
+    """What constructing a PVM gives: the PVM, or the InvalidPVM message and
+    residual."""
+    try:
+        return make()
+    except InvalidPVM as exc:
+        return str(exc), exc.residual
+
+
+@pytest.mark.parametrize("corner", [False, True])
+@pytest.mark.parametrize("dims", [(2,), (5,), (3, 4), (16,), (32,)])
+def test_conjugated_residual_bound_beside_the_full_check(monkeypatch, dims, corner):
+    """Conjugation by Haar unitaries, and by Haar unitaries stretched to a
+    unitarity residual of 1e-12, 3e-10 or 1e-6, for 1 to 16 outcomes.  Up to
+    3e-10 the derived bound is trusted (no residual is formed); the full check
+    of the same stacks then accepts, and every exact residual is within the
+    recorded bound.  At 1e-6 the result is that of the full check: the same
+    message and residual, and for the identity unit a rejection."""
+    checks = _count_residual_checks(monkeypatch)
+    alg = TracialAlgebra([(n, Fraction(1, len(dims))) for n in dims])
+    rng = np.random.default_rng(sum(dims) + corner)
+    for k in range(1, 17):
+        pvm = _random_pvm(alg, list(range(k)), 100 * k + sum(dims), corner)
+        assert _worst_pvm_residual(pvm) <= pvm.residual
+        for skew in (0.0, 1e-12, 3e-10, 1e-6):
+            stretch = [np.diag(np.r_[math.sqrt(1.0 + skew), np.ones(n - 1)]) for n in dims]
+            u = alg.element([haar_unitary(n, rng) @ d for n, d in zip(dims, stretch)])
+            checks.clear()
+            moved = _outcome(lambda: pvm.conjugated(u))
+            if skew < 1e-6:
+                assert checks == []
+                full = PVM(alg, moved.outcomes, moved.stacks, unit=moved.unit)
+                assert full.residual <= algebra.VALIDATION_TOL / 2
+                assert _worst_pvm_residual(moved) <= moved.residual <= algebra.VALIDATION_TOL / 2
+                continue
+            stacks = [(m @ s) @ m.conj().T for m, s in zip(u.blocks, pvm.stacks)]
+            full = _outcome(lambda: PVM(alg, pvm.outcomes, stacks, unit=u * pvm.unit * u.H))
+            if isinstance(full, PVM):
+                assert corner and isinstance(moved, PVM) and moved.residual == full.residual
+            else:
+                assert moved == full and full[1] > algebra.VALIDATION_TOL
+
+
+def test_conjugating_a_borderline_pvm_takes_the_full_check(monkeypatch):
+    """A family validated at 0.9 of the tolerance is validated again when
+    conjugated, with the full check's residual."""
+    alg, projs = _scaled_halves(64, 0.9 * TOL)
+    pvm = PVM(alg, [0, 1], projs, tol=TOL)
+    u = alg.element([haar_unitary(64, np.random.default_rng(22))])
+    checks = _count_residual_checks(monkeypatch)
+    moved = pvm.conjugated(u)
+    assert checks
+    stacks = [(m @ s) @ m.conj().T for m, s in zip(u.blocks, pvm.stacks)]
+    assert moved.residual == PVM(alg, [0, 1], stacks, unit=u * pvm.unit * u.H).residual
+
+
+def test_conjugating_a_validated_pvm_forms_no_residual(monkeypatch):
+    """A 16-outcome PVM conjugated by a unitary is not validated again: no
+    orthogonality product, idempotence or sum residual is formed."""
+    alg = TracialAlgebra.matrix(32)
+    pvm = _random_pvm(alg, list(range(16)), 21)
+    u = alg.element([haar_unitary(32, np.random.default_rng(21))])
+    checks = _count_residual_checks(monkeypatch)
+    moved = pvm.conjugated(u)
+    assert checks == []
+    assert moved.residual <= algebra.VALIDATION_TOL / 2
+    assert not moved.stacks[0].flags.writeable
+    assert np.shares_memory(moved[5].blocks[0], moved.stacks[0])
 
 
 def test_pvm_projections_are_read_only_views_of_the_stacks():
@@ -942,6 +1039,6 @@ def test_exact_residuals_of_1x1_stacks_take_no_svd(monkeypatch):
         [np.linalg.svd(s, compute_uv=False)[:, 0] for s in stacks], axis=0
     )
     monkeypatch.setattr(np.linalg, "svd", None)  # any SVD call fails
-    failed, norms = algebra._exact_residuals(dims, count, residuals, -1.0)
+    failed, norms, _ = algebra._exact_residuals(dims, count, residuals, -1.0)
     assert np.array_equal(failed, np.arange(count))
     assert np.all(np.abs(norms - expected) <= 1e-15 * expected)

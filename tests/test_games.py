@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gapstab import algebra
 from gapstab.abelian import boolean_group, rep_from_pvm
 from gapstab.algebra import PVM, AlgebraElement, TracialAlgebra, haar_unitary
 from gapstab.codes import LinearCode
@@ -43,7 +45,7 @@ from gapstab.games import (
     value,
 )
 from gapstab.stability import Intertwiner
-from gapstab.suites import named_game
+from gapstab.suites import named_game, rigidity_sweep
 
 
 def _diag_strategy():
@@ -552,3 +554,21 @@ def test_perturb_strategy_draws_the_same_unitaries():
         u = AlgebraElement(alg, blocks)
         for a in pvm.outcomes:
             assert np.array_equal(moved[x][a].blocks[0], (u * pvm[a] * u.H).blocks[0])
+
+
+def test_trusted_conjugation_leaves_every_number_unchanged(monkeypatch):
+    """With the derived bound forced to inf, every conjugation goes through
+    the full check; the perturbed Hamming report (sigma 0.05, default_rng(0))
+    and a quick sweep give the same numbers either way."""
+    game = named_game("hamming")
+    honest = honest_strategy(game)
+
+    def run():
+        strat = perturb_strategy(honest, 0.05, np.random.default_rng(0))
+        report = pauli_rigidity_report(game, strat)
+        del report["certificate"]  # compared through its numbers in "closeness"
+        return report, rigidity_sweep(game, honest, [0.05, 0.2], full_report=False)
+
+    trusted = run()
+    monkeypatch.setattr(algebra, "_conjugation_bound", lambda *args: math.inf)
+    assert run() == trusted

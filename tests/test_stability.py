@@ -228,6 +228,21 @@ def test_fourier_rounding_matches_dense(case, monkeypatch):
     assert abs(rf["pi_residual"] - rep_residual(fourier.pi)) <= 1e-14
 
 
+def test_rep_residual_of_a_rounded_map_takes_few_operator_norms(monkeypatch):
+    """The law residuals of the rounded S4 representation are rounding noise.
+    Taken in descending Frobenius order, few of the 576 need an SVD, and the
+    worst is the maximum over all of them, bit for bit."""
+    phi = suites._noisy_hom(_permutation_rep(symmetric_group(4)), 0.05, np.random.default_rng(1))
+    pi = gowers_hatami_round(phi).pi
+    pairs = algebra._law_pairs(pi.group, pi.algebra.dims)
+    norms = algebra._operator_norms
+    every = norms(next(algebra._law_residuals(pi.stacks, pairs)(0, slice(None))))
+    rows = []
+    monkeypatch.setattr(algebra, "_operator_norms", lambda r: rows.append(len(r)) or norms(r))
+    assert rep_residual(pi) == every.max() > 0
+    assert 0 < sum(rows) < len(every) // 4
+
+
 def test_defect_and_rounding_make_no_label_products(monkeypatch):
     """defect and gowers_hatami_round read every product through mul_index,
     with no label-level mul call on an abelian group or an extension."""
