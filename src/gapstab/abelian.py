@@ -43,9 +43,6 @@ class AbelianGroup(FiniteGroup):
             tuple((a + b) % m for a, b, m in zip(x, y, self.orders)), self.orders
         )
 
-    def power(self, g, k: int):
-        return tuple((a * k) % m for a, m in zip(g, self.orders))
-
     def dual(self) -> "AbelianGroup":
         """The character group; canonically the same product of cyclics."""
         return AbelianGroup(self.orders)

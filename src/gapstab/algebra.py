@@ -29,6 +29,13 @@ whose Frobenius norm could exceed the worst one found.  The uniform defect of
 a map on a group with irreps is read off its Fourier blocks
 (``_fourier_blocks``, ``_fourier_defect``), which the Gowers-Hatami rounding
 forms anyway and shares.
+
+The conditional expectation onto the commutant of a representation,
+E(x) = E_g u(g) x u(g)*, has one kernel, ``_commutant_mean``, which projects
+a whole stack of elements per call.  The commutant's block decomposition
+(:class:`CommutantDecomposition`) compresses and lifts stacks, so the nearest
+commutant unitary and the product stabilization run without a loop over
+group elements.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from .errors import (
 )
 
 VALIDATION_TOL = 1e-9
-KERNEL_TOL = 1e-12
 
 
 class TracialAlgebra:
@@ -871,16 +877,38 @@ def _pairwise_defect(phi: AlmostHom, mu=None, nu=None) -> float:
     return float(np.outer(gw, hw).ravel() @ _law_sq(phi, left, right))
 
 
+def _commutant_mean(stacks, xs) -> tuple:
+    """E(x) = E_g u(g) x u(g)* for every x of one ``(k, n, n)`` stack per block.
+
+    ``stacks`` holds the representation's image stacks.  Per block, the
+    products (u(g) x) u(g)* of a chunk of group elements and every x are one
+    broadcast ``matmul``, each temporary at most ``_STACK_ENTRIES`` entries
+    (and one group element); they are added in group order to a running sum,
+    which is scaled by 1/|G| at the end.
+    """
+    out = []
+    for u, x in zip(stacks, xs):
+        count = len(u)
+        step = max(1, _STACK_ENTRIES // max(1, x.size))
+        # slot 0 holds the running sum, so one reduction adds a chunk in order
+        acc = np.zeros((min(step, count) + 1, *x.shape), dtype=complex)
+        for start in range(0, count, step):
+            ug = u[start : start + step]
+            prods = acc[1 : len(ug) + 1]
+            np.matmul(ug[:, None] @ x[None], ug.conj().transpose(0, 2, 1)[:, None], out=prods)
+            acc[0] = acc[: len(ug) + 1].sum(axis=0)
+        out.append(acc[0] * (1.0 / count))
+    return tuple(out)
+
+
 def conditional_expectation_commutant(
     u: UnitaryRep, v: AlgebraElement
 ) -> AlgebraElement:
     """Average of u(g) v u(g)*: the trace-preserving projection onto the
     commutant of the representation."""
-    alg = u.algebra
-    acc = alg.zero()
-    for g in u.group.elements:
-        acc = acc + u.images[g] * v * u.images[g].H
-    return (1.0 / u.group.order) * acc
+    ev = _commutant_mean(u.stacks, [b[None] for b in v.blocks])
+    return AlgebraElement(u.algebra, [s[0] for s in ev])
+
 
 GapCheck = namedtuple("GapCheck", ["lhs", "rhs_half", "rhs_full", "uniform_average"])
 
@@ -913,29 +941,12 @@ def commutator_gap_check(u: UnitaryRep, mu, v: AlgebraElement) -> GapCheck:
     return GapCheck(lhs, kap / 2.0 * integral, kap * integral, float(comm_sq.mean()))
 
 
-# -- polar decomposition and the commutant's block structure -------------------
-
-
-def polar(x: AlgebraElement):
-    """x = w |x| with w the partial isometry vanishing on the kernel.
-
-    Singular values at or below ``KERNEL_TOL`` are treated as zero, so w* w
-    is the support projection of |x| = (x* x)^(1/2).
-    """
-    ws, abss = [], []
-    for b in x.blocks:
-        u, s, vh = np.linalg.svd(b)
-        keep = s > KERNEL_TOL
-        ws.append(u[:, keep] @ vh[keep, :])
-        abss.append((vh.conj().T * s) @ vh)
-    return (
-        AlgebraElement(x.algebra, ws),
-        AlgebraElement(x.algebra, abss),
-    )
+# -- the commutant's block structure -------------------------------------------
 
 
 def unitary_polar_factor(b: np.ndarray) -> np.ndarray:
-    """Nearest unitary matrix: U Vh from the SVD (defined for any square b)."""
+    """Nearest unitary matrix: U Vh from the SVD (defined for any square b,
+    and matrix by matrix for a stack of them)."""
     u, _, vh = np.linalg.svd(b)
     return u @ vh
 
@@ -947,40 +958,35 @@ class CommutantDecomposition:
     acts as M_m tensor 1_d after the stored basis change (an isometry with
     m*d columns, grouped d at a time).  ``algebra_n`` is the commutant as a
     tracial algebra in its own right, with ``compress``/``lift`` moving
-    elements between the two pictures.
+    stacks of elements between the two pictures.
     """
 
-    def __init__(self, rep: UnitaryRep, components):
-        self.rep = rep
-        self.ambient = rep.algebra
+    def __init__(self, ambient: TracialAlgebra, components):
+        self.ambient = ambient
         self.components = components  # list of (block_index, W, m, d)
         dims = [m for (_, _, m, _) in components]
-        coeffs = [
-            self.ambient.coeffs[bi] * d for (bi, _, _, d) in components
-        ]
+        coeffs = [ambient.coeffs[bi] * d for (bi, _, _, d) in components]
         self.algebra_n = TracialAlgebra._raw(dims, coeffs)
 
-    def compress(self, x: AlgebraElement) -> AlgebraElement:
-        """Coordinates of an element of the commutant (x must lie in N)."""
+    def compress(self, xs) -> tuple:
+        """Coordinates of elements of the commutant: one ``(k, m, m)`` stack
+        per component from one ``(k, n, n)`` stack per ambient block (each x
+        must lie in N).  The partial trace over 1_d is a trace over the two
+        d axes of W* x W read as ``(k, m, d, m, d)``."""
         out = []
         for bi, w, m, d in self.components:
-            b = w.conj().T @ x.blocks[bi] @ w
-            a = np.empty((m, m), dtype=complex)
-            for s in range(m):
-                for t in range(m):
-                    a[s, t] = np.trace(b[s * d : (s + 1) * d, t * d : (t + 1) * d]) / d
-            out.append(a)
-        return AlgebraElement(self.algebra_n, out)
+            b = w.conj().T @ xs[bi] @ w
+            out.append(np.trace(b.reshape(-1, m, d, m, d), axis1=2, axis2=4) / d)
+        return tuple(out)
 
-    def lift(self, y: AlgebraElement) -> AlgebraElement:
-        mats = [np.zeros((n, n), complex) for n in self.ambient.dims]
-        for (bi, w, m, d), a in zip(self.components, y.blocks):
+    def lift(self, ys) -> tuple:
+        """The inverse of :meth:`compress`: one ``(k, n, n)`` stack per
+        ambient block from one ``(k, m, m)`` stack per component."""
+        k = len(ys[0])
+        mats = [np.zeros((k, n, n), complex) for n in self.ambient.dims]
+        for (bi, w, m, d), a in zip(self.components, ys):
             mats[bi] += w @ np.kron(a, np.eye(d)) @ w.conj().T
-        return AlgebraElement(self.ambient, mats)
-
-    def scalar_block_residual(self, x: AlgebraElement) -> float:
-        """How far x is from having the m x m (scalar tensor identity) form."""
-        return self.ambient.norm_inf(self.lift(self.compress(x)) - x)
+        return tuple(mats)
 
 
 # commutant_blocks draws this many random pairs before it gives up, and
@@ -995,8 +1001,11 @@ def commutant_blocks(rep: UnitaryRep, rng=None) -> CommutantDecomposition:
     Uses a generic self-adjoint element of the commutant (a conditional
     expectation of a random self-adjoint); eigenvalue clusters give the
     columns, a second random element links clusters belonging to the same
-    component and aligns their bases.  Degenerate random draws are retried
-    with fresh randomness, ``_COMMUTANT_TRIES`` times in all.
+    component and aligns their bases.  Three more random elements, projected
+    in a second call of the conditional-expectation kernel, must come back
+    from compress and lift within ``_COMMUTANT_TOL`` in operator norm.
+    Degenerate random draws are retried with fresh randomness,
+    ``_COMMUTANT_TRIES`` times in all.
     """
     if rng is None:
         rng = np.random.default_rng(7)
@@ -1011,30 +1020,25 @@ def commutant_blocks(rep: UnitaryRep, rng=None) -> CommutantDecomposition:
     last_error = None
     for _ in range(_COMMUTANT_TRIES):
         try:
-            components = []
-            t_el = conditional_expectation_commutant(
-                rep, alg.random_selfadjoint(rng)
-            )
-            s_el = conditional_expectation_commutant(
-                rep, alg.random_selfadjoint(rng)
-            )
-            for bi, n in enumerate(alg.dims):
-                comps = _split_block(
-                    t_el.blocks[bi], s_el.blocks[bi], n, targets[bi]
-                )
-                for w, m, d in comps:
-                    components.append((bi, w, m, d))
-            dec = CommutantDecomposition(rep, components)
+            probes = [alg.random_selfadjoint(rng) for _ in range(2)]
+            t_el, s_el = zip(*_commutant_mean(rep.stacks, _read_only_stacks(alg.dims, probes)))
+            components = [
+                (bi, w, m, d)
+                for bi, n in enumerate(alg.dims)
+                for w, m, d in _split_block(t_el[bi], s_el[bi], n, targets[bi])
+            ]
+            dec = CommutantDecomposition(alg, components)
             # validation: random commutant elements must be block-scalar
-            for _ in range(3):
-                x = conditional_expectation_commutant(
-                    rep, alg.random_selfadjoint(rng)
+            checks = [alg.random_selfadjoint(rng) for _ in range(3)]
+            xs = _commutant_mean(rep.stacks, _read_only_stacks(alg.dims, checks))
+            residual = np.max(
+                [_operator_norms(y - x) for y, x in zip(dec.lift(dec.compress(xs)), xs)], axis=0
+            )
+            bad = np.flatnonzero(residual > _COMMUTANT_TOL)
+            if bad.size:
+                raise DegenerateDecomposition(
+                    f"block-scalar residual {residual[bad[0]]:.3g} above {_COMMUTANT_TOL:g}"
                 )
-                r = dec.scalar_block_residual(x)
-                if r > _COMMUTANT_TOL:
-                    raise DegenerateDecomposition(
-                        f"block-scalar residual {r:.3g} above {_COMMUTANT_TOL:g}"
-                    )
             return dec
         except DegenerateDecomposition as exc:  # retry with fresh randomness
             last_error = exc
@@ -1103,12 +1107,9 @@ def nearest_unitary_in_commutant(rep: UnitaryRep, v: AlgebraElement, rng=None) -
     cannot be improved.
     """
     decomposition = commutant_blocks(rep, rng=rng)
-    ev = conditional_expectation_commutant(rep, v)
-    y = decomposition.compress(ev)
-    u = AlgebraElement(
-        decomposition.algebra_n, [unitary_polar_factor(b) for b in y.blocks]
-    )
-    return decomposition.lift(u)
+    ev = _commutant_mean(rep.stacks, [b[None] for b in v.blocks])
+    u = [unitary_polar_factor(y) for y in decomposition.compress(ev)]
+    return AlgebraElement(rep.algebra, [s[0] for s in decomposition.lift(u)])
 
 
 def norm_conditional_duality_check(u: UnitaryRep, xi: AlgebraElement):

@@ -296,14 +296,13 @@ def code_new(q: int, generator, **kw) -> LinearCode:
     return LinearCode(q, generator, **kw)
 
 
-def measure_from_code(code: LinearCode, dual_pairing=None):
+def measure_from_code(code: LinearCode):
     """The measure on the dual of F_q^N built from the code's columns.
 
     For each column i and each nontrivial additive character chi of F_q, the
     map y -> chi(sum_j y_j b_j(i)) is a character of F_q^N; the measure is
     uniform on this multiset of (q-1)*K characters.  Characters are encoded
-    as elements of the same group via the trace pairing (or a caller-supplied
-    invertible substitute).
+    as elements of the same group via the trace pairing.
 
     Returns (group, measure, predicted_kappa) with
     predicted_kappa = ((q-1)/q) * K/d exactly.
@@ -311,14 +310,7 @@ def measure_from_code(code: LinearCode, dual_pairing=None):
     f = code.field
     p, k = f.p, f.k
     group = AbelianGroup((p,) * (k * code.dim))
-    if dual_pairing is None:
-        pairing = f.trace_pairing()
-    else:
-        pairing = np.array(dual_pairing, dtype=np.int64) % p
-        if pairing.shape != (k, k):
-            raise InvalidArgument(f"pairing matrix must be {k}x{k}")
-        if round(np.linalg.det(_lift_to_float(pairing))) % p == 0:
-            raise InvalidArgument("pairing matrix must be invertible mod p")
+    pairing = f.trace_pairing()
 
     # exps[t-1, j, i] = pairing @ digits(t * b_j(i)) mod p; one support row per
     # (column i, scalar t), entries ordered by generator row j, then digit
@@ -328,10 +320,6 @@ def measure_from_code(code: LinearCode, dual_pairing=None):
     d = code.distance()
     predicted = Fraction(f.q - 1, f.q) * Fraction(code.length, d)
     return group, mu, predicted
-
-
-def _lift_to_float(m):
-    return np.asarray(m, dtype=float)
 
 
 def reed_muller_multilinear(q: int, m: int) -> LinearCode:

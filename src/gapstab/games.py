@@ -115,16 +115,6 @@ class Game:
         self.rigidity_constant = None
         self.distinguished = {}
 
-    def marginal(self, x) -> Fraction:
-        """mu(x) = (1/2) sum_y mu(x,y) + mu(y,x)."""
-        total = Fraction(0)
-        for (a, b), p in self.mu.items():
-            if a == x:
-                total += p
-            if b == x:
-                total += p
-        return total / 2
-
     def _rule_for(self, x, y):
         """(rule, swapped) for an ordered support pair."""
         if (x, y) in self.rules:
@@ -895,6 +885,27 @@ def _joint_pvm(alg, outcomes, mats) -> PVM:
     return PVM(alg, list(outcomes), [projs])
 
 
+def _commuting_pvms(alg, p, q, answers) -> dict:
+    """The commutation-game PVMs of commuting involutions p and q: x1 and x2
+    answer with their signs, y with their joint PVM over ``answers``."""
+    return {
+        "x1": _sign_pvm(alg, p),
+        "x2": _sign_pvm(alg, q),
+        "y": _joint_pvm(alg, answers, [p, q]),
+    }
+
+
+def _grid_pvms(alg, p, q, answers) -> dict:
+    """The magic-square PVMs of the verified grid around anticommuting
+    involutions p and q: each cell answers with the sign of its observable,
+    each line with the joint PVM of its three cells over ``answers[line]``."""
+    grid = _magic_grid(p, q)
+    pvms = {cell: _sign_pvm(alg, grid[cell]) for cell in _CELLS}
+    for line in _LINES:
+        pvms[line] = _joint_pvm(alg, answers[line], [grid[c] for c in line_cells(line)])
+    return pvms
+
+
 def honest_strategy(game: Game) -> SynchronousStrategy:
     """A perfect strategy for a combined game, on one auxiliary qubit.
 
@@ -921,22 +932,12 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
         p_mat = lam[data["alpha"]].blocks[0]
         q_mat = mod[data["beta"]].blocks[0]
         if data["sign"] == 1:
-            pw = np.kron(p_mat, np.eye(2))
-            qw = np.kron(q_mat, np.eye(2))
-            pvms[(w, "x1")] = _sign_pvm(alg, pw)
-            pvms[(w, "x2")] = _sign_pvm(alg, qw)
-            pvms[(w, "y")] = _joint_pvm(
-                alg, game.answers[(w, "y")], [pw, qw]
-            )
+            pw, qw = np.kron(p_mat, np.eye(2)), np.kron(q_mat, np.eye(2))
+            sub = _commuting_pvms(alg, pw, qw, game.answers[(w, "y")])
         else:
-            grid = _magic_grid(p_mat, q_mat)
-            for cell in _CELLS:
-                pvms[(w, cell)] = _sign_pvm(alg, grid[cell])
-            for line in _LINES:
-                mats = [grid[c] for c in line_cells(line)]
-                pvms[(w, line)] = _joint_pvm(
-                    alg, game.answers[(w, line)], mats
-                )
+            answers = {line: game.answers[(w, line)] for line in _LINES}
+            sub = _grid_pvms(alg, p_mat, q_mat, answers)
+        pvms.update(((w, key), pvm) for key, pvm in sub.items())
     return SynchronousStrategy(alg, pvms)
 
 

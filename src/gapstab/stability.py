@@ -28,6 +28,7 @@ from .algebra import (
     AlmostHom,
     TracialAlgebra,
     UnitaryRep,
+    _commutant_mean,
     _fourier_blocks,
     _fourier_defect,
     _frobenius_sq,
@@ -40,7 +41,6 @@ from .algebra import (
     _pairwise_defect,
     _worst_residual,
     commutant_blocks,
-    conditional_expectation_commutant,
     defect,
     rep_residual,
     unitary_polar_factor,
@@ -119,7 +119,7 @@ class Intertwiner:
 
     Stores one matrix per block, block i of the source mapping into block i
     of the target.  ``conjugate`` pulls a target element back to the source
-    (y -> w* y w); ``push`` is the opposite corner map (x -> w x w*).
+    (y -> w* y w).
     """
 
     def __init__(self, source: TracialAlgebra, target: TracialAlgebra, mats):
@@ -144,12 +144,6 @@ class Intertwiner:
             [m.conj().T @ b @ m for m, b in zip(self.mats, y.blocks)],
         )
 
-    def push(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            self.target,
-            [m @ b @ m.conj().T for m, b in zip(self.mats, x.blocks)],
-        )
-
     def w_star_w(self) -> AlgebraElement:
         return AlgebraElement(
             self.source, [m.conj().T @ m for m in self.mats]
@@ -170,14 +164,22 @@ class Intertwiner:
         return f"Intertwiner({shapes})"
 
 
+def _distance_sq(coeffs, a_stacks, b_stacks) -> np.ndarray:
+    """||A_k - B_k||_2^2 for each k over two aligned per-block stacks, the
+    blocks weighted by ``coeffs``."""
+    out = np.zeros(len(a_stacks[0]))
+    # map, so no block's difference (or pulled-back stack) outlives its norms
+    for c, sq in zip(coeffs, map(_frobenius_sq, map(np.subtract, a_stacks, b_stacks))):
+        out += c * sq
+    return out
+
+
 def _pullback_sq(mats, coeffs, a_stacks, b_stacks) -> np.ndarray:
     """||A_k - m* B_k m||_2^2 for each k, over two aligned per-block stacks
     and one matrix m per block (an intertwiner's ``mats`` or the compressed
     dilations); ``coeffs`` weight the blocks of the A side."""
-    out = np.zeros(len(a_stacks[0]))
-    for m, c, a, b in zip(mats, coeffs, a_stacks, b_stacks):
-        out += c * _frobenius_sq(a - m.conj().T @ b @ m)
-    return out
+    pulled = (m.conj().T @ b @ m for m, b in zip(mats, b_stacks))
+    return _distance_sq(coeffs, a_stacks, pulled)
 
 
 def _pullback_distance(w: Intertwiner, a_stacks, b_stacks) -> float:
@@ -908,7 +910,7 @@ def _pauli_pair(u_rep, v_rep, mu, nu, rounding: bool = False) -> _PauliPair:
     return _PauliPair(u_rep, v_rep, mu, nu, k_mu, k_nu, gamma, defects, ext)
 
 
-def _tensor_defects(u_rep: UnitaryRep, v_rep: UnitaryRep) -> np.ndarray:
+def _tensor_defects(u_rep: UnitaryRep, v_rep: UnitaryRep, gamma) -> np.ndarray:
     """Commutator defects of the tensor reduction U(a) (x) lambda(a),
     V(chi) (x) M(chi), without forming a tensor product.
 
@@ -917,15 +919,13 @@ def _tensor_defects(u_rep: UnitaryRep, v_rep: UnitaryRep) -> np.ndarray:
     tr((X (x) Y)*(Z (x) W)) = tr(X*Z) tr(Y*W) gives, per block of weight
     coefficient c, ||X (x) Y - Z (x) W||_2^2 = (c/|A|) (tr X*X tr Y*Y +
     tr Z*Z tr W*W - 2 Re tr X*Z tr Y*W).  lambda is the regular
-    representation and M(chi) = diag(chi(x)) comes from ``pairing``, so the
-    twist of the direct value enters only through the commutation of lambda
-    and M.
+    representation and M(chi) = diag(chi(x)) is read off ``gamma[x, chi]``
+    = chi(x), so the twist of the direct value enters only through the
+    commutation of lambda and M.
     """
     a_grp = u_rep.group
     lam = regular_rep(a_grp).stacks[0].real  # permutation matrices
-    els = a_grp.elements
-    chars = [[a_grp.pairing(chi, x) for x in els] for chi in v_rep.group.elements]
-    mod = np.array([np.diag(row) for row in chars])  # integer at exponent 2
+    mod = gamma.T[:, :, None] * np.eye(a_grp.order)  # mod[chi] = diag(gamma[:, chi])
     yy, ww, yw = _pair_traces(lam, mod)
     out = np.zeros(yy.shape)
     for us, vs, c in zip(u_rep.stacks, v_rep.stacks, u_rep.algebra.coeffs):
@@ -939,7 +939,7 @@ def _twisted_amplification(pair: _PauliPair) -> AmplificationCheck:
     against the tensor reduction."""
     k = pair.k_mu * pair.k_nu
     lhs, rhs = _amplification(pair.defects, pair.mu, pair.nu, k)
-    tensor = _amplification(_tensor_defects(pair.u, pair.v), pair.mu, pair.nu, k)
+    tensor = _amplification(_tensor_defects(pair.u, pair.v, pair.gamma), pair.mu, pair.nu, k)
     if any(abs(t - d) > 1e-8 * max(1.0, d) for t, d in zip(tensor, (lhs, rhs))):
         raise GapstabError("tensor reduction cross-check failed")
     return AmplificationCheck(lhs, rhs)
@@ -1097,6 +1097,14 @@ def stabilize_product(
     mu2(y)1_{x=e}) / 2; the report carries the four-way defect split, the
     commutant-distance figures eta with both forms of their gap bound, the
     stage defects and every closeness number of the assembly.
+
+    Stages (ii) and (iii) run on stacks: the images enter the corner as
+    x -> w1 x w1* + (1 - w1 w1*), one stack per block for the first factor
+    and one for the second; the second-factor stack is projected onto N by
+    one call of the conditional-expectation kernel, compressed into N,
+    replaced by its polar factors and lifted back.  d1_corner, eta,
+    v_to_phi and the mu2 and mu2 * mu2 sums of eta^2 are weighted squared
+    2-norms of those stacks.
     """
     group = phi.group
     if not isinstance(group, ProductGroup):
@@ -1145,51 +1153,44 @@ def stabilize_product(
     d1_per = _pullback_sq(w1.mats, base.coeffs, phi1.stacks, pi1.stacks)
     d1_base = float(mu1_w @ d1_per[mu1_idx])
 
-    one_c = corner1.identity()
-    complement = one_c - w1.w_w_star()
+    # images move into the corner as x -> w1 x w1* + (1 - w1 w1*), per stack
+    complement = [np.eye(len(m)) - m @ m.conj().T for m in w1.mats]
 
-    def into_corner(x: AlgebraElement) -> AlgebraElement:
-        return w1.push(x) + complement
+    def into_corner(stacks) -> list:
+        return [(m @ s) @ m.conj().T + c for m, s, c in zip(w1.mats, stacks, complement)]
 
-    d1_corner = sum(
-        float(p)
-        * corner1.norm2(into_corner(phi1.images[g]) - pi1.images[g]) ** 2
-        for g, p in mu1.items_nonzero()
+    first = into_corner([s[mu1_idx] for s in phi1.stacks])
+    d1_corner = float(
+        mu1_w @ _distance_sq(corner1.coeffs, first, [s[mu1_idx] for s in pi1.stacks])
     )
 
     # stage two: second-factor values moved into the corner, projected on N
-    phi2_corner = {h: into_corner(phi.images[(e1, h)]) for h in g2.elements}
+    rows2 = [group.index((e1, h)) for h in g2.elements]
+    second = into_corner([s[rows2] for s in phi.stacks])
     decomp = commutant_blocks(pi1)
     n_alg = decomp.algebra_n
+    expected = _commutant_mean(pi1.stacks, second)
+    eta_sq = _distance_sq(corner1.coeffs, second, expected)
+    v_stacks = [unitary_polar_factor(y) for y in decomp.compress(expected)]
+    v_sq = _distance_sq(corner1.coeffs, second, decomp.lift(v_stacks))
+    eta = dict(zip(g2.elements, np.sqrt(eta_sq).tolist()))
+    v_to_phi = dict(zip(g2.elements, np.sqrt(v_sq).tolist()))
 
-    eta = {}
-    v_blocks = []
-    v_to_phi = {}
-    for h in g2.elements:
-        expected = conditional_expectation_commutant(pi1, phi2_corner[h])
-        eta[h] = corner1.norm2(phi2_corner[h] - expected)
-        comp = decomp.compress(expected)
-        v = AlgebraElement(n_alg, [unitary_polar_factor(b) for b in comp.blocks])
-        v_to_phi[h] = corner1.norm2(phi2_corner[h] - decomp.lift(v))
-        v_blocks.append(v.blocks)
-
-    eta_sq_mu2 = sum(float(p) * eta[h] ** 2 for h, p in mu2.items_nonzero())
+    mu2_idx, mu2_w = _measure_weights(g2, mu2)
+    eta_sq_mu2 = float(mu2_w @ eta_sq[mu2_idx])
     eta_bound_triangle = (
         1.5 * kappa1 * (4.0 * d1_corner + eps_split[(1, 2)] + eps_split[(2, 1)])
     )
     eta_bound_gap_form = 12.0 * kappa1 * max(d1_corner, eps)
 
-    v_hom = AlmostHom(g2, n_alg, [np.array(bs) for bs in zip(*v_blocks)])
+    v_hom = AlmostHom(g2, n_alg, v_stacks)
     v_defect_uniform = defect(v_hom)
     v_defect_mu2 = defect(v_hom, mu2, mu2)
-    eta_mu2 = math.sqrt(eta_sq_mu2)
-    mu2_conv = mu2.convolve(mu2)
-    eta_conv = math.sqrt(
-        sum(float(p) * eta[h] ** 2 for h, p in mu2_conv.items_nonzero())
-    )
+    conv_idx, conv_w = _measure_weights(g2, mu2.convolve(mu2))
+    eta_conv = math.sqrt(float(conv_w @ eta_sq[conv_idx]))
     v_defect_bound = (
         math.sqrt(eps_split[(2, 2)])
-        + 2.0 * math.sqrt(2.0) * eta_mu2
+        + 2.0 * math.sqrt(2.0) * math.sqrt(eta_sq_mu2)
         + math.sqrt(2.0) * eta_conv
     ) ** 2
 
@@ -1252,14 +1253,8 @@ def stabilize_product(
     pi_final = UnitaryRep(group, final_alg, final_stacks, tol=1e-5, check="none")
 
     per_sq = _pullback_sq(w_total.mats, base.coeffs, phi.stacks, pi_final.stacks)
-    per_element = dict(zip(group.elements, per_sq.tolist()))
-    distance_uniform = sum(per_element.values()) / group.order
-    distance_mu1 = sum(
-        float(p) * per_element[(g, e2)] for g, p in mu1.items_nonzero()
-    )
-    distance_mu2 = sum(
-        float(p) * per_element[(e1, h)] for h, p in mu2.items_nonzero()
-    )
+    distance_mu1 = float(mu1_w @ per_sq[rows1][mu1_idx])
+    distance_mu2 = float(mu2_w @ per_sq[rows2][mu2_idx])
 
     # w_total* pi(g, e) w_total against w1* pi1(g) w1 along the first factor
     pulled1 = [m.conj().T @ s @ m for m, s in zip(w1.mats, pi1.stacks)]
@@ -1292,7 +1287,7 @@ def stabilize_product(
         v_defect_bound=v_defect_bound,
         stage2_exact=stage2_exact,
         stage2=cert2.report() if cert2 is not None else None,
-        distance_uniform=distance_uniform,
+        distance_uniform=float(per_sq.mean()),
         distance_mu1=distance_mu1,
         distance_mu2=distance_mu2,
         distance_mixture=(distance_mu1 + distance_mu2) / 2.0,

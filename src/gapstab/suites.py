@@ -33,23 +33,19 @@ from .codes import code_new, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument
 from .games import (
     SynchronousStrategy,
-    _joint_pvm,
-    _magic_grid,
-    _sign_pvm,
+    _commuting_pvms,
+    _grid_pvms,
     anticommutation_bound_check,
     commutation_bound_check,
     commutation_game,
     game_from_code,
     honest_strategy,
-    line_cells,
     magic_square_game,
     pauli_pvms,
     pauli_rigidity_report,
     perturb_strategy,
     twisted_defect,
     value,
-    _CELLS,
-    _LINES,
 )
 from .groups import ProductGroup, symmetric_group
 from .spectral import ProbMeasure, kappa, poincare_residual
@@ -109,14 +105,7 @@ def _random_commuting_strategy(game, d: int, rng) -> SynchronousStrategy:
     t = rng.integers(0, 2, size=d) * 2 - 1
     p = (u * s) @ u.conj().T
     q = (u * t) @ u.conj().T
-    return SynchronousStrategy(
-        alg,
-        {
-            "x1": _sign_pvm(alg, p),
-            "x2": _sign_pvm(alg, q),
-            "y": _joint_pvm(alg, game.answers["y"], [p, q]),
-        },
-    )
+    return SynchronousStrategy(alg, _commuting_pvms(alg, p, q, game.answers["y"]))
 
 
 def suite_lemma17(trials: int = 500, seed: int = 7) -> SuiteResult:
@@ -174,16 +163,8 @@ def _random_grid_strategy(game, k: int, rng) -> SynchronousStrategy:
     u = haar_unitary(2 * k, rng)
     p = u @ np.kron(sx, np.eye(k)) @ u.conj().T
     q = u @ np.kron(sz, np.eye(k)) @ u.conj().T
-    grid = _magic_grid(p, q)
     alg = TracialAlgebra.matrix(4 * k)
-    pvms = {}
-    for cell in _CELLS:
-        pvms[cell] = _sign_pvm(alg, grid[cell])
-    for line in _LINES:
-        pvms[line] = _joint_pvm(
-            alg, game.answers[line], [grid[c] for c in line_cells(line)]
-        )
-    return SynchronousStrategy(alg, pvms)
+    return SynchronousStrategy(alg, _grid_pvms(alg, p, q, game.answers))
 
 
 def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:

@@ -21,7 +21,6 @@ from gapstab.algebra import (
     haar_unitary,
     nearest_unitary_in_commutant,
     norm_conditional_duality_check,
-    polar,
     rep_residual,
     unitary_polar_factor,
 )
@@ -31,7 +30,7 @@ from gapstab.errors import (
     InvalidRepresentation,
     NonGeneratingSupport,
 )
-from gapstab.groups import CentralExtensionGroup, ProductGroup
+from gapstab.groups import CentralExtensionGroup, ProductGroup, symmetric_group
 from gapstab.spectral import ProbMeasure
 
 
@@ -193,27 +192,6 @@ def test_gap_check_needs_generating_measure():
         commutator_gap_check(rep, mu, rep.algebra.identity())
 
 
-def test_polar_decomposition():
-    alg = TracialAlgebra.matrix(3)
-    rng = np.random.default_rng(11)
-    x = alg.element([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))])
-    u, pos = polar(x)
-    assert alg.norm_inf(u * pos - x) < 1e-10
-    assert alg.norm_inf(u * u.H - alg.identity()) < 1e-10
-    evals = np.linalg.eigvalsh(pos.blocks[0])
-    assert evals.min() > -1e-12
-
-
-def test_polar_with_kernel():
-    """On singular input the polar factor is the support partial isometry."""
-    alg = TracialAlgebra.matrix(2)
-    x = alg.element([np.diag([2.0, 0.0]).astype(complex)])
-    w, pos = polar(x)
-    support = np.diag([1.0, 0.0])
-    assert np.allclose((w.H * w).blocks[0], support)
-    assert alg.norm_inf(w * pos - x) < 1e-10
-
-
 def test_unitary_polar_factor():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -222,17 +200,51 @@ def test_unitary_polar_factor():
 
 
 def test_commutant_blocks_regular_rep():
-    """The commutant of the regular rep of Z/2 is two one-dimensional blocks."""
+    """The commutant of the regular rep of Z/2 is two one-dimensional blocks;
+    compress and lift move a stack of commutant elements and back."""
     rep = regular_rep(cyclic(2))
     dec = commutant_blocks(rep)
     assert sorted(m for (_, _, m, _) in dec.components) == [1, 1]
-    x = conditional_expectation_commutant(
-        rep, rep.algebra.element([np.diag([1.0, -2.0]).astype(complex)])
-    )
-    assert dec.scalar_block_residual(x) < 1e-8
-    y = dec.compress(x)
-    assert rep.algebra.norm2(dec.lift(y) - x) < 1e-10
-    assert abs(dec.algebra_n.tau(y) - rep.algebra.tau(x)) < 1e-12
+    diagonals = np.array([[1.0, -2.0], [3.0, 0.5], [0.0, 1.0]])
+    xs = algebra._commutant_mean(rep.stacks, [np.array([np.diag(d) for d in diagonals], complex)])
+    ys = dec.compress(xs)
+    assert [y.shape for y in ys] == [(3, 1, 1), (3, 1, 1)]
+    np.testing.assert_allclose(dec.lift(ys)[0], xs[0], rtol=0, atol=1e-10)
+    tau_n = sum(c * np.trace(y, axis1=1, axis2=2) for c, y in zip(dec.algebra_n.coeffs, ys))
+    tau = rep.algebra.coeffs[0] * np.trace(xs[0], axis1=1, axis2=2)
+    np.testing.assert_allclose(tau_n, tau, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("entries", [algebra._STACK_ENTRIES, 150])
+def test_commutant_mean_matches_group_loop(monkeypatch, entries):
+    """The stacked kernel against the literal sum over the group, on a stack
+    of four elements of M_6 (+) M_3 under S3 (the regular representation on
+    the first block, the permutation one on the second), in one chunk and
+    in chunks of one and five group elements; the regular block's commutant
+    has a component with m = d = 2, and the decomposition compresses and
+    lifts the projected stack back to itself."""
+    monkeypatch.setattr(algebra, "_STACK_ENTRIES", entries)
+    grp = symmetric_group(3)
+    perm = np.eye(3)[np.array(grp.elements)].transpose(0, 2, 1)
+    alg = TracialAlgebra([(6, Fraction(1, 3)), (3, Fraction(2, 3))])
+    rep = UnitaryRep(grp, alg, [regular_rep(grp).stacks[0], perm])
+    rng = np.random.default_rng(8)
+    xs = [
+        rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        for n in rep.algebra.dims
+    ]
+    got = algebra._commutant_mean(rep.stacks, xs)
+    for u, x, e in zip(rep.stacks, xs, got):
+        assert e.shape == x.shape
+        for k in range(len(x)):
+            want = sum(ug @ x[k] @ ug.conj().T for ug in u) / len(u)
+            np.testing.assert_allclose(e[k], want, rtol=0, atol=1e-12)
+    dec = commutant_blocks(rep)
+    assert sorted((bi, m, d) for (bi, _, m, d) in dec.components) == [
+        (0, 1, 1), (0, 1, 1), (0, 2, 2), (1, 1, 1), (1, 1, 2)
+    ]
+    for lifted, e in zip(dec.lift(dec.compress(got)), got):
+        np.testing.assert_allclose(lifted, e, rtol=0, atol=1e-10)
 
 
 def test_nearest_unitary_sqrt2():
@@ -254,7 +266,7 @@ def test_nearest_unitary_recovers_member():
     v = conditional_expectation_commutant(rep, alg.element(
         [np.diag(np.exp(1j * np.array([0.2, 0.9, 1.4, -0.3])))]
     ))
-    u, _ = polar(v)
+    u = alg.element([unitary_polar_factor(b) for b in v.blocks])
     # u is a unitary of the commutant already, so it is its own best approximant
     best = nearest_unitary_in_commutant(rep, u)
     assert alg.norm2(best - u) < 1e-8

@@ -18,8 +18,10 @@ from gapstab.algebra import (
     AlmostHom,
     TracialAlgebra,
     UnitaryRep,
+    commutant_blocks,
     defect,
     haar_unitary,
+    nearest_unitary_in_commutant,
     rep_residual,
 )
 from gapstab.errors import (
@@ -550,7 +552,7 @@ def test_tensor_trace_identity_matches_kronecker(case):
         u, v = _two_block_pair()
     else:
         u, v = suites._conjugated_pauli_reps(case, np.random.default_rng(case))
-    got = stability._tensor_defects(u, v)
+    got = stability._tensor_defects(u, v, u.group.character_table().T)
     want = _kron_defects(u, v)
     assert want.max() > 1e-3
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -559,8 +561,10 @@ def test_tensor_trace_identity_matches_kronecker(case):
 
 
 def _flip_one_character(monkeypatch):
-    """Make character_table() return one wrong sign, so the direct twisted
-    defect is wrong while the tensor reduction (built from ``pairing``) is not."""
+    """Make character_table() return one wrong sign.  The direct twisted
+    defect takes the wrong sign; the tensor reduction reads the same table,
+    but its M(chi) is then no character's diagonal, so lambda and M no longer
+    commute up to that sign and the two values part."""
     table = AbelianGroup.character_table
 
     def flipped(self):
@@ -641,6 +645,47 @@ def test_stabilize_product_noisy():
     assert rep.split_identity_residual < 1e-12
     assert rep.distance_mixture >= 0
     assert rep.trace_total >= 1.0 - 1e-9
+
+
+def test_stabilize_product_nonabelian_first_factor():
+    """S3 (regular) x Z3 with independent noise on every image but the
+    identity: stage one takes the dense rounding, the commutant of its
+    representation has a component with d = 2, and every eta[h] and
+    v_to_phi[h] matches a recomputation from that h alone, with the
+    conditional expectation as the literal group sum."""
+    ra, rb = regular_rep(symmetric_group(3)), regular_rep(cyclic(3))
+    g1, g2 = ra.group, rb.group
+    grp, alg = ProductGroup(g1, g2), TracialAlgebra.matrix(18)
+    exact = UnitaryRep(
+        grp,
+        alg,
+        [np.kron(ra.stacks[0][:, None], rb.stacks[0][None])],
+        check="none",
+    )
+    phi = AlmostHom(grp, alg, _noisy_images(exact, 0.05, np.random.default_rng(4)))
+    pi, rep = stabilize_product(phi, ProbMeasure.uniform(g1), ProbMeasure.uniform(g2))
+    assert not rep.stage1_exact and rep.stage1["path"] == "dense"
+    assert not rep.stage2_exact
+    assert rep.pi_residual < 1e-8
+    assert rep.assembly_residual < 1e-10
+
+    # stage one again, then each h on its own, element by element
+    cert1 = gowers_hatami_round(
+        AlmostHom(g1, alg, {a: phi((a, g2.identity)) for a in g1.elements})
+    )
+    pi1, corner, w = cert1.pi, cert1.corner, cert1.w.mats[0]
+    assert max(d for (_, _, _, d) in commutant_blocks(pi1).components) == 2
+    complement = np.eye(len(w)) - w @ w.conj().T
+    for h in g2.elements:
+        x = corner.element([w @ phi((g1.identity, h)).blocks[0] @ w.conj().T + complement])
+        mean = corner.zero()
+        for g in g1.elements:
+            mean = mean + pi1(g) * x * pi1(g).H
+        mean = (1.0 / g1.order) * mean
+        assert abs(rep.eta[h] - corner.norm2(x - mean)) <= 1e-12
+        near = nearest_unitary_in_commutant(pi1, x)
+        assert abs(rep.v_to_phi[h] - corner.norm2(x - near)) <= 1e-12
+    assert min(rep.eta[h] for h in g2.elements if h != g2.identity) > 1e-3
 
 
 def test_intertwiner():
