@@ -101,6 +101,11 @@ class TracialAlgebra:
     def total_dim(self) -> int:
         return sum(self.dims)
 
+    @property
+    def tau_one(self) -> float:
+        """tau(1), the weights' sum."""
+        return float(sum(self.weights))
+
     def compatible(self, other: "TracialAlgebra") -> bool:
         return (
             self.dims == other.dims
@@ -864,8 +869,7 @@ def _fourier_defect(phi: AlmostHom, cubes) -> float | None:
         b = cols @ cols.conj().T  # n B
         norms = np.vdot(s, s).real / n
         total += c * (norms + np.einsum("ij,ji->", a, b).real / (n * n) - 2.0 * cube.real)
-    tau_one = sum(c * m for c, m in zip(phi.algebra.coeffs, phi.algebra.dims))
-    return float(total) if total >= _FOURIER_DEFECT_FLOOR * tau_one else None
+    return float(total) if total >= _FOURIER_DEFECT_FLOOR * phi.algebra.tau_one else None
 
 
 def _pairwise_defect(phi: AlmostHom, mu=None, nu=None) -> float:

@@ -182,9 +182,6 @@ class FiniteField:
     def trace(self, a: int) -> int:
         return int(self.trace_table[a])
 
-    def digits(self, a: int):
-        return tuple(int(c) for c in self._digits[a])
-
     def trace_pairing(self) -> np.ndarray:
         """T[s, t] = Tr(x^s x^t) in F_p; identifies the dual group with F_q."""
         if self.k == 1:

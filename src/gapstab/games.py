@@ -35,13 +35,7 @@ from .algebra import (
 from .codes import LinearCode, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument, ResourceCap
 from .spectral import ProbMeasure
-from .stability import (
-    Intertwiner,
-    _check_bound,
-    _pauli_pair,
-    _pullback_distance,
-    _round_pauli,
-)
+from .stability import _check_bound, _pauli_pair, _pullback_sq, _round_pauli
 
 COMMUTATION_PROJECTION_CONSTANT = 16.0
 COMMUTATION_UNITARY_CONSTANT = 64.0
@@ -426,10 +420,11 @@ class ClosenessCertificate:
     ``trace_defect_base`` is tau(1 - w* w) in the base algebra;
     ``trace_defect_corner`` is tau'(1 - w w*) in the corner trace normalized
     so tau'(1) = 1; ``strategy_distance`` is the uniform question average
-    of sum_a ||P^x_a - w* Q^x_a w||_2^2.
+    of sum_a ||P^x_a - w* Q^x_a w||_2^2.  ``w`` is the isometry from the
+    base algebra into the corner, one (corner_b x base_b) matrix per block.
     """
 
-    w: Intertwiner
+    w: tuple
     trace_defect_base: float
     trace_defect_corner: float
     strategy_distance: float
@@ -444,34 +439,41 @@ class ClosenessCertificate:
         }
 
 
+def _trace_defect(algebra: TracialAlgebra, grams) -> float:
+    """Re tau(1 - G) for one Gram matrix G per block of ``algebra``."""
+    total = sum(c * np.trace(np.eye(len(g)) - g) for c, g in zip(algebra.coeffs, grams))
+    return float(np.real(total))
+
+
 def closeness(
-    strat_a: SynchronousStrategy, strat_b: SynchronousStrategy, w: Intertwiner
+    strat_a: SynchronousStrategy, strat_b: SynchronousStrategy, w: tuple
 ) -> ClosenessCertificate:
     """Measure how close strat_a is to the corner strategy strat_b via w.
 
-    The question average is uniform over the common questions; answer sets
-    must agree question by question.  The corner projection is the
-    identity of strat_b's algebra.
+    ``w`` holds one (corner_b x base_b) matrix per block, the base being
+    strat_a's algebra and the corner strat_b's.  The question average is
+    uniform over the common questions; answer sets must agree question by
+    question.  The corner projection is the identity of strat_b's algebra.
     """
     base = strat_a.algebra
     corner = strat_b.algebra
-    one = corner.identity()
     questions = sorted(
         set(strat_a.pvms) & set(strat_b.pvms), key=repr
     )
     weights = {x: 1.0 / len(questions) for x in questions}
-    tau_p = float(np.real(corner.tau(one)))
+    tau_p = corner.tau_one
     if tau_p <= 0:
         raise InvalidArgument("corner projection has nonpositive trace")
-    trace_base = float(np.real(base.tau(base.identity() - w.w_star_w())))
-    trace_corner = float(np.real(corner.tau(one - w.w_w_star()))) / tau_p
+    trace_base = _trace_defect(base, [m.conj().T @ m for m in w])
+    trace_corner = _trace_defect(corner, [m @ m.conj().T for m in w]) / tau_p
     per_question = {}
     for x in weights:
         pa, pb = strat_a[x], strat_b[x]
         if set(pa.outcomes) != set(pb.outcomes):
             raise InvalidArgument(f"answer sets differ at question {x!r}")
         order = [pb.index(a) for a in pa.outcomes]
-        per_question[x] = _pullback_distance(w, pa.stacks, [s[order] for s in pb.stacks])
+        pulled = _pullback_sq(w, base.coeffs, pa.stacks, [s[order] for s in pb.stacks])
+        per_question[x] = float(pulled.sum())
     distance = sum(float(weights[x]) * per_question[x] for x in weights)
     return ClosenessCertificate(
         w=w,
@@ -485,18 +487,18 @@ def closeness(
 UnitaryPvmBridge = namedtuple("UnitaryPvmBridge", ["unitary_side", "pvm_side"])
 
 
-def unitary_pvm_bridge(
-    u_rep: UnitaryRep, v_rep: UnitaryRep, w: Intertwiner
-) -> UnitaryPvmBridge:
+def unitary_pvm_bridge(u_rep: UnitaryRep, v_rep: UnitaryRep, w: tuple) -> UnitaryPvmBridge:
     """Both sides of E_h ||U(h) - w* V(h) w||_2^2 = sum_chi ||P_chi - w* Q_chi w||_2^2.
 
-    U acts on the base, V on the corner; both are representations of the
-    same abelian group whose PVMs are recovered by Fourier averaging.  The
-    two sides are computed independently.
+    U acts on the base, V on the corner, and ``w`` holds one
+    (corner_b x base_b) matrix per block; U and V are representations of
+    the same abelian group whose PVMs are recovered by Fourier averaging.
+    The two sides are computed independently.
     """
-    lhs = _pullback_distance(w, u_rep.stacks, v_rep.stacks) / u_rep.group.order
+    coeffs = u_rep.algebra.coeffs
+    lhs = float(_pullback_sq(w, coeffs, u_rep.stacks, v_rep.stacks).mean())
     pu, pv = pvm_from_rep(u_rep), pvm_from_rep(v_rep)
-    rhs = _pullback_distance(w, pu.stacks, pv.stacks)
+    rhs = float(_pullback_sq(w, coeffs, pu.stacks, pv.stacks).sum())
     return UnitaryPvmBridge(lhs, rhs)
 
 

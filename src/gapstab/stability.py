@@ -5,8 +5,11 @@ into the amplification M tensor M_|G|, averages the dilation's range
 projection over left translations, cuts the spectrum of the average at 1/2
 and completes the polar part of the compressed dilation to an isometry.
 The result is a certificate: a true representation on a corner, an isometry
-conjugating it back into the base algebra, and measured closeness numbers
-next to their guaranteed bounds.
+w conjugating it back into the base algebra, and measured closeness numbers
+next to their guaranteed bounds.  An isometry (or partial isometry) from a
+base algebra into a corner is held as a tuple of per-block matrices, block b
+of shape (corner dim b, base dim b), and pulls a corner element y back to
+w* y w block by block.
 
 The remaining operations specialize the rounding to commuting pairs,
 twisted (projective) pairs and Pauli-type pairs, verify the spectral-gap
@@ -114,56 +117,6 @@ def _check_rounding_dim(group: FiniteGroup, dims):
     return families
 
 
-class Intertwiner:
-    """A block-aligned rectangular map between two tracial algebras.
-
-    Stores one matrix per block, block i of the source mapping into block i
-    of the target.  ``conjugate`` pulls a target element back to the source
-    (y -> w* y w).
-    """
-
-    def __init__(self, source: TracialAlgebra, target: TracialAlgebra, mats):
-        if len(mats) != source.nblocks or len(mats) != target.nblocks:
-            raise InvalidArgument("one matrix per block is required")
-        self.source = source
-        self.target = target
-        self.mats = [np.asarray(m, dtype=complex) for m in mats]
-        for m, sdim, tdim in zip(self.mats, source.dims, target.dims):
-            if m.shape != (tdim, sdim):
-                raise InvalidArgument(
-                    f"block shape {m.shape} does not map dim {sdim} to {tdim}"
-                )
-
-    @classmethod
-    def identity(cls, algebra: TracialAlgebra) -> "Intertwiner":
-        return cls(algebra, algebra, [np.eye(d) for d in algebra.dims])
-
-    def conjugate(self, y: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            self.source,
-            [m.conj().T @ b @ m for m, b in zip(self.mats, y.blocks)],
-        )
-
-    def w_star_w(self) -> AlgebraElement:
-        return AlgebraElement(
-            self.source, [m.conj().T @ m for m in self.mats]
-        )
-
-    def w_w_star(self) -> AlgebraElement:
-        return AlgebraElement(
-            self.target, [m @ m.conj().T for m in self.mats]
-        )
-
-    def isometry_defect(self) -> float:
-        """||1 - w* w||_2^2 in the source trace; 0 for a true isometry."""
-        diff = self.source.identity() - self.w_star_w()
-        return self.source.norm2(diff) ** 2
-
-    def __repr__(self):
-        shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in self.mats)
-        return f"Intertwiner({shapes})"
-
-
 def _distance_sq(coeffs, a_stacks, b_stacks) -> np.ndarray:
     """||A_k - B_k||_2^2 for each k over two aligned per-block stacks, the
     blocks weighted by ``coeffs``."""
@@ -176,16 +129,19 @@ def _distance_sq(coeffs, a_stacks, b_stacks) -> np.ndarray:
 
 def _pullback_sq(mats, coeffs, a_stacks, b_stacks) -> np.ndarray:
     """||A_k - m* B_k m||_2^2 for each k, over two aligned per-block stacks
-    and one matrix m per block (an intertwiner's ``mats`` or the compressed
-    dilations); ``coeffs`` weight the blocks of the A side."""
+    and one matrix m per block (an isometry's or the compressed dilations);
+    ``coeffs`` weight the blocks of the A side."""
     pulled = (m.conj().T @ b @ m for m, b in zip(mats, b_stacks))
     return _distance_sq(coeffs, a_stacks, pulled)
 
 
-def _pullback_distance(w: Intertwiner, a_stacks, b_stacks) -> float:
-    """sum_k ||A_k - w* B_k w||_2^2 over two aligned per-block stacks, A_k in
-    the source of w and B_k in its target."""
-    return float(_pullback_sq(w.mats, w.source.coeffs, a_stacks, b_stacks).sum())
+def _gram_defect(mats, coeffs) -> float:
+    """sum_b c_b ||1 - M_b* M_b||_F^2 over one matrix M_b per block; 0 when
+    every M_b is an isometry."""
+    return float(sum(
+        c * np.linalg.norm(np.eye(m.shape[1]) - m.conj().T @ m) ** 2
+        for c, m in zip(coeffs, mats)
+    ))
 
 
 @dataclass(eq=False)
@@ -195,7 +151,8 @@ class RoundingCertificate:
     Attributes
     ----------
     pi : UnitaryRep on the corner algebra (one block per base block).
-    w : Intertwiner from the base algebra into the corner; an isometry.
+    w : the isometry from the base algebra into the corner, one
+        (corner_b x base_b) matrix per block.
     distance : mean squared 2-norm closeness E_g ||phi(g) - w* pi(g) w||_2^2.
     trace_excess : trace of the corner projection minus the base trace of 1.
     input_defect : the mean squared multiplication defect of the input.
@@ -214,7 +171,7 @@ class RoundingCertificate:
     base: TracialAlgebra
     corner: TracialAlgebra
     pi: UnitaryRep
-    w: Intertwiner
+    w: tuple
     distance: float
     trace_excess: float
     input_defect: float
@@ -227,7 +184,9 @@ class RoundingCertificate:
 
     def pullback(self, g) -> AlgebraElement:
         """w* pi(g) w in the base algebra."""
-        return self.w.conjugate(self.pi.images[g])
+        return AlgebraElement(
+            self.base, [m.conj().T @ b @ m for m, b in zip(self.w, self.pi.images[g].blocks)]
+        )
 
     def report(self) -> dict:
         eps = self.input_defect
@@ -258,18 +217,24 @@ class RoundingCertificate:
         )
 
 
+def _polar_part(x):
+    """The polar part of x from its singular values above ``_KERNEL_CUT``,
+    and the kept rows of the SVD's right factor."""
+    u_svd, s, vh = np.linalg.svd(x, full_matrices=False)
+    big = s > _KERNEL_CUT
+    return u_svd[:, big] @ vh[big], vh[big]
+
+
 def _polar_completion(x_mat, room: int):
     """The polar part w0 of the compressed dilation X (R x m), completed by
     a basis of its kernel to the isometry w; returns (w0, w, t) with t the
     kernel dimension, which ``room`` low eigenvectors must be able to hold."""
     m = x_mat.shape[1]
-    u_svd, s, vh = np.linalg.svd(x_mat, full_matrices=False)
-    big = s > _KERNEL_CUT
-    w0 = u_svd[:, big] @ vh[big]
-    t_dim = m - int(np.count_nonzero(big))
+    w0, rows = _polar_part(x_mat)
+    t_dim = m - len(rows)
     if t_dim == 0:
         return w0, w0, 0
-    ker_proj = np.eye(m) - vh[big].conj().T @ vh[big]
+    ker_proj = np.eye(m) - rows.conj().T @ rows
     kvals, kvecs = np.linalg.eigh(ker_proj)
     k_basis = kvecs[:, kvals > 0.5]
     if k_basis.shape[1] != t_dim:
@@ -472,31 +437,16 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
         [blk["R"] + blk["t"] for blk in blocks], coeffs
     )
 
-    base_trace = float(np.real(base.tau(base.identity())))
+    base_trace = base.tau_one
     tau_spectral = sum(c * blk["R"] for c, blk in zip(coeffs, blocks))
     tau_corner = sum(c * (blk["R"] + blk["t"]) for c, blk in zip(coeffs, blocks))
     trace_excess = tau_corner - base_trace
 
-    projection_defect = sum(
-        c * np.linalg.norm(np.eye(blk["R"]) - blk["w0"] @ blk["w0"].conj().T) ** 2
-        for c, blk in zip(coeffs, blocks)
-    )
-    one_minus_xsx = math.sqrt(
-        sum(
-            c
-            * np.linalg.norm(np.eye(base.dims[i]) - blk["X"].conj().T @ blk["X"])
-            ** 2
-            for i, (c, blk) in enumerate(zip(coeffs, blocks))
-        )
-    )
-    p_minus_xxs = math.sqrt(
-        sum(
-            c * np.linalg.norm(np.eye(blk["R"]) - blk["X"] @ blk["X"].conj().T) ** 2
-            for c, blk in zip(coeffs, blocks)
-        )
-    )
-
-    w = Intertwiner(base, corner, [blk["w"] for blk in blocks])
+    x_mats = [blk["X"] for blk in blocks]
+    projection_defect = _gram_defect([blk["w0"].conj().T for blk in blocks], coeffs)
+    one_minus_xsx = math.sqrt(_gram_defect(x_mats, coeffs))
+    p_minus_xxs = math.sqrt(_gram_defect([x.conj().T for x in x_mats], coeffs))
+    w = tuple(blk["w"] for blk in blocks)
 
     # corner images, with the identity on the completion part
     pi_stacks = []
@@ -506,13 +456,11 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
         pi_b[:, :r_dim, :r_dim] = blk["core"]
         pi_b[:, r_dim:, r_dim:] = np.eye(t_dim)
         pi_stacks.append(pi_b)
-    per_sq = _pullback_sq(w.mats, coeffs, phi.stacks, pi_stacks)
+    per_sq = _pullback_sq(w, coeffs, phi.stacks, pi_stacks)
     per_element = dict(zip(elements, per_sq.tolist()))
     distance = sum(per_element.values()) / n
     contraction = float(
-        _pullback_sq(
-            [blk["X"] for blk in blocks], coeffs, phi.stacks, [blk["core"] for blk in blocks]
-        ).mean()
+        _pullback_sq(x_mats, coeffs, phi.stacks, [blk["core"] for blk in blocks]).mean()
     )
 
     pi = UnitaryRep(group, corner, pi_stacks, tol=1e-6, check="none")
@@ -534,7 +482,7 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
         "p_minus_xxstar": p_minus_xxs,
         "sqrt_defect_bound": 4.0 * math.sqrt(eps),
         "pi_residual": pi_residual,
-        "isometry_residual": w.isometry_defect(),
+        "isometry_residual": _gram_defect(w, coeffs),
         "threshold_margin": min(blk["margin"] for blk in blocks),
         "tau_corner": tau_corner,
         "tau_spectral_projection": tau_spectral,
@@ -625,7 +573,6 @@ class PairRoundingResult:
     certificate: RoundingCertificate
     u_tilde: UnitaryRep
     v_tilde: UnitaryRep
-    w: Intertwiner
     epsilon: float
     distance_u: float
     distance_v: float
@@ -694,7 +641,6 @@ def round_commuting_pair(u_rep: UnitaryRep, v_rep: UnitaryRep) -> PairRoundingRe
         certificate=cert,
         u_tilde=u_tilde,
         v_tilde=v_tilde,
-        w=cert.w,
         epsilon=eps,
         distance_u=distance_u,
         distance_v=distance_v,
@@ -709,13 +655,15 @@ class TwistedRoundingResult:
 
     ``u_tilde`` and ``v_tilde`` live on the minus-one eigenspace corner of
     the rounded central sign and satisfy U~(a)V~(b) = gamma(a, b)V~(b)U~(a)
-    up to machine precision; ``w`` is the re-polared partial isometry.
+    up to machine precision; ``w`` is the re-polared partial isometry from
+    the base algebra into that corner, one (corner_b x base_b) matrix per
+    block.
     """
 
     certificate: RoundingCertificate
     u_tilde: UnitaryRep
     v_tilde: UnitaryRep
-    w: Intertwiner
+    w: tuple
     epsilon: float
     distance_u: float
     distance_v: float
@@ -821,18 +769,12 @@ def _round_twisted(u_rep, v_rep, ext, signs, eps: float) -> TwistedRoundingResul
     relation_residual = math.sqrt(_pair_defects(u_tilde, v_tilde, signs).max())
 
     # re-polar Qw to a partial isometry
-    w_mats = []
-    for y, wm in zip(y_isos, cert.w.mats):
-        qw = y.conj().T @ wm
-        u_svd, s, vh = np.linalg.svd(qw, full_matrices=False)
-        big = s > _KERNEL_CUT
-        w_mats.append(u_svd[:, big] @ vh[big])
-    w_prime = Intertwiner(alg, q_corner, w_mats)
-    isometry_defect = w_prime.isometry_defect()
+    w_prime = tuple(_polar_part(y.conj().T @ wm)[0] for y, wm in zip(y_isos, cert.w))
+    isometry_defect = _gram_defect(w_prime, alg.coeffs)
     isometry_bound = p_minus_q_bound**2
 
-    distance_u = _pullback_distance(w_prime, u_rep.stacks, u_tilde.stacks) / a_grp.order
-    distance_v = _pullback_distance(w_prime, v_rep.stacks, v_tilde.stacks) / b_grp.order
+    distance_u = float(_pullback_sq(w_prime, alg.coeffs, u_rep.stacks, u_tilde.stacks).mean())
+    distance_v = float(_pullback_sq(w_prime, alg.coeffs, v_rep.stacks, v_tilde.stacks).mean())
     bound = TWISTED_CONSTANT * eps
     _check_bound(distance_u, bound, "twisted-pair distance (first factor)")
     _check_bound(distance_v, bound, "twisted-pair distance (second factor)")
@@ -1096,7 +1038,9 @@ def stabilize_product(
     Defect accounting uses the mixture measure mu(x, y) = (mu1(x)1_{y=e} +
     mu2(y)1_{x=e}) / 2; the report carries the four-way defect split, the
     commutant-distance figures eta with both forms of their gap bound, the
-    stage defects and every closeness number of the assembly.
+    stage defects and every closeness number of the assembly.  The mu2 mean
+    of eta^2 is checked against both bounds and the stage-two mu2 defect
+    against its bound; a violation raises GapstabError.
 
     Stages (ii) and (iii) run on stacks: the images enter the corner as
     x -> w1 x w1* + (1 - w1 w1*), one stack per block for the first factor
@@ -1141,7 +1085,7 @@ def stabilize_product(
     if stage1_exact:
         corner1 = base
         pi1 = UnitaryRep(g1, base, phi1.stacks, tol=1e-6, check="none")
-        w1 = Intertwiner.identity(base)
+        w1 = tuple(np.eye(m, dtype=complex) for m in base.dims)
         cert1 = None
     else:
         cert1 = gowers_hatami_round(phi1)
@@ -1150,14 +1094,14 @@ def stabilize_product(
         w1 = cert1.w
 
     mu1_idx, mu1_w = _measure_weights(g1, mu1)
-    d1_per = _pullback_sq(w1.mats, base.coeffs, phi1.stacks, pi1.stacks)
+    d1_per = _pullback_sq(w1, base.coeffs, phi1.stacks, pi1.stacks)
     d1_base = float(mu1_w @ d1_per[mu1_idx])
 
     # images move into the corner as x -> w1 x w1* + (1 - w1 w1*), per stack
-    complement = [np.eye(len(m)) - m @ m.conj().T for m in w1.mats]
+    complement = [np.eye(len(m)) - m @ m.conj().T for m in w1]
 
     def into_corner(stacks) -> list:
-        return [(m @ s) @ m.conj().T + c for m, s, c in zip(w1.mats, stacks, complement)]
+        return [(m @ s) @ m.conj().T + c for m, s, c in zip(w1, stacks, complement)]
 
     first = into_corner([s[mu1_idx] for s in phi1.stacks])
     d1_corner = float(
@@ -1193,12 +1137,15 @@ def stabilize_product(
         + 2.0 * math.sqrt(2.0) * math.sqrt(eta_sq_mu2)
         + math.sqrt(2.0) * eta_conv
     ) ** 2
+    _check_bound(eta_sq_mu2, eta_bound_triangle, "commutant distance (triangle form)")
+    _check_bound(eta_sq_mu2, eta_bound_gap_form, "commutant distance (gap form)")
+    _check_bound(v_defect_mu2, v_defect_bound, "stage-two defect")
 
     stage2_exact = v_defect_uniform <= _EXACT_STAGE_TOL
     if stage2_exact:
         corner2 = n_alg
         pi2 = UnitaryRep(g2, n_alg, v_hom.stacks, tol=1e-6, check="none")
-        w2 = Intertwiner.identity(n_alg)
+        w2 = tuple(np.eye(m, dtype=complex) for m in n_alg.dims)
         cert2 = None
     else:
         cert2 = gowers_hatami_round(v_hom)
@@ -1226,16 +1173,13 @@ def stabilize_product(
     ]
     final_alg = TracialAlgebra._raw(final_dims, base.coeffs)
 
-    w_total_mats = []
+    w_total = []
     for i, js in enumerate(per_block):
         rows = []
         for j in js:
             _, w_iso, _, d_dim = decomp.components[j]
-            rows.append(
-                np.kron(w2.mats[j], np.eye(d_dim)) @ w_iso.conj().T @ w1.mats[i]
-            )
-        w_total_mats.append(np.vstack(rows))
-    w_total = Intertwiner(base, final_alg, w_total_mats)
+            rows.append(np.kron(w2[j], np.eye(d_dim)) @ w_iso.conj().T @ w1[i])
+        w_total.append(np.vstack(rows))
 
     # pi(g, h) is block diagonal over the components j of each base block,
     # pi2(h)_j (x) u_j(g) on component j; the Kronecker product of the stacks
@@ -1252,21 +1196,17 @@ def stabilize_product(
         final_stacks.append(stack)
     pi_final = UnitaryRep(group, final_alg, final_stacks, tol=1e-5, check="none")
 
-    per_sq = _pullback_sq(w_total.mats, base.coeffs, phi.stacks, pi_final.stacks)
+    per_sq = _pullback_sq(w_total, base.coeffs, phi.stacks, pi_final.stacks)
     distance_mu1 = float(mu1_w @ per_sq[rows1][mu1_idx])
     distance_mu2 = float(mu2_w @ per_sq[rows2][mu2_idx])
 
     # w_total* pi(g, e) w_total against w1* pi1(g) w1 along the first factor
-    pulled1 = [m.conj().T @ s @ m for m, s in zip(w1.mats, pi1.stacks)]
+    pulled1 = [m.conj().T @ s @ m for m, s in zip(w1, pi1.stacks)]
     assembly_sq = _pullback_sq(
-        w_total.mats, base.coeffs, pulled1, [s[rows1] for s in pi_final.stacks]
+        w_total, base.coeffs, pulled1, [s[rows1] for s in pi_final.stacks]
     )
     assembly_residual = math.sqrt(assembly_sq.max())
 
-    trace_total = float(
-        np.real(final_alg.tau(final_alg.identity()))
-    )
-    base_trace = float(np.real(base.tau(base.identity())))
 
     report = StabilizationReport(
         epsilon=eps,
@@ -1291,8 +1231,8 @@ def stabilize_product(
         distance_mu1=distance_mu1,
         distance_mu2=distance_mu2,
         distance_mixture=(distance_mu1 + distance_mu2) / 2.0,
-        trace_total=trace_total,
-        trace_excess=trace_total - base_trace,
+        trace_total=final_alg.tau_one,
+        trace_excess=final_alg.tau_one - base.tau_one,
         assembly_residual=assembly_residual,
         pi_residual=rep_residual(pi_final),
     )

@@ -233,7 +233,8 @@ def test_ac04_subgroup_bound_product_form():
         grp, phi = _product_form(cyclic(2), cyclic(3), sigma, rng)
         mu1 = ProbMeasure.uniform(cyclic(2))
         mu2 = ProbMeasure.uniform(cyclic(3))
-        pi, report = stabilize_product(phi, mu1, mu2)  # validates its own bounds
+        # raises if eta or the stage-two defect exceeds its bound
+        pi, report = stabilize_product(phi, mu1, mu2)
         assert report.pi_residual < 1e-8
     _ok("AC4", f"24 product-form trials, worst lhs/bound {worst:.3e}")
 

@@ -44,7 +44,6 @@ from gapstab.games import (
     unitary_pvm_bridge,
     value,
 )
-from gapstab.stability import Intertwiner
 from gapstab.suites import named_game, rigidity_sweep
 
 
@@ -352,7 +351,7 @@ def test_perturb_strategy_zero_sigma():
 
 def test_closeness_identity_witness():
     strat = _diag_strategy()
-    w = Intertwiner.identity(strat.algebra)
+    w = tuple(np.eye(d) for d in strat.algebra.dims)
     cert = closeness(strat, strat, w)
     assert cert.trace_defect_base < 1e-12
     assert cert.trace_defect_corner < 1e-12
@@ -367,7 +366,7 @@ def test_unitary_pvm_bridge():
     u = rep_from_pvm(tau_x, grp)
     c = AlgebraElement(u.algebra, [haar_unitary(4, np.random.default_rng(7))])
     v = rep_from_pvm(tau_x.conjugated(c), grp)
-    w = Intertwiner.identity(u.algebra)
+    w = tuple(np.eye(d) for d in u.algebra.dims)
     bridge = unitary_pvm_bridge(u, v, w)
     assert bridge.unitary_side > 1e-6
     assert abs(bridge.unitary_side - bridge.pvm_side) < 1e-10

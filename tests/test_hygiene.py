@@ -1,16 +1,15 @@
-"""Source hygiene: every name a module imports is used in that module, and
+"""Source hygiene: every name a module imports is used in that module,
 every private function, class and method is referenced somewhere in the
-package."""
+package, and every public one somewhere in the package, its tests or its
+benchmark harness."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "gapstab").glob("*.py")
-    if p.name != "__init__.py"
-)
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "gapstab").glob("*.py") if p.name != "__init__.py")
 
 
 def _imported_names(tree):
@@ -28,21 +27,21 @@ def _used_names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-def _private_definitions(tree):
-    """(name, line) of every private module-level function and class and
-    every private method of a module-level class; dunder names aside."""
+def _definitions(tree):
+    """(name, line, is_member) of every module-level function and class and
+    every method (or property) of a module-level class; dunder names aside."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    nodes = [node for node in tree.body if isinstance(node, defs)]
+    nodes = [(node, False) for node in tree.body if isinstance(node, defs)]
     nodes += [
-        item
-        for node in nodes
+        (item, True)
+        for node, _ in nodes
         if isinstance(node, ast.ClassDef)
         for item in node.body
         if isinstance(item, defs)
     ]
-    for node in nodes:
-        if node.name.startswith("_") and not node.name.endswith("__"):
-            yield node.name, node.lineno
+    for node, is_member in nodes:
+        if not node.name.endswith("__"):
+            yield node.name, node.lineno, is_member
 
 
 def _referenced_names(tree):
@@ -52,9 +51,39 @@ def _referenced_names(tree):
     return names
 
 
-PACKAGE_REFERENCES = set().union(
-    *(_referenced_names(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES)
-)
+def _public_references(tree):
+    """(names, members): what may reach a public module-level name (a
+    referenced or imported name, an attribute, or a dot-separated segment of
+    a space-free string constant, as in the ``"Class.method"`` paths a tracer
+    patches) and what may reach a public method (an attribute or such a
+    segment; a bare name is a local variable, not a method)."""
+    segments = {
+        part
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and not any(c.isspace() for c in node.value)
+        for part in node.value.split(".")
+    }
+    members = segments | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names = members | _used_names(tree) | {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return names, members
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+PACKAGE_REFERENCES = set().union(*(_referenced_names(_parse(p)) for p in SOURCES))
+PUBLIC_NAMES, PUBLIC_MEMBERS = set(), set()
+for _path in (p for d in ("src/gapstab", "tests", "perfbench") for p in (ROOT / d).glob("*.py")):
+    _names, _members = _public_references(_parse(_path))
+    PUBLIC_NAMES |= _names
+    PUBLIC_MEMBERS |= _members
 
 
 def test_sources_are_found():
@@ -71,10 +100,20 @@ def test_every_import_is_used(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_private_name_is_referenced(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
     orphans = [
         f"{name} (line {line})"
-        for name, line in _private_definitions(tree)
-        if name not in PACKAGE_REFERENCES
+        for name, line, _ in _definitions(_parse(path))
+        if name.startswith("_") and name not in PACKAGE_REFERENCES
     ]
     assert orphans == [], f"{path.name} defines private names nothing references: {orphans}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_public_name_is_referenced(path):
+    orphans = [
+        f"{name} (line {line})"
+        for name, line, is_member in _definitions(_parse(path))
+        if not name.startswith("_")
+        and name not in (PUBLIC_MEMBERS if is_member else PUBLIC_NAMES)
+    ]
+    assert orphans == [], f"{path.name} defines public names nothing references: {orphans}"

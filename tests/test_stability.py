@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,7 +46,6 @@ from gapstab.stability import (
     PROJECTION_CONSTANT,
     SUBGROUP_CONSTANT,
     TWISTED_CONSTANT,
-    Intertwiner,
     commutator_amplification_check,
     equivariance_residual,
     gowers_hatami_round,
@@ -88,7 +88,7 @@ def test_round_exact_rep():
     cert = gowers_hatami_round(phi)
     assert cert.distance < 1e-12
     assert cert.trace_excess < 1e-9
-    assert cert.w.isometry_defect() < 1e-9
+    assert cert.intermediates["isometry_residual"] < 1e-9
     r = cert.report()
     assert r["distance_bound"] == DISTANCE_CONSTANT * r["input_defect"]
 
@@ -647,22 +647,26 @@ def test_stabilize_product_noisy():
     assert rep.trace_total >= 1.0 - 1e-9
 
 
+def _independently_noisy_product(g1, g2, sigma, rng):
+    """The regular representation of G1 x G2, every image but the identity's
+    multiplied by its own noise unitary."""
+    ra, rb = regular_rep(g1), regular_rep(g2)
+    grp, alg = ProductGroup(g1, g2), TracialAlgebra.matrix(g1.order * g2.order)
+    exact = UnitaryRep(
+        grp, alg, [np.kron(ra.stacks[0][:, None], rb.stacks[0][None])], check="none"
+    )
+    return AlmostHom(grp, alg, _noisy_images(exact, sigma, rng))
+
+
 def test_stabilize_product_nonabelian_first_factor():
     """S3 (regular) x Z3 with independent noise on every image but the
     identity: stage one takes the dense rounding, the commutant of its
     representation has a component with d = 2, and every eta[h] and
     v_to_phi[h] matches a recomputation from that h alone, with the
     conditional expectation as the literal group sum."""
-    ra, rb = regular_rep(symmetric_group(3)), regular_rep(cyclic(3))
-    g1, g2 = ra.group, rb.group
-    grp, alg = ProductGroup(g1, g2), TracialAlgebra.matrix(18)
-    exact = UnitaryRep(
-        grp,
-        alg,
-        [np.kron(ra.stacks[0][:, None], rb.stacks[0][None])],
-        check="none",
-    )
-    phi = AlmostHom(grp, alg, _noisy_images(exact, 0.05, np.random.default_rng(4)))
+    g1, g2 = symmetric_group(3), cyclic(3)
+    phi = _independently_noisy_product(g1, g2, 0.05, np.random.default_rng(4))
+    alg = phi.algebra
     pi, rep = stabilize_product(phi, ProbMeasure.uniform(g1), ProbMeasure.uniform(g2))
     assert not rep.stage1_exact and rep.stage1["path"] == "dense"
     assert not rep.stage2_exact
@@ -673,7 +677,7 @@ def test_stabilize_product_nonabelian_first_factor():
     cert1 = gowers_hatami_round(
         AlmostHom(g1, alg, {a: phi((a, g2.identity)) for a in g1.elements})
     )
-    pi1, corner, w = cert1.pi, cert1.corner, cert1.w.mats[0]
+    pi1, corner, w = cert1.pi, cert1.corner, cert1.w[0]
     assert max(d for (_, _, _, d) in commutant_blocks(pi1).components) == 2
     complement = np.eye(len(w)) - w @ w.conj().T
     for h in g2.elements:
@@ -688,13 +692,55 @@ def test_stabilize_product_nonabelian_first_factor():
     assert min(rep.eta[h] for h in g2.elements if h != g2.identity) > 1e-3
 
 
-def test_intertwiner():
-    alg = TracialAlgebra.matrix(3)
-    w = Intertwiner.identity(alg)
-    assert alg.norm2(w.w_star_w() - alg.identity()) < 1e-12
-    x = alg.element([np.diag([1.0, 2.0, 3.0]).astype(complex)])
-    assert alg.norm2(w.conjugate(x) - x) < 1e-12
-    assert w.isometry_defect() < 1e-15
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("sigma", [0.02, 0.05, 0.1])
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        (cyclic(2), cyclic(3)),
+        (boolean_group(2), cyclic(4)),
+        (symmetric_group(3), cyclic(3)),
+    ],
+    ids=["Z2xZ3", "Z2^2xZ4", "S3xZ3"],
+)
+def test_stabilize_product_away_from_the_commutant(g1, g2, sigma, seed):
+    """Independent noise on every image but the identity of an exact product
+    representation: the second-factor images no longer commute with stage
+    one's representation, so every eta[h] (h != e) is well above rounding
+    noise, and the stabilization still meets its three stage-two bounds."""
+    phi = _independently_noisy_product(g1, g2, sigma, np.random.default_rng(seed))
+    pi, rep = stabilize_product(phi, ProbMeasure.uniform(g1), ProbMeasure.uniform(g2))
+    assert rep.stage1["path"] == ("dense" if g1.order == 6 else "fourier")
+    assert min(rep.eta[h] for h in g2.elements if h != g2.identity) > 1e-3
+    assert rep.eta_sq_mu2 <= rep.eta_bound_triangle
+    assert rep.eta_sq_mu2 <= rep.eta_bound_gap_form
+    assert rep.v_defect_mu2 <= rep.v_defect_bound
+    assert rep.pi_residual < 1e-8
+
+
+def test_stabilize_product_checks_its_stage_two_bounds(monkeypatch):
+    """eta's two bounds and the stage-two defect's bound are hard checks: each
+    goes through _check_bound with the reported numbers, and with kappa(mu1)
+    forced to 0 the eta bounds are 0 and the stabilization raises."""
+    g1, g2 = cyclic(2), cyclic(3)
+    phi = _independently_noisy_product(g1, g2, 0.05, np.random.default_rng(0))
+    mu1, mu2 = ProbMeasure.uniform(g1), ProbMeasure.uniform(g2)
+    checked, check = {}, stability._check_bound
+
+    def recorded(value, bound, label):
+        checked[label] = (value, bound)
+        check(value, bound, label)
+
+    monkeypatch.setattr(stability, "_check_bound", recorded)
+    pi, rep = stabilize_product(phi, mu1, mu2)
+    assert checked == {
+        "commutant distance (triangle form)": (rep.eta_sq_mu2, rep.eta_bound_triangle),
+        "commutant distance (gap form)": (rep.eta_sq_mu2, rep.eta_bound_gap_form),
+        "stage-two defect": (rep.v_defect_mu2, rep.v_defect_bound),
+    }
+    monkeypatch.setattr(stability, "kappa", lambda group, mu: SimpleNamespace(kappa=0))
+    with pytest.raises(GapstabError, match=r"commutant distance \(triangle form\)"):
+        stabilize_product(phi, mu1, mu2)
 
 
 def test_equivariance_residual_matches_pair_loop():
