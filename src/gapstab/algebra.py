@@ -26,7 +26,7 @@ from that one and from the unitarity residual (``_conjugation_bound``)
 instead of a second validation, unless the derived bound exceeds half the
 tolerance.  :func:`rep_residual` takes operator norms only of the residuals
 whose Frobenius norm could exceed the worst one found.  The uniform defect of
-a map on a group with irreps is read off its Fourier blocks
+a map is read off its Fourier blocks over the group's irreps
 (``_fourier_blocks``, ``_fourier_defect``), which the Gowers-Hatami rounding
 forms anyway and shares.
 
@@ -799,9 +799,9 @@ def defect(phi: AlmostHom, mu=None, nu=None) -> float:
     Averages ||phi(gh) - phi(g)phi(h)||_2^2 with g ~ mu and h ~ nu; both
     default to the uniform distribution on the group.
 
-    Two paths give the same number.  With uniform weights on a group that
-    provides its irreps (``irrep_stacks()``), the Fourier blocks
-    F_rho = n^-1 sum_v phi(v) (x) conj(rho(v)) and Schur orthogonality give
+    Two paths give the same number.  With uniform weights, the Fourier
+    blocks F_rho = n^-1 sum_v phi(v) (x) conj(rho(v)) over the group's
+    irreps (``irrep_stacks()``) and Schur orthogonality give
     the defect exactly, without assuming phi unitary, as
 
         E_g ||phi(g)||_2^2 + tau(A B) - 2 Re sum_rho d_rho (tau (x) Tr)(F_rho^2 F_rho*)
@@ -810,17 +810,15 @@ def defect(phi: AlmostHom, mu=None, nu=None) -> float:
     :func:`_fourier_defect`): one product per irrep family instead of |G|^2
     law residuals.  Its terms cancel to an absolute error of about
     5e-15 tau(1), so it is returned only at or above
-    ``_FOURIER_DEFECT_FLOOR`` tau(1).  Below that floor, for weighted
-    measures and for groups without irreps, the defect is the pairwise sum
-    of the law residuals.
+    ``_FOURIER_DEFECT_FLOOR`` tau(1).  Below that floor and for weighted
+    measures the defect is the pairwise sum of the law residuals.
     """
     if mu is None and nu is None:
         families = phi.group.irrep_stacks()
-        if families is not None:
-            cubes = [sum(_fourier_blocks(fam, s)[2] for fam in families) for s in phi.stacks]
-            eps = _fourier_defect(phi, cubes)
-            if eps is not None:
-                return eps
+        cubes = [sum(_fourier_blocks(fam, s)[2] for fam in families) for s in phi.stacks]
+        eps = _fourier_defect(phi, cubes)
+        if eps is not None:
+            return eps
     return _pairwise_defect(phi, mu, nu)
 
 
@@ -993,7 +991,8 @@ class CommutantDecomposition:
         return tuple(mats)
 
 
-# commutant_blocks draws this many random pairs before it gives up, and
+# commutant_blocks (and the split of a group's regular representation into
+# irreps) draws this many random pairs before it gives up; commutant_blocks
 # accepts a decomposition whose block-scalar residual is at most the tolerance
 _COMMUTANT_TRIES = 8
 _COMMUTANT_TOL = 1e-8
@@ -1071,9 +1070,9 @@ def _split_block(t_mat, s_mat, n, target_dim):
         return i
 
     for i in range(k):
+        left = clusters[i].conj().T @ s_mat
         for j in range(i + 1, k):
-            coupling = clusters[i].conj().T @ s_mat @ clusters[j]
-            if np.max(np.abs(coupling)) > 1e-6:
+            if np.max(np.abs(left @ clusters[j])) > 1e-6:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(k):

@@ -461,11 +461,8 @@ def closeness(
         set(strat_a.pvms) & set(strat_b.pvms), key=repr
     )
     weights = {x: 1.0 / len(questions) for x in questions}
-    tau_p = corner.tau_one
-    if tau_p <= 0:
-        raise InvalidArgument("corner projection has nonpositive trace")
     trace_base = _trace_defect(base, [m.conj().T @ m for m in w])
-    trace_corner = _trace_defect(corner, [m @ m.conj().T for m in w]) / tau_p
+    trace_corner = _trace_defect(corner, [m @ m.conj().T for m in w]) / corner.tau_one
     per_question = {}
     for x in weights:
         pa, pb = strat_a[x], strat_b[x]

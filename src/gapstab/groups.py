@@ -3,11 +3,12 @@
 A group object exposes ``elements`` (a tuple of hashable labels), ``identity``,
 ``mul``, ``inv``, ``index`` and ``mul_index``.  The last multiplies whole
 arrays of element indices; the defect, the law checks, the rounding and the
-spectral gap read every product through it.  Groups that know their full set of
-irreducible unitary representations return them as stacked image arrays from
-``irrep_stacks()``, which ``validate_irreps`` checks; groups without that
-knowledge return None.  The Gowers-Hatami rounding splits its averaged
-operator along these irreps.
+spectral gap read every product through it.  Every group returns its full set
+of irreducible unitary representations as stacked image arrays from
+``irrep_stacks()``, which ``validate_irreps`` checks: abelian groups, products
+and the games' central extensions in closed form, any other group by splitting
+its regular representation.  The Gowers-Hatami rounding and the uniform defect
+split their operators along these irreps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .algebra import _COMMUTANT_TRIES, _split_block
+from .errors import DegenerateDecomposition, InvalidArgument
 
 
 class FiniteGroup:
@@ -25,6 +27,7 @@ class FiniteGroup:
 
     elements: tuple
     identity = None
+    _irreps = None  # the irrep families of the base irrep_stacks, once built
 
     def _post_init_common(self):
         self._index = {g: i for i, g in enumerate(self.elements)}
@@ -56,14 +59,18 @@ class FiniteGroup:
         arrays of element indices, by array arithmetic or a table lookup."""
         raise NotImplementedError
 
-    def irrep_stacks(self) -> list[np.ndarray] | None:
-        """The irreducible unitary representations as image stacks, or None.
+    def irrep_stacks(self) -> list[np.ndarray]:
+        """The irreducible unitary representations as image stacks.
 
         Each array has shape (k, |G|, d, d) and holds k irreps of dimension
         d, with images in ``elements`` order; together they form a complete
-        family.  Groups that do not know their irreps return None.
+        family.  This default splits the left regular representation (see
+        :func:`_regular_irreps`) on the first call and caches the families
+        on the group.
         """
-        return None
+        if self._irreps is None:
+            self._irreps = _regular_irreps(self)
+        return self._irreps
 
     def is_subgroup(self, subset) -> bool:
         """Check that ``subset`` is closed under multiplication and inverse."""
@@ -140,13 +147,9 @@ class ProductGroup(FiniteGroup):
         return self.first.mul_index(i1, j1) * n2 + self.second.mul_index(i2, j2)
 
     def irrep_stacks(self):
-        f1 = self.first.irrep_stacks()
-        f2 = self.second.irrep_stacks()
-        if f1 is None or f2 is None:
-            return None
         out = []
-        for s1 in f1:
-            for s2 in f2:
+        for s1 in self.first.irrep_stacks():
+            for s2 in self.second.irrep_stacks():
                 (k1, n1, d1, _), (k2, n2, d2, _) = s1.shape, s2.shape
                 kron = np.einsum("kgij,lhab->klghiajb", s1, s2)
                 out.append(kron.reshape(k1 * k2, n1 * n2, d1 * d2, d1 * d2))
@@ -240,15 +243,14 @@ class CentralExtensionGroup(FiniteGroup):
         representations.  When |B| = |A| and gamma is nondegenerate there is a
         single remaining irreducible of dimension |A|, acting on l2(A) by
         translations and gamma-modulations.  Completeness (sum of squared
-        dimensions equals the order) is checked; if it fails we return None
-        and callers fall back to dense algorithms.
+        dimensions equals the order) is checked; where the closed form does
+        not apply or fails, the irreps come from the base method, which
+        splits the regular representation.
         """
         fa = self.a_group.irrep_stacks()
         fb = self.b_group.irrep_stacks()
-        if fa is None or fb is None:
-            return None
         if any(f.shape[-1] != 1 for f in fa + fb):
-            return None
+            return super().irrep_stacks()
         ta = np.concatenate([f[:, :, 0, 0] for f in fa])
         tb = np.concatenate([f[:, :, 0, 0] for f in fb])
         chars = np.einsum("ka,lb->klab", ta, tb).reshape(len(ta) * len(tb), -1)
@@ -268,10 +270,10 @@ class CentralExtensionGroup(FiniteGroup):
             # irreducibility via the character criterion
             tr2 = np.sum(np.abs(np.trace(pi0, axis1=1, axis2=2)) ** 2) / self.order
             if abs(tr2 - 1.0) > 1e-9:
-                return None
+                return super().irrep_stacks()
             out.append(pi0[None])
         if sum(len(f) * f.shape[-1] ** 2 for f in out) != self.order:
-            return None
+            return super().irrep_stacks()
         return out
 
     def __repr__(self):
@@ -332,8 +334,9 @@ class PermutationGroup(FiniteGroup):
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
 
 
-# Most product entries (group order times degree) one chunk of the permutation
-# product table composes at a time.
+# Most entries one chunk of a gather through a product table holds: group order
+# times degree for the permutation product table, group order times d for the
+# images of a d-dimensional irrep split off the regular representation.
 _TABLE_CHUNK = 1 << 20
 # Largest degree n whose base-n row keys fit an int64: 15^15 < 2^63 <= 16^16.
 _INT_KEY_DEGREE = 15
@@ -388,15 +391,14 @@ _IRREP_TOL = 1e-9
 
 
 def validate_irreps(group: FiniteGroup) -> None:
-    """Assert that group.irrep_stacks() is a complete orthonormal family.
+    """Assert that group.irrep_stacks() is a complete orthonormal family."""
+    _check_irreps(group, group.irrep_stacks())
 
-    Checks the dimension count, unitarity of the Peter-Weyl matrix (Schur
+
+def _check_irreps(group: FiniteGroup, families) -> None:
+    """Check the dimension count, unitarity of the Peter-Weyl matrix (Schur
     orthogonality of matrix coefficients) and the homomorphism law on the
-    pairs of the first eight elements, each to ``_IRREP_TOL`` entrywise.
-    """
-    families = group.irrep_stacks()
-    if families is None:
-        raise InvalidArgument("group does not provide irreducibles")
+    pairs of the first eight elements, each to ``_IRREP_TOL`` entrywise."""
     if sum(len(f) * f.shape[-1] ** 2 for f in families) != group.order:
         raise InvalidArgument("irreducibles do not exhaust the group order")
     n = group.order
@@ -417,3 +419,49 @@ def validate_irreps(group: FiniteGroup) -> None:
         err = np.max(np.abs(fam[:, prod] - fam[:, left] @ fam[:, right]))
         if err > _IRREP_TOL:
             raise InvalidArgument(f"irrep fails multiplication law: residual {err:g}")
+
+
+def _regular_irreps(group: FiniteGroup) -> list[np.ndarray]:
+    """All irreps of a group, split off its left regular representation.
+
+    lambda(g) moves e_y to e_(g y).  Its commutant is the right-regular
+    algebra R(f)[x, y] = f(x^-1 y), self-adjoint when f(g^-1) = conj f(g), so
+    two random such f, each a gather through the product table, give the
+    generic pair :func:`~gapstab.algebra._split_block` needs (Dixon 1970).
+    Each component is one irrep rho, of multiplicity d in lambda; its first
+    d columns W0 span one copy, and rho(g) = W0* lambda(g) W0 with
+    (lambda(g) W0)[x] = W0[g^-1 x], a row gather.  Degenerate draws of a
+    fixed generator are retried, ``_COMMUTANT_TRIES`` times in all; the
+    families, by increasing d, are checked once and returned read-only.
+    """
+    n = group.order
+    table = group.mul_index(*np.divmod(np.arange(n * n), n)).reshape(n, n)
+    # the inverse of g_i is the column of the identity in row i
+    inv = np.nonzero(table == group.index(group.identity))[1]
+    rows = table[inv]  # rows[x, y] is the index of x^-1 y
+    rng = np.random.default_rng(0)
+    for _ in range(_COMMUTANT_TRIES):
+        h = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        t_mat, s_mat = (h + h[:, inv].conj())[:, rows]
+        try:
+            components = _split_block(t_mat, s_mat, n, n)
+            break
+        except DegenerateDecomposition as exc:  # retry with fresh randomness
+            last_error = exc
+    else:
+        raise DegenerateDecomposition(
+            f"no split of the regular representation after {_COMMUTANT_TRIES} tries:"
+            f" {last_error}"
+        )
+    by_dim = {}
+    for w, _, d in components:
+        w0 = w[:, :d]
+        step = max(1, _TABLE_CHUNK // (n * d))
+        by_dim.setdefault(d, []).append(
+            np.concatenate([w0.conj().T @ w0[rows[i : i + step]] for i in range(0, n, step)])
+        )
+    families = [np.stack(by_dim[d]) for d in sorted(by_dim)]
+    _check_irreps(group, families)
+    for fam in families:
+        fam.flags.writeable = False
+    return families

@@ -66,9 +66,10 @@ SUBGROUP_CONSTANT = 38.0
 PAIR_CONSTANT = 1444.0
 TWISTED_CONSTANT = 30000.0
 
-# Largest Hermitian block the rounding factorises, and the square root of the
-# largest |G| m^2: the entries of the input stack phi and, on the Fourier
-# path, of the blocks F_rho, whose families hold |G| m^2 entries in all.
+# Largest group order the rounding takes, and the square root of the largest
+# |G| m^2: the entries of the input stack phi and of the blocks F_rho, whose
+# families hold |G| m^2 entries in all.  Since d_rho^2 <= |G|, it also bounds
+# the largest Hermitian block factorised, m d_rho <= sqrt(|G| m^2).
 ROUNDING_DIM_CAP = 4096
 
 # Eigenvalues this close to the 1/2 cut are kept and flagged.
@@ -92,29 +93,23 @@ def _ratio(value: float, bound: float):
 
 
 def _check_rounding_dim(group: FiniteGroup, dims):
-    """Refuse a rounding over ``ROUNDING_DIM_CAP`` before any work is done.
+    """Refuse a rounding over ``ROUNDING_DIM_CAP`` before any work is done,
+    the group's irreps included.
 
     Bounds the group order (the irrep stacks hold |G|^2 entries, and the
-    pairwise defect, taken on the dense path and below the Fourier floor,
-    sums |G|^2 law residuals), the largest Hermitian block the rounding
-    factorises (|G| m on the dense path, m d_rho on the Fourier path) and,
+    pairwise defect below the Fourier floor sums |G|^2 law residuals) and,
     by the cap squared, |G| m^2: the entries of the input stack phi and of
     the Fourier blocks F_rho, m^2 d_rho^2 each and so |G| m^2 over all the
-    families.  Returns the group's irrep stacks, None when the rounding
-    takes the dense path.
+    families.  The largest Hermitian block the rounding factorises, m d_rho,
+    is at most sqrt(|G| m^2), because d_rho^2 <= |G|.
     """
     cap, n, m = ROUNDING_DIM_CAP, group.order, max(dims)
     if n > cap:
         raise ResourceCap(f"group order {n} exceeds the cap {cap}")
-    families = group.irrep_stacks()
-    block = m * (n if families is None else max(f.shape[-1] for f in families))
-    if block > cap:
-        raise ResourceCap(f"largest rounding block {block} exceeds the cap {cap}")
     if n * m * m > cap * cap:
         raise ResourceCap(
             f"rounding stack of {n * m * m} entries exceeds the cap {cap} squared"
         )
-    return families
 
 
 def _distance_sq(coeffs, a_stacks, b_stacks) -> np.ndarray:
@@ -257,59 +252,6 @@ def _cut(vals):
     return keep, ties, float(gap.min(initial=math.inf))
 
 
-def _round_block(n, m, mul_idx, inv_idx, phi_stack):
-    """Round one base block with the dense averaged operator.
-
-    Returns the rank R of the spectral projection, the completion dimension
-    t, the compressed dilation X = Z* V (Z the spectral isometry, used here
-    and not returned), the polar part w0 and completed isometry w (corner
-    coordinates), the stack of compressions Z* lambda(g) Z, and threshold
-    diagnostics.
-    """
-    v_rect = (phi_stack[inv_idx] / math.sqrt(n)).reshape(n * m, m)
-
-    # The averaged operator is block-Toeplitz: A[h1, h2] = B(h2^{-1} h1)
-    # with B(k) = (1/n^2) sum_v phi(v) phi(kv)*.
-    bmat = np.empty((n, m, m), dtype=complex)
-    for k in range(n):
-        bmat[k] = np.einsum(
-            "vab,vcb->ac", phi_stack, phi_stack[mul_idx[k]].conj()
-        ) / (n * n)
-    a_op = np.empty((n * m, n * m), dtype=complex)
-    for h1 in range(n):
-        krow = mul_idx[inv_idx, h1]
-        a_op[h1 * m : (h1 + 1) * m] = (
-            bmat[krow].transpose(1, 0, 2).reshape(m, n * m)
-        )
-    a_op = (a_op + a_op.conj().T) / 2.0
-
-    vals, vecs = np.linalg.eigh(a_op)
-    keep, ties, margin = _cut(vals)
-    z_iso = vecs[:, keep]
-    r_dim = z_iso.shape[1]
-
-    x_mat = z_iso.conj().T @ v_rect
-    w0, w_mat, t_dim = _polar_completion(x_mat, n * m - r_dim)
-    z_blocks = z_iso.reshape(n, m, r_dim)
-    core = np.stack(
-        [
-            z_iso.conj().T @ z_blocks[mul_idx[inv_idx[gi]]].reshape(n * m, r_dim)
-            for gi in range(n)
-        ]
-    )
-    return {
-        "R": r_dim,
-        "t": t_dim,
-        "X": x_mat,
-        "w": w_mat,
-        "w0": w0,
-        "core": core,
-        "ties": ties,
-        "margin": margin,
-        "largest": n * m,
-    }
-
-
 def _fourier_round_block(n, m, families, phi_stack):
     """Round one base block through the group Fourier transform.
 
@@ -323,8 +265,12 @@ def _fourier_round_block(n, m, families, phi_stack):
     sum_i rho(g)[i, j] x_i, so the compressed translation is rho(g) on each
     kept eigenvector.  Neither these eigenvectors of A nor the completion
     columns are formed: the rounding's numbers need only X and the irreps.
-    Returns what :func:`_round_block` returns, and the (family, irrep)
-    pairs that occur in the corner and, as ``cube``, the block's
+
+    Returns the rank R of the spectral projection, the completion dimension
+    t, X, the polar part w0 and completed isometry w (corner coordinates),
+    the stack of compressed translations (a direct sum of irreps), threshold
+    diagnostics, the largest block factorised, the (family, irrep) pairs
+    that occur in the corner and, as ``cube``, the block's
     sum_rho d_rho Tr(F_rho^2 F_rho*) for :func:`_fourier_defect`.
     """
     kept_irreps, x_rows = [], []
@@ -390,44 +336,31 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
     1e-9 of the 1/2 cut are kept in the projection and flagged.
 
     A is a group convolution, A[h1, h2] = B(h2^{-1} h1) with
-    B(k) = n^-2 sum_v phi(v) phi(kv)*.  For a group that provides its
-    irreps (``irrep_stacks()``) the rounding takes the Fourier path: the
-    Fourier transform splits A into one Hermitian block of size m d_rho per
-    irrep rho, each of multiplicity d_rho, and pi is a direct sum of copies
-    of the irreps (see :func:`_fourier_round_block`).  Other groups take
-    the dense path, one eigendecomposition of the (|G| m)^2 operator A.
+    B(k) = n^-2 sum_v phi(v) phi(kv)*.  The Fourier transform over the
+    group's irreps (``irrep_stacks()``) splits A into one Hermitian block of
+    size m d_rho per irrep rho, each of multiplicity d_rho, and pi is a
+    direct sum of copies of the irreps (see :func:`_fourier_round_block`).
 
     The certificate's defect is :func:`~gapstab.algebra.defect` with
-    uniform weights, the same number bit for bit.  On the Fourier path it
-    is read off the blocks F_rho the rounding forms anyway, by the
-    three-term identity E_g ||phi(g)||_2^2 + tau(A B) -
-    2 Re sum_rho d_rho (tau (x) Tr)(F_rho^2 F_rho*) with
-    A = E_g phi(g)* phi(g) and B = E_h phi(h) phi(h)*, which assumes no
+    uniform weights, the same number bit for bit.  It is read off the
+    blocks F_rho the rounding forms anyway, by the three-term identity
+    E_g ||phi(g)||_2^2 + tau(A B) - 2 Re sum_rho d_rho (tau (x) Tr)(F_rho^2 F_rho*)
+    with A = E_g phi(g)* phi(g) and B = E_h phi(h) phi(h)*, which assumes no
     unitarity.  Below ``_FOURIER_DEFECT_FLOOR`` tau(1), where the identity's
-    cancellation error would show, and on the dense path the defect is the
-    pairwise sum of the |G|^2 law residuals.  ``intermediates`` names the
-    rounding path, the defect path (``"fourier"`` or ``"pairwise"``) and the
-    largest block factorised.
+    cancellation error would show, the defect is the pairwise sum of the
+    |G|^2 law residuals.  ``intermediates`` names the defect path
+    (``"fourier"`` or ``"pairwise"``) and the largest block factorised.
     """
     group, base = phi.group, phi.algebra
     n = group.order
-    families = _check_rounding_dim(group, base.dims)
+    _check_rounding_dim(group, base.dims)
+    families = group.irrep_stacks()
     elements = group.elements
-    if families is None:
-        mul_idx = group.mul_index(*np.divmod(np.arange(n * n), n)).reshape(n, n)
-        # the inverse of g_i is the column of the identity in row i
-        inv_idx = np.nonzero(mul_idx == group.index(group.identity))[1]
-        blocks = [
-            _round_block(n, m, mul_idx, inv_idx, stack)
-            for m, stack in zip(base.dims, phi.stacks)
-        ]
-        eps = None
-    else:
-        blocks = [
-            _fourier_round_block(n, m, families, stack)
-            for m, stack in zip(base.dims, phi.stacks)
-        ]
-        eps = _fourier_defect(phi, [blk["cube"] for blk in blocks])
+    blocks = [
+        _fourier_round_block(n, m, families, stack)
+        for m, stack in zip(base.dims, phi.stacks)
+    ]
+    eps = _fourier_defect(phi, [blk["cube"] for blk in blocks])
     defect_path = "pairwise" if eps is None else "fourier"
     if eps is None:
         eps = _pairwise_defect(phi)
@@ -464,17 +397,14 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
     )
 
     pi = UnitaryRep(group, corner, pi_stacks, tol=1e-6, check="none")
-    if families is None:
-        pi_residual = rep_residual(pi)
-    else:
-        # pi is a direct sum of irreps (and an identity block): its law
-        # residual is the worst over the distinct irreps that occur
-        occurring = sorted({fq for blk in blocks for fq in blk["irreps"]})
-        irreps = [families[f][q] for f, q in occurring]
-        pairs = _law_pairs(group, corner.dims)
-        pi_residual = _worst_residual(
-            [s.shape[-1] for s in irreps], len(pairs[0]), _law_residuals(irreps, pairs)
-        )
+    # pi is a direct sum of irreps (and an identity block): its law residual
+    # is the worst over the distinct irreps that occur
+    occurring = sorted({fq for blk in blocks for fq in blk["irreps"]})
+    irreps = [families[f][q] for f, q in occurring]
+    pairs = _law_pairs(group, corner.dims)
+    pi_residual = _worst_residual(
+        [s.shape[-1] for s in irreps], len(pairs[0]), _law_residuals(irreps, pairs)
+    )
     intermediates = {
         "contraction_distance": contraction,
         "contraction_bound": CONTRACTION_CONSTANT * eps,
@@ -487,7 +417,6 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
         "tau_corner": tau_corner,
         "tau_spectral_projection": tau_spectral,
         "base_trace": base_trace,
-        "path": "dense" if families is None else "fourier",
         "defect_path": defect_path,
         "largest_block": max(blk["largest"] for blk in blocks),
     }

@@ -569,9 +569,8 @@ def suite_prop24(trials: int = 200, seed: int = 7) -> SuiteResult:
     Half the points run the end-to-end report on the repetition game (one
     qubit; the rounding fits easily) and the closeness-vs-eps log-log slope
     is fitted there; the other half check the twisted commutation bound on
-    the Hamming game at four qubits.  A full Hamming report takes seconds
-    per point, most of it in the rounding, so there only the inequality
-    itself is measured.
+    the Hamming game at four qubits, where only the inequality itself is
+    measured; a full Hamming report would add about 0.3 s per point.
     """
     per_game = max(trials // 2, 2)
     sigmas = np.logspace(-2.2, -0.45, per_game)

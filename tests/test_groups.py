@@ -244,6 +244,15 @@ def test_mul_index_matches_mul(grp):
     assert grp.mul_index(left, right).tolist() == expected
 
 
+def _degenerate_extension():
+    """Z2^2 x Z2 twisted by gamma(a, b) = (-1)^(a_0 b_0): |A| != |B|, so the
+    closed form has no faithful block and the irreps (eight of dimension 1,
+    two of dimension 2) come from the regular representation."""
+    return CentralExtensionGroup(
+        boolean_group(2), cyclic(2), lambda a, b: (-1) ** (a[0] * b[0])
+    )
+
+
 @pytest.mark.parametrize(
     "grp",
     [
@@ -257,21 +266,45 @@ def test_mul_index_matches_mul(grp):
         _pauli_extension(1),
         _pauli_extension(2),
         _pauli_extension(4),
+        symmetric_group(3),
+        symmetric_group(4),
+        symmetric_group(5),
+        _alternating4(),
+        _dihedral4(),
+        MulTableGroup(symmetric_group(3)._table),
+        ProductGroup(cyclic(2), symmetric_group(3)),
+        _degenerate_extension(),
     ],
     ids=[
         "Z6", "Z2^2", "Z3xZ3", "Z2xZ4", "Z2^5", "Z2xZ3", "Z2^2xZ4",
-        "pauli1", "pauli2", "pauli4",
+        "pauli1", "pauli2", "pauli4", "S3", "S4", "S5", "A4", "D4",
+        "S3-table", "Z2xS3", "degenerate-extension",
     ],
 )
 def test_validate_irreps(grp):
-    """Every group the Fourier rounding serves; pauli1 is the repetition-game
-    extension and pauli4 the Hamming-game extension (order 512)."""
+    """Every group has its irreps: closed forms for the abelian groups,
+    their products and the nondegenerate extensions (pauli1 is the
+    repetition-game extension and pauli4 the Hamming-game extension, order
+    512), a split of the regular representation for the others."""
     validate_irreps(grp)
 
 
-def test_validate_irreps_unavailable():
-    with pytest.raises(InvalidArgument):
-        validate_irreps(symmetric_group(4))
+def test_regular_irreps_are_built_once(monkeypatch):
+    """The base method splits the regular representation on its first call
+    and returns the same read-only arrays from the cache on the next."""
+    grp = symmetric_group(4)
+    first = grp.irrep_stacks()
+    assert [f.shape for f in first] == [(2, 24, 1, 1), (1, 24, 2, 2), (2, 24, 3, 3)]
+    monkeypatch.setattr(groups, "_split_block", None)  # any recomputation fails
+    again = grp.irrep_stacks()
+    assert len(again) == len(first)
+    assert all(a is b for a, b in zip(again, first))
+    assert not any(f.flags.writeable for f in first)
+
+
+def test_degenerate_extension_takes_the_regular_split():
+    ext = _degenerate_extension()
+    assert [f.shape for f in ext.irrep_stacks()] == [(8, 16, 1, 1), (2, 16, 2, 2)]
 
 
 def test_validate_irreps_rejects_a_family_that_breaks_the_law(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -38,7 +39,12 @@ from gapstab.games import (
     perturb_strategy,
     twisted_defect,
 )
-from gapstab.groups import CentralExtensionGroup, ProductGroup, symmetric_group
+from gapstab.groups import (
+    CentralExtensionGroup,
+    PermutationGroup,
+    ProductGroup,
+    symmetric_group,
+)
 from gapstab.spectral import ProbMeasure
 from gapstab.stability import (
     DISTANCE_CONSTANT,
@@ -139,22 +145,138 @@ def test_rounding_dim_cap(monkeypatch):
         gowers_hatami_round(phi)
 
 
-def test_rounding_cap_names_the_largest_block(monkeypatch):
-    """The cap bounds the largest Hermitian block: m d_rho on the Fourier
-    path (the extension of Z2 x Z2 has a 2-dimensional irrep), |G| m on the
-    dense one."""
-    import gapstab.stability as stability
+def test_rounding_cap_admits_the_fourier_block(monkeypatch):
+    """The cap bounds |G| m^2 by its square, and so the largest Hermitian
+    block m d_rho: S3 regular (m = 6, an irrep of dimension 2) rounds under
+    a cap of 15 through blocks of 6 * 2 = 12, below the 36 of the dense
+    operator, and a cap of 14 refuses its 216 stack entries before any irrep
+    is built."""
+    rep = regular_rep(symmetric_group(3))
+    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 15)
+    report = gowers_hatami_round(AlmostHom(rep.group, rep.algebra, rep.images)).report()
+    assert report["largest_block"] == 12
 
-    for rep, block in (
-        (regular_rep(_pauli_extension(1)), 16),
-        (regular_rep(symmetric_group(3)), 36),
-    ):
-        monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", block - 1)
-        with pytest.raises(ResourceCap, match=f"largest rounding block {block} "):
-            gowers_hatami_round(AlmostHom(rep.group, rep.algebra, rep.images))
+    group = symmetric_group(3)
+    rep = regular_rep(group)
+    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 14)
+    monkeypatch.setattr(group, "irrep_stacks", None)  # any irrep call fails
+    with pytest.raises(ResourceCap, match="rounding stack of 216 entries"):
+        gowers_hatami_round(AlmostHom(group, rep.algebra, rep.images))
 
 
-# -- the Fourier path against the dense oracle ----------------------------------
+def test_rounding_s5_beyond_the_old_dense_cap():
+    """The S5 permutation representation tensored up to m = 35 has
+    |G| m = 4200, over the cap of 4096 for a dense (|G| m)^2 operator; its
+    largest Fourier block is 35 * 6 = 210, and the rounding meets its
+    bounds."""
+    base = _permutation_rep(symmetric_group(5))
+    alg = TracialAlgebra.matrix(35)
+    rep = UnitaryRep(base.group, alg, [np.kron(base.stacks[0], np.eye(7))], check="none")
+    assert base.group.order * 35 > stability.ROUNDING_DIM_CAP
+    phi = suites._noisy_hom(rep, 0.05, np.random.default_rng(6))
+    cert = gowers_hatami_round(phi)
+    r = cert.report()
+    assert r["largest_block"] == 210
+    assert r["input_defect"] > 1e-4
+    assert cert.distance <= DISTANCE_CONSTANT * cert.input_defect
+    assert cert.trace_excess <= PROJECTION_CONSTANT * cert.input_defect
+    assert cert.projection_defect <= PROJECTION_CONSTANT * cert.input_defect
+
+
+# -- the rounding against the dense oracle --------------------------------------
+
+
+def _round_block(n, m, mul_idx, inv_idx, phi_stack):
+    """Round one base block with the dense averaged operator: the oracle.
+
+    Returns the rank R of the spectral projection, the completion dimension
+    t, the compressed dilation X = Z* V (Z the spectral isometry, used here
+    and not returned), the polar part w0 and completed isometry w (corner
+    coordinates), the stack of compressions Z* lambda(g) Z, and threshold
+    diagnostics.
+    """
+    v_rect = (phi_stack[inv_idx] / math.sqrt(n)).reshape(n * m, m)
+
+    # The averaged operator is block-Toeplitz: A[h1, h2] = B(h2^{-1} h1)
+    # with B(k) = (1/n^2) sum_v phi(v) phi(kv)*.
+    bmat = np.empty((n, m, m), dtype=complex)
+    for k in range(n):
+        bmat[k] = np.einsum(
+            "vab,vcb->ac", phi_stack, phi_stack[mul_idx[k]].conj()
+        ) / (n * n)
+    a_op = np.empty((n * m, n * m), dtype=complex)
+    for h1 in range(n):
+        krow = mul_idx[inv_idx, h1]
+        a_op[h1 * m : (h1 + 1) * m] = (
+            bmat[krow].transpose(1, 0, 2).reshape(m, n * m)
+        )
+    a_op = (a_op + a_op.conj().T) / 2.0
+
+    vals, vecs = np.linalg.eigh(a_op)
+    keep, ties, margin = stability._cut(vals)
+    z_iso = vecs[:, keep]
+    r_dim = z_iso.shape[1]
+
+    x_mat = z_iso.conj().T @ v_rect
+    w0, w_mat, t_dim = stability._polar_completion(x_mat, n * m - r_dim)
+    z_blocks = z_iso.reshape(n, m, r_dim)
+    core = np.stack(
+        [
+            z_iso.conj().T @ z_blocks[mul_idx[inv_idx[gi]]].reshape(n * m, r_dim)
+            for gi in range(n)
+        ]
+    )
+    return {
+        "R": r_dim,
+        "t": t_dim,
+        "X": x_mat,
+        "w": w_mat,
+        "w0": w0,
+        "core": core,
+        "ties": ties,
+        "margin": margin,
+    }
+
+
+def _dense_rounding(phi):
+    """The rounding's numbers, spectral ranks, corner image stacks and
+    isometry from the dense oracle, one (|G| m)^2 eigendecomposition per
+    base block."""
+    group, base = phi.group, phi.algebra
+    n, coeffs = group.order, base.coeffs
+    mul_idx = group.mul_index(*np.divmod(np.arange(n * n), n)).reshape(n, n)
+    # the inverse of g_i is the column of the identity in row i
+    inv_idx = np.nonzero(mul_idx == group.index(group.identity))[1]
+    blocks = [
+        _round_block(n, m, mul_idx, inv_idx, stack) for m, stack in zip(base.dims, phi.stacks)
+    ]
+    pi_stacks = []
+    for blk in blocks:
+        r_dim, t_dim = blk["R"], blk["t"]
+        pi_b = np.zeros((n, r_dim + t_dim, r_dim + t_dim), dtype=complex)
+        pi_b[:, :r_dim, :r_dim] = blk["core"]
+        pi_b[:, r_dim:, r_dim:] = np.eye(t_dim)
+        pi_stacks.append(pi_b)
+    w = [blk["w"] for blk in blocks]
+    x_mats = [blk["X"] for blk in blocks]
+    pullback_sq = stability._pullback_sq
+    report = {
+        "distance": float(pullback_sq(w, coeffs, phi.stacks, pi_stacks).mean()),
+        "trace_excess": sum(c * (b["R"] + b["t"]) for c, b in zip(coeffs, blocks))
+        - base.tau_one,
+        "contraction_distance": float(
+            pullback_sq(x_mats, coeffs, phi.stacks, [b["core"] for b in blocks]).mean()
+        ),
+        "one_minus_xstarx": math.sqrt(stability._gram_defect(x_mats, coeffs)),
+        "p_minus_xxstar": math.sqrt(
+            stability._gram_defect([x.conj().T for x in x_mats], coeffs)
+        ),
+        "threshold_margin": min(b["margin"] for b in blocks),
+        "tie_count": sum(b["ties"] for b in blocks),
+        "corner_dims": [b["R"] + b["t"] for b in blocks],
+    }
+    return report, [(b["R"], b["t"]) for b in blocks], pi_stacks, w
+
 
 
 def _pauli_extension(r):
@@ -169,6 +291,23 @@ def _permutation_rep(group):
     eye = np.eye(group.degree)
     images = {g: AlgebraElement(alg, [eye[:, list(g)]]) for g in group.elements}
     return UnitaryRep(group, alg, images)
+
+
+def _dihedral4():
+    """D4 as the symmetries of a square, on its four corners."""
+    return PermutationGroup(
+        [tuple((i + k) % 4 for i in range(4)) for k in range(4)]
+        + [tuple((k - i) % 4 for i in range(4)) for k in range(4)]
+    )
+
+
+def _alternating4():
+    """A4, the even permutations of four points."""
+    return PermutationGroup(
+        p
+        for p in itertools.permutations(range(4))
+        if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0
+    )
 
 
 def _two_block_rep(group):
@@ -196,19 +335,22 @@ _ORACLE_CASES = {
     "repetition-extension": (lambda: regular_rep(_pauli_extension(1)), 0.2, 3),
     "two-block": (lambda: _two_block_rep(AbelianGroup((2, 3))), 0.3, 4),
     "completion": (lambda: regular_rep(boolean_group(2)), 1.6, 0),
+    "s3-permutation": (lambda: _permutation_rep(symmetric_group(3)), 0.2, 5),
+    "s4-permutation": (lambda: _permutation_rep(symmetric_group(4)), 0.1, 6),
+    "a4-permutation": (lambda: _permutation_rep(_alternating4()), 0.2, 7),
+    "d4-regular": (lambda: regular_rep(_dihedral4()), 0.2, 8),
+    "c2xs3": (lambda: suites._permutation_rep(3, flip=True), 0.2, 9),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
-def test_fourier_rounding_matches_dense(case, monkeypatch):
+def test_fourier_rounding_matches_dense(case):
     make, sigma, seed = _ORACLE_CASES[case]
     rep = make()
     phi = suites._noisy_hom(rep, sigma, np.random.default_rng(seed))
     fourier = gowers_hatami_round(phi)
-    monkeypatch.setattr(phi.group, "irrep_stacks", lambda: None)
-    dense = gowers_hatami_round(phi)
-    rf, rd = fourier.report(), dense.report()
-    assert (rf["path"], rd["path"]) == ("fourier", "dense")
+    rd, dense_ranks, dense_pi, dense_w = _dense_rounding(phi)
+    rf = fourier.report()
     for key in (
         "distance",
         "trace_excess",
@@ -218,24 +360,27 @@ def test_fourier_rounding_matches_dense(case, monkeypatch):
         "threshold_margin",
     ):
         assert rf[key] == pytest.approx(rd[key], rel=1e-9, abs=1e-300), key
-    assert fourier.spectral_ranks == dense.spectral_ranks
+    assert fourier.spectral_ranks == dense_ranks
     assert (rf["tie_count"], rf["corner_dims"]) == (rd["tie_count"], rd["corner_dims"])
     if case == "completion":
         assert fourier.spectral_ranks[0][1] > 0
-    # w* pi(g) w does not depend on the basis either path picks in the corner
-    for g in phi.group.elements:
-        for bf, bd in zip(fourier.pullback(g).blocks, dense.pullback(g).blocks):
-            assert np.abs(bf - bd).max() <= 1e-12, g
+    # w* pi(g) w does not depend on the basis either side picks in the corner
+    for gi, g in enumerate(phi.group.elements):
+        for bf, m, s in zip(fourier.pullback(g).blocks, dense_w, dense_pi):
+            assert np.abs(bf - m.conj().T @ s[gi] @ m).max() <= 1e-12, g
     # pi is a direct sum of irreps: its residual is read off the irreps
     assert abs(rf["pi_residual"] - rep_residual(fourier.pi)) <= 1e-14
 
 
 def test_rep_residual_of_a_rounded_map_takes_few_operator_norms(monkeypatch):
-    """The law residuals of the rounded S4 representation are rounding noise.
-    Taken in descending Frobenius order, few of the 576 need an SVD, and the
-    worst is the maximum over all of them, bit for bit."""
+    """The law residuals of the S4 representation rounded by the dense
+    oracle are rounding noise.  Taken in descending Frobenius order, few of
+    the 576 need an SVD, and the worst is the maximum over all of them, bit
+    for bit."""
     phi = suites._noisy_hom(_permutation_rep(symmetric_group(4)), 0.05, np.random.default_rng(1))
-    pi = gowers_hatami_round(phi).pi
+    report, _, pi_stacks, _ = _dense_rounding(phi)
+    corner = TracialAlgebra._raw(report["corner_dims"], phi.algebra.coeffs)
+    pi = UnitaryRep(phi.group, corner, pi_stacks, check="none")
     pairs = algebra._law_pairs(pi.group, pi.algebra.dims)
     norms = algebra._operator_norms
     every = norms(next(algebra._law_residuals(pi.stacks, pairs)(0, slice(None))))
@@ -262,23 +407,24 @@ def test_defect_and_rounding_make_no_label_products(monkeypatch):
     assert calls == []
 
 
-def test_rounding_path_and_largest_block():
+def test_rounding_largest_block():
     """Z2^5 at m = 32 rounds through 32 one-dimensional blocks of size 32;
-    S4 provides no irreps and stays dense at |G| m = 96."""
+    S4 (m = 4) through blocks of at most 4 * 3 = 12, not the dense |G| m = 96."""
     rng = np.random.default_rng(5)
-    for rep, path, block in (
-        (regular_rep(boolean_group(5)), "fourier", 32),
-        (_permutation_rep(symmetric_group(4)), "dense", 96),
+    for rep, block in (
+        (regular_rep(boolean_group(5)), 32),
+        (_permutation_rep(symmetric_group(4)), 12),
     ):
         report = gowers_hatami_round(suites._noisy_hom(rep, 0.05, rng)).report()
-        assert (report["path"], report["largest_block"]) == (path, block)
+        assert "path" not in report
+        assert report["largest_block"] == block
 
 
 def test_rounding_defect_comes_from_its_fourier_blocks(monkeypatch):
-    """On the Fourier path the certificate's defect is read off the blocks
-    the rounding factorises, one transform per irrep family and no pairwise
-    residual, and equals defect(phi) bit for bit; below the floor and on the
-    dense path it is the pairwise sum."""
+    """Above the floor the certificate's defect is read off the blocks the
+    rounding factorises, one transform per irrep family and no pairwise
+    residual, on abelian, extension and permutation groups alike, and equals
+    defect(phi) bit for bit; below the floor it is the pairwise sum."""
     rng = np.random.default_rng(12)
     transforms = []
     blocks = algebra._fourier_blocks
@@ -291,7 +437,7 @@ def test_rounding_defect_comes_from_its_fourier_blocks(monkeypatch):
         (_two_block_rep(AbelianGroup((2, 3))), 0.1, "fourier"),
         (regular_rep(_pauli_extension(1)), 0.1, "fourier"),
         (regular_rep(boolean_group(3)), 1e-3, "pairwise"),
-        (_permutation_rep(symmetric_group(3)), 0.1, "pairwise"),
+        (_permutation_rep(symmetric_group(3)), 0.1, "fourier"),
     ):
         phi = suites._noisy_hom(rep, sigma, rng)
         families = rep.group.irrep_stacks()
@@ -301,7 +447,7 @@ def test_rounding_defect_comes_from_its_fourier_blocks(monkeypatch):
                 m.setattr(algebra, "_law_sq", None)  # any pairwise call fails
             cert = gowers_hatami_round(phi)
         assert cert.intermediates["defect_path"] == path
-        assert len(transforms) == (0 if families is None else len(families) * len(phi.stacks))
+        assert len(transforms) == len(families) * len(phi.stacks)
         assert cert.input_defect == defect(phi)
 
 
@@ -344,7 +490,7 @@ def test_round_twisted_pair_hamming():
     assert max(res.distance_u, res.distance_v) <= TWISTED_CONSTANT * res.epsilon
     assert res.relation_residual <= 1e-9
     report = res.certificate.report()
-    assert (report["path"], report["largest_block"]) == ("fourier", 512)
+    assert report["largest_block"] == 512
     assert elapsed <= 15.0
 
 
@@ -660,15 +806,16 @@ def _independently_noisy_product(g1, g2, sigma, rng):
 
 def test_stabilize_product_nonabelian_first_factor():
     """S3 (regular) x Z3 with independent noise on every image but the
-    identity: stage one takes the dense rounding, the commutant of its
-    representation has a component with d = 2, and every eta[h] and
-    v_to_phi[h] matches a recomputation from that h alone, with the
-    conditional expectation as the literal group sum."""
+    identity: stage one rounds through S3's irreps (largest block
+    18 * 2 = 36), the commutant of its representation has a component with
+    d = 2, and every eta[h] and v_to_phi[h] matches a recomputation from
+    that h alone, with the conditional expectation as the literal group
+    sum."""
     g1, g2 = symmetric_group(3), cyclic(3)
     phi = _independently_noisy_product(g1, g2, 0.05, np.random.default_rng(4))
     alg = phi.algebra
     pi, rep = stabilize_product(phi, ProbMeasure.uniform(g1), ProbMeasure.uniform(g2))
-    assert not rep.stage1_exact and rep.stage1["path"] == "dense"
+    assert not rep.stage1_exact and rep.stage1["largest_block"] == 36
     assert not rep.stage2_exact
     assert rep.pi_residual < 1e-8
     assert rep.assembly_residual < 1e-10
@@ -710,7 +857,8 @@ def test_stabilize_product_away_from_the_commutant(g1, g2, sigma, seed):
     noise, and the stabilization still meets its three stage-two bounds."""
     phi = _independently_noisy_product(g1, g2, sigma, np.random.default_rng(seed))
     pi, rep = stabilize_product(phi, ProbMeasure.uniform(g1), ProbMeasure.uniform(g2))
-    assert rep.stage1["path"] == ("dense" if g1.order == 6 else "fourier")
+    # stage one's dimension is |G1| |G2|, times 2 for S3's largest irrep
+    assert rep.stage1["largest_block"] == {2: 6, 4: 16, 6: 36}[g1.order]
     assert min(rep.eta[h] for h in g2.elements if h != g2.identity) > 1e-3
     assert rep.eta_sq_mu2 <= rep.eta_bound_triangle
     assert rep.eta_sq_mu2 <= rep.eta_bound_gap_form
