@@ -6,6 +6,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
+from functools import cached_property
 
 import numpy as np
 
@@ -19,17 +21,63 @@ _PHASE_ENTRIES = 1 << 13
 
 
 class AbelianGroup(FiniteGroup):
-    """Product of cyclic groups Z/m_1 x ... x Z/m_r, elements are tuples."""
+    """Product of cyclic groups Z/m_1 x ... x Z/m_r, elements are tuples.
+
+    ``elements`` (in ``itertools.product`` order, the last coordinate
+    fastest) is built on first read; ``order``, membership and ``index`` are
+    mixed-radix arithmetic on ``orders`` and never build it.
+    """
 
     def __init__(self, orders):
         orders = tuple(int(m) for m in orders)
         if not orders or any(m <= 0 for m in orders):
             raise InvalidArgument(f"cyclic orders must be positive, got {orders}")
         self.orders = orders
-        self.elements = tuple(itertools.product(*[range(m) for m in orders]))
-        self.identity = tuple(0 for _ in orders)
+        self.identity = (0,) * len(orders)
         self.exponent = math.lcm(*orders)
-        self._post_init_common()
+
+    @cached_property
+    def elements(self):
+        return tuple(itertools.product(*[range(m) for m in self.orders]))
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.orders)
+
+    def _flat(self, g):
+        """The element index of g, or None when g is not an element.
+
+        Answers as a lookup in a dict keyed by ``elements`` would: g must be
+        a tuple of the group's rank whose entries equal integers in range
+        (numpy integers, and any number that compares equal, such as 1.0),
+        and an unhashable g raises TypeError.
+        """
+        hash(g)
+        if not isinstance(g, tuple) or len(g) != len(self.orders):
+            return None
+        flat = 0
+        for a, m in zip(g, self.orders):
+            if type(a) is not int:
+                try:
+                    a = operator.index(a)
+                except TypeError:
+                    try:  # another type: the integer it equals, if any
+                        a = range(m).index(a)
+                    except ValueError:
+                        return None
+            if not 0 <= a < m:
+                return None
+            flat = flat * m + a
+        return flat
+
+    def index(self, g) -> int:
+        flat = self._flat(g)
+        if flat is None:
+            raise InvalidArgument(f"{g!r} is not an element of {self!r}")
+        return flat
+
+    def __contains__(self, g):
+        return self._flat(g) is not None
 
     def mul(self, g, h):
         return tuple((a + b) % m for a, b, m in zip(g, h, self.orders))

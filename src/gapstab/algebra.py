@@ -51,9 +51,16 @@ from .errors import (
     InvalidArgument,
     InvalidPVM,
     InvalidRepresentation,
+    ResourceCap,
 )
 
 VALIDATION_TOL = 1e-9
+
+# Largest group order the defect and the rounding take: the uniform defect
+# sums |G|^2 law residuals or builds the irreps' |G|^2 image entries.
+# ``stability`` imports it under the same name and bounds the rounding's
+# stacks by its square; a manifest's ``dim_cap`` lowers the rounding's copy.
+ROUNDING_DIM_CAP = 4096
 
 
 class TracialAlgebra:
@@ -756,11 +763,15 @@ def _worst_residual(dims, count: int, residuals) -> float:
 
     ``residuals(b, sel)`` yields one stacked ``(k, n, n)`` residual array of
     the terms ``sel`` in block ``b``.  A residual's Frobenius norm bounds its
-    operator norm, so operator norms are taken in descending Frobenius order,
-    in batches that double up to ``_STACK_ENTRIES`` entries, until no
-    Frobenius norm left exceeds the largest operator norm found (shrunk by
-    ``_SCREEN_MARGIN`` for the rounding in both).  The result is the maximum
-    over every term, bit for bit.
+    operator norm from above, and over sqrt(n) from below, so operator norms
+    are taken in descending Frobenius order until no Frobenius norm left
+    exceeds the largest operator norm found (shrunk by ``_SCREEN_MARGIN`` for
+    the rounding in both).  Only the c terms above the top term's lower
+    bound can beat it: the first batch takes the top sqrt(c) of them, and
+    each later batch every term still above the largest norm found, at most
+    ``_STACK_ENTRIES`` entries a batch.  So, below that cap, a block takes
+    at most two batches whether few of its terms need an operator norm or
+    all of them.  The result is the maximum over every term, bit for bit.
     """
     worst = 0.0
     for b, n in enumerate(dims):
@@ -768,14 +779,17 @@ def _worst_residual(dims, count: int, residuals) -> float:
         for _, sl in _chunks((n,), count):
             sq[sl] = _frobenius_sq(next(residuals(b, sl)))
         order = np.argsort(-sq, kind="stable")
-        start, step, cap = 0, 1, max(1, _STACK_ENTRIES // (n * n))
+        cap = max(1, _STACK_ENTRIES // (n * n))
+        above = int(np.count_nonzero(sq > sq.max(initial=0.0) / n))
+        start, step = 0, min(cap, max(1, math.isqrt(above)))
         while start < count:
             sel = order[start : start + step]
             sel = sel[sq[sel] > (worst * _SCREEN_MARGIN) ** 2]
             if not sel.size:
                 break
             worst = max(worst, float(_operator_norms(next(residuals(b, sel))).max()))
-            start, step = start + step, min(2 * step, cap)
+            start += step
+            step = min(cap, int(np.count_nonzero(sq[order[start:]] > (worst * _SCREEN_MARGIN) ** 2)))
     return worst
 
 
@@ -812,8 +826,13 @@ def defect(phi: AlmostHom, mu=None, nu=None) -> float:
     5e-15 tau(1), so it is returned only at or above
     ``_FOURIER_DEFECT_FLOOR`` tau(1).  Below that floor and for weighted
     measures the defect is the pairwise sum of the law residuals.
+
+    Raises :class:`ResourceCap` before any work when the supports hold more
+    than ``ROUNDING_DIM_CAP`` squared pairs, so uniformly on a group of order
+    above ``ROUNDING_DIM_CAP``.
     """
     if mu is None and nu is None:
+        _check_defect_pairs(phi.group.order, phi.group.order)
         families = phi.group.irrep_stacks()
         cubes = [sum(_fourier_blocks(fam, s)[2] for fam in families) for s in phi.stacks]
         eps = _fourier_defect(phi, cubes)
@@ -870,11 +889,21 @@ def _fourier_defect(phi: AlmostHom, cubes) -> float | None:
     return float(total) if total >= _FOURIER_DEFECT_FLOOR * phi.algebra.tau_one else None
 
 
+def _check_defect_pairs(left: int, right: int):
+    """Refuse a defect over more than ``ROUNDING_DIM_CAP`` squared pairs
+    (g, h) before any irrep or law residual is formed."""
+    if left * right > ROUNDING_DIM_CAP**2:
+        raise ResourceCap(
+            f"defect over {left} x {right} pairs exceeds the cap {ROUNDING_DIM_CAP} squared"
+        )
+
+
 def _pairwise_defect(phi: AlmostHom, mu=None, nu=None) -> float:
     """:func:`defect` as the (mu x nu)-weighted sum of the law residuals of
     every pair in the supports."""
     gi, gw = _measure_weights(phi.group, mu)
     hi, hw = _measure_weights(phi.group, nu)
+    _check_defect_pairs(len(gi), len(hi))
     left, right = np.repeat(gi, len(hi)), np.tile(hi, len(gi))
     return float(np.outer(gw, hw).ravel() @ _law_sq(phi, left, right))
 

@@ -11,7 +11,7 @@ supply of measures with certified kappa.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -156,6 +156,14 @@ class FiniteField:
             raise InvalidField("trace does not land in the prime field")
         self.trace_table = self._digits[tr][:, 0]
 
+    @cached_property
+    def _lists(self):
+        """The add, mul, inverse and negation tables as nested Python lists,
+        for scalar loops that would otherwise index numpy arrays entry by
+        entry."""
+        return (self.add_table.tolist(), self.mul_table.tolist(),
+                self.inv_table.tolist(), [self.neg(a) for a in range(self.q)])
+
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
 
@@ -229,23 +237,22 @@ class LinearCode:
             raise InvalidArgument(f"distance {distance} outside [1, {self.length}]")
 
     def _rank(self) -> int:
-        f = self.field
-        m = [list(row) for row in self.generator]
+        """Rank over F_q: Gaussian elimination on the rows as lists of field
+        codes, with the field's tables read as lists (``FiniteField._lists``)."""
+        add, mul, inv, neg = self.field._lists
+        m = self.generator.tolist()
         rank, ncols = 0, self.length
         for col in range(ncols):
             piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
             if piv is None:
                 continue
             m[rank], m[piv] = m[piv], m[rank]
-            inv = f.inv(m[rank][col])
-            m[rank] = [f.mul(inv, c) for c in m[rank]]
+            scale = mul[inv[m[rank][col]]]
+            pivot = m[rank] = [scale[c] for c in m[rank]]
             for r in range(len(m)):
                 if r != rank and m[r][col]:
-                    c = m[r][col]
-                    m[r] = [
-                        f.add(m[r][j], f.neg(f.mul(c, m[rank][j])))
-                        for j in range(ncols)
-                    ]
+                    minus = mul[neg[m[r][col]]]  # x -> -c x
+                    m[r] = [add[a][minus[b]] for a, b in zip(m[r], pivot)]
             rank += 1
             if rank == len(m):
                 break
@@ -315,7 +322,7 @@ def measure_from_code(code: LinearCode):
     support = exps.transpose(2, 0, 1, 3).reshape(code.length * (f.q - 1), -1)
     mu = ProbMeasure.uniform_on(group, map(tuple, support.tolist()))
     d = code.distance()
-    predicted = Fraction(f.q - 1, f.q) * Fraction(code.length, d)
+    predicted = Fraction((f.q - 1) * code.length, f.q * d)
     return group, mu, predicted
 
 

@@ -5,16 +5,19 @@ symmetrized averaging operator away from constants.  For abelian groups this
 is a Fourier computation over characters; in general the regular
 representation contains every irreducible, so its gap is the universal one.
 
-Exactness: on an abelian group of exponent at most 2 (every Z2^r, so the
-measures of codes over F_2 and F_4) every character value is +-1, and kappa
-and lambda_2 are exact ``Fraction``s computed from integer numerators over
-the common denominator of the weights.  For any other exponent they are
-floats.
+Exactness: a ``ProbMeasure`` is validated once, when it is built, and then
+holds its weights both as ``Fraction``s and as integer numerators over one
+common denominator; the weights sum to 1 exactly when the numerators sum to
+the denominator.  On an abelian group of exponent at most 2 (every Z2^r, so
+the measures of codes over F_2 and F_4) every character value is +-1, and
+kappa and lambda_2 are exact ``Fraction``s computed from those stored
+integers.  For any other exponent they are floats.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +37,13 @@ GROUP_ORDER_CAP = 5040
 
 
 class ProbMeasure:
-    """Probability measure with exact rational weights."""
+    """Probability measure with exact rational weights.
+
+    ``weights`` maps each support element to its positive ``Fraction``;
+    ``numerators`` holds the same weights, in the same order, as integers
+    over the common ``denominator`` (the lcm of the weights' denominators).
+    Both are fixed at validation.
+    """
 
     def __init__(self, group: FiniteGroup, weights: dict):
         self.group = group
@@ -42,14 +51,19 @@ class ProbMeasure:
         for g, p in weights.items():
             if g not in group:
                 raise InvalidArgument(f"{g!r} is not an element of the group")
-            p = Fraction(p)
-            if p < 0:
+            if not isinstance(p, Fraction):
+                p = Fraction(p)
+            if p.numerator < 0:
                 raise InvalidArgument(f"negative weight {p} at {g!r}")
-            if p > 0:
-                w[g] = w.get(g, 0) + p
-        if sum(w.values()) != 1:
-            raise InvalidArgument(f"weights sum to {sum(w.values())}, expected 1")
+            if p.numerator:
+                w[g] = p
+        denom = math.lcm(*(p.denominator for p in w.values()))
+        nums = tuple(p.numerator * (denom // p.denominator) for p in w.values())
+        if sum(nums) != denom:
+            raise InvalidArgument(f"weights sum to {Fraction(sum(nums), denom)}, expected 1")
         self.weights = w
+        self.denominator = denom
+        self.numerators = nums
 
     @classmethod
     def uniform(cls, group: FiniteGroup) -> "ProbMeasure":
@@ -58,12 +72,11 @@ class ProbMeasure:
 
     @classmethod
     def uniform_on(cls, group: FiniteGroup, support) -> "ProbMeasure":
-        support = list(support)
-        p = Fraction(1, len(support))
-        w = {}
-        for g in support:  # multiset allowed
-            w[g] = w.get(g, 0) + p
-        return cls(group, w)
+        """Uniform on a multiset: each element weighs its multiplicity over
+        the multiset's size."""
+        counts = Counter(support)
+        size = sum(counts.values())
+        return cls(group, {g: Fraction(c, size) for g, c in counts.items()})
 
     @classmethod
     def delta(cls, group: FiniteGroup, g) -> "ProbMeasure":
@@ -169,42 +182,38 @@ def kappa_abelian(group: AbelianGroup, mu: ProbMeasure) -> GapReport:
     One pass over integer character phases (``AbelianGroup._phase_chunks``)
     both checks generation (the annihilator test: no nontrivial character
     may be 1 on the whole support) and takes the maximum.  At exponent at
-    most 2, mu-hat(chi) = (L - 2 ph @ n) / L with integer numerators n over
-    the common denominator L of the weights, so kappa and lambda_2 are exact
-    ``Fraction``s (int64 while L < 2^63, Python ints beyond).  For other
-    exponents Re mu-hat = cos(2 pi ph / e) @ w in floating point.
+    most 2, mu-hat(chi) = (L - 2 ph @ n) / L with the measure's integer
+    ``numerators`` n over its common ``denominator`` L, both fixed when the
+    measure was validated, so kappa and lambda_2 are exact ``Fraction``s
+    (int64 while L < 2^63, Python ints beyond).  For other exponents
+    Re mu-hat = cos(2 pi ph / e) @ w in floating point.
     """
     if not isinstance(group, AbelianGroup):
         raise InvalidArgument("kappa_abelian requires an AbelianGroup")
     if mu.group is not group and mu.group.elements != group.elements:
         raise InvalidArgument("measure lives on a different group")
-    weights = list(mu.weights.values())
     exact = group.exponent <= 2
     if exact:
-        denom = math.lcm(*(p.denominator for p in weights))
-        coef = np.array(
-            [p.numerator * (denom // p.denominator) for p in weights],
-            dtype=np.int64 if denom < 2**63 else object,
-        )
+        denom = mu.denominator
+        coef = np.array(mu.numerators, dtype=np.int64 if denom < 2**63 else object)
     else:
         e = group.exponent
-        coef = np.array([float(p) for p in weights])
+        coef = np.array([float(p) for p in mu.weights.values()])
         cosines = np.cos(2 * np.pi * np.arange(e) / e)
     best = None
     for _, ph in group._phase_chunks(np.array(mu.support, dtype=np.int64), 1):
         if not ph.any(axis=1).all():
             raise NonGeneratingSupport(_NON_GENERATING)
         if exact:
-            val = denom - 2 * (ph @ coef).min()  # numerator of max mu-hat
+            val = denom - 2 * int((ph @ coef).min())  # numerator of max mu-hat
         else:
             val = (cosines[ph] @ coef).max()
         if best is None or val > best:
             best = val
     if group.order == 1:
         return GapReport(Fraction(0), -math.inf, "abelian-Fourier")
-    if exact:
-        best = Fraction(int(best), denom)
-        kappa = Fraction(1) / (1 - best)
+    if exact:  # lambda_2 = best / L, so kappa = L / (L - best)
+        kappa, best = Fraction(denom, denom - best), Fraction(best, denom)
     else:
         best = float(best)
         kappa = 1.0 / (1.0 - best)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .abelian import AbelianGroup, regular_rep
 from .algebra import (
+    ROUNDING_DIM_CAP,
     AlgebraElement,
     AlmostHom,
     TracialAlgebra,
@@ -66,11 +67,12 @@ SUBGROUP_CONSTANT = 38.0
 PAIR_CONSTANT = 1444.0
 TWISTED_CONSTANT = 30000.0
 
-# Largest group order the rounding takes, and the square root of the largest
-# |G| m^2: the entries of the input stack phi and of the blocks F_rho, whose
-# families hold |G| m^2 entries in all.  Since d_rho^2 <= |G|, it also bounds
-# the largest Hermitian block factorised, m d_rho <= sqrt(|G| m^2).
-ROUNDING_DIM_CAP = 4096
+# ROUNDING_DIM_CAP (from algebra, where it caps the defect) is the largest
+# group order the rounding takes, and the square root of the largest |G| m^2:
+# the entries of the input stack phi and of the blocks F_rho, whose families
+# hold |G| m^2 entries in all.  Since d_rho^2 <= |G|, it also bounds the
+# largest Hermitian block factorised, m d_rho <= sqrt(|G| m^2).  The rounding
+# reads this module's name, which a manifest's ``dim_cap`` may lower.
 
 # Eigenvalues this close to the 1/2 cut are kept and flagged.
 THRESHOLD_TIE_TOL = 1e-9

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -201,3 +202,50 @@ def test_fourier_transforms_match_the_outcome_loops(orders):
         for got, want, orig in zip(back[chi].blocks, p.blocks, pvm[chi].blocks):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert np.allclose(got, orig, rtol=0, atol=1e-12)
+
+
+def test_membership_and_index_match_the_element_dict():
+    """``in``, ``index`` and ``order`` are arithmetic on the orders and never
+    build ``elements``; each answer is the one a dict keyed by the elements
+    gives, and an unhashable label raises the dict's TypeError."""
+    group = AbelianGroup((2, 3, 4))
+    oracle = {g: i for i, g in enumerate(itertools.product(range(2), range(3), range(4)))}
+    labels = list(oracle) + [
+        (np.int64(1), np.int32(2), np.uint8(3)),
+        (True, False, 3),
+        (1.0, 2, 3),
+        (Fraction(1), 2, np.float64(3.0)),
+        (1 + 0j, 0, 0),
+        (1.5, 0, 0),
+        ("1", 0, 0),
+        (None, 0, 0),
+        (2, 0, 0),
+        (-1, 0, 0),
+        (0, 3, 0),
+        (0, 0, 4),
+        (0, 0, np.int64(-1)),
+        (1, 2),
+        (1, 2, 3, 0),
+        (),
+        "abc",
+        5,
+        None,
+    ]
+    for g in labels:
+        assert (g in group) == (g in oracle), g
+        if g in oracle:
+            assert group.index(g) == oracle[g] and type(group.index(g)) is int
+        else:
+            with pytest.raises(InvalidArgument, match="is not an element"):
+                group.index(g)
+    for bad in ([0, 1, 2], (0, [1], 2), np.array([0, 1, 2])):
+        with pytest.raises(TypeError) as want:
+            bad in oracle
+        with pytest.raises(TypeError) as got:
+            bad in group
+        assert str(got.value) == str(want.value)
+        with pytest.raises(TypeError):
+            group.index(bad)
+    assert group.order == 24
+    assert "elements" not in vars(group)  # nothing above built it
+    assert group.elements == tuple(oracle)

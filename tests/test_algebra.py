@@ -29,6 +29,7 @@ from gapstab.errors import (
     InvalidPVM,
     InvalidRepresentation,
     NonGeneratingSupport,
+    ResourceCap,
 )
 from gapstab.groups import CentralExtensionGroup, ProductGroup, symmetric_group
 from gapstab.spectral import ProbMeasure
@@ -1054,3 +1055,25 @@ def test_exact_residuals_of_1x1_stacks_take_no_svd(monkeypatch):
     failed, norms, _ = algebra._exact_residuals(dims, count, residuals, -1.0)
     assert np.array_equal(failed, np.arange(count))
     assert np.all(np.abs(norms - expected) <= 1e-15 * expected)
+
+
+def test_defect_refuses_a_group_over_the_cap(monkeypatch):
+    """Uniformly on Z2^13 (|G| = 8192 > ROUNDING_DIM_CAP = 4096) the defect
+    raises ResourceCap before it builds an irrep (the character table alone
+    would be 8192 x 8192) or forms a law residual; over small supports the
+    pairwise sum still runs."""
+    group = boolean_group(13)
+    phi = AlmostHom(group, TracialAlgebra.matrix(1), [np.ones((group.order, 1, 1))])
+    law_sq = algebra._law_sq
+
+    def not_reached(*args):
+        raise AssertionError("defect work ran before the cap check")
+
+    monkeypatch.setattr(group, "irrep_stacks", not_reached)
+    monkeypatch.setattr(algebra, "_law_sq", not_reached)
+    with pytest.raises(ResourceCap, match="8192 x 8192 pairs exceeds the cap 4096 squared"):
+        defect(phi)
+    with pytest.raises(ResourceCap, match="8192 x 8192 pairs"):
+        defect(phi, ProbMeasure.uniform(group), None)  # the same pairs, weighted
+    monkeypatch.setattr(algebra, "_law_sq", law_sq)
+    assert defect(phi, None, ProbMeasure.delta(group, group.identity)) == 0.0

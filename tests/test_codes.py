@@ -1,5 +1,10 @@
+import importlib.util
 import itertools
+import json
+import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +98,31 @@ def test_rank_validation():
         code_new(2, [[0, 2, 0]])  # entry outside the field
     with pytest.raises(InvalidArgument):
         code_new(2, [])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_rank_check_counts_the_span(q):
+    """A generator is accepted exactly when its N rows span q^N words,
+    counted by enumerating every combination with the field's scalar ops."""
+    f = finite_field(q)
+    rng = np.random.default_rng(q)
+    for _ in range(25):
+        rows = rng.integers(q, size=(int(rng.integers(1, 4)), int(rng.integers(1, 6))))
+        if len(rows) > 1 and rng.random() < 0.5:  # make the last row dependent
+            c = int(rng.integers(q))
+            rows[-1] = [f.add(f.mul(c, int(a)), int(b)) for a, b in zip(rows[0], rows[-2])]
+        words = {(0,) * rows.shape[1]}
+        for row in rows.tolist():
+            words = {
+                tuple(f.add(w, f.mul(c, x)) for w, x in zip(word, row))
+                for word in words
+                for c in range(q)
+            }
+        if len(words) == q ** len(rows):
+            assert LinearCode(f, rows).dim == len(rows)
+        else:
+            with pytest.raises(RankDeficient):
+                LinearCode(f, rows)
 
 
 def test_distance_cap_and_declared():
@@ -205,3 +235,28 @@ def test_code_file_rejects_malformed(tmp_path):
     bad.write_text("2 3 1\n1 1\n")
     with pytest.raises(InvalidArgument):
         read_code_file(bad)
+
+
+def test_kappa_of_the_benchmark_code_family_is_unchanged():
+    """kappa of every code of the benchmark's kappa-codes family (seed 0)
+    against the values recorded in perfbench/reference.json: the exact
+    Fractions (q = 2, 4) identical, the floats (q = 3, 5) to relative 1e-9,
+    as the benchmark's fingerprint compares them."""
+    here = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("_kappa_workloads", here / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((here / "reference.json").read_text())["kappa-codes"]
+    family = workloads.KappaCodes().build(0)["family"]
+    assert len(family) == len(reference) == 6578
+    exact = 0
+    for label, q, gen in family:
+        group, mu, predicted = measure_from_code(LinearCode(finite_field(q), gen))
+        assert "elements" not in vars(group)  # the group's element list is never built
+        got, want = kappa(group, mu).kappa, reference[label]["kappa"]
+        if q in (2, 4):
+            assert type(got) is Fraction and got == Fraction(want) == predicted, label
+            exact += 1
+        else:
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0), label
+    assert exact == 6378 + 100

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -288,3 +289,116 @@ def test_annihilator_test_matches_breadth_first_search(orders, in_subgroup, data
         with pytest.raises(NonGeneratingSupport) as info:
             kappa_abelian(group, mu)
         assert str(info.value) == "support does not generate the group; kappa is not defined"
+
+
+def test_kappa_exact_when_the_lcm_leaves_int64():
+    """Every denominator fits in int64 but their lcm 2^36 * 3^20 does not."""
+    group = boolean_group(2)
+    a, b = 2 * 3**20, 2**36
+    mu = ProbMeasure(group, {(0, 0): Fraction(1, a), (1, 0): Fraction(a // 2 - 1, a),
+                             (0, 1): Fraction(1, b), (1, 1): Fraction(b // 2 - 1, b)})
+    assert max(p.denominator for p in mu.weights.values()) < 2**63 <= mu.denominator
+    _assert_kernel_matches_loop(group, mu)
+
+
+def test_kappa_int64_numerators_near_the_limit():
+    """With L just below 2^63, 2 ph @ n leaves int64; kappa stays exact and
+    numpy warns of no overflow."""
+    group = boolean_group(1)
+    den = 2**62 + 1
+    mu = ProbMeasure(group, {(0,): Fraction(1, den), (1,): Fraction(den - 1, den)})
+    assert mu.denominator < 2**63
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = kappa_abelian(group, mu)
+    assert rep.second_eigenvalue == Fraction(2 - den, den)
+    assert rep.kappa == Fraction(den, 2 * (den - 1))
+
+
+# -- validation against the Fraction sums it replaced ----------------------------
+
+
+def _fraction_sum_measure(group, weights):
+    """The weights dict ProbMeasure built by summing Fractions, or the
+    InvalidArgument message it raised."""
+    w = {}
+    for g, p in weights.items():
+        if g not in group:
+            return f"{g!r} is not an element of the group"
+        p = Fraction(p)
+        if p < 0:
+            return f"negative weight {p} at {g!r}"
+        if p > 0:
+            w[g] = w.get(g, 0) + p
+    if sum(w.values()) != 1:
+        return f"weights sum to {sum(w.values())}, expected 1"
+    return w
+
+
+_ORACLE_GROUP = AbelianGroup((2, 3))
+
+
+@st.composite
+def _weight_dicts(draw):
+    """Weights as ints, strings and Fractions, some zero; most sum to 1, the
+    rest are off by a drawn amount or carry a negative weight."""
+    labels = list(_ORACLE_GROUP.elements) + [(0, 3), (2, 0)]
+    keys = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=6, unique=True))
+    raw = draw(st.lists(st.integers(0, 9), min_size=len(keys), max_size=len(keys)))
+    total = sum(raw) or 1
+    shift = draw(st.sampled_from([Fraction(0)] * 3 + [Fraction(1, 7), Fraction(-1, 3)]))
+    fracs = [Fraction(r, total) for r in raw]
+    fracs[0] += shift
+    if draw(st.booleans()) and len(fracs) > 1:
+        j = draw(st.integers(1, len(fracs) - 1))
+        fracs[0], fracs[j] = fracs[0] + fracs[j] + Fraction(1, 5), Fraction(-1, 5)
+    forms = [
+        lambda p: p,
+        lambda p: f"{p.numerator}/{p.denominator}",
+        lambda p: p.numerator if p.denominator == 1 else p,
+        lambda p: str(p),
+    ]
+    return {k: draw(st.sampled_from(forms))(p) for k, p in zip(keys, fracs)}
+
+
+@given(_weight_dicts())
+@settings(max_examples=300, deadline=None)
+def test_measure_validation_matches_fraction_sums(weights):
+    want = _fraction_sum_measure(_ORACLE_GROUP, weights)
+    if isinstance(want, str):
+        with pytest.raises(InvalidArgument) as info:
+            ProbMeasure(_ORACLE_GROUP, weights)
+        assert str(info.value) == want
+        return
+    mu = ProbMeasure(_ORACLE_GROUP, weights)
+    assert list(mu.weights.items()) == list(want.items())
+    assert all(type(p) is Fraction for p in mu.weights.values())
+    assert mu.denominator == math.lcm(*(p.denominator for p in want.values()))
+    assert sum(mu.numerators) == mu.denominator
+    assert [Fraction(n, mu.denominator) for n in mu.numerators] == list(want.values())
+
+
+def test_measure_validation_messages():
+    grp = cyclic(3)
+    for weights, message in [
+        ({(0,): "1/2"}, "weights sum to 1/2, expected 1"),
+        ({(0,): 0, (1,): 0}, "weights sum to 0, expected 1"),
+        ({(0,): Fraction(3, 2), (1,): "-1/2"}, "negative weight -1/2 at (1,)"),
+        ({(3,): 1}, "(3,) is not an element of the group"),
+    ]:
+        assert _fraction_sum_measure(grp, weights) == message
+        with pytest.raises(InvalidArgument) as info:
+            ProbMeasure(grp, weights)
+        assert str(info.value) == message
+
+
+@given(st.lists(st.sampled_from(_ORACLE_GROUP.elements), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_uniform_on_matches_fraction_sums(support):
+    p = Fraction(1, len(support))
+    want = {}
+    for g in support:
+        want[g] = want.get(g, 0) + p
+    mu = ProbMeasure.uniform_on(_ORACLE_GROUP, support)
+    assert list(mu.weights.items()) == list(want.items())
+    assert [Fraction(n, mu.denominator) for n in mu.numerators] == list(want.values())

@@ -962,3 +962,21 @@ def test_report_builds_the_pair_once(monkeypatch):
     assert rep["bridge_residual"] <= 1e-12
     assert len(inputs) == 2
     assert calls == {"defects": 1, "kappa": 2, "pvm_from_rep": 2}
+
+
+@pytest.mark.parametrize("case", ["d4-regular", "c2xs3", "s4-permutation"])
+def test_rep_residual_of_a_rounded_map_is_one_batched_svd(case, monkeypatch):
+    """On rounded maps where most or all law residuals need an operator norm,
+    the screened maximum equals the maximum of one batched SVD over every
+    term, bit for bit, and each block takes at most two batches."""
+    make, sigma, seed = _ORACLE_CASES[case]
+    pi = gowers_hatami_round(suites._noisy_hom(make(), sigma, np.random.default_rng(seed))).pi
+    pairs = algebra._law_pairs(pi.group, pi.algebra.dims)
+    residuals = algebra._law_residuals(pi.stacks, pairs)
+    norms = algebra._operator_norms
+    every = [norms(next(residuals(b, slice(None)))) for b in range(len(pi.stacks))]
+    batches = []
+    monkeypatch.setattr(algebra, "_operator_norms", lambda r: batches.append(len(r)) or norms(r))
+    assert rep_residual(pi) == max(e.max() for e in every) > 0
+    assert len(batches) <= 2 * len(pi.stacks)
+    assert sum(batches) > sum(map(len, every)) // 2  # most terms needed a norm
