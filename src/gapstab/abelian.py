@@ -143,7 +143,7 @@ class AbelianGroup(FiniteGroup):
             chars = np.stack(np.unravel_index(idx, self.orders), axis=1)
             yield start, (chars @ scaled) % e
 
-    def irrep_stacks(self):
+    def _build_irreps(self):
         """The characters, one (|G|, |G|, 1, 1) stack in ``elements`` order."""
         return [self.character_table()[:, :, None, None]]
 

@@ -13,10 +13,12 @@ in the amplification M tensor M_|G|, which can exceed 1.
 
 Maps from a finite group store their images, and PVMs their projections, as
 one (k, n, n) stack per block.  The multiplication-law residuals
-phi(gh) - phi(g)phi(h), the pair defects ||U(a)V(b) - gamma(a, b) V(b)U(a)||_2^2,
-the weighted sums sum_k W[j, k] X_k (the Fourier transforms between PVMs and
-representations) and the trace pairings tau(P Q) are each formed on those
-stacks by one kernel.  Validation has one exact path: ``_exact_residuals``
+phi(gh) - phi(g)phi(h) of listed pairs (for operator norms), their squared
+2-norms over a grid of pairs (``_law_sq``, one row-block product per chunk),
+the pair defects ||U(a)V(b) - gamma(a, b) V(b)U(a)||_2^2, the weighted sums
+sum_k W[j, k] X_k (the Fourier transforms between PVMs and representations)
+and the trace pairings tau(P Q) are each formed on those stacks by one
+kernel, as are the noise unitaries e^{i sigma H} (``_noise_unitaries``).  Validation has one exact path: ``_exact_residuals``
 screens a family's residuals by Frobenius norm and computes the operator
 norms of the terms that fail the screen with one batched SVD (a modulus for
 1 x 1 residuals, such as a character's); the PVM, unitarity and
@@ -230,15 +232,33 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _noise_unitary(n: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """e^{i sigma H} for a Gaussian self-adjoint n x n H of operator norm 1."""
-    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (h + h.conj().T) / 2
-    nrm = np.linalg.norm(h, 2)
-    if nrm > 0:
-        h /= nrm
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * sigma * vals)) @ vecs.conj().T
+def _noise_unitaries(dims, count: int, sigma: float, rng: np.random.Generator):
+    """``count`` unitaries e^{i sigma H} on the blocks ``dims``, each H a
+    Gaussian self-adjoint n x n matrix of operator norm 1, yielded one
+    per-block tuple at a time.
+
+    The Gaussians are drawn in the order of a loop over the count, then the
+    blocks, real part then imaginary part, so the unitaries and the state of
+    ``rng`` afterwards are those of drawing them one at a time.  They are
+    drawn and exponentiated in chunks of at most ``_STACK_ENTRIES`` entries
+    (and one draw): per block, one batched SVD takes the operator norms, one
+    batched ``eigh`` diagonalizes and one batched product exponentiates.
+    """
+    sizes = [2 * n * n for n in dims]
+    step = max(1, _STACK_ENTRIES // (sum(sizes) // 2))
+    for start in range(0, count, step):
+        k = min(step, count - start)
+        raw = rng.standard_normal((k, sum(sizes)))
+        chunk = []
+        for n, part in zip(dims, np.split(raw, np.cumsum(sizes)[:-1], axis=1)):
+            x = part.reshape(k, 2, n, n)
+            h = x[:, 0] + 1j * x[:, 1]
+            h = (h + h.conj().transpose(0, 2, 1)) / 2
+            nrm = np.linalg.svd(h, compute_uv=False)[:, 0]
+            h /= np.where(nrm > 0, nrm, 1.0)[:, None, None]
+            vals, vecs = np.linalg.eigh(h)
+            chunk.append((vecs * np.exp(1j * sigma * vals)[:, None]) @ vecs.conj().transpose(0, 2, 1))
+        yield from zip(*chunk)
 
 
 # -- projective valued measures and representations ---------------------------
@@ -382,7 +402,7 @@ class PVM:
             raise InvalidPVM("outcome/projection count mismatch")
         if len(set(outcomes)) != len(outcomes):
             raise InvalidPVM("duplicate outcome labels")
-        self._store(algebra, outcomes, stacks, unit if unit is not None else algebra.identity())
+        self._store(algebra, outcomes, stacks, unit)
 
         def own(b, sel):
             p = stacks[b][sel]
@@ -424,9 +444,11 @@ class PVM:
         )
 
     def _store(self, algebra, outcomes, stacks, unit):
+        """Keep the family; a ``unit`` of None is the algebra identity."""
         self.algebra = algebra
         self.outcomes = outcomes
-        self.unit = unit
+        self._unit_is_one = unit is None
+        self.unit = algebra.identity() if unit is None else unit
         self._index = {a: i for i, a in enumerate(outcomes)}
         self.stacks = stacks
         self.projections = [AlgebraElement(algebra, bs) for bs in zip(*stacks)]
@@ -445,8 +467,10 @@ class PVM:
         """u . u* applied to every projection and to the unit.
 
         The stacks are formed per block as (u p) u*, bit for bit the products
-        ``u * p * u.H``.  Their residuals are not measured again: they are
-        bounded by :func:`_conjugation_bound` from this PVM's ``residual``
+        ``u * p * u.H``.  An identity unit moves to u u*, one product per
+        block and bit for bit (u 1) u*; any other unit e to (u e) u*.  The
+        residuals are not measured again: they are bounded by
+        :func:`_conjugation_bound` from this PVM's ``residual``
         and the unitarity residual of u, one n x n product per block.  When
         that bound is at most ``VALIDATION_TOL / 2`` it becomes the result's
         ``residual``; the other half of the tolerance covers the rounding of
@@ -456,7 +480,7 @@ class PVM:
         exception and residual.
         """
         stacks = [(m @ s) @ m.conj().T for m, s in zip(u.blocks, self.stacks)]
-        unit = u * self.unit * u.H
+        unit = u * u.H if self._unit_is_one else u * self.unit * u.H
         bound = _conjugation_bound(self.residual, u.blocks, len(self.outcomes))
         if not bound <= VALIDATION_TOL / 2:
             return PVM(self.algebra, self.outcomes, stacks, unit=unit)
@@ -536,28 +560,17 @@ class AlmostHom:
     multiplicative = False
 
     def __init__(self, group, algebra, images, tol=VALIDATION_TOL):
-        self.group = group
-        self.algebra = algebra
         elements = group.elements
         if isinstance(images, dict):
             missing = [g for g in elements if g not in images]
             if missing:
                 raise InvalidArgument(f"missing images for {len(missing)} elements")
             images = [images[g] for g in elements]
-        self.stacks = stacks = _read_only_stacks(algebra.dims, images)
+        stacks = _read_only_stacks(algebra.dims, images)
         if any(len(s) != len(elements) for s in stacks):
             raise InvalidArgument(f"{len(stacks[0])} images for {len(elements)} elements")
-        self.images = {
-            g: AlgebraElement(algebra, bs) for g, bs in zip(elements, zip(*stacks))
-        }
-        ident = algebra.identity()
-
-        def unitarity(b, sel):
-            u = stacks[b][sel]
-            uh = u.conj().transpose(0, 2, 1)
-            yield u @ uh - ident.blocks[b]
-            yield uh @ u - ident.blocks[b]
-
+        self._store(group, algebra, stacks)
+        unitarity = _unitarity_residuals(stacks)
         _, norms, _ = _exact_residuals(algebra.dims, len(elements), unitarity, tol)
         worst = float(norms.max(initial=0.0))
         if worst > tol:
@@ -565,8 +578,44 @@ class AlmostHom:
                 f"images are not unitary (residual {worst:.3g})", residual=worst
             )
 
+    def _store(self, group, algebra, stacks):
+        self.group = group
+        self.algebra = algebra
+        self.stacks = tuple(stacks)
+        for stack in self.stacks:
+            stack.flags.writeable = False
+        self.images = {
+            g: AlgebraElement(algebra, bs) for g, bs in zip(group.elements, zip(*self.stacks))
+        }
+
+    @classmethod
+    def _trusted(cls, group, algebra, stacks):
+        """An instance on image stacks built from checked parts, such as a
+        direct sum of a group's irreps (checked once per group by
+        ``irrep_stacks()``): one ``(|G|, n, n)`` array per block in
+        ``group.elements`` order, made read-only in place, not copied and
+        not validated again."""
+        obj = cls.__new__(cls)
+        obj._store(group, algebra, stacks)
+        return obj
+
     def __call__(self, g) -> AlgebraElement:
         return self.images[g]
+
+
+def _unitarity_residuals(stacks):
+    """The :func:`_exact_residuals` callback of unitarity: for block ``b``,
+    u u* - 1 and u* u - 1 over the images ``sel`` of the ``(k, n, n)``
+    stacks ``stacks``."""
+
+    def residuals(b, sel):
+        u = stacks[b][sel]
+        uh = u.conj().transpose(0, 2, 1)
+        one = np.eye(u.shape[-1])
+        yield u @ uh - one
+        yield uh @ u - one
+
+    return residuals
 
 
 class UnitaryRep(AlmostHom):
@@ -607,11 +656,18 @@ _LAW_COST_LIMIT = 2e8
 _LAW_SAMPLES = 64
 
 
+def _every_pair(group, dims) -> bool:
+    """Whether the law of images with blocks ``dims`` is checked on every
+    pair (g, h) of ``group``, rather than on the sampled pairs (see above)."""
+    return group.order**2 * sum(d**3 for d in dims) <= _LAW_COST_LIMIT
+
+
 def _law_pairs(group, dims):
     """``(left, right, product)`` element-index arrays of the pairs (g, h) on
-    which the multiplication law is checked (see above)."""
+    which the multiplication law is checked (see above); the sampled pairs
+    depend on the group order only."""
     n = group.order
-    if n * n * sum(d**3 for d in dims) <= _LAW_COST_LIMIT:
+    if _every_pair(group, dims):
         left, right = np.divmod(np.arange(n * n), n)
     else:
         rng = np.random.default_rng(0)
@@ -642,16 +698,36 @@ def _law_residuals(stacks, pairs):
     return residuals
 
 
-def _law_sq(phi: AlmostHom, left, right) -> np.ndarray:
-    """||phi(g_t h_t) - phi(g_t) phi(h_t)||_2^2 for the element-index pairs
-    ``(left[t], right[t])``, as one array over t."""
-    dims, coeffs = phi.algebra.dims, phi.algebra.coeffs
-    residuals = _law_residuals(phi.stacks, (left, right, phi.group.mul_index(left, right)))
-    out = np.zeros(len(left))
-    for b, sl in _chunks(dims, len(left)):
-        # map, so no chunk's residual outlives its norms
-        for sq in map(_frobenius_sq, residuals(b, sl)):
-            out[sl] += coeffs[b] * sq
+def _law_sq(phi: AlmostHom, rows, cols) -> np.ndarray:
+    """||phi(g h) - phi(g) phi(h)||_2^2 over the grid of element indices g in
+    ``rows`` and h in ``cols``, as a (len(rows), len(cols)) array.
+
+    Per base block, phi(g) [phi(h)]_h for a chunk of k rows and c columns is
+    one (k m x m) @ (m x c m) product, the chunks at most ``_STACK_ENTRIES``
+    entries (and one product) as in :func:`_product_chunks`; the gathered
+    phi(gh) is subtracted in place and the squares summed per pair.
+    """
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    nr, nc = len(rows), len(cols)
+    prod = phi.group.mul_index(np.repeat(rows, nc), np.tile(cols, nr)).reshape(nr, nc)
+    out = np.zeros((nr, nc))
+    for s, coeff in zip(phi.stacks, phi.algebra.coeffs):
+        m = s.shape[-1]
+        c_step = max(1, min(nc, _STACK_ENTRIES // (m * m)))
+        r_step = max(1, _STACK_ENTRIES // (c_step * m * m))
+        for c0 in range(0, nc, c_step):
+            sc = slice(c0, c0 + c_step)
+            right = s[cols[sc]].transpose(1, 0, 2).reshape(m, -1)
+            kc = right.shape[1] // m
+            for r0 in range(0, nr, r_step):
+                sr = slice(r0, r0 + r_step)
+                left = s[rows[sr]]
+                kr = len(left)
+                res = (left.reshape(kr * m, m) @ right).reshape(kr, m, kc, m)
+                res -= s[prod[sr, sc]].transpose(0, 2, 1, 3)
+                sq = res.view(np.float64)
+                np.square(sq, out=sq)
+                out[sr, sc] += coeff * sq.sum(axis=(1, 3))
     return out
 
 
@@ -825,7 +901,10 @@ def defect(phi: AlmostHom, mu=None, nu=None) -> float:
     law residuals.  Its terms cancel to an absolute error of about
     5e-15 tau(1), so it is returned only at or above
     ``_FOURIER_DEFECT_FLOOR`` tau(1).  Below that floor and for weighted
-    measures the defect is the pairwise sum of the law residuals.
+    measures the defect is the pairwise sum of the law residuals over the
+    grid supp(mu) x supp(nu), from the grid kernel ``_law_sq``: per chunk
+    of rows and columns, phi(g) [phi(h)]_h is one (k m x m) @ (m x c m)
+    product, from which the gathered phi(gh) is subtracted.
 
     Raises :class:`ResourceCap` before any work when the supports hold more
     than ``ROUNDING_DIM_CAP`` squared pairs, so uniformly on a group of order
@@ -904,8 +983,7 @@ def _pairwise_defect(phi: AlmostHom, mu=None, nu=None) -> float:
     gi, gw = _measure_weights(phi.group, mu)
     hi, hw = _measure_weights(phi.group, nu)
     _check_defect_pairs(len(gi), len(hi))
-    left, right = np.repeat(gi, len(hi)), np.tile(hi, len(gi))
-    return float(np.outer(gw, hw).ravel() @ _law_sq(phi, left, right))
+    return float(np.outer(gw, hw).ravel() @ _law_sq(phi, gi, hi).ravel())
 
 
 def _commutant_mean(stacks, xs) -> tuple:

@@ -27,7 +27,7 @@ from .algebra import (
     AlgebraElement,
     TracialAlgebra,
     UnitaryRep,
-    _noise_unitary,
+    _noise_unitaries,
     _pair_defects,
     _trace_pairing,
     _weighted_sums,
@@ -328,7 +328,7 @@ def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache):
             if "characters" not in cache:
                 cache["characters"] = group.character_table().real
             row = cache["characters"][group.index(param)]
-            return row[[group.index(a) for a in px.outcomes]]
+            return row[np.ravel_multi_index(tuple(np.array(px.outcomes).T), group.orders)]
 
         def explicit():
             return accepted(list(zip(px.outcomes, signs())))
@@ -955,10 +955,11 @@ def perturb_strategy(
     if sigma < 0:
         raise InvalidArgument("perturbation size must be nonnegative")
     alg = strategy.algebra
-    out = {}
-    for x, pvm in strategy.pvms.items():
-        u = AlgebraElement(alg, [_noise_unitary(d, sigma, rng) for d in alg.dims])
-        out[x] = pvm.conjugated(u)
+    noise = _noise_unitaries(alg.dims, len(strategy.pvms), sigma, rng)
+    out = {
+        x: pvm.conjugated(AlgebraElement(alg, blocks))
+        for (x, pvm), blocks in zip(strategy.pvms.items(), noise)
+    }
     return SynchronousStrategy(alg, out)
 
 

@@ -7,8 +7,12 @@ spectral gap read every product through it.  Every group returns its full set
 of irreducible unitary representations as stacked image arrays from
 ``irrep_stacks()``, which ``validate_irreps`` checks: abelian groups, products
 and the games' central extensions in closed form, any other group by splitting
-its regular representation.  The Gowers-Hatami rounding and the uniform defect
-split their operators along these irreps.
+its regular representation.  Every group class builds them once, checks their
+images unitary once and caches them read-only on the group, next to each
+irrep's multiplication-law residual once it has been asked for.  The
+Gowers-Hatami rounding and the uniform defect split their operators along
+these irreps, and the rounding's corner representation, a direct sum of them,
+takes its unitarity and its law residual from there.
 """
 
 from __future__ import annotations
@@ -18,8 +22,17 @@ import math
 
 import numpy as np
 
-from .algebra import _COMMUTANT_TRIES, _split_block
-from .errors import DegenerateDecomposition, InvalidArgument
+from .algebra import (
+    _COMMUTANT_TRIES,
+    _every_pair,
+    _exact_residuals,
+    _law_pairs,
+    _law_residuals,
+    _split_block,
+    _unitarity_residuals,
+    _worst_residual,
+)
+from .errors import DegenerateDecomposition, InvalidArgument, InvalidRepresentation
 
 
 class FiniteGroup:
@@ -27,7 +40,8 @@ class FiniteGroup:
 
     elements: tuple
     identity = None
-    _irreps = None  # the irrep families of the base irrep_stacks, once built
+    _irreps = None  # the irrep families, once built and checked
+    _irrep_law = None  # (every pair?, family, index) -> that irrep's law residual
 
     def _post_init_common(self):
         self._index = {g: i for i, g in enumerate(self.elements)}
@@ -64,13 +78,47 @@ class FiniteGroup:
 
         Each array has shape (k, |G|, d, d) and holds k irreps of dimension
         d, with images in ``elements`` order; together they form a complete
-        family.  This default splits the left regular representation (see
-        :func:`_regular_irreps`) on the first call and caches the families
-        on the group.
+        family.  Every group class builds them once, on the first call, by
+        :meth:`_build_irreps` (a closed form, or the split of the regular
+        representation, checked by :func:`_check_irreps`), checks every
+        image unitary to ``_IRREP_UNITARY_TOL`` in operator norm and caches
+        the families on the group, read-only; a family that fails raises
+        :class:`InvalidRepresentation` and is not cached.
         """
         if self._irreps is None:
-            self._irreps = _regular_irreps(self)
+            families = self._build_irreps()
+            _check_unitary_irreps(families)
+            for fam in families:
+                fam.flags.writeable = False
+            self._irreps, self._irrep_law = families, {}
         return self._irreps
+
+    def _build_irreps(self) -> list[np.ndarray]:
+        """The irrep families, by default split off the left regular
+        representation (:func:`_regular_irreps`)."""
+        return _regular_irreps(self)
+
+    def _irrep_law_residual(self, occurring, dims) -> float:
+        """The largest multiplication-law residual, in operator norm, over
+        the irreps ``occurring`` ((family, index) pairs into
+        :meth:`irrep_stacks`), on the pairs (g, h) that
+        :func:`~gapstab.algebra._law_pairs` checks for image blocks ``dims``.
+
+        Each irrep's residual is computed once per group and per regime of
+        those pairs (every pair, or the sampled ones), by
+        :func:`~gapstab.algebra._worst_residual`, and kept beside the irreps.
+        """
+        families = self.irrep_stacks()
+        every = _every_pair(self, dims)
+        missing = [fq for fq in occurring if (every, *fq) not in self._irrep_law]
+        if missing:
+            pairs = _law_pairs(self, dims)
+            for f, q in missing:
+                irrep = families[f][q]
+                self._irrep_law[every, f, q] = _worst_residual(
+                    (irrep.shape[-1],), len(pairs[0]), _law_residuals((irrep,), pairs)
+                )
+        return max((self._irrep_law[every, f, q] for f, q in occurring), default=0.0)
 
     def is_subgroup(self, subset) -> bool:
         """Check that ``subset`` is closed under multiplication and inverse."""
@@ -146,7 +194,7 @@ class ProductGroup(FiniteGroup):
         (i1, i2), (j1, j2) = np.divmod(i, n2), np.divmod(j, n2)
         return self.first.mul_index(i1, j1) * n2 + self.second.mul_index(i2, j2)
 
-    def irrep_stacks(self):
+    def _build_irreps(self):
         out = []
         for s1 in self.first.irrep_stacks():
             for s2 in self.second.irrep_stacks():
@@ -236,7 +284,7 @@ class CentralExtensionGroup(FiniteGroup):
     def embed_b(self, b):
         return (self.a_group.identity, b, 1)
 
-    def irrep_stacks(self):
+    def _build_irreps(self):
         """All irreducibles when the twist is a nondegenerate pairing.
 
         The sign-blind characters of A x B lift to |A|*|B| one-dimensional
@@ -244,13 +292,13 @@ class CentralExtensionGroup(FiniteGroup):
         single remaining irreducible of dimension |A|, acting on l2(A) by
         translations and gamma-modulations.  Completeness (sum of squared
         dimensions equals the order) is checked; where the closed form does
-        not apply or fails, the irreps come from the base method, which
-        splits the regular representation.
+        not apply or fails, the irreps come from the split of the regular
+        representation.
         """
         fa = self.a_group.irrep_stacks()
         fb = self.b_group.irrep_stacks()
         if any(f.shape[-1] != 1 for f in fa + fb):
-            return super().irrep_stacks()
+            return _regular_irreps(self)
         ta = np.concatenate([f[:, :, 0, 0] for f in fa])
         tb = np.concatenate([f[:, :, 0, 0] for f in fb])
         chars = np.einsum("ka,lb->klab", ta, tb).reshape(len(ta) * len(tb), -1)
@@ -270,10 +318,10 @@ class CentralExtensionGroup(FiniteGroup):
             # irreducibility via the character criterion
             tr2 = np.sum(np.abs(np.trace(pi0, axis1=1, axis2=2)) ** 2) / self.order
             if abs(tr2 - 1.0) > 1e-9:
-                return super().irrep_stacks()
+                return _regular_irreps(self)
             out.append(pi0[None])
         if sum(len(f) * f.shape[-1] ** 2 for f in out) != self.order:
-            return super().irrep_stacks()
+            return _regular_irreps(self)
         return out
 
     def __repr__(self):
@@ -388,6 +436,9 @@ def symmetric_group(n: int) -> PermutationGroup:
 
 # Largest entrywise residual validate_irreps accepts.
 _IRREP_TOL = 1e-9
+# Largest operator-norm unitarity residual of an irrep image: the tolerance at
+# which a rounding's corner representation, a direct sum of irreps, is unitary.
+_IRREP_UNITARY_TOL = 1e-6
 
 
 def validate_irreps(group: FiniteGroup) -> None:
@@ -421,6 +472,22 @@ def _check_irreps(group: FiniteGroup, families) -> None:
             raise InvalidArgument(f"irrep fails multiplication law: residual {err:g}")
 
 
+def _check_unitary_irreps(families) -> None:
+    """Refuse irrep families with an image u whose ||u u* - 1|| or
+    ||u* u - 1|| exceeds ``_IRREP_UNITARY_TOL``, the check of
+    :class:`~gapstab.algebra.AlmostHom` on each family's images."""
+    for fam in families:
+        d = fam.shape[-1]
+        images = fam.reshape(-1, d, d)
+        unitarity = _unitarity_residuals((images,))
+        _, norms, _ = _exact_residuals((d,), len(images), unitarity, _IRREP_UNITARY_TOL)
+        worst = float(norms.max(initial=0.0))
+        if worst > _IRREP_UNITARY_TOL:
+            raise InvalidRepresentation(
+                f"irrep images are not unitary (residual {worst:.3g})", residual=worst
+            )
+
+
 def _regular_irreps(group: FiniteGroup) -> list[np.ndarray]:
     """All irreps of a group, split off its left regular representation.
 
@@ -432,7 +499,7 @@ def _regular_irreps(group: FiniteGroup) -> list[np.ndarray]:
     d columns W0 span one copy, and rho(g) = W0* lambda(g) W0 with
     (lambda(g) W0)[x] = W0[g^-1 x], a row gather.  Degenerate draws of a
     fixed generator are retried, ``_COMMUTANT_TRIES`` times in all; the
-    families, by increasing d, are checked once and returned read-only.
+    families, by increasing d, are checked once.
     """
     n = group.order
     table = group.mul_index(*np.divmod(np.arange(n * n), n)).reshape(n, n)
@@ -462,6 +529,4 @@ def _regular_irreps(group: FiniteGroup) -> list[np.ndarray]:
         )
     families = [np.stack(by_dim[d]) for d in sorted(by_dim)]
     _check_irreps(group, families)
-    for fam in families:
-        fam.flags.writeable = False
     return families

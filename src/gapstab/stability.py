@@ -36,14 +36,11 @@ from .algebra import (
     _fourier_blocks,
     _fourier_defect,
     _frobenius_sq,
-    _law_pairs,
-    _law_residuals,
     _law_sq,
     _measure_weights,
     _pair_defects,
     _pair_traces,
     _pairwise_defect,
-    _worst_residual,
     commutant_blocks,
     defect,
     rep_residual,
@@ -343,6 +340,14 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
     size m d_rho per irrep rho, each of multiplicity d_rho, and pi is a
     direct sum of copies of the irreps (see :func:`_fourier_round_block`).
 
+    pi is built as a trusted :class:`UnitaryRep`, not validated again: it
+    is a direct sum of the group's irreps, whose images ``irrep_stacks()``
+    checks unitary once per group, and an identity block.  Its law residual
+    ``pi_residual`` is the largest over the irreps that occur, each computed
+    once per group and per law-pair regime and kept beside the irreps
+    (``FiniteGroup._irrep_law_residual``): ``rep_residual(pi)`` up to
+    rounding.
+
     The certificate's defect is :func:`~gapstab.algebra.defect` with
     uniform weights, the same number bit for bit.  It is read off the
     blocks F_rho the rounding forms anyway, by the three-term identity
@@ -398,15 +403,11 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
         _pullback_sq(x_mats, coeffs, phi.stacks, [blk["core"] for blk in blocks]).mean()
     )
 
-    pi = UnitaryRep(group, corner, pi_stacks, tol=1e-6, check="none")
-    # pi is a direct sum of irreps (and an identity block): its law residual
-    # is the worst over the distinct irreps that occur
-    occurring = sorted({fq for blk in blocks for fq in blk["irreps"]})
-    irreps = [families[f][q] for f, q in occurring]
-    pairs = _law_pairs(group, corner.dims)
-    pi_residual = _worst_residual(
-        [s.shape[-1] for s in irreps], len(pairs[0]), _law_residuals(irreps, pairs)
-    )
+    # pi is a direct sum of the group's checked irreps and an identity block:
+    # it is unitary, and its law residual is the worst over the irreps that occur
+    pi = UnitaryRep._trusted(group, corner, pi_stacks)
+    occurring = {fq for blk in blocks for fq in blk["irreps"]}
+    pi_residual = group._irrep_law_residual(occurring, corner.dims)
     intermediates = {
         "contraction_distance": contraction,
         "contraction_bound": CONTRACTION_CONSTANT * eps,
@@ -451,11 +452,10 @@ def equivariance_residual(phi: AlmostHom, subgroup, side: str = "left") -> float
     if side not in ("left", "right"):
         raise InvalidArgument("side must be 'left' or 'right'")
     group = phi.group
-    n = group.order
     sub = np.array([group.index(h) for h in subgroup], dtype=np.intp)
-    hs, gs = np.repeat(sub, n), np.tile(np.arange(n), len(sub))
-    left, right = (hs, gs) if side == "left" else (gs, hs)
-    return float(np.sqrt(_law_sq(phi, left, right).max(initial=0.0)))
+    every = np.arange(group.order)
+    grid = _law_sq(phi, sub, every) if side == "left" else _law_sq(phi, every, sub)
+    return float(np.sqrt(grid.max(initial=0.0)))
 
 
 def subgroup_closeness_check(
@@ -554,12 +554,9 @@ def round_commuting_pair(u_rep: UnitaryRep, v_rep: UnitaryRep) -> PairRoundingRe
     ea, eb = a_grp.identity, b_grp.identity
     rows_u = [group.index((a, eb)) for a in a_grp.elements]
     rows_v = [group.index((ea, b)) for b in b_grp.elements]
-    u_tilde = UnitaryRep(
-        a_grp, cert.corner, [s[rows_u] for s in cert.pi.stacks], tol=1e-6, check="none"
-    )
-    v_tilde = UnitaryRep(
-        b_grp, cert.corner, [s[rows_v] for s in cert.pi.stacks], tol=1e-6, check="none"
-    )
+    # row selections of the trusted pi
+    u_tilde = UnitaryRep._trusted(a_grp, cert.corner, [s[rows_u] for s in cert.pi.stacks])
+    v_tilde = UnitaryRep._trusted(b_grp, cert.corner, [s[rows_v] for s in cert.pi.stacks])
     distance_u = sum(cert.per_element[(a, eb)] for a in a_grp.elements) / a_grp.order
     distance_v = sum(cert.per_element[(ea, b)] for b in b_grp.elements) / b_grp.order
     bound = PAIR_CONSTANT * eps

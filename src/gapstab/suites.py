@@ -22,7 +22,7 @@ from .algebra import (
     AlmostHom,
     TracialAlgebra,
     UnitaryRep,
-    _noise_unitary,
+    _noise_unitaries,
     commutator_gap_check,
     conditional_expectation_commutant,
     defect,
@@ -232,7 +232,7 @@ def _noisy_hom(rep: UnitaryRep, sigma: float, rng) -> AlmostHom:
     """Independent unitary noise e^{i sigma H} on every image."""
     alg = rep.algebra
     # drawn image by image, block by block
-    noise = [[_noise_unitary(n, sigma, rng) for n in alg.dims] for _ in rep.group.elements]
+    noise = _noise_unitaries(alg.dims, rep.group.order, sigma, rng)
     stacks = [np.array(us) @ s for us, s in zip(zip(*noise), rep.stacks)]
     return AlmostHom(rep.group, alg, stacks)
 

@@ -33,6 +33,7 @@ from gapstab.errors import (
 )
 from gapstab.groups import CentralExtensionGroup, ProductGroup, symmetric_group
 from gapstab.spectral import ProbMeasure
+from gapstab.stability import equivariance_residual
 
 
 def test_algebra_validation():
@@ -707,10 +708,100 @@ _FOURIER_DEFECT_REPS = {
 }
 
 
+def _law_sq_loop(phi, g, h):
+    """||phi(gh) - phi(g)phi(h)||_2^2 for one pair, by a label product and the
+    algebra's 2-norm: an oracle independent of the stacked kernels."""
+    grp = phi.group
+    return phi.algebra.norm2(phi.images[grp.mul(g, h)] - phi.images[g] * phi.images[h]) ** 2
+
+
 def _uniform_pairwise(phi):
-    """The uniform defect as the mean of the law residuals of all pairs."""
-    n = phi.group.order
-    return float(algebra._law_sq(phi, *np.divmod(np.arange(n * n), n)).mean())
+    """The uniform defect as the mean of the per-pair loop over all pairs."""
+    els = phi.group.elements
+    return sum(_law_sq_loop(phi, g, h) for g in els for h in els) / len(els) ** 2
+
+
+@pytest.mark.parametrize("stack_entries", [None, 2 * 6 * 6])
+def test_law_grid_matches_pair_loop(monkeypatch, stack_entries):
+    """The grid kernel against the per-pair loop on a noisy regular
+    representation of S3 on two blocks: every entry of a rows x columns
+    grid, the defect over two weighted supports and both sides of the
+    equivariance residual, also with rows and columns split over chunks,
+    none of whose residuals exceeds _STACK_ENTRIES entries."""
+    if stack_entries is not None:
+        monkeypatch.setattr(algebra, "_STACK_ENTRIES", stack_entries)
+    phi = _noisy_rep(_two_block_rep(symmetric_group(3), 4), 0.1, 5)
+    grp, els = phi.group, phi.group.elements
+    rows, cols = [5, 0, 3], [1, 4, 2, 5, 0]
+    chunks = []
+    square = np.square
+    with monkeypatch.context() as m:
+        # each chunk's residual is squared once, in place, as float pairs
+        m.setattr(np, "square", lambda x, out: chunks.append(x.size // 2) or square(x, out=out))
+        grid = algebra._law_sq(phi, rows, cols)
+    assert grid.shape == (3, 5)
+    assert max(chunks) <= algebra._STACK_ENTRIES
+    assert len(chunks) > 2 if stack_entries is not None else len(chunks) == 2
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            assert grid[i, j] == pytest.approx(_law_sq_loop(phi, els[r], els[c]), rel=1e-12)
+
+    mu = ProbMeasure(grp, {els[1]: Fraction(1, 3), els[4]: Fraction(2, 3)})
+    nu = ProbMeasure(grp, {els[0]: Fraction(1, 6), els[2]: Fraction(1, 2), els[5]: Fraction(1, 3)})
+    ref = sum(
+        float(wg * wh) * _law_sq_loop(phi, g, h)
+        for g, wg in mu.items_nonzero()
+        for h, wh in nu.items_nonzero()
+    )
+    assert ref > 1e-4
+    assert defect(phi, mu, nu) == pytest.approx(ref, rel=1e-12)
+
+    sub = [els[0], els[1]]  # the identity and the transposition (1 2)
+    assert grp.is_subgroup(sub)
+    for side, pairs in (
+        ("left", [(h, g) for h in sub for g in els]),
+        ("right", [(g, h) for g in els for h in sub]),
+    ):
+        want = max(math.sqrt(_law_sq_loop(phi, a, b)) for a, b in pairs)
+        assert equivariance_residual(phi, sub, side) == pytest.approx(want, rel=1e-12)
+
+
+def _noise_unitary_loop(n, sigma, rng):
+    """e^{i sigma H} drawn alone: the oracle of the batched noise kernel."""
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2
+    nrm = np.linalg.norm(h, 2)
+    if nrm > 0:
+        h /= nrm
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * sigma * vals)) @ vecs.conj().T
+
+
+@pytest.mark.parametrize(
+    "dims, count, stack_entries",
+    [((8,), 20, None), ((2, 3), 7, None), ((4,), 11, 40), ((2, 3), 5, 20)],
+)
+def test_noise_unitaries_equal_one_at_a_time_draws(monkeypatch, dims, count, stack_entries):
+    """The batched noise kernel yields, bit for bit, the unitaries of a loop
+    that draws one per count and block in turn, and leaves the generator in
+    the same state; no batched eigh holds more than _STACK_ENTRIES entries
+    (or one draw's block)."""
+    if stack_entries is not None:
+        monkeypatch.setattr(algebra, "_STACK_ENTRIES", stack_entries)
+    batched, alone = np.random.default_rng(3), np.random.default_rng(3)
+    sizes = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda h: sizes.append(h.size) or eigh(h))
+        got = list(algebra._noise_unitaries(dims, count, 0.3, batched))
+    want = [[_noise_unitary_loop(n, 0.3, alone) for n in dims] for _ in range(count)]
+    assert len(got) == count
+    for blocks, ref in zip(got, want):
+        assert all(np.array_equal(u, r) for u, r in zip(blocks, ref, strict=True))
+    assert batched.random() == alone.random()
+    assert max(sizes) <= max(algebra._STACK_ENTRIES, max(dims) ** 2)
+    if stack_entries is not None:
+        assert len(sizes) > len(dims)  # several chunks
 
 
 @pytest.mark.parametrize("case", sorted(_FOURIER_DEFECT_REPS))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gapstab import algebra
-from gapstab.abelian import boolean_group, rep_from_pvm
+from gapstab.abelian import AbelianGroup, boolean_group, rep_from_pvm
 from gapstab.algebra import PVM, AlgebraElement, TracialAlgebra, haar_unitary
 from gapstab.codes import LinearCode
 from gapstab.errors import GapstabError, InvalidArgument, ResourceCap
@@ -344,6 +344,41 @@ def test_perturb_strategy_zero_sigma():
     assert abs(value(game, same) - 1.0) < 1e-12
     with pytest.raises(InvalidArgument):
         perturb_strategy(strat, -0.1, np.random.default_rng(6))
+
+
+def test_conjugated_identity_unit_is_one_product_on_hamming():
+    """A PVM whose unit is the identity moves it to u u*, one product per
+    block, equal entry for entry to the two products (u 1) u*, on every
+    question of the Hamming strategy under its noise unitaries."""
+    honest = honest_strategy(named_game("hamming"))
+    alg = honest.algebra
+    noise = algebra._noise_unitaries(alg.dims, len(honest.pvms), 0.05, np.random.default_rng(8))
+    for pvm, blocks in zip(honest.pvms.values(), noise):
+        assert pvm._unit_is_one
+        moved = pvm.conjugated(AlgebraElement(alg, blocks))
+        for u, unit in zip(blocks, moved.unit.blocks, strict=True):
+            assert np.array_equal(unit, (u @ np.eye(len(u))) @ u.conj().T)
+
+
+def test_pauli_signs_index_the_outcomes_in_one_call(monkeypatch):
+    """A pauli_x/pauli_z pair maps its PVM's outcomes to element indices with
+    one array call: each sign row takes one AbelianGroup.index call (its
+    parameter's character row), not one more per outcome.  A pair takes at
+    most two rows, the observable's (cached per parameter) and, on answer
+    groups of order at most 16 as here, the explicit cross-check's."""
+    game = named_game("hamming")
+    strat = perturb_strategy(honest_strategy(game), 0.05, np.random.default_rng(1))
+    pauli_pairs = sum(
+        game._rule_for(x, y)[0][0] in ("pauli_x", "pauli_z") for x, y in game.mu
+    )
+    calls = []
+    index = AbelianGroup.index
+    monkeypatch.setattr(AbelianGroup, "index", lambda self, g: calls.append(g) or index(self, g))
+    got = value(game, strat)
+    outcomes = len(strat["PX"].outcomes)
+    assert pauli_pairs < len(calls) <= 2 * pauli_pairs < outcomes * pauli_pairs
+    monkeypatch.undo()
+    assert got == pytest.approx(value(expand_rules(game), strat), abs=1e-12)
 
 
 # -- closeness and the bridge ------------------------------------------------------

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gapstab import algebra, stability, suites
+from gapstab import algebra, groups, stability, suites
 from gapstab.abelian import (
     AbelianGroup,
     boolean_group,
@@ -29,6 +29,7 @@ from gapstab.algebra import (
 from gapstab.errors import (
     GapstabError,
     InvalidArgument,
+    InvalidRepresentation,
     PreconditionViolation,
     ResourceCap,
 )
@@ -372,6 +373,94 @@ def test_fourier_rounding_matches_dense(case):
     assert abs(rf["pi_residual"] - rep_residual(fourier.pi)) <= 1e-14
 
 
+@pytest.mark.parametrize("sampled", [False, True], ids=["every-pair", "sampled"])
+@pytest.mark.parametrize(
+    "case", ["boolean3", "two-block", "repetition-extension", "s4-permutation", "c2xs3"]
+)
+def test_pi_residual_is_a_fresh_worst_residual_over_the_occurring_irreps(
+    monkeypatch, case, sampled
+):
+    """pi_residual, read from the residuals kept beside the group's irreps,
+    equals bit for bit one fresh _worst_residual over the irreps that occur
+    in the corner, on every pair and on the sampled pairs."""
+    if sampled:
+        monkeypatch.setattr(algebra, "_LAW_COST_LIMIT", 0)
+    make, sigma, seed = _ORACLE_CASES[case]
+    phi = suites._noisy_hom(make(), sigma, np.random.default_rng(seed))
+    cert = gowers_hatami_round(phi)
+    group = phi.group
+    families = group.irrep_stacks()
+    occurring = sorted({
+        fq
+        for m, s in zip(phi.algebra.dims, phi.stacks)
+        for fq in stability._fourier_round_block(group.order, m, families, s)["irreps"]
+    })
+    irreps = [families[f][q] for f, q in occurring]
+    pairs = algebra._law_pairs(group, cert.corner.dims)
+    assert len(pairs[0]) == (64 if sampled else group.order**2)
+    fresh = algebra._worst_residual(
+        [s.shape[-1] for s in irreps], len(pairs[0]), algebra._law_residuals(irreps, pairs)
+    )
+    assert cert.intermediates["pi_residual"] == fresh
+
+
+def test_irrep_law_residuals_are_computed_once_per_group(monkeypatch):
+    """Rounding two maps of one group computes each irrep's law residual
+    once: the first rounding takes one _worst_residual per irrep (every one
+    of S3's three occurs near its regular representation), the second none;
+    the sampled-pair regime keeps its own residuals."""
+    group = symmetric_group(3)
+    rep = regular_rep(group)
+    calls = []
+    worst = groups._worst_residual
+    monkeypatch.setattr(groups, "_worst_residual", lambda *a: calls.append(a[0]) or worst(*a))
+    rng = np.random.default_rng(4)
+    first = gowers_hatami_round(suites._noisy_hom(rep, 0.05, rng))
+    assert sorted(calls) == [(1,), (1,), (2,)]
+    second = gowers_hatami_round(suites._noisy_hom(rep, 0.1, rng))
+    assert len(calls) == 3
+    assert first.intermediates["pi_residual"] == second.intermediates["pi_residual"]
+    monkeypatch.setattr(algebra, "_LAW_COST_LIMIT", 0)
+    gowers_hatami_round(suites._noisy_hom(rep, 0.05, rng))
+    gowers_hatami_round(suites._noisy_hom(rep, 0.05, rng))
+    assert len(calls) == 6
+
+
+def test_a_corrupted_irrep_family_is_refused_at_its_first_use(monkeypatch):
+    """The irreps are checked unitary once, where the group builds them: a
+    character family with one image off by 1e-3 is refused, with its
+    residual, by the first rounding and by the defect, and nothing is
+    cached.  The sound family is built and checked on the next call; later
+    roundings validate neither the irreps nor the corner representation."""
+    group = cyclic(4)
+    phi = suites._noisy_hom(regular_rep(group), 0.05, np.random.default_rng(2))
+    build = AbelianGroup._build_irreps
+
+    def corrupted(self):
+        fam = build(self)[0].copy()
+        fam[1, 2] *= 1.001
+        return [fam]
+
+    with monkeypatch.context() as m:
+        m.setattr(AbelianGroup, "_build_irreps", corrupted)
+        with pytest.raises(InvalidRepresentation, match="irrep images are not unitary") as err:
+            gowers_hatami_round(phi)
+        assert err.value.residual == pytest.approx(1.001**2 - 1, rel=1e-6)
+        with pytest.raises(InvalidRepresentation):
+            defect(phi)
+        assert group._irreps is None
+    gowers_hatami_round(phi)  # builds and checks the sound family
+    checks = []
+    for module in (algebra, groups):
+        exact = module._exact_residuals
+        monkeypatch.setattr(
+            module, "_exact_residuals", lambda *a, f=exact: checks.append(1) or f(*a)
+        )
+    cert = gowers_hatami_round(phi)
+    assert cert.intermediates["pi_residual"] < 1e-12
+    assert not checks  # neither the irreps nor pi are validated again
+
+
 def test_rep_residual_of_a_rounded_map_takes_few_operator_norms(monkeypatch):
     """The law residuals of the S4 representation rounded by the dense
     oracle are rounding noise.  Taken in descending Frobenius order, few of
@@ -458,7 +547,7 @@ def test_twisted_defect_identity_is_checked(monkeypatch):
     rng = np.random.default_rng(21)
     u, v = _pauli_reps(2)
     alg = u.algebra
-    noise = AlgebraElement(alg, [algebra._noise_unitary(4, 0.2, rng)])
+    noise = AlgebraElement(alg, [next(algebra._noise_unitaries((4,), 1, 0.2, rng))[0]])
     v = UnitaryRep(v.group, alg, {b: noise * v(b) * noise.H for b in v.group.elements})
     grp = u.group
 
@@ -625,7 +714,7 @@ def test_twisted_cut_matches_per_element_oracle():
     rng = np.random.default_rng(21)
     u, v = _pauli_reps(2)
     alg = u.algebra
-    noise = AlgebraElement(alg, [algebra._noise_unitary(4, 0.05, rng)])
+    noise = AlgebraElement(alg, [next(algebra._noise_unitaries((4,), 1, 0.05, rng))[0]])
     v = UnitaryRep(v.group, alg, {b: noise * v(b) * noise.H for b in v.group.elements})
     grp = u.group
     res = round_twisted_pair(u, v, lambda a, chi: int(grp.pairing(chi, a)))
