@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -133,7 +134,17 @@ class TracialAlgebra:
         return AlgebraElement(self, mats)
 
     def identity(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.dims])
+        """The identity, built on the first call and shared by every later
+        caller (every PVM whose unit it is): its blocks are read-only, so an
+        in-place write to one raises ``ValueError``."""
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> "AlgebraElement":
+        blocks = [np.eye(n, dtype=complex) for n in self.dims]
+        for b in blocks:
+            b.flags.writeable = False
+        return AlgebraElement(self, blocks)
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.zeros((n, n), complex) for n in self.dims])
@@ -377,11 +388,15 @@ class PVM:
 
     ``outcomes`` is the list of labels; ``unit`` defaults to the algebra
     identity but may be any projection (for measures living in a corner).
+    A unit of None is the algebra's one read-only identity
+    (:meth:`TracialAlgebra.identity`), shared by every such PVM on that
+    algebra rather than copied into each.
     ``projections`` lists one element per outcome, or gives one ``(k, n, n)``
     stack per block in ``outcomes`` order (see :func:`_read_only_stacks`).
     They are copied once into read-only stacks (``stacks``); ``pvm[a]`` and
     ``projections`` are elements whose blocks are views into those stacks,
-    and ``index(a)`` is the position of outcome ``a`` in them.
+    built on first read, and ``index(a)`` is the position of outcome ``a``
+    in them.
 
     Validation: every projection is self-adjoint and idempotent, the
     projections sum to ``unit`` and distinct projections multiply to zero,
@@ -444,14 +459,19 @@ class PVM:
         )
 
     def _store(self, algebra, outcomes, stacks, unit):
-        """Keep the family; a ``unit`` of None is the algebra identity."""
+        """Keep the family; a ``unit`` of None is the algebra's shared
+        identity."""
         self.algebra = algebra
         self.outcomes = outcomes
         self._unit_is_one = unit is None
         self.unit = algebra.identity() if unit is None else unit
         self._index = {a: i for i, a in enumerate(outcomes)}
         self.stacks = stacks
-        self.projections = [AlgebraElement(algebra, bs) for bs in zip(*stacks)]
+
+    @cached_property
+    def projections(self) -> list:
+        """One element per outcome, its blocks views into ``stacks``."""
+        return [AlgebraElement(self.algebra, bs) for bs in zip(*self.stacks)]
 
     def __getitem__(self, outcome) -> AlgebraElement:
         return self.projections[self._index[outcome]]
@@ -548,7 +568,7 @@ class AlmostHom:
     ``(|G|, n, n)`` stack per block in ``group.elements`` order (see
     :func:`_read_only_stacks`).  The images are copied once into read-only
     stacks (``stacks``); ``images[g]`` is an element whose blocks are views
-    into those stacks.
+    into those stacks, built on first read.
 
     Validation: every image u satisfies ||u u* - 1|| <= tol and
     ||u* u - 1|| <= tol in operator norm, screened by Frobenius norms in
@@ -584,8 +604,13 @@ class AlmostHom:
         self.stacks = tuple(stacks)
         for stack in self.stacks:
             stack.flags.writeable = False
-        self.images = {
-            g: AlgebraElement(algebra, bs) for g, bs in zip(group.elements, zip(*self.stacks))
+
+    @cached_property
+    def images(self) -> dict:
+        """Every group element's image, its blocks views into ``stacks``."""
+        return {
+            g: AlgebraElement(self.algebra, bs)
+            for g, bs in zip(self.group.elements, zip(*self.stacks))
         }
 
     @classmethod

@@ -300,14 +300,15 @@ def _sign_observable(pvm: PVM) -> AlgebraElement:
     return pvm[1] - pvm[-1]
 
 
-def _pair_value(game: Game, strategy: SynchronousStrategy, x, y, cache):
-    """sum_{a, b} D(x, y, a, b) tau(P^x_a P^y_b) for one support pair."""
+def _pair_value(game: Game, held: dict, x, y, cache):
+    """sum_{a, b} D(x, y, a, b) tau(P^x_a P^y_b) for one support pair, the
+    PVMs of ``x`` and ``y`` read from ``held``."""
     rule, swapped = game._rule_for(x, y)
     if swapped:
         x, y = y, x  # tau(PQ) = tau(QP): evaluate in the rule's orientation
     tag, param = rule
-    alg = strategy.algebra
-    px, py = strategy[x], strategy[y]
+    px, py = held[x], held[y]
+    alg = px.algebra
 
     def accepted(pairs):
         """sum over the accepted (a, b) of Re tau(P^x_a P^y_b)."""
@@ -355,32 +356,63 @@ def value(game: Game, strategy: SynchronousStrategy) -> float:
     sum_a <a, .> P_a (one trace per pair instead of a sum over the whole
     answer group); on answer groups of order at most 16 each such pair is
     cross-checked against the literal double sum.  The literal table of
-    every rule is :func:`expand_rules`.
+    every rule is :func:`expand_rules`.  The strategy's PVMs go through
+    :func:`_value_terms` as one stream, so their order does not change the
+    number.
     """
-    return _value_terms(game, strategy)[0]
+    return _value_terms(game, strategy.pvms.items())[0]
 
 
-def _value_terms(game: Game, strategy: SynchronousStrategy) -> tuple:
-    """The value and its terms {(x, y): mu(x, y) times the pair's value}, from
-    one pass over the support of mu with one cache for every pair."""
-    missing = [x for pair in game.mu for x in pair if x not in strategy.pvms]
+def _value_terms(game: Game, pvms, keep=()) -> tuple:
+    """The value, its terms {(x, y): mu(x, y) times the pair's value} and the
+    PVMs of the questions in ``keep``, from one pass over a stream ``pvms``
+    of ``(question, PVM)`` pairs.
+
+    The pair terms are summed in ``game.mu`` order, with one cache for every
+    pair, whatever the order of the stream: a PVM is held from its arrival
+    until its question's last support pair has been summed, and then dropped
+    unless its question is in ``keep``.  A stream in the order of ``game.mu``
+    (an honest strategy and its perturbations, one omega label after another)
+    thus holds one sub-game at a time.  Each question's answer set is checked
+    once, as its PVM arrives.  The whole stream is read; a question of a
+    support pair that never arrives, then a PVM whose outcomes are not the
+    question's answer set (the first in ``game.mu`` order), raise
+    :class:`InvalidArgument`.
+    """
+    pairs = list(game.mu.items())
+    last = {q: t for t, (pair, _) in enumerate(pairs) for q in pair}
+    held, kept, terms, cache = {}, {}, {}, {}
+    seen, mismatched = set(), set()
+    total = 0.0
+    t = 0
+    for x, pvm in pvms:
+        seen.add(x)
+        if x in keep:
+            kept[x] = pvm
+        if x not in last:
+            continue
+        if set(pvm.outcomes) != set(game.answers[x]):
+            mismatched.add(x)
+        if mismatched:
+            continue  # read on, so a missing question is still reported first
+        held[x] = pvm
+        while t < len(pairs) and all(q in held for q in pairs[t][0]):
+            (a, b), p = pairs[t]
+            terms[(a, b)] = term = float(p) * _pair_value(game, held, a, b, cache)
+            total += term
+            for q in (a, b):
+                if last[q] == t:
+                    held.pop(q, None)
+            t += 1
+    missing = [x for pair in game.mu for x in pair if x not in seen]
     if missing:
         raise InvalidArgument(f"strategy lacks PVMs for {sorted(set(map(repr, missing)))}")
-    for pair in game.mu:
-        for q in pair:
-            have = set(strategy[q].outcomes)
-            want = set(game.answers[q])
-            if have != want:
-                raise InvalidArgument(f"answer set mismatch at question {q!r}")
-    cache = {}
-    terms = {}
-    total = 0.0
-    for (x, y), p in game.mu.items():
-        terms[(x, y)] = t = float(p) * _pair_value(game, strategy, x, y, cache)
-        total += t
+    if mismatched:
+        q = next(q for pair in game.mu for q in pair if q in mismatched)
+        raise InvalidArgument(f"answer set mismatch at question {q!r}")
     if total < -1e-9 or total > 1 + 1e-9:
         raise GapstabError(f"game value {total} escaped [0, 1]")
-    return min(max(total, 0.0), 1.0), terms
+    return min(max(total, 0.0), 1.0), terms, kept
 
 
 def expand_rules(game: Game, cap: int = 4096) -> Game:
@@ -950,17 +982,26 @@ def perturb_strategy(
     angle.  Each conjugated PVM carries a residual bound derived from the
     honest PVM's and from the unitarity residual of e^{i sigma H} (see
     :meth:`PVM.conjugated`); it is validated in full only when that bound
-    exceeds half of ``VALIDATION_TOL``.
+    exceeds half of ``VALIDATION_TOL``.  The PVMs come from
+    :func:`_perturbed_pvms`, which a caller that needs only the value and a
+    few PVMs can stream instead, without holding the perturbed strategy.
     """
+    return SynchronousStrategy(strategy.algebra, dict(_perturbed_pvms(strategy, sigma, rng)))
+
+
+def _perturbed_pvms(strategy: SynchronousStrategy, sigma: float, rng):
+    """``(question, conjugated PVM)`` pairs of :func:`perturb_strategy`, in
+    strategy order, each PVM formed only when it is drawn: the noise is
+    drawn chunk by chunk as the pairs are read, in the same order as when
+    they are all read at once.  A negative sigma raises at once."""
     if sigma < 0:
         raise InvalidArgument("perturbation size must be nonnegative")
     alg = strategy.algebra
     noise = _noise_unitaries(alg.dims, len(strategy.pvms), sigma, rng)
-    out = {
-        x: pvm.conjugated(AlgebraElement(alg, blocks))
+    return (
+        (x, pvm.conjugated(AlgebraElement(alg, blocks)))
         for (x, pvm), blocks in zip(strategy.pvms.items(), noise)
-    }
-    return SynchronousStrategy(alg, out)
+    )
 
 
 # -- rigidity ---------------------------------------------------------------------
@@ -985,7 +1026,7 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
     if game.h_group is None or not game.case_of:
         raise InvalidArgument("the game does not carry combined-game structure")
     group = game.h_group
-    val, terms = _value_terms(game, strategy)
+    val, terms, _ = _value_terms(game, strategy.pvms.items())
     eps = 1.0 - val
     # one minus the conditional value of each of the three combined-game cases
     masses = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}

@@ -35,6 +35,8 @@ from .games import (
     SynchronousStrategy,
     _commuting_pvms,
     _grid_pvms,
+    _perturbed_pvms,
+    _value_terms,
     anticommutation_bound_check,
     commutation_bound_check,
     commutation_game,
@@ -513,9 +515,14 @@ def rigidity_sweep(
 ):
     """Perturbation sweep: per-point (sigma, eps, lhs, bound, closeness).
 
-    With ``full_report`` the end-to-end rigidity report runs per point and
-    the closeness distance is recorded; otherwise only the twisted
-    commutation defect is checked against 1320 c c' eps.
+    With ``full_report`` each point perturbs ``honest`` into a strategy and
+    runs the end-to-end rigidity report on it, and the closeness distance is
+    recorded.  Otherwise only the twisted commutation defect is checked
+    against 1320 c c' eps, and the perturbed strategy is never held: its
+    PVMs stream from the perturbation into the value (``_value_terms``),
+    which drops each one after its last support pair and keeps only PX and
+    PZ for the defect.  Both paths draw the same noise and sum the value in
+    the same order, so their eps and lhs agree bit for bit.
     """
     group = game.h_group
     dual = group.dual()
@@ -524,8 +531,8 @@ def rigidity_sweep(
     points = []
     for j, sigma in enumerate(sigmas):
         rng = _rng(seed, spawn_base + j)
-        strat = perturb_strategy(honest, float(sigma), rng)
         if full_report:
+            strat = perturb_strategy(honest, float(sigma), rng)
             rep = pauli_rigidity_report(game, strat)
             points.append(
                 {
@@ -538,9 +545,11 @@ def rigidity_sweep(
                 }
             )
         else:
-            eps = 1.0 - value(game, strat)
+            stream = _perturbed_pvms(honest, float(sigma), rng)
+            val, _, pauli = _value_terms(game, stream, keep=("PX", "PZ"))
+            eps = 1.0 - val
             lhs = twisted_defect(
-                rep_from_pvm(strat["PX"], group), rep_from_pvm(strat["PZ"], dual)
+                rep_from_pvm(pauli["PX"], group), rep_from_pvm(pauli["PZ"], dual)
             )
             points.append(
                 {

@@ -1031,6 +1031,39 @@ def test_pvm_projections_are_read_only_views_of_the_stacks():
         pvm.stacks[1][0] += 1.0
 
 
+def test_identity_unit_pvms_share_one_read_only_unit():
+    """Every PVM whose unit is the identity holds the algebra's one identity,
+    not a copy of its own, and nobody can write to it."""
+    alg = TracialAlgebra([(2, Fraction(1, 3)), (3, Fraction(2, 3))])
+    first = PVM(alg, ["x", "y"], _random_pvm(alg, ["x", "y"], 11).stacks)
+    second = PVM(alg, [0, 1, 2], _random_pvm(alg, [0, 1, 2], 12).stacks)
+    assert first.unit is second.unit is alg.identity()
+    for a, b, n in zip(first.unit.blocks, second.unit.blocks, alg.dims, strict=True):
+        assert a is b
+        assert np.array_equal(a, np.eye(n))
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        alg.identity().blocks[1] += 1.0
+    u = alg.element([haar_unitary(n, np.random.default_rng(3)) for n in alg.dims])
+    assert first.conjugated(u).unit is not first.unit
+
+
+def test_element_views_are_built_on_first_read():
+    """A PVM's ``projections`` and a map's ``images`` are built when first
+    read, once, from the stacks; validation and the stacked kernels read
+    only the stacks."""
+    alg = TracialAlgebra([(2, Fraction(1, 3)), (3, Fraction(2, 3))])
+    pvm = _random_pvm(alg, ["x", "y", "z"], 11)
+    assert "projections" not in vars(pvm)
+    assert pvm["y"] is pvm.projections[1]
+    assert "projections" in vars(pvm)
+    rep = _two_block_rep(cyclic(3), 9)
+    assert "images" not in vars(rep)
+    assert rep((1,)) is rep.images[(1,)]
+    assert np.shares_memory(rep((1,)).blocks[1], rep.stacks[1])
+
+
 def test_pvm_without_outcomes_is_rejected():
     alg = TracialAlgebra([(2, Fraction(1, 2)), (3, Fraction(1, 2))])
     with pytest.raises(InvalidPVM, match="sum residual 1"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from gapstab.games import (
     _sign_pvm,
     _TAU_X,
     _TAU_Z,
+    _value_terms,
     anticommutation_bound_check,
     closeness,
     combined_game,
@@ -41,9 +43,11 @@ from gapstab.games import (
     perturb_strategy,
     strategy_from_jsonable,
     strategy_to_jsonable,
+    twisted_defect,
     unitary_pvm_bridge,
     value,
 )
+from gapstab.spectral import kappa
 from gapstab.suites import named_game, rigidity_sweep
 
 
@@ -605,3 +609,92 @@ def test_trusted_conjugation_leaves_every_number_unchanged(monkeypatch):
     trusted = run()
     monkeypatch.setattr(algebra, "_conjugation_bound", lambda *args: math.inf)
     assert run() == trusted
+
+
+# -- the streamed value and the quick sweep ------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["repetition", "hamming"])
+def test_quick_sweep_equals_the_materialised_strategy(name):
+    """The quick sweep streams each point's perturbed PVMs into the value;
+    perturbing the whole strategy, taking ``value`` and the twisted defect of
+    PX and PZ on the same draws gives every number bit for bit."""
+    game = named_game(name)
+    honest = honest_strategy(game)
+    group, dual = game.h_group, game.h_group.dual()
+    c_alpha = float(kappa(group, game.alpha_law).kappa)
+    c_beta = float(kappa(dual, game.beta_law).kappa)
+    sigmas = [0.01, 0.05, 0.2]
+    for spawn_base in (0, 5):
+        points = rigidity_sweep(
+            game, honest, sigmas, seed=7, full_report=False, spawn_base=spawn_base
+        )
+        for j, (sigma, pt) in enumerate(zip(sigmas, points, strict=True)):
+            seq = np.random.SeedSequence(entropy=7, spawn_key=(spawn_base + j,))
+            strat = perturb_strategy(honest, sigma, np.random.default_rng(seq))
+            eps = 1.0 - value(game, strat)
+            lhs = twisted_defect(rep_from_pvm(strat["PX"], group), rep_from_pvm(strat["PZ"], dual))
+            assert pt["eps"] == eps and pt["lhs"] == lhs
+            assert pt["bound"] == 1320.0 * c_alpha * c_beta * eps
+            assert pt["cc_eps"] == c_alpha * c_beta * eps
+    with pytest.raises(InvalidArgument, match="perturbation size must be nonnegative"):
+        rigidity_sweep(game, honest, [-0.1], full_report=False)
+
+
+def test_value_does_not_depend_on_the_pvm_order():
+    """A strategy whose PVMs come in the reverse of ``game.mu`` order has the
+    same value and the same pair terms, bit for bit."""
+    game = named_game("hamming")
+    strat = perturb_strategy(honest_strategy(game), 0.05, np.random.default_rng(2))
+    backwards = SynchronousStrategy(strat.algebra, dict(reversed(list(strat.pvms.items()))))
+    assert list(backwards.pvms)[-1] == "PX"
+    assert value(game, backwards) == value(game, strat)
+    val, terms, kept = _value_terms(game, backwards.pvms.items(), keep=("PZ",))
+    assert (val, terms) == _value_terms(game, strat.pvms.items())[:2]
+    assert kept == {"PZ": strat["PZ"]}
+
+
+def _raised(game, alg, pvms) -> str:
+    """The message of the InvalidArgument (not a subclass) that value raises."""
+    with pytest.raises(InvalidArgument) as info:
+        value(game, SynchronousStrategy(alg, pvms))
+    assert info.type is InvalidArgument
+    return str(info.value)
+
+
+def test_value_errors_keep_their_types_and_messages():
+    """A question of the support that has no PVM is reported first, with
+    every such question; otherwise the first question in ``game.mu`` order
+    whose PVM has other outcomes than its answer set."""
+    game = commutation_game((-1, 1), (-1, 1))
+    strat = _diag_strategy()
+    alg = strat.algebra
+    relabelled = {
+        x: PVM(alg, range(len(pvm)), pvm.stacks) for x, pvm in strat.pvms.items()
+    }
+    assert _raised(game, alg, {"x2": strat["x2"]}) == "strategy lacks PVMs for [\"'x1'\", \"'y'\"]"
+    assert _raised(game, alg, {"x2": relabelled["x2"]}) == "strategy lacks PVMs for [\"'x1'\", \"'y'\"]"
+    # x2 arrives first, but y comes first in game.mu order
+    mismatched = {"x1": strat["x1"], "x2": relabelled["x2"], "y": relabelled["y"]}
+    assert _raised(game, alg, mismatched) == "answer set mismatch at question 'y'"
+    assert _raised(game, alg, {**strat.pvms, "x2": relabelled["x2"]}) == (
+        "answer set mismatch at question 'x2'"
+    )
+
+
+def test_quick_hamming_point_holds_no_perturbed_strategy():
+    """Under tracemalloc, which sees numpy's buffers, a quick Hamming sweep
+    point peaks well below the honest strategy's projections: it holds one
+    omega label's perturbed PVMs at a time, plus PX and PZ, never a whole
+    perturbed strategy beside the honest one."""
+    game = named_game("hamming")
+    honest = honest_strategy(game)
+    projections = sum(s.nbytes for pvm in honest.pvms.values() for s in pvm.stacks)
+    rigidity_sweep(game, honest, [0.05], full_report=False)  # fill the caches once
+    tracemalloc.start()
+    try:
+        rigidity_sweep(game, honest, [0.05], full_report=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * projections
