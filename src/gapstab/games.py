@@ -28,14 +28,13 @@ from .algebra import (
     TracialAlgebra,
     UnitaryRep,
     _noise_unitaries,
-    _pair_defects,
     _trace_pairing,
     _weighted_sums,
 )
 from .codes import LinearCode, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument, ResourceCap
 from .spectral import ProbMeasure
-from .stability import _check_bound, _pauli_pair, _pullback_sq, _round_pauli
+from .stability import _check_bound, _pauli_extension, _pauli_pair, _pullback_sq, _round_pauli
 
 COMMUTATION_PROJECTION_CONSTANT = 16.0
 COMMUTATION_UNITARY_CONSTANT = 64.0
@@ -250,11 +249,6 @@ class SynchronousStrategy:
 
     def __getitem__(self, x) -> PVM:
         return self.pvms[x]
-
-    def restricted(self, questions) -> "SynchronousStrategy":
-        return SynchronousStrategy(
-            self.algebra, {x: self.pvms[x] for x in questions}
-        )
 
 
 def strategy_to_jsonable(strategy: SynchronousStrategy) -> dict:
@@ -983,8 +977,9 @@ def perturb_strategy(
     honest PVM's and from the unitarity residual of e^{i sigma H} (see
     :meth:`PVM.conjugated`); it is validated in full only when that bound
     exceeds half of ``VALIDATION_TOL``.  The PVMs come from
-    :func:`_perturbed_pvms`, which a caller that needs only the value and a
-    few PVMs can stream instead, without holding the perturbed strategy.
+    :func:`_perturbed_pvms`, which the rigidity sweep streams instead into
+    the one rigidity core, quick and full points alike, without holding the
+    perturbed strategy.
     """
     return SynchronousStrategy(strategy.algebra, dict(_perturbed_pvms(strategy, sigma, rng)))
 
@@ -1007,12 +1002,6 @@ def _perturbed_pvms(strategy: SynchronousStrategy, sigma: float, rng):
 # -- rigidity ---------------------------------------------------------------------
 
 
-def twisted_defect(u_rep: UnitaryRep, v_rep: UnitaryRep) -> float:
-    """E_{h,chi} ||U(h)V(chi) - chi(h) V(chi) U(h)||_2^2, uniform over the
-    group of ``u_rep`` and its dual, the group of ``v_rep``."""
-    return float(_pair_defects(u_rep, v_rep, u_rep.group.character_table().T).mean())
-
-
 def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
     """Measure a strategy's rigidity: value, defects, bounds, closeness.
 
@@ -1022,11 +1011,25 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
     reports the strategy-level closeness certificate of the corner strategy
     it induces, together with the unitary/PVM bridge residual.  The value,
     the case values and the pair's defects and gap constants come once each.
+    The strategy's PVMs stream into :func:`_rigidity`, the one implementation
+    the rigidity sweep shares, which checks the rounding cap before it reads
+    a PVM.
+    """
+    return _rigidity(game, strategy.algebra, strategy.pvms.items(), rounding=True)
+
+
+def _rigidity(game: Game, algebra: TracialAlgebra, pvms, rounding: bool) -> dict:
+    """The rigidity report of a strategy on ``algebra`` whose PVMs come as a
+    stream ``pvms`` of ``(question, PVM)`` pairs, read once by
+    :func:`_value_terms`, which holds only PX and PZ past their last pair.
+    With ``rounding`` the extension is built and the rounding cap checked
+    before the stream is read; without it the report stops at ``prop_ratio``.
     """
     if game.h_group is None or not game.case_of:
         raise InvalidArgument("the game does not carry combined-game structure")
-    group = game.h_group
-    val, terms, _ = _value_terms(game, strategy.pvms.items())
+    group, dual = game.h_group, game.h_group.dual()
+    ext = _pauli_extension(group, dual, algebra.dims) if rounding else None
+    val, terms, kept = _value_terms(game, pvms, keep=("PX", "PZ"))
     eps = 1.0 - val
     # one minus the conditional value of each of the three combined-game cases
     masses = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
@@ -1039,22 +1042,12 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
 
     _check_bound(eps_sum, 3.0 * eps, "sum of per-case defects")
 
-    u_rep = rep_from_pvm(strategy["PX"], group)
-    v_rep = rep_from_pvm(strategy["PZ"], group.dual())
-    pair = _pauli_pair(u_rep, v_rep, game.alpha_law, game.beta_law, rounding=True)
+    u_rep = rep_from_pvm(kept["PX"], group)
+    v_rep = rep_from_pvm(kept["PZ"], dual)
+    pair = _pauli_pair(u_rep, v_rep, game.alpha_law, game.beta_law, ext)
     lhs, c_alpha, c_beta = float(pair.defects.mean()), pair.k_mu, pair.k_nu
     prop_bound = COMBINED_CONSTANT * c_alpha * c_beta * eps
     _check_bound(lhs, prop_bound, "twisted commutation defect")
-
-    tr = _round_pauli(pair).rounding
-    corner_strategy = SynchronousStrategy(
-        tr.u_tilde.algebra,
-        {
-            "PX": pvm_from_rep(tr.u_tilde),
-            "PZ": pvm_from_rep(tr.v_tilde),
-        },
-    )
-    cert = closeness(strategy.restricted(["PX", "PZ"]), corner_strategy, tr.w)
     report = {
         "value": val,
         "epsilon": eps,
@@ -1067,17 +1060,26 @@ def pauli_rigidity_report(game: Game, strategy: SynchronousStrategy) -> dict:
         "prop_bound": prop_bound,
         "prop_constant": COMBINED_CONSTANT,
         "prop_ratio": lhs / prop_bound if prop_bound > 1e-300 else None,
-        "rounding_epsilon": tr.epsilon,
-        "rounding_distance_u": tr.distance_u,
-        "rounding_distance_v": tr.distance_v,
-        "relation_residual": tr.relation_residual,
-        "closeness": cert.report(),
-        "closeness_constant": (
+    }
+    if not rounding:
+        return report
+
+    tr = _round_pauli(pair).rounding
+    corner = {"PX": pvm_from_rep(tr.u_tilde), "PZ": pvm_from_rep(tr.v_tilde)}
+    corner_strategy = SynchronousStrategy(tr.u_tilde.algebra, corner)
+    cert = closeness(SynchronousStrategy(algebra, kept), corner_strategy, tr.w)
+    report.update(
+        rounding_epsilon=tr.epsilon,
+        rounding_distance_u=tr.distance_u,
+        rounding_distance_v=tr.distance_v,
+        relation_residual=tr.relation_residual,
+        closeness=cert.report(),
+        closeness_constant=(
             cert.strategy_distance / (c_alpha * c_beta * eps) if eps > 1e-300 else None
         ),
         # the unitary/PVM bridge: E_a ||U(a) - w* U~(a) w||^2 is the rounding's
         # distance_u, sum_chi ||P_chi - w* P~_chi w||^2 the certificate's PX term
-        "bridge_residual": abs(tr.distance_u - cert.per_question["PX"]),
-        "certificate": cert,
-    }
+        bridge_residual=abs(tr.distance_u - cert.per_question["PX"]),
+        certificate=cert,
+    )
     return report

@@ -760,20 +760,29 @@ def commutator_amplification_check(
 _PauliPair = namedtuple("_PauliPair", "u v mu nu k_mu k_nu gamma defects ext")
 
 
-def _pauli_pair(u_rep, v_rep, mu, nu, rounding: bool = False) -> _PauliPair:
-    """Check the groups and, for a rounding, the exponent and the rounding
-    cap, before any amplification work; then build the pair."""
-    a_grp, d_grp = u_rep.group, v_rep.group
+def _pauli_extension(a_grp, d_grp, dims=None):
+    """Check the groups of a Pauli pair; for a rounding on blocks of sizes
+    ``dims``, also the exponent, and return the central extension of A x A^
+    by the pairing once the rounding cap is checked on it.  Needs no PVM."""
     if not isinstance(a_grp, AbelianGroup) or not isinstance(d_grp, AbelianGroup):
         raise InvalidArgument("twisted pairs need abelian groups")
-    if rounding and a_grp.exponent > 2:
+    if dims is not None and a_grp.exponent > 2:
         raise InvalidArgument("the first group must be abelian of exponent 2")
     if a_grp.orders != d_grp.orders:
         raise InvalidArgument("the second group must be the dual of the first")
-    ext = None
-    if rounding:
-        ext = CentralExtensionGroup(a_grp, d_grp, lambda a, chi: int(a_grp.pairing(chi, a)))
-        _check_rounding_dim(ext, u_rep.algebra.dims)
+    if dims is None:
+        return None
+    ext = CentralExtensionGroup(a_grp, d_grp, lambda a, chi: int(a_grp.pairing(chi, a)))
+    _check_rounding_dim(ext, dims)
+    return ext
+
+
+def _pauli_pair(u_rep, v_rep, mu, nu, ext=None) -> _PauliPair:
+    """Build the pair on a rounding's extension ``ext`` from
+    :func:`_pauli_extension`, or without one once the groups are checked."""
+    a_grp, d_grp = u_rep.group, v_rep.group
+    if ext is None:
+        _pauli_extension(a_grp, d_grp)
     gamma = a_grp.character_table().T
     defects = _pair_defects(u_rep, v_rep, gamma)
     k_mu, k_nu = float(kappa(a_grp, mu).kappa), float(kappa(d_grp, nu).kappa)
@@ -875,7 +884,8 @@ def round_pauli_pair(
     kappa(nu) * integral, and the composed constant is reported explicitly.
     The output w is a partial isometry with ||1 - w* w||_2^2 recorded.
     """
-    return _round_pauli(_pauli_pair(u_rep, v_rep, mu, nu, rounding=True))
+    ext = _pauli_extension(u_rep.group, v_rep.group, u_rep.algebra.dims)
+    return _round_pauli(_pauli_pair(u_rep, v_rep, mu, nu, ext))
 
 
 def _round_pauli(pair: _PauliPair) -> PauliRoundingResult:

@@ -32,11 +32,12 @@ from .algebra import (
 from .codes import code_new, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument
 from .games import (
+    COMBINED_CONSTANT,
     SynchronousStrategy,
     _commuting_pvms,
     _grid_pvms,
     _perturbed_pvms,
-    _value_terms,
+    _rigidity,
     anticommutation_bound_check,
     commutation_bound_check,
     commutation_game,
@@ -44,13 +45,11 @@ from .games import (
     honest_strategy,
     magic_square_game,
     pauli_pvms,
-    pauli_rigidity_report,
     perturb_strategy,
-    twisted_defect,
     value,
 )
 from .groups import ProductGroup, symmetric_group
-from .spectral import ProbMeasure, kappa, poincare_residual
+from .spectral import ProbMeasure, poincare_residual
 
 _SLACK_REL = 1e-9
 _SLACK_ABS = 1e-12
@@ -515,52 +514,30 @@ def rigidity_sweep(
 ):
     """Perturbation sweep: per-point (sigma, eps, lhs, bound, closeness).
 
-    With ``full_report`` each point perturbs ``honest`` into a strategy and
-    runs the end-to-end rigidity report on it, and the closeness distance is
-    recorded.  Otherwise only the twisted commutation defect is checked
-    against 1320 c c' eps, and the perturbed strategy is never held: its
-    PVMs stream from the perturbation into the value (``_value_terms``),
-    which drops each one after its last support pair and keeps only PX and
-    PZ for the defect.  Both paths draw the same noise and sum the value in
-    the same order, so their eps and lhs agree bit for bit.
+    Each point streams the PVMs of ``honest`` perturbed at sigma into the
+    one rigidity implementation, ``games._rigidity``, which drops each PVM
+    after its last support pair and keeps only PX and PZ, so no perturbed
+    strategy is held.  Every point checks the twisted commutation defect
+    against 1320 c c' eps.  ``full_report`` selects whether the PX/PZ pair
+    is also rounded and the closeness distance recorded; the rounding cap is
+    then checked before any noise is drawn.  Both modes draw the same noise
+    and sum the value in the same order, so their eps and lhs agree bit for
+    bit.
     """
-    group = game.h_group
-    dual = group.dual()
-    c_alpha = float(kappa(group, game.alpha_law).kappa)
-    c_beta = float(kappa(dual, game.beta_law).kappa)
     points = []
     for j, sigma in enumerate(sigmas):
-        rng = _rng(seed, spawn_base + j)
-        if full_report:
-            strat = perturb_strategy(honest, float(sigma), rng)
-            rep = pauli_rigidity_report(game, strat)
-            points.append(
-                {
-                    "sigma": float(sigma),
-                    "eps": rep["epsilon"],
-                    "lhs": rep["prop_lhs"],
-                    "bound": rep["prop_bound"],
-                    "closeness": rep["closeness"]["strategy_distance"],
-                    "cc_eps": c_alpha * c_beta * rep["epsilon"],
-                }
-            )
-        else:
-            stream = _perturbed_pvms(honest, float(sigma), rng)
-            val, _, pauli = _value_terms(game, stream, keep=("PX", "PZ"))
-            eps = 1.0 - val
-            lhs = twisted_defect(
-                rep_from_pvm(pauli["PX"], group), rep_from_pvm(pauli["PZ"], dual)
-            )
-            points.append(
-                {
-                    "sigma": float(sigma),
-                    "eps": eps,
-                    "lhs": lhs,
-                    "bound": 1320.0 * c_alpha * c_beta * eps,
-                    "closeness": None,
-                    "cc_eps": c_alpha * c_beta * eps,
-                }
-            )
+        stream = _perturbed_pvms(honest, float(sigma), _rng(seed, spawn_base + j))
+        rep = _rigidity(game, honest.algebra, stream, rounding=full_report)
+        points.append(
+            {
+                "sigma": float(sigma),
+                "eps": rep["epsilon"],
+                "lhs": rep["prop_lhs"],
+                "bound": rep["prop_bound"],
+                "closeness": rep["closeness"]["strategy_distance"] if full_report else None,
+                "cc_eps": rep["c_alpha"] * rep["c_beta"] * rep["epsilon"],
+            }
+        )
     return points
 
 
@@ -579,7 +556,10 @@ def suite_prop24(trials: int = 200, seed: int = 7) -> SuiteResult:
     qubit; the rounding fits easily) and the closeness-vs-eps log-log slope
     is fitted there; the other half check the twisted commutation bound on
     the Hamming game at four qubits, where only the inequality itself is
-    measured; a full Hamming report would add about 0.3 s per point.
+    measured; a full Hamming report would add about 0.3 s per point.  Both
+    halves stream their perturbed PVMs through the one rigidity core of
+    :func:`rigidity_sweep`, the full points with the rounding cap checked
+    first.
     """
     per_game = max(trials // 2, 2)
     sigmas = np.logspace(-2.2, -0.45, per_game)
@@ -622,7 +602,7 @@ def suite_prop24(trials: int = 200, seed: int = 7) -> SuiteResult:
         failures += 1
     return SuiteResult(
         "prop24",
-        1320.0,
+        COMBINED_CONSTANT,
         len(rows),
         failures,
         worst,

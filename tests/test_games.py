@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapstab import algebra
+from gapstab import algebra, games, stability, suites
 from gapstab.abelian import AbelianGroup, boolean_group, rep_from_pvm
 from gapstab.algebra import PVM, AlgebraElement, TracialAlgebra, haar_unitary
 from gapstab.codes import LinearCode
@@ -25,6 +25,7 @@ from gapstab.games import (
     _sign_pvm,
     _TAU_X,
     _TAU_Z,
+    _rigidity,
     _value_terms,
     anticommutation_bound_check,
     closeness,
@@ -43,7 +44,6 @@ from gapstab.games import (
     perturb_strategy,
     strategy_from_jsonable,
     strategy_to_jsonable,
-    twisted_defect,
     unitary_pvm_bridge,
     value,
 )
@@ -617,8 +617,8 @@ def test_trusted_conjugation_leaves_every_number_unchanged(monkeypatch):
 @pytest.mark.parametrize("name", ["repetition", "hamming"])
 def test_quick_sweep_equals_the_materialised_strategy(name):
     """The quick sweep streams each point's perturbed PVMs into the value;
-    perturbing the whole strategy, taking ``value`` and the twisted defect of
-    PX and PZ on the same draws gives every number bit for bit."""
+    perturbing the whole strategy, taking ``value`` and the mean of the pair
+    defects of PX and PZ on the same draws gives every number bit for bit."""
     game = named_game(name)
     honest = honest_strategy(game)
     group, dual = game.h_group, game.h_group.dual()
@@ -633,7 +633,8 @@ def test_quick_sweep_equals_the_materialised_strategy(name):
             seq = np.random.SeedSequence(entropy=7, spawn_key=(spawn_base + j,))
             strat = perturb_strategy(honest, sigma, np.random.default_rng(seq))
             eps = 1.0 - value(game, strat)
-            lhs = twisted_defect(rep_from_pvm(strat["PX"], group), rep_from_pvm(strat["PZ"], dual))
+            u, v = rep_from_pvm(strat["PX"], group), rep_from_pvm(strat["PZ"], dual)
+            lhs = float(algebra._pair_defects(u, v, group.character_table().T).mean())
             assert pt["eps"] == eps and pt["lhs"] == lhs
             assert pt["bound"] == 1320.0 * c_alpha * c_beta * eps
             assert pt["cc_eps"] == c_alpha * c_beta * eps
@@ -698,3 +699,87 @@ def test_quick_hamming_point_holds_no_perturbed_strategy():
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * projections
+
+
+def _report_numbers(report):
+    """A rigidity report without its certificate object, whose numbers the
+    ``closeness`` entry carries."""
+    return {k: v for k, v in report.items() if k != "certificate"}
+
+
+@pytest.mark.parametrize("name", ["repetition", "hamming"])
+def test_full_sweep_point_equals_the_report_on_the_materialised_strategy(name, monkeypatch):
+    """A full sweep point streams its perturbed PVMs into the rigidity core;
+    the report on the whole perturbed strategy, drawn with the same rng, has
+    every number of the point and of the streamed report bit for bit,
+    closeness included."""
+    game = named_game(name)
+    honest = honest_strategy(game)
+    streamed = []
+
+    def kept(*args, **kwargs):
+        streamed.append(_rigidity(*args, **kwargs))
+        return streamed[-1]
+
+    monkeypatch.setattr(suites, "_rigidity", kept)
+    sigmas = [0.01, 0.05, 0.2]
+    for spawn_base in (0, 5):
+        streamed.clear()
+        points = rigidity_sweep(
+            game, honest, sigmas, seed=7, full_report=True, spawn_base=spawn_base
+        )
+        for j, (sigma, pt) in enumerate(zip(sigmas, points, strict=True)):
+            seq = np.random.SeedSequence(entropy=7, spawn_key=(spawn_base + j,))
+            strat = perturb_strategy(honest, sigma, np.random.default_rng(seq))
+            rep = pauli_rigidity_report(game, strat)
+            assert pt == {
+                "sigma": sigma,
+                "eps": rep["epsilon"],
+                "lhs": rep["prop_lhs"],
+                "bound": rep["prop_bound"],
+                "closeness": rep["closeness"]["strategy_distance"],
+                "cc_eps": rep["c_alpha"] * rep["c_beta"] * rep["epsilon"],
+            }
+            assert _report_numbers(streamed[j]) == _report_numbers(rep)
+
+
+def _unreadable():
+    """A stream whose first ``next()`` raises."""
+    raise AssertionError("a PVM was read")
+    yield
+
+
+def test_a_refused_rounding_reads_no_pvm(monkeypatch):
+    """Under a cap of 511 the Hamming rounding (extension order 512) is
+    refused before the report reads its first PVM, and before a full sweep
+    point draws its first noise unitary."""
+    game = named_game("hamming")
+    honest = honest_strategy(game)
+    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 511)
+    strat = SynchronousStrategy(honest.algebra, {})
+    strat.pvms = type("Unreadable", (), {"items": staticmethod(_unreadable)})()
+    with pytest.raises(ResourceCap, match="512"):
+        pauli_rigidity_report(game, strat)
+    with pytest.raises(ResourceCap, match="512"):
+        _rigidity(game, honest.algebra, _unreadable(), rounding=True)
+    monkeypatch.setattr(games, "_noise_unitaries", lambda *args: _unreadable())
+    with pytest.raises(ResourceCap, match="512"):
+        rigidity_sweep(game, honest, [0.05], full_report=True)
+
+
+def test_full_hamming_point_holds_no_perturbed_strategy():
+    """Under tracemalloc, a full Hamming sweep point, rounding included,
+    peaks below three times the honest strategy's projections: it streams
+    the perturbed PVMs as the quick point does and keeps only PX and PZ for
+    the rounding."""
+    game = named_game("hamming")
+    honest = honest_strategy(game)
+    projections = sum(s.nbytes for pvm in honest.pvms.values() for s in pvm.stacks)
+    rigidity_sweep(game, honest, [0.05], full_report=True)  # fill the caches once
+    tracemalloc.start()
+    try:
+        rigidity_sweep(game, honest, [0.05], full_report=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * projections

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gapstab.cli as cli
+import gapstab.games as games
 import gapstab.stability as stability
 import gapstab.suites as suites
 from gapstab.abelian import cyclic, regular_rep
@@ -290,14 +291,14 @@ def test_cli_sweep(tmp_path, capsys):
 
 def test_cli_sweep_keeps_the_probe_point(monkeypatch, tmp_path):
     """The full report that probes the rounding cap is the sweep's first
-    point: three points cost three reports, and the CSV holds exactly the
-    points of one uninterrupted sweep."""
+    point: three points cost three rigidity reports, and the CSV holds
+    exactly the points of one uninterrupted sweep."""
     calls = []
-    report = suites.pauli_rigidity_report
+    report = suites._rigidity
 
-    def counted(game, strat):
-        calls.append(strat)
-        return report(game, strat)
+    def counted(game, algebra, pvms, rounding):
+        calls.append(rounding)
+        return report(game, algebra, pvms, rounding)
 
     out = tmp_path / "sweep.csv"
     code = [
@@ -305,9 +306,9 @@ def test_cli_sweep_keeps_the_probe_point(monkeypatch, tmp_path):
         "--points", "3", "--sigma-min", "0.05", "--sigma-max", "0.2",
         "--out", str(out),
     ]
-    monkeypatch.setattr(suites, "pauli_rigidity_report", counted)
+    monkeypatch.setattr(suites, "_rigidity", counted)
     assert main(code) == 0
-    assert len(calls) == 3
+    assert calls == [True, True, True]
     game = named_game("repetition")
     sigmas = np.logspace(np.log10(0.05), np.log10(0.2), 3)
     points = rigidity_sweep(game, honest_strategy(game), sigmas, seed=DEFAULT_SEED)
@@ -343,10 +344,26 @@ def test_sweep_defect_matches_report():
     assert all(p["lhs"] > 0 for p in quick)
 
 
-def test_cli_sweep_hamming_falls_back_to_left_side(capsys):
+def test_cli_sweep_hamming_falls_back_to_left_side(monkeypatch, capsys):
     """Under a cap of 511 the Hamming rounding (extension order and largest
     Fourier block 512) is refused, so the sweep reports the twisted defect
-    against 1320 c c' eps alone."""
+    against 1320 c c' eps alone.  The cap is checked first, so the refused
+    probe draws no noise and computes no value: two reported points cost two
+    value passes and two strategies' worth of noise unitaries."""
+    values, unitaries = [], []
+    value_terms, noise = games._value_terms, games._noise_unitaries
+
+    def counted_values(*args, **kwargs):
+        values.append(1)
+        return value_terms(*args, **kwargs)
+
+    def counted_noise(*args):
+        for u in noise(*args):
+            unitaries.append(1)
+            yield u
+
+    monkeypatch.setattr(games, "_value_terms", counted_values)
+    monkeypatch.setattr(games, "_noise_unitaries", counted_noise)
     code = [
         "sweep", "--game", "hamming", "--dim-cap", "511",
         "--points", "2", "--sigma-min", "0.05", "--sigma-max", "0.1",
@@ -355,3 +372,5 @@ def test_cli_sweep_hamming_falls_back_to_left_side(capsys):
     out = capsys.readouterr().out
     assert "reporting the left side only" in out
     assert "2 points, 0 violations" in out
+    assert len(values) == 2
+    assert len(unitaries) == 2 * len(honest_strategy(named_game("hamming")).pvms)
