@@ -26,7 +26,9 @@ multiplication-law checks all go through it.  A validated PVM records a bound
 on its residuals, and its conjugate by a near-unitary takes a bound derived
 from that one and from the unitarity residual (``_conjugation_bound``)
 instead of a second validation, unless the derived bound exceeds half the
-tolerance.  :func:`rep_residual` takes operator norms only of the residuals
+tolerance.  Such a conjugate, and a PVM whose projections are formed exactly
+(the perfect strategies of ``games``), is stored through ``PVM._trusted``
+with its bound.  :func:`rep_residual` takes operator norms only of the residuals
 whose Frobenius norm could exceed the worst one found.  The uniform defect of
 a map is read off its Fourier blocks over the group's irreps
 (``_fourier_blocks``, ``_fourier_defect``), which the Gowers-Hatami rounding
@@ -407,7 +409,7 @@ class PVM:
     on every one of these operator-norm residuals, in exact arithmetic on the
     stored projections and as validation computes them: the largest screened
     or exact norm plus the rounding of :func:`_rounding_slack`, or, for a
-    PVM from :meth:`conjugated`, the bound derived there.
+    PVM from :meth:`_trusted`, the bound its builder derived.
     """
 
     def __init__(self, algebra, outcomes, projections, unit=None, tol=VALIDATION_TOL):
@@ -504,12 +506,22 @@ class PVM:
         bound = _conjugation_bound(self.residual, u.blocks, len(self.outcomes))
         if not bound <= VALIDATION_TOL / 2:
             return PVM(self.algebra, self.outcomes, stacks, unit=unit)
+        return PVM._trusted(self.algebra, self.outcomes, stacks, bound, unit=unit)
+
+    @classmethod
+    def _trusted(cls, algebra, outcomes, stacks, residual: float, unit=None) -> "PVM":
+        """An instance on projection stacks built from checked parts, such as
+        the conjugate of a validated PVM (:meth:`conjugated`) or projections
+        formed exactly from signed permutations (``games._exact_pvm``): one
+        ``(k, n, n)`` complex array per block in ``outcomes`` order, made
+        read-only in place, not copied and not validated again.
+        ``residual`` is the caller's bound on the validation residuals."""
+        obj = cls.__new__(cls)
         for s in stacks:
             s.flags.writeable = False
-        moved = PVM.__new__(PVM)
-        moved._store(self.algebra, list(self.outcomes), tuple(stacks), unit)
-        moved.residual = bound
-        return moved
+        obj._store(algebra, list(outcomes), tuple(stacks), unit)
+        obj.residual = residual
+        return obj
 
 
 # Rounding in the residual bounds of PVMs, with u = 2^-53.  A computed product

@@ -28,11 +28,12 @@ from .algebra import (
     TracialAlgebra,
     UnitaryRep,
     _noise_unitaries,
+    _rounding_slack,
     _trace_pairing,
     _weighted_sums,
 )
 from .codes import LinearCode, measure_from_code, random_code
-from .errors import GapstabError, InvalidArgument, ResourceCap
+from .errors import GapstabError, InvalidArgument, InvalidPVM, ResourceCap
 from .spectral import ProbMeasure
 from .stability import _check_bound, _pauli_extension, _pauli_pair, _pullback_sq, _round_pauli
 
@@ -668,6 +669,140 @@ def anticommutation_bound_check(
     )
 
 
+# -- exact PVMs from signed permutations --------------------------------------------
+
+
+class SignedPerm:
+    """A real signed permutation matrix O, with O[i, perm[i]] = sign[i].
+
+    The two integer arrays make products, Kronecker products and comparisons
+    exact.  ``perm`` must be a permutation of range(d) and ``sign`` a
+    matching array of +-1 integers; anything else raises
+    :class:`InvalidArgument`.  Such an O is orthogonal, so it is a
+    self-adjoint involution exactly when its square is the identity.
+    """
+
+    __slots__ = ("perm", "sign")
+
+    def __init__(self, perm, sign):
+        perm, sign = np.asarray(perm), np.asarray(sign)
+        if (
+            perm.ndim != 1
+            or sign.shape != perm.shape
+            or perm.dtype.kind not in "iu"
+            or sign.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(perm), np.arange(len(perm)))
+            or not np.isin(sign, (-1, 1)).all()
+        ):
+            raise InvalidArgument(
+                "not a signed permutation: perm must permute range(d), sign be +-1"
+            )
+        self.perm = perm.astype(np.intp)
+        self.sign = sign.astype(np.int8)
+
+    @classmethod
+    def _of(cls, perm, sign) -> "SignedPerm":
+        """An instance on arrays already known to form a signed permutation,
+        such as a product of two: kept as they are, not checked."""
+        obj = cls.__new__(cls)
+        obj.perm, obj.sign = perm, sign
+        return obj
+
+    @classmethod
+    def identity(cls, d: int) -> "SignedPerm":
+        return cls._of(np.arange(d), np.ones(d, dtype=np.int8))
+
+    def is_scalar(self, s: int = 1) -> bool:
+        """Whether this is ``s`` times the identity."""
+        return bool((self.perm == np.arange(len(self))).all() and (self.sign == s).all())
+
+    def __len__(self):
+        return len(self.perm)
+
+    def __matmul__(self, other: "SignedPerm") -> "SignedPerm":
+        if len(other) != len(self):
+            raise InvalidArgument(f"signed permutations of sizes {len(self)} and {len(other)}")
+        return SignedPerm._of(other.perm[self.perm], self.sign * other.sign[self.perm])
+
+    def kron(self, other: "SignedPerm") -> "SignedPerm":
+        """The Kronecker product, ``self`` the outer factor."""
+        perm = self.perm[:, None] * len(other) + other.perm
+        return SignedPerm._of(perm.ravel(), (self.sign[:, None] * other.sign).ravel())
+
+    def __eq__(self, other):
+        return bool(
+            len(self) == len(other)
+            and (self.perm == other.perm).all()
+            and (self.sign == other.sign).all()
+        )
+
+    __hash__ = None
+
+
+_SIGMA_X = SignedPerm([1, 0], [1, 1])
+_SIGMA_Z = SignedPerm([0, 1], [1, -1])
+_ONE_QUBIT = SignedPerm.identity(2)
+
+
+def _exact_pvm(alg, outcomes, stack) -> PVM:
+    """The PVM of ``outcomes`` on one (k, n, n) stack of projections formed
+    exactly in binary64, stored through :meth:`PVM._trusted`.
+
+    The stack is the caller's exact projections (dyadic entries of signed
+    permutations), so every validation residual is exactly zero and the
+    recorded ``residual`` is the rounding slack alone, the value a full
+    validation records.  The one check left is completeness, exact on these
+    entries: the projections must sum to the identity, else a nonzero
+    projection is missing and :class:`InvalidPVM` is raised.
+    """
+    outcomes = list(outcomes)
+    stack = np.asarray(stack, dtype=complex)
+    n = stack.shape[-1]
+    if len(set(outcomes)) != len(outcomes):
+        raise InvalidPVM("duplicate outcome labels")
+    if not np.array_equal(stack.sum(axis=0), np.eye(n)):
+        raise InvalidPVM("the projections do not sum to the identity")
+    return PVM._trusted(alg, outcomes, (stack,), _rounding_slack(n, len(outcomes)))
+
+
+def _joint_stack(signs: np.ndarray, ops) -> np.ndarray:
+    """prod_k (1 + b_k O_k) / 2 for every row b of the (K, m) array of signs
+    ``signs``, as a complex (K, d, d) stack, from one pass over the 2^m
+    subset products O_S: the projection is 2^-m sum_S (prod_{k in S} b_k) O_S.
+    Every O_S is a signed permutation, so each entry is a sum of terms
+    +-2^-m, formed exactly (one ``bincount`` over the K 2^m d nonzero
+    entries), and a zero entry is +0."""
+    count, m = signs.shape
+    d = len(ops[0])
+    terms = [(SignedPerm.identity(d), np.full(count, 0.5**m))]
+    for o, s in zip(ops, signs.T):
+        terms += [(op @ o, coef * s) for op, coef in terms]
+    # entry (b, i, perm_S[i]) of outcome b receives coef_S[b] sign_S[i]
+    cells = np.arange(d) * d + np.array([op.perm for op, _ in terms])
+    cells = (np.arange(count) * d * d)[:, None, None] + cells
+    values = np.array([coef[:, None] * op.sign for op, coef in terms]).transpose(1, 0, 2)
+    flat = np.bincount(cells.ravel(), weights=values.ravel(), minlength=count * d * d)
+    return flat.reshape(count, d, d).astype(complex)
+
+
+def _spectral_pvm(alg, outcomes, signs, ops) -> PVM:
+    """The PVM taking each label of ``outcomes`` to the joint spectral
+    projection of the commuting self-adjoint involutions ``ops`` at the
+    matching sign tuple of ``signs``.  The laws of ``ops`` are checked
+    exactly, and a failure raises :class:`GapstabError`, before any stack
+    is formed."""
+    for o in ops:
+        if not (o @ o).is_scalar():
+            raise GapstabError("an observable is not a self-adjoint involution")
+    for a, b in itertools.combinations(ops, 2):
+        if a @ b != b @ a:
+            raise GapstabError("the observables do not commute")
+    if any(len(b) != len(ops) or not set(b) <= {-1, 1} for b in signs):
+        raise InvalidPVM(f"outcomes must be tuples of {len(ops)} signs +-1")
+    signs = np.array(signs, dtype=int).reshape(len(signs), len(ops))
+    return _exact_pvm(alg, outcomes, _joint_stack(signs, ops))
+
+
 # -- Pauli PVMs -------------------------------------------------------------------
 
 # the one-qubit X- and Z-basis projections, indexed by the outcome bit
@@ -680,7 +815,9 @@ def pauli_pvms(n: int):
 
     Outcomes are the elements of (Z/2)^n read as characters (X side) and
     group elements (Z side); the associated unitary representations are the
-    translations and the modulations.
+    translations and the modulations.  The projections are Kronecker
+    products of the exact one-qubit ones, so they are stored through
+    :func:`_exact_pvm` with completeness checked exactly.
     """
     if n < 1:
         raise InvalidArgument("the number of qubits must be positive")
@@ -693,9 +830,17 @@ def pauli_pvms(n: int):
     x_stack = z_stack = np.ones((1, 1, 1))
     for _ in range(n):
         x_stack, z_stack = np.kron(x_stack, _TAU_X), np.kron(z_stack, _TAU_Z)
-    tau_x = PVM(alg, list(group.elements), [x_stack])
-    tau_z = PVM(alg, list(group.elements), [z_stack])
-    return tau_x, tau_z
+    return _exact_pvm(alg, group.elements, x_stack), _exact_pvm(alg, group.elements, z_stack)
+
+
+def _pauli(letter: SignedPerm, bits) -> SignedPerm:
+    """letter^{bits_1} (x) ... (x) letter^{bits_n}, first bit outermost: X^h
+    for ``_SIGMA_X`` and Z^chi for ``_SIGMA_Z``, the images of h and chi
+    under the representations of the Pauli PVMs (:func:`rep_from_pvm`)."""
+    out = SignedPerm.identity(1)
+    for b in bits:
+        out = out.kron(letter if b else _ONE_QUBIT)
+    return out
 
 
 # -- the combined game ------------------------------------------------------------
@@ -833,9 +978,6 @@ def gn_game(n: int, code_source=None, rng=None) -> Game:
 # -- honest strategies ------------------------------------------------------------
 
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 _GRID_WORDS = {
     (1, 1): ("P",),
     (1, 2): ("Z",),
@@ -849,79 +991,69 @@ _GRID_WORDS = {
 }
 
 
-def _magic_grid(p_mat, q_mat, tol=1e-10):
-    """Nine involutions completing the anticommuting pair (p, q).
+def _magic_grid(p: SignedPerm, q: SignedPerm) -> dict:
+    """Nine involutions completing the anticommuting pair (p, q), as signed
+    permutations on twice the dimension.
 
     p and q sit at the distinguished cells; an auxiliary qubit supplies a
     second anticommuting pair, and every remaining cell is the product of
     commuting generators.  The grid laws (self-adjoint involutions, lines
     pairwise commuting, line products equal to the line signs) are checked
-    numerically and a failure is a construction bug, never silent.
+    exactly, and a failure raises :class:`GapstabError`.
     """
-    d = p_mat.shape[0]
+    one = SignedPerm.identity(len(p))
     gens = {
-        "P": np.kron(p_mat, np.eye(2)),
-        "Q": np.kron(q_mat, np.eye(2)),
-        "X": np.kron(np.eye(d), _SIGMA_X),
-        "Z": np.kron(np.eye(d), _SIGMA_Z),
+        "P": p.kron(_ONE_QUBIT),
+        "Q": q.kron(_ONE_QUBIT),
+        "X": one.kron(_SIGMA_X),
+        "Z": one.kron(_SIGMA_Z),
     }
     grid = {}
     for cell, word in _GRID_WORDS.items():
-        m = np.eye(2 * d, dtype=complex)
-        for letter in word:
+        m = gens[word[0]]
+        for letter in word[1:]:
             m = m @ gens[letter]
         grid[cell] = m
-    eye = np.eye(2 * d)
     for cell, m in grid.items():
-        if np.max(np.abs(m - m.conj().T)) > tol or np.max(np.abs(m @ m - eye)) > tol:
+        if not (m @ m).is_scalar():
             raise GapstabError(f"grid observable at {cell} is not an involution")
     for line in _LINES:
         cells = line_cells(line)
-        prod = np.eye(2 * d, dtype=complex)
-        for c in cells:
-            prod = prod @ grid[c]
-        if np.max(np.abs(prod - line_sign(line) * eye)) > tol:
-            raise GapstabError(f"grid line {line} has the wrong product")
         for c1, c2 in itertools.combinations(cells, 2):
-            if np.max(np.abs(grid[c1] @ grid[c2] - grid[c2] @ grid[c1])) > tol:
+            if grid[c1] @ grid[c2] != grid[c2] @ grid[c1]:
                 raise GapstabError(f"grid line {line} is not commuting at {c1},{c2}")
+        a, b, c = (grid[cell] for cell in cells)
+        if not (a @ b @ c).is_scalar(line_sign(line)):
+            raise GapstabError(f"grid line {line} has the wrong product")
     return grid
 
 
-def _sign_pvm(alg, mat) -> PVM:
-    eye = np.eye(mat.shape[0])
-    return PVM(alg, [-1, 1], [[(eye - mat) / 2, (eye + mat) / 2]])
+def _sign_pvm(alg, op: SignedPerm) -> PVM:
+    """The {-1, 1} spectral PVM of a self-adjoint involution."""
+    return _spectral_pvm(alg, [-1, 1], [(-1,), (1,)], [op])
 
 
-def _joint_pvm(alg, outcomes, mats) -> PVM:
-    """Joint spectral PVM of commuting involutions, indexed by sign tuples.
+def _joint_pvm(alg, outcomes, ops) -> PVM:
+    """Joint spectral PVM of commuting self-adjoint involutions ``ops``,
+    indexed by sign tuples.
 
-    ``outcomes`` lists the accepted sign tuples; their joint projections
-    must sum to the identity (the rest vanish), which the PVM validation
-    enforces.
+    ``outcomes`` lists the accepted sign tuples.  Their joint projections
+    must sum to the identity, the others being zero; a list that misses a
+    nonzero one raises :class:`InvalidPVM` (see :func:`_exact_pvm`).
     """
-    eye = np.eye(mats[0].shape[0])
-    projs = []
-    for b in outcomes:
-        m = eye.astype(complex)
-        for s, obs in zip(b, mats):
-            m = m @ (eye + float(s) * obs) / 2
-        projs.append(m)
-    return PVM(alg, list(outcomes), [projs])
+    return _spectral_pvm(alg, outcomes, outcomes, ops)
 
 
 def _commuting_pvms(alg, p, q, answers) -> dict:
     """The commutation-game PVMs of commuting involutions p and q: x1 and x2
-    answer with their signs, y with their joint PVM over ``answers``."""
-    return {
-        "x1": _sign_pvm(alg, p),
-        "x2": _sign_pvm(alg, q),
-        "y": _joint_pvm(alg, answers, [p, q]),
-    }
+    answer with their signs, y with their joint PVM over ``answers``.  The
+    pair's laws are checked, by the joint PVM, before any stack is formed."""
+    joint = _joint_pvm(alg, answers, [p, q])
+    return {"x1": _sign_pvm(alg, p), "x2": _sign_pvm(alg, q), "y": joint}
 
 
 def _grid_pvms(alg, p, q, answers) -> dict:
-    """The magic-square PVMs of the verified grid around anticommuting
+    """The magic-square PVMs of the checked grid around anticommuting
     involutions p and q: each cell answers with the sign of its observable,
     each line with the joint PVM of its three cells over ``answers[line]``."""
     grid = _magic_grid(p, q)
@@ -936,32 +1068,33 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
 
     PX and PZ answer with the Pauli PVMs (tensored with the auxiliary
     identity).  Commutation branches answer with the joint PVM of the
-    commuting pair lambda(alpha) and M(beta); anticommutation branches
-    build a verified magic-square grid around that pair.
+    commuting pair X^alpha and Z^beta; anticommutation branches build the
+    magic-square grid around that pair.  Every observable is a signed
+    permutation taken from the bits of alpha and beta, its laws are checked
+    exactly, and every projection is formed exactly, so no PVM is validated
+    in floating point (see :func:`_exact_pvm`).
     """
     if game.h_group is None or not game.omega_data:
         raise InvalidArgument("the game does not carry combined-game structure")
     group = game.h_group
-    n = len(group.orders)
-    tau_x, tau_z = pauli_pvms(n)
-    lam = rep_from_pvm(tau_x, group).images
-    mod = rep_from_pvm(tau_z, group).images
-    alg = TracialAlgebra.matrix(2 ** (n + 1))
+    tau_x, tau_z = pauli_pvms(len(group.orders))
+    alg = TracialAlgebra.matrix(2 * group.order)
     # PX and PZ act as the Pauli PVMs on the qubits and trivially on the
     # auxiliary one: every projection p becomes p (x) 1_2
     pvms = {
-        q: PVM(alg, pvm.outcomes, [np.kron(pvm.stacks[0], np.eye(2)[None])])
+        q: _exact_pvm(alg, pvm.outcomes, np.kron(pvm.stacks[0], np.eye(2)[None]))
         for q, pvm in (("PX", tau_x), ("PZ", tau_z))
     }
     for w, data in game.omega_data.items():
-        p_mat = lam[data["alpha"]].blocks[0]
-        q_mat = mod[data["beta"]].blocks[0]
+        if data["alpha"] not in group or data["beta"] not in group.dual():
+            raise InvalidArgument(f"alpha/beta out of range at {w!r}")
+        p, q = _pauli(_SIGMA_X, data["alpha"]), _pauli(_SIGMA_Z, data["beta"])
         if data["sign"] == 1:
-            pw, qw = np.kron(p_mat, np.eye(2)), np.kron(q_mat, np.eye(2))
+            pw, qw = p.kron(_ONE_QUBIT), q.kron(_ONE_QUBIT)
             sub = _commuting_pvms(alg, pw, qw, game.answers[(w, "y")])
         else:
             answers = {line: game.answers[(w, line)] for line in _LINES}
-            sub = _grid_pvms(alg, p_mat, q_mat, answers)
+            sub = _grid_pvms(alg, p, q, answers)
         pvms.update(((w, key), pvm) for key, pvm in sub.items())
     return SynchronousStrategy(alg, pvms)
 

@@ -33,6 +33,9 @@ from .codes import code_new, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument
 from .games import (
     COMBINED_CONSTANT,
+    _SIGMA_X,
+    _SIGMA_Z,
+    SignedPerm,
     SynchronousStrategy,
     _commuting_pvms,
     _grid_pvms,
@@ -98,15 +101,22 @@ class SuiteResult:
 # -- suite lemma17: value forces commutation----------------------------------------
 
 
+def _conjugated_strategy(alg, pvms: dict, u) -> SynchronousStrategy:
+    """The exact PVMs ``pvms`` moved by the unitary matrix ``u``."""
+    c = AlgebraElement(alg, [u])
+    return SynchronousStrategy(alg, {x: pvm.conjugated(c) for x, pvm in pvms.items()})
+
+
 def _random_commuting_strategy(game, d: int, rng) -> SynchronousStrategy:
-    """Perfect commutation-game strategy from a random shared eigenbasis."""
+    """Perfect commutation-game strategy from a random shared eigenbasis: the
+    exact strategy of two random diagonal sign matrices, conjugated by a
+    Haar unitary."""
     alg = TracialAlgebra.matrix(d)
     u = haar_unitary(d, rng)
     s = rng.integers(0, 2, size=d) * 2 - 1
     t = rng.integers(0, 2, size=d) * 2 - 1
-    p = (u * s) @ u.conj().T
-    q = (u * t) @ u.conj().T
-    return SynchronousStrategy(alg, _commuting_pvms(alg, p, q, game.answers["y"]))
+    p, q = SignedPerm(np.arange(d), s), SignedPerm(np.arange(d), t)
+    return _conjugated_strategy(alg, _commuting_pvms(alg, p, q, game.answers["y"]), u)
 
 
 def suite_lemma17(trials: int = 500, seed: int = 7) -> SuiteResult:
@@ -158,14 +168,14 @@ def suite_lemma17(trials: int = 500, seed: int = 7) -> SuiteResult:
 
 
 def _random_grid_strategy(game, k: int, rng) -> SynchronousStrategy:
-    """Perfect magic-square strategy around a conjugated anticommuting pair."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    """Perfect magic-square strategy around a conjugated anticommuting pair:
+    the exact grid strategy around X (x) 1_k and Z (x) 1_k, conjugated by
+    u (x) 1_2 for a Haar unitary u, the auxiliary qubit last."""
     u = haar_unitary(2 * k, rng)
-    p = u @ np.kron(sx, np.eye(k)) @ u.conj().T
-    q = u @ np.kron(sz, np.eye(k)) @ u.conj().T
+    one = SignedPerm.identity(k)
     alg = TracialAlgebra.matrix(4 * k)
-    return SynchronousStrategy(alg, _grid_pvms(alg, p, q, game.answers))
+    pvms = _grid_pvms(alg, _SIGMA_X.kron(one), _SIGMA_Z.kron(one), game.answers)
+    return _conjugated_strategy(alg, pvms, np.kron(u, np.eye(2)))
 
 
 def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:

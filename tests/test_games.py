@@ -9,12 +9,13 @@ from gapstab import algebra, games, stability, suites
 from gapstab.abelian import AbelianGroup, boolean_group, rep_from_pvm
 from gapstab.algebra import PVM, AlgebraElement, TracialAlgebra, haar_unitary
 from gapstab.codes import LinearCode
-from gapstab.errors import GapstabError, InvalidArgument, ResourceCap
+from gapstab.errors import GapstabError, InvalidArgument, InvalidPVM, ResourceCap
 from gapstab.games import (
     ANTICOMMUTATION_CONSTANT,
     COMMUTATION_PROJECTION_CONSTANT,
     COMMUTATION_UNITARY_CONSTANT,
     Game,
+    SignedPerm,
     SynchronousStrategy,
     _CELLS,
     _LINES,
@@ -176,7 +177,7 @@ def test_commutation_game_empty_answers():
 
 def _magic_strategy(game, p_mat=_SIGMA_X, q_mat=_SIGMA_Z):
     grid = _magic_grid(p_mat, q_mat)
-    alg = TracialAlgebra.matrix(grid[(1, 1)].shape[0])
+    alg = TracialAlgebra.matrix(len(grid[(1, 1)]))
     pvms = {c: _sign_pvm(alg, grid[c]) for c in _CELLS}
     for line in _LINES:
         mats = [grid[c] for c in line_cells(line)]
@@ -540,6 +541,113 @@ def test_value_matches_the_literal_trace_sums(kind):
         assert value(g, strat) == pytest.approx(literal, rel=1e-12)
 
 
+# -- the float construction of perfect strategies, kept as the oracle ---------------
+#
+# The perfect strategies were built from dense float observables, every PVM
+# validated in full; the exact path must give the same stacks (bit for bit,
+# the sign of every zero included), outcome order and residual.
+
+_DENSE_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_DENSE_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def _float_magic_grid(p_mat, q_mat):
+    d = p_mat.shape[0]
+    gens = {
+        "P": np.kron(p_mat, np.eye(2)),
+        "Q": np.kron(q_mat, np.eye(2)),
+        "X": np.kron(np.eye(d), _DENSE_X),
+        "Z": np.kron(np.eye(d), _DENSE_Z),
+    }
+    grid = {}
+    for cell, word in games._GRID_WORDS.items():
+        m = np.eye(2 * d, dtype=complex)
+        for letter in word:
+            m = m @ gens[letter]
+        grid[cell] = m
+    return grid
+
+
+def _float_sign_pvm(alg, mat):
+    eye = np.eye(mat.shape[0])
+    return PVM(alg, [-1, 1], [[(eye - mat) / 2, (eye + mat) / 2]])
+
+
+def _float_joint_pvm(alg, outcomes, mats):
+    eye = np.eye(mats[0].shape[0])
+    projs = []
+    for b in outcomes:
+        m = eye.astype(complex)
+        for s, obs in zip(b, mats):
+            m = m @ (eye + float(s) * obs) / 2
+        projs.append(m)
+    return PVM(alg, list(outcomes), [projs])
+
+
+def _float_commuting_pvms(alg, p, q, answers):
+    return {
+        "x1": _float_sign_pvm(alg, p),
+        "x2": _float_sign_pvm(alg, q),
+        "y": _float_joint_pvm(alg, answers, [p, q]),
+    }
+
+
+def _float_grid_pvms(alg, p, q, answers):
+    grid = _float_magic_grid(p, q)
+    pvms = {cell: _float_sign_pvm(alg, grid[cell]) for cell in _CELLS}
+    for line in _LINES:
+        pvms[line] = _float_joint_pvm(alg, answers[line], [grid[c] for c in line_cells(line)])
+    return pvms
+
+
+def _float_pauli_pvms(n):
+    alg = TracialAlgebra.matrix(2**n)
+    x_stack = z_stack = np.ones((1, 1, 1))
+    for _ in range(n):
+        x_stack, z_stack = np.kron(x_stack, _TAU_X), np.kron(z_stack, _TAU_Z)
+    elements = list(boolean_group(n).elements)
+    return PVM(alg, elements, [x_stack]), PVM(alg, elements, [z_stack])
+
+
+def _float_honest_strategy(game):
+    group = game.h_group
+    n = len(group.orders)
+    tau_x, tau_z = _float_pauli_pvms(n)
+    lam = rep_from_pvm(tau_x, group).images
+    mod = rep_from_pvm(tau_z, group).images
+    alg = TracialAlgebra.matrix(2 ** (n + 1))
+    pvms = {
+        q: PVM(alg, pvm.outcomes, [np.kron(pvm.stacks[0], np.eye(2)[None])])
+        for q, pvm in (("PX", tau_x), ("PZ", tau_z))
+    }
+    for w, data in game.omega_data.items():
+        p_mat = lam[data["alpha"]].blocks[0]
+        q_mat = mod[data["beta"]].blocks[0]
+        if data["sign"] == 1:
+            pw, qw = np.kron(p_mat, np.eye(2)), np.kron(q_mat, np.eye(2))
+            sub = _float_commuting_pvms(alg, pw, qw, game.answers[(w, "y")])
+        else:
+            answers = {line: game.answers[(w, line)] for line in _LINES}
+            sub = _float_grid_pvms(alg, p_mat, q_mat, answers)
+        pvms.update(((w, key), pvm) for key, pvm in sub.items())
+    return SynchronousStrategy(alg, pvms)
+
+
+def _dense(o: SignedPerm) -> np.ndarray:
+    m = np.zeros((len(o), len(o)))
+    m[np.arange(len(o)), o.perm] = o.sign
+    return m
+
+
+def _assert_same_pvms(exact: dict, oracle: dict):
+    assert list(exact) == list(oracle)
+    for x, pvm in oracle.items():
+        got = exact[x]
+        assert got.outcomes == pvm.outcomes, x
+        assert [s.tobytes() for s in got.stacks] == [s.tobytes() for s in pvm.stacks], x
+        assert got.residual == pvm.residual, x
+
+
 @pytest.mark.parametrize("name", ["repetition", "hamming"])
 def test_honest_strategy_matrices_unchanged(name):
     """lambda(h) and M(chi) from rep_from_pvm give the bits of the old
@@ -563,15 +671,141 @@ def test_honest_strategy_matrices_unchanged(name):
         p, q = lam[data["alpha"]], mod[data["beta"]]
         if data["sign"] == 1:
             expected = {
-                (w, "x1"): _sign_pvm(alg, np.kron(p, eye)),
-                (w, "x2"): _sign_pvm(alg, np.kron(q, eye)),
+                (w, "x1"): _float_sign_pvm(alg, np.kron(p, eye)),
+                (w, "x2"): _float_sign_pvm(alg, np.kron(q, eye)),
             }
         else:
-            grid = _magic_grid(p, q)
-            expected = {(w, c): _sign_pvm(alg, grid[c]) for c in _CELLS}
+            grid = _float_magic_grid(p, q)
+            expected = {(w, c): _float_sign_pvm(alg, grid[c]) for c in _CELLS}
         for x, pvm in expected.items():
             for a in pvm.outcomes:
                 assert np.array_equal(strat[x][a].blocks[0], pvm[a].blocks[0])
+
+
+@pytest.mark.parametrize("name", ["repetition", "hamming", "gn4"])
+def test_exact_honest_strategy_equals_the_float_oracle(name):
+    game = gn_game(4, rng=np.random.default_rng(0)) if name == "gn4" else named_game(name)
+    _assert_same_pvms(honest_strategy(game).pvms, _float_honest_strategy(game).pvms)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_pauli_pvms_equal_the_float_oracle(n):
+    exact, oracle = pauli_pvms(n), _float_pauli_pvms(n)
+    _assert_same_pvms(dict(enumerate(exact)), dict(enumerate(oracle)))
+
+
+def test_exact_magic_square_and_commutation_strategies_equal_the_float_oracle():
+    msq = magic_square_game()
+    alg = TracialAlgebra.matrix(4)
+    exact = games._grid_pvms(alg, _SIGMA_X, _SIGMA_Z, msq.answers)
+    _assert_same_pvms(exact, _float_grid_pvms(alg, _DENSE_X, _DENSE_Z, msq.answers))
+    # a commuting pair of permutations with signs, and two diagonal ones
+    answers = commutation_game((-1, 1), (-1, 1)).answers["y"]
+    alg = TracialAlgebra.matrix(4)
+    pairs = [
+        (SignedPerm([1, 0, 3, 2], [1, 1, -1, -1]), SignedPerm([0, 1, 2, 3], [1, 1, -1, -1])),
+        (SignedPerm([0, 1, 2, 3], [1, 1, -1, -1]), SignedPerm([0, 1, 2, 3], [1, -1, 1, -1])),
+    ]
+    for p, q in pairs:
+        exact = games._commuting_pvms(alg, p, q, answers)
+        _assert_same_pvms(exact, _float_commuting_pvms(alg, _dense(p), _dense(q), answers))
+        assert value(commutation_game((-1, 1), (-1, 1)), SynchronousStrategy(alg, exact)) == 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pauli_signed_perms_equal_the_pauli_representations(n):
+    """X^h and Z^chi from their bits are the images of rep_from_pvm on the
+    Pauli PVMs."""
+    group = boolean_group(n)
+    tau_x, tau_z = pauli_pvms(n)
+    for letter, pvm in ((_SIGMA_X, tau_x), (_SIGMA_Z, tau_z)):
+        images = rep_from_pvm(pvm, group).images
+        for h in group.elements:
+            assert np.array_equal(images[h].blocks[0], _dense(games._pauli(letter, h)))
+
+
+@pytest.mark.parametrize(
+    "perm, sign",
+    [
+        ([0, 0], [1, 1]),  # not a permutation
+        ([0, 2], [1, 1]),  # out of range
+        ([1, 0], [1, 2]),  # a sign that is not +-1
+        ([1, 0], [1]),  # length mismatch
+        ([1.0, 0.0], [1, 1]),  # not integers
+        ([1, 0], [1.0, -1.0]),
+        ([[0]], [[1]]),  # not one-dimensional
+    ],
+)
+def test_signed_perm_rejects_what_is_not_one(perm, sign):
+    with pytest.raises(InvalidArgument):
+        SignedPerm(perm, sign)
+
+
+def _no_stack(*args):
+    raise AssertionError("a stack was formed before the laws were checked")
+
+
+def test_broken_laws_raise_before_any_stack(monkeypatch):
+    monkeypatch.setattr(games, "_joint_stack", _no_stack)
+    alg = TracialAlgebra.matrix(4)
+    cycle = SignedPerm([1, 2, 3, 0], [1, 1, 1, 1])  # order 4, not an involution
+    antisym = SignedPerm([1, 0, 2, 3], [1, -1, 1, 1])  # squares to -1 on a plane
+    flip, diag = SignedPerm([1, 0, 3, 2], [1, 1, 1, 1]), SignedPerm([0, 1, 2, 3], [1, -1, 1, -1])
+    answers = commutation_game((-1, 1), (-1, 1)).answers["y"]
+    for op in (cycle, antisym):
+        with pytest.raises(GapstabError, match="involution"):
+            _sign_pvm(alg, op)
+    with pytest.raises(GapstabError, match="commute"):
+        games._commuting_pvms(alg, flip, diag, answers)  # flip and diag anticommute
+    answers = magic_square_game().answers
+    with pytest.raises(GapstabError, match="involution"):
+        games._grid_pvms(alg, _SIGMA_X, _SIGMA_X, answers)  # a commuting pair
+    # an anticommuting pair always completes to a grid with the right line
+    # products, so the product check is seen against a flipped line sign
+    monkeypatch.setattr(games, "line_sign", lambda line: 1)
+    with pytest.raises(GapstabError, match=r"grid line \('v', 3\) has the wrong product"):
+        games._grid_pvms(alg, _SIGMA_X, _SIGMA_Z, answers)
+
+
+def test_an_outcome_list_missing_a_projection_raises():
+    alg = TracialAlgebra.matrix(4)
+    p, q = SignedPerm([0, 1, 2, 3], [1, 1, -1, -1]), SignedPerm([0, 1, 2, 3], [1, -1, 1, -1])
+    with pytest.raises(InvalidPVM, match="sum"):
+        _joint_pvm(alg, [(1, 1), (1, -1), (-1, 1)], [p, q])
+    with pytest.raises(InvalidPVM, match="duplicate"):
+        _joint_pvm(alg, [(1, 1), (1, -1), (-1, 1), (-1, -1), (1, 1)], [p, q])
+    with pytest.raises(InvalidPVM, match="signs"):
+        _joint_pvm(alg, [(2, 1), (-2, 1), (1, -1), (-1, -1)], [p, q])
+    # zero projections may be listed: (1, 1) and (-1, -1) vanish for q = -p
+    minus_p = p @ SignedPerm([0, 1, 2, 3], [-1] * 4)
+    _joint_pvm(alg, [(1, 1), (1, -1), (-1, 1), (-1, -1)], [p, minus_p])
+
+
+def test_honest_strategy_rejects_labels_off_the_group():
+    """A game read from a file may carry any alpha and beta; the honest build
+    takes X^alpha and Z^beta from their bits only for group elements."""
+    for key, bad in (("alpha", (2, 0, 0, 0)), ("beta", (0, 1))):
+        game = named_game("hamming")
+        w = next(iter(game.omega_data))
+        game.omega_data[w] = {**game.omega_data[w], key: bad}
+        with pytest.raises(InvalidArgument, match="out of range"):
+            honest_strategy(game)
+
+
+def test_hamming_honest_and_perturbed_strategies_are_validated_once(monkeypatch):
+    """The honest PVMs are formed exactly and their noisy conjugates carry a
+    derived bound: neither goes through PVM validation."""
+    calls = []
+    full = PVM.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        full(self, *args, **kwargs)
+
+    monkeypatch.setattr(PVM, "__init__", counted)
+    honest = honest_strategy(named_game("hamming"))
+    perturb_strategy(honest, 0.05, np.random.default_rng(0))
+    assert len(honest.pvms) == 449 and calls == []
 
 
 def test_perturb_strategy_draws_the_same_unitaries():
