@@ -37,6 +37,8 @@ from .spectral import ProbMeasure, kappa
 from .suites import SUITES, _holds, named_game, rigidity_sweep, run_suite
 
 DEFAULT_SEED = 7
+# the defaults of the optional parameters, for the flags and for manifests without them
+DEFAULTS = {"game": "repetition", "points": 40, "sigma_min": 0.006, "sigma_max": 0.35, "tol": 1e-9}
 
 
 @dataclass
@@ -195,7 +197,7 @@ def _op_kappa(man: ExperimentManifest) -> int:
 
 def _op_code(man: ExperimentManifest) -> int:
     code = read_code_file(man.parameters["path"])
-    tol = float(man.parameters.get("tol", 1e-9))
+    tol = float(man.parameters.get("tol", DEFAULTS["tol"]))
     d = code.distance()
     group, mu, predicted = measure_from_code(code)
     rep = kappa(group, mu)
@@ -282,25 +284,21 @@ def _op_verify(man: ExperimentManifest) -> int:
 
 
 def _op_sweep(man: ExperimentManifest) -> int:
-    p = man.parameters
-    game = _load_game(p.get("game", "repetition"))
+    p = {**DEFAULTS, **man.parameters}
+    game = _load_game(p["game"])
     honest = honest_strategy(game)
-    points = int(p.get("points", 40))
-    lo = float(p.get("sigma_min", 0.006))
-    hi = float(p.get("sigma_max", 0.35))
+    points = int(p["points"])
+    lo, hi = float(p["sigma_min"]), float(p["sigma_max"])
     if not (0 < lo <= hi):
         raise InvalidArgument("need 0 < sigma_min <= sigma_max")
     sigmas = np.logspace(math.log10(lo), math.log10(hi), points)
-    # the probe's point is kept: point j draws its noise from (seed, j) in either call
+    # the rounding cap is checked before any noise is drawn, so a refused
+    # full sweep has drawn nothing and the quick sweep draws the same points
     try:
-        pts = rigidity_sweep(game, honest, sigmas[:1], seed=man.seed, full_report=True)
+        pts = rigidity_sweep(game, honest, sigmas, seed=man.seed, full_report=True)
     except ResourceCap:
-        pts = []
         print("rounding exceeds the dimension cap; reporting the left side only")
-    k = len(pts)
-    pts += rigidity_sweep(
-        game, honest, sigmas[k:], seed=man.seed, full_report=k > 0, spawn_base=k
-    )
+        pts = rigidity_sweep(game, honest, sigmas, seed=man.seed, full_report=False)
     header = ("sigma", "eps", "lhs", "bound", "closeness", "cc_eps")
     rows = [
         (q["sigma"], q["eps"], q["lhs"], q["bound"], q["closeness"], q["cc_eps"])
@@ -370,7 +368,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("code", help="code parameters and gap-constant cross-check")
     sp.add_argument("path")
-    sp.add_argument("--tol", type=float, default=1e-9, help="kappa agreement tolerance")
+    sp.add_argument("--tol", type=float, default=DEFAULTS["tol"], help="kappa agreement tolerance")
     _add_common(sp)
 
     sp = sub.add_parser("build-game", help="build a game file from codes")
@@ -402,10 +400,10 @@ def _build_parser() -> _Parser:
     _add_common(sp)
 
     sp = sub.add_parser("sweep", help="perturbation sweep CSV (eps vs closeness)")
-    sp.add_argument("--game", default="repetition")
-    sp.add_argument("--points", type=int, default=40)
-    sp.add_argument("--sigma-min", type=float, default=0.006)
-    sp.add_argument("--sigma-max", type=float, default=0.35)
+    sp.add_argument("--game", default=DEFAULTS["game"])
+    sp.add_argument("--points", type=int, default=DEFAULTS["points"])
+    sp.add_argument("--sigma-min", type=float, default=DEFAULTS["sigma_min"])
+    sp.add_argument("--sigma-max", type=float, default=DEFAULTS["sigma_max"])
     _add_common(sp)
 
     sp = sub.add_parser("run", help="replay a saved manifest file")

@@ -18,6 +18,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .algebra import (
     PVM,
     AlgebraElement,
     TracialAlgebra,
-    UnitaryRep,
     _noise_unitaries,
     _rounding_slack,
     _trace_pairing,
@@ -34,7 +35,7 @@ from .algebra import (
 )
 from .codes import LinearCode, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument, InvalidPVM, ResourceCap
-from .spectral import ProbMeasure
+from .spectral import ProbMeasure, kappa
 from .stability import _check_bound, _pauli_extension, _pauli_pair, _pullback_sq, _round_pauli
 
 COMMUTATION_PROJECTION_CONSTANT = 16.0
@@ -74,6 +75,13 @@ class Game:
     - ("match_coord", k): accept when a == b[k] (b a tuple answer),
     - ("pauli_x", h): accept when <chi, h> == b for a character answer chi,
     - ("pauli_z", chi): accept when <chi, h> == b for a group answer h.
+
+    A combined game (:func:`combined_game`) also holds its Pauli data once:
+    ``h_group``, the group the two Pauli rule tags pair over, and ``omega``,
+    each label taken to its weight, alpha and beta.  Everything else of the
+    Pauli structure is derived from them: the laws of alpha and beta
+    (computed once), :meth:`sign`, :meth:`case_of` and
+    :attr:`rigidity_constant`.  Other games leave both ``None``.
     """
 
     def __init__(self, questions, answers, mu, rules):
@@ -100,14 +108,9 @@ class Game:
                 raise InvalidArgument(f"support pair ({x!r}, {y!r}) off the question set")
             if (x, y) not in self.rules and (y, x) not in self.rules:
                 raise InvalidArgument(f"no decision rule for ({x!r}, {y!r})")
-        # plumbing for games with Pauli structure; populated by constructors
+        # a combined game's Pauli data, set by combined_game alone
         self.h_group = None
-        self.alpha_law = None
-        self.beta_law = None
-        self.case_of = {}
-        self.omega_data = {}
-        self.rigidity_constant = None
-        self.distinguished = {}
+        self.omega = None
 
     def _rule_for(self, x, y):
         """(rule, swapped) for an ordered support pair."""
@@ -130,66 +133,74 @@ class Game:
             return self.h_group.pairing(param, a) == b
         raise InvalidArgument(f"unknown decision tag {tag!r}")
 
-    def copy_meta_from(self, other: "Game"):
-        self.h_group = other.h_group
-        self.alpha_law = other.alpha_law
-        self.beta_law = other.beta_law
-        self.case_of = dict(other.case_of)
-        self.omega_data = dict(other.omega_data)
-        self.rigidity_constant = other.rigidity_constant
-        self.distinguished = dict(other.distinguished)
+    @cached_property
+    def alpha_law(self) -> ProbMeasure:
+        """The law of alpha on ``h_group``."""
+        return ProbMeasure(self.h_group, _marginal((g, p) for p, g, _ in self.omega.values()))
+
+    @cached_property
+    def beta_law(self) -> ProbMeasure:
+        """The law of beta on the dual of ``h_group``."""
+        dual = self.h_group.dual()
+        return ProbMeasure(dual, _marginal((g, p) for p, _, g in self.omega.values()))
+
+    @property
+    def rigidity_constant(self) -> Fraction:
+        """c c' = kappa(alpha law) kappa(beta law), the gap constants of the
+        certificate 1320 c c' epsilon; exact at exponent 2."""
+        laws = (self.alpha_law, self.beta_law)
+        return math.prod(kappa(law.group, law).kappa for law in laws)
+
+    def sign(self, w) -> int:
+        """<beta(w), alpha(w)>: 1 routes label ``w`` to the commutation
+        sub-game, -1 to the magic square."""
+        return _sign(self.h_group, self.omega[w])
+
+    @staticmethod
+    def case_of(pair) -> int:
+        """The case of a combined game's support pair: 1 for PX against a
+        sub-game question, 3 for PZ, 2 for a pair inside a sub-game."""
+        return {"PX": 1, "PZ": 3}.get(pair[0], 2)
 
     def to_jsonable(self) -> dict:
+        """Questions with their answers, mu and rules, in the game's order;
+        a combined game adds its group orders and its omega labels with
+        alpha and beta under ``meta``.  Nothing derived is written."""
         out = {
             "questions": [
                 [_encode(x), [_encode(a) for a in self.answers[x]]]
                 for x in self.questions
             ],
-            "mu": [
-                [_encode(x), _encode(y), _frac_str(p)]
-                for (x, y), p in sorted(self.mu.items(), key=repr)
-            ],
+            "mu": [[_encode(x), _encode(y), _frac_str(p)] for (x, y), p in self.mu.items()],
             "rules": [
                 [_encode(x), _encode(y), tag,
                  sorted(map(_encode, param), key=repr) if tag == "pairs" else _encode(param)]
-                for (x, y), (tag, param) in sorted(self.rules.items(), key=repr)
+                for (x, y), (tag, param) in self.rules.items()
             ],
         }
-        meta = {}
-        if self.h_group is not None:
-            meta["h_orders"] = list(self.h_group.orders)
-        if self.alpha_law is not None:
-            meta["alpha_law"] = [
-                [_encode(g), _frac_str(p)] for g, p in self.alpha_law.items_nonzero()
-            ]
-        if self.beta_law is not None:
-            meta["beta_law"] = [
-                [_encode(g), _frac_str(p)] for g, p in self.beta_law.items_nonzero()
-            ]
-        if self.case_of:
-            meta["case_of"] = [
-                [_encode(x), _encode(y), c]
-                for (x, y), c in sorted(self.case_of.items(), key=repr)
-            ]
-        if self.omega_data:
-            meta["omega"] = [
-                [_encode(w),
-                 {"alpha": _encode(d["alpha"]), "beta": _encode(d["beta"]),
-                  "sign": d["sign"]}]
-                for w, d in sorted(self.omega_data.items(), key=repr)
-            ]
-        if self.rigidity_constant is not None:
-            meta["rigidity_constant"] = _frac_str(Fraction(self.rigidity_constant))
-        if self.distinguished:
-            meta["distinguished"] = {
-                k: _encode(v) for k, v in self.distinguished.items()
+        if self.omega is not None:
+            out["meta"] = {
+                "h_orders": list(self.h_group.orders),
+                "omega": [
+                    [_encode(w), {"alpha": _encode(pt.alpha), "beta": _encode(pt.beta)}]
+                    for w, pt in self.omega.items()
+                ],
             }
-        if meta:
-            out["meta"] = meta
         return out
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "Game":
+        """The game of a file written by :meth:`to_jsonable`.
+
+        A file with ``meta.omega`` is a combined game: it is rebuilt by
+        :func:`combined_game` from ``meta.h_orders`` and the alpha and beta
+        of ``meta.omega``, the labels taken in the order they first appear
+        in ``questions`` and each weight as three times the mass of the
+        label's PX pair.  Every other ``meta`` key is ignored, and a file
+        whose questions, answers, mu or rules differ from the rebuild raises
+        :class:`InvalidArgument`, as does a file with Pauli rules and no
+        ``meta.omega``.
+        """
         questions = []
         answers = {}
         for x_enc, ans in obj["questions"]:
@@ -206,32 +217,28 @@ class Game:
             else:
                 param = _decode(param)
             rules[(_decode(x), _decode(y))] = (tag, param)
-        game = cls(questions, answers, mu, rules)
         meta = obj.get("meta", {})
-        if "h_orders" in meta:
-            game.h_group = AbelianGroup(tuple(meta["h_orders"]))
-        if "alpha_law" in meta:
-            game.alpha_law = ProbMeasure(
-                game.h_group,
-                {_decode(g): Fraction(p) for g, p in meta["alpha_law"]},
-            )
-        if "beta_law" in meta:
-            game.beta_law = ProbMeasure(
-                game.h_group.dual(),
-                {_decode(g): Fraction(p) for g, p in meta["beta_law"]},
-            )
-        for x, y, c in meta.get("case_of", []):
-            game.case_of[(_decode(x), _decode(y))] = c
-        for w_enc, d in meta.get("omega", []):
-            game.omega_data[_decode(w_enc)] = {
-                "alpha": _decode(d["alpha"]),
-                "beta": _decode(d["beta"]),
-                "sign": d["sign"],
-            }
-        if "rigidity_constant" in meta:
-            game.rigidity_constant = Fraction(meta["rigidity_constant"])
-        for k, v in meta.get("distinguished", {}).items():
-            game.distinguished[k] = _decode(v)
+        if "omega" not in meta:
+            if any(tag in ("pauli_x", "pauli_z") for tag, _ in rules.values()):
+                raise InvalidArgument("Pauli rules need the group and omega of a combined game")
+            return cls(questions, answers, mu, rules)
+        points = {_decode(w): d for w, d in meta["omega"]}
+        labels = dict.fromkeys(x[0] for x in questions if isinstance(x, tuple) and len(x) == 2)
+        if set(labels) != set(points):
+            raise InvalidArgument("the omega labels differ from the labels of the questions")
+        weight = {
+            y[0]: 3 * p for (x, y), p in mu.items() if x == "PX" and isinstance(y, tuple) and y
+        }
+        game = combined_game(
+            AbelianGroup(tuple(meta["h_orders"])),
+            {w: weight.get(w, 0) for w in labels},
+            {w: _decode(points[w]["alpha"]) for w in labels},
+            {w: _decode(points[w]["beta"]) for w in labels},
+        )
+        read = {"questions": tuple(questions), "answers": answers, "mu": mu, "rules": rules}
+        differ = [name for name, part in read.items() if getattr(game, name) != part]
+        if differ:
+            raise InvalidArgument(f"the file's {', '.join(differ)} differ from the rebuilt game")
         return game
 
     def __repr__(self):
@@ -415,7 +422,9 @@ def expand_rules(game: Game, cap: int = 4096) -> Game:
 
     Cross-check helper: values computed against the expanded game must
     agree with the tagged evaluators.  The cap bounds the answer-pair count
-    per rule.
+    per rule.  The result is a plain game with the same questions and mu
+    order: it carries no group or omega, so it writes and reloads as a plain
+    game file, and :func:`pauli_rigidity_report` refuses it.
     """
     rules = {}
     for (x, y), (tag, param) in game.rules.items():
@@ -432,9 +441,7 @@ def expand_rules(game: Game, cap: int = 4096) -> Game:
             if game.accepts(x, y, a, b)
         )
         rules[(x, y)] = ("pairs", table)
-    out = Game(game.questions, game.answers, game.mu, rules)
-    out.copy_meta_from(game)
-    return out
+    return Game(game.questions, game.answers, game.mu, rules)
 
 
 # -- closeness -------------------------------------------------------------------
@@ -508,24 +515,6 @@ def closeness(
     )
 
 
-UnitaryPvmBridge = namedtuple("UnitaryPvmBridge", ["unitary_side", "pvm_side"])
-
-
-def unitary_pvm_bridge(u_rep: UnitaryRep, v_rep: UnitaryRep, w: tuple) -> UnitaryPvmBridge:
-    """Both sides of E_h ||U(h) - w* V(h) w||_2^2 = sum_chi ||P_chi - w* Q_chi w||_2^2.
-
-    U acts on the base, V on the corner, and ``w`` holds one
-    (corner_b x base_b) matrix per block; U and V are representations of
-    the same abelian group whose PVMs are recovered by Fourier averaging.
-    The two sides are computed independently.
-    """
-    coeffs = u_rep.algebra.coeffs
-    lhs = float(_pullback_sq(w, coeffs, u_rep.stacks, v_rep.stacks).mean())
-    pu, pv = pvm_from_rep(u_rep), pvm_from_rep(v_rep)
-    rhs = float(_pullback_sq(w, coeffs, pu.stacks, pv.stacks).sum())
-    return UnitaryPvmBridge(lhs, rhs)
-
-
 # -- the commutation game ----------------------------------------------------------
 
 
@@ -545,9 +534,7 @@ def commutation_game(a1, a2) -> Game:
         ("x1", "y"): ("match_coord", 0),
         ("x2", "y"): ("match_coord", 1),
     }
-    game = Game(questions, answers, mu, rules)
-    game.distinguished = {"x1": "x1", "x2": "x2"}
-    return game
+    return Game(questions, answers, mu, rules)
 
 
 CommutationBounds = namedtuple(
@@ -624,9 +611,7 @@ def magic_square_game() -> Game:
         for k, c in enumerate(cells):
             mu[(c, line)] = Fraction(1, 18)
             rules[(c, line)] = ("match_coord", k)
-    game = Game(questions, answers, mu, rules)
-    game.distinguished = {"x1": (1, 1), "x2": (2, 2)}
-    return game
+    return Game(questions, answers, mu, rules)
 
 
 AnticommutationBounds = namedtuple(
@@ -846,23 +831,32 @@ def _pauli(letter: SignedPerm, bits) -> SignedPerm:
 # -- the combined game ------------------------------------------------------------
 
 
-def _check_independent(omega, alpha, beta):
-    joint = {}
-    marg_a = {}
-    marg_b = {}
-    for w, p in omega.items():
-        key = (alpha[w], beta[w])
-        joint[key] = joint.get(key, 0) + p
-        marg_a[alpha[w]] = marg_a.get(alpha[w], 0) + p
-        marg_b[beta[w]] = marg_b.get(beta[w], 0) + p
-    for a, pa in marg_a.items():
-        for b, pb in marg_b.items():
-            if joint.get((a, b), Fraction(0)) != pa * pb:
+OmegaPoint = namedtuple("OmegaPoint", "weight alpha beta")
+
+
+def _marginal(pairs) -> dict:
+    """The total weight of each key of an iterable of (key, weight) pairs, in
+    order of first appearance."""
+    out = {}
+    for key, p in pairs:
+        out[key] = out.get(key, 0) + p
+    return out
+
+
+def _sign(h_group: AbelianGroup, pt: OmegaPoint) -> int:
+    return int(h_group.pairing(pt.beta, pt.alpha))
+
+
+def _check_independent(game: Game):
+    """Raise unless the joint law of (alpha, beta) is the product of their laws."""
+    joint = _marginal(((pt.alpha, pt.beta), pt.weight) for pt in game.omega.values())
+    for a, pa in game.alpha_law.weights.items():
+        for b, pb in game.beta_law.weights.items():
+            if joint.get((a, b), 0) != pa * pb:
                 raise InvalidArgument(
                     "alpha and beta are not independent under the supplied "
                     "probability space"
                 )
-    return marg_a, marg_b
 
 
 def combined_game(h_group: AbelianGroup, omega, alpha, beta) -> Game:
@@ -873,57 +867,50 @@ def combined_game(h_group: AbelianGroup, omega, alpha, beta) -> Game:
     the pairing <beta(w), alpha(w)> routes each label to the commutation or
     the anticommutation sub-game; PX and PZ carry the whole-group answer
     sets and consistency rules against the sub-games' distinguished
-    questions.
+    questions (x1, x2 and the cells (1, 1), (2, 2)).
+
+    Here alpha and beta are checked, for games built in memory and read from
+    files alike.  The game stores ``h_group`` and ``omega``, each nonzero
+    label taken to its :class:`OmegaPoint` in the given order (see
+    :class:`Game` for what is derived from them).
     """
     if not isinstance(h_group, AbelianGroup) or h_group.exponent > 2:
         raise InvalidArgument("the question group must be abelian of exponent 2")
-    omega = {w: Fraction(p) for w, p in omega.items() if Fraction(p) != 0}
-    if sum(omega.values()) != 1:
+    points = {
+        w: OmegaPoint(Fraction(p), alpha[w], beta[w]) for w, p in omega.items() if Fraction(p) != 0
+    }
+    if sum(pt.weight for pt in points.values()) != 1:
         raise InvalidArgument("omega weights must sum to 1")
-    for w in omega:
-        if alpha[w] not in h_group or beta[w] not in h_group.dual():
+    for w, pt in points.items():
+        if pt.alpha not in h_group or pt.beta not in h_group.dual():
             raise InvalidArgument(f"alpha/beta out of range at {w!r}")
-    marg_a, marg_b = _check_independent(omega, alpha, beta)
 
-    com = commutation_game((-1, 1), (-1, 1))
-    anti = magic_square_game()
-    sub = {1: com, -1: anti}
-
+    sub = {
+        1: (commutation_game((-1, 1), (-1, 1)), "x1", "x2"),
+        -1: (magic_square_game(), (1, 1), (2, 2)),
+    }
     questions = ["PX", "PZ"]
     answers = {"PX": tuple(h_group.elements), "PZ": tuple(h_group.elements)}
     mu = {}
     rules = {}
-    case_of = {}
-    omega_data = {}
     third = Fraction(1, 3)
-    for w, p in omega.items():
-        sign = int(h_group.pairing(beta[w], alpha[w]))
-        omega_data[w] = {"alpha": alpha[w], "beta": beta[w], "sign": sign}
-        game_w = sub[sign]
+    for w, pt in points.items():
+        game_w, x1, x2 = sub[_sign(h_group, pt)]
         for q in game_w.questions:
             label = (w, q)
             questions.append(label)
             answers[label] = game_w.answers[q]
-        x1 = (w, game_w.distinguished["x1"])
-        x2 = (w, game_w.distinguished["x2"])
-        mu[("PX", x1)] = third * p
-        rules[("PX", x1)] = ("pauli_x", alpha[w])
-        case_of[("PX", x1)] = 1
-        mu[("PZ", x2)] = third * p
-        rules[("PZ", x2)] = ("pauli_z", beta[w])
-        case_of[("PZ", x2)] = 3
+        mu[("PX", (w, x1))] = third * pt.weight
+        rules[("PX", (w, x1))] = ("pauli_x", pt.alpha)
+        mu[("PZ", (w, x2))] = third * pt.weight
+        rules[("PZ", (w, x2))] = ("pauli_z", pt.beta)
         for (qx, qy), pq in game_w.mu.items():
             pair = ((w, qx), (w, qy))
-            mu[pair] = third * p * pq
+            mu[pair] = third * pt.weight * pq
             rules[pair] = game_w.rules[(qx, qy)]
-            case_of[pair] = 2
     game = Game(questions, answers, mu, rules)
-    game.h_group = h_group
-    game.alpha_law = ProbMeasure(h_group, marg_a)
-    game.beta_law = ProbMeasure(h_group.dual(), marg_b)
-    game.case_of = case_of
-    game.omega_data = omega_data
-    game.distinguished = {"PX": "PX", "PZ": "PZ"}
+    game.h_group, game.omega = h_group, MappingProxyType(points)
+    _check_independent(game)
     return game
 
 
@@ -933,7 +920,7 @@ def game_from_code(code: LinearCode, code2: LinearCode | None = None) -> Game:
     Omega is the product of the two supports carrying the product of the
     column laws; alpha and beta are the coordinate projections, and the
     dual is identified with the group through the bit-sum pairing.  The
-    rigidity constant kappa * kappa' is attached to the game.
+    game's ``rigidity_constant`` is then kappa * kappa' of the two codes.
     """
     if code2 is None:
         code2 = code
@@ -941,8 +928,8 @@ def game_from_code(code: LinearCode, code2: LinearCode | None = None) -> Game:
         raise InvalidArgument("the construction needs binary codes")
     if code.dim != code2.dim:
         raise InvalidArgument("codes must have the same dimension")
-    group_a, mu_a, kappa_a = measure_from_code(code)
-    group_b, mu_b, kappa_b = measure_from_code(code2)
+    group_a, mu_a, _ = measure_from_code(code)
+    _, mu_b, _ = measure_from_code(code2)
     omega = {}
     alpha = {}
     beta = {}
@@ -952,9 +939,7 @@ def game_from_code(code: LinearCode, code2: LinearCode | None = None) -> Game:
             omega[w] = pa * pb
             alpha[w] = a
             beta[w] = b
-    game = combined_game(group_a, omega, alpha, beta)
-    game.rigidity_constant = Fraction(kappa_a) * Fraction(kappa_b)
-    return game
+    return combined_game(group_a, omega, alpha, beta)
 
 
 def gn_game(n: int, code_source=None, rng=None) -> Game:
@@ -1074,7 +1059,7 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
     exactly, and every projection is formed exactly, so no PVM is validated
     in floating point (see :func:`_exact_pvm`).
     """
-    if game.h_group is None or not game.omega_data:
+    if game.omega is None:
         raise InvalidArgument("the game does not carry combined-game structure")
     group = game.h_group
     tau_x, tau_z = pauli_pvms(len(group.orders))
@@ -1085,11 +1070,9 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
         q: _exact_pvm(alg, pvm.outcomes, np.kron(pvm.stacks[0], np.eye(2)[None]))
         for q, pvm in (("PX", tau_x), ("PZ", tau_z))
     }
-    for w, data in game.omega_data.items():
-        if data["alpha"] not in group or data["beta"] not in group.dual():
-            raise InvalidArgument(f"alpha/beta out of range at {w!r}")
-        p, q = _pauli(_SIGMA_X, data["alpha"]), _pauli(_SIGMA_Z, data["beta"])
-        if data["sign"] == 1:
+    for w, pt in game.omega.items():
+        p, q = _pauli(_SIGMA_X, pt.alpha), _pauli(_SIGMA_Z, pt.beta)
+        if game.sign(w) == 1:
             pw, qw = p.kron(_ONE_QUBIT), q.kron(_ONE_QUBIT)
             sub = _commuting_pvms(alg, pw, qw, game.answers[(w, "y")])
         else:
@@ -1158,7 +1141,7 @@ def _rigidity(game: Game, algebra: TracialAlgebra, pvms, rounding: bool) -> dict
     With ``rounding`` the extension is built and the rounding cap checked
     before the stream is read; without it the report stops at ``prop_ratio``.
     """
-    if game.h_group is None or not game.case_of:
+    if game.omega is None:
         raise InvalidArgument("the game does not carry combined-game structure")
     group, dual = game.h_group, game.h_group.dual()
     ext = _pauli_extension(group, dual, algebra.dims) if rounding else None
@@ -1168,8 +1151,9 @@ def _rigidity(game: Game, algebra: TracialAlgebra, pvms, rounding: bool) -> dict
     masses = {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
     sums = {1: 0.0, 2: 0.0, 3: 0.0}
     for pair, p in game.mu.items():
-        masses[game.case_of[pair]] += p
-        sums[game.case_of[pair]] += terms[pair]
+        case = game.case_of(pair)
+        masses[case] += p
+        sums[case] += terms[pair]
     eps_cases = {c: 1.0 - (sums[c] / float(masses[c]) if masses[c] else 1.0) for c in sums}
     eps_sum = sum(eps_cases.values())
 

@@ -346,7 +346,7 @@ def test_ac07_honest_game_values():
         game = named_game(name)
         strat = honest_strategy(game)
         vals[name] = value(game, strat)
-        anti = [w for w, d in game.omega_data.items() if d["sign"] == -1]
+        anti = [w for w in game.omega if game.sign(w) == -1]
         assert anti, f"{name} game has no anticommuting branch"
         worst_grid = max(worst_grid, _grid_line_products(strat, anti[0]))
 

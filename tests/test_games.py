@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from gapstab import algebra, games, stability, suites
-from gapstab.abelian import AbelianGroup, boolean_group, rep_from_pvm
+from gapstab.abelian import AbelianGroup, boolean_group, pvm_from_rep, rep_from_pvm
 from gapstab.algebra import PVM, AlgebraElement, TracialAlgebra, haar_unitary
 from gapstab.codes import LinearCode
 from gapstab.errors import GapstabError, InvalidArgument, InvalidPVM, ResourceCap
@@ -45,7 +46,6 @@ from gapstab.games import (
     perturb_strategy,
     strategy_from_jsonable,
     strategy_to_jsonable,
-    unitary_pvm_bridge,
     value,
 )
 from gapstab.spectral import kappa
@@ -128,10 +128,173 @@ def test_game_json_round_trip():
     assert back.mu == game.mu
     assert back.rules == game.rules
     assert back.h_group.orders == game.h_group.orders
+    assert back.omega == game.omega
     assert back.rigidity_constant == Fraction(1, 4)
-    assert back.case_of == game.case_of
     strat = honest_strategy(back)
     assert abs(value(back, strat) - 1.0) < 1e-9
+
+
+def _named(name):
+    return gn_game(4, rng=np.random.default_rng(0)) if name == "gn4" else named_game(name)
+
+
+def _reload(blob) -> Game:
+    return Game.from_jsonable(json.loads(json.dumps(blob)))
+
+
+def _parent_format(game) -> dict:
+    """The file the earlier writer made: mu and rules sorted by repr, and
+    under ``meta`` copies of the laws, the case of every pair, each label's
+    sign, the rigidity constant and the distinguished questions."""
+    frac = games._frac_str
+    enc = games._encode
+    return {
+        "questions": [[enc(x), [enc(a) for a in game.answers[x]]] for x in game.questions],
+        "mu": [[enc(x), enc(y), frac(p)] for (x, y), p in sorted(game.mu.items(), key=repr)],
+        "rules": [
+            [enc(x), enc(y), tag,
+             sorted(map(enc, param), key=repr) if tag == "pairs" else enc(param)]
+            for (x, y), (tag, param) in sorted(game.rules.items(), key=repr)
+        ],
+        "meta": {
+            "h_orders": list(game.h_group.orders),
+            "alpha_law": [[enc(g), frac(p)] for g, p in game.alpha_law.items_nonzero()],
+            "beta_law": [[enc(g), frac(p)] for g, p in game.beta_law.items_nonzero()],
+            "case_of": [
+                [enc(x), enc(y), game.case_of((x, y))] for x, y in sorted(game.mu, key=repr)
+            ],
+            "omega": [
+                [enc(w), {"alpha": enc(pt.alpha), "beta": enc(pt.beta), "sign": game.sign(w)}]
+                for w, pt in sorted(game.omega.items(), key=repr)
+            ],
+            "rigidity_constant": frac(game.rigidity_constant),
+            "distinguished": {"PX": "PX", "PZ": "PZ"},
+        },
+    }
+
+
+def _assert_same_game(back, game):
+    assert back.questions == game.questions
+    assert list(back.mu.items()) == list(game.mu.items())
+    assert back.answers == game.answers and back.rules == game.rules
+    assert back.h_group.orders == game.h_group.orders
+    assert list(back.omega.items()) == list(game.omega.items())
+    for law in ("alpha_law", "beta_law"):
+        assert list(getattr(back, law).weights.items()) == list(getattr(game, law).weights.items())
+    assert back.rigidity_constant == game.rigidity_constant
+
+
+@pytest.mark.parametrize("name", ["repetition", "hamming", "gn4"])
+def test_reloaded_game_is_the_written_game(name):
+    """A written and reloaded combined game equals the game in memory, its
+    question and mu order included, so its value is the same to the bit;
+    a file in the earlier format, mu sorted by repr, loads to the same game."""
+    game = _named(name)
+    strat = perturb_strategy(honest_strategy(game), 0.05, np.random.default_rng(0))
+    for blob in (game.to_jsonable(), _parent_format(game)):
+        back = _reload(blob)
+        _assert_same_game(back, game)
+        assert value(back, strat) == value(game, strat)
+    if name != "gn4":
+        constant = {"repetition": Fraction(1, 4), "hamming": Fraction(49, 36)}[name]
+        assert game.rigidity_constant == constant
+
+
+def test_stored_derived_values_are_ignored():
+    """A file's laws, cases, signs and rigidity constant are copies the loader
+    never reads: tampering with them changes no derived value and no report
+    number (the perturbed Hamming strategy of sigma 0.05, default_rng(0))."""
+    game = named_game("hamming")
+    strat = perturb_strategy(honest_strategy(game), 0.05, np.random.default_rng(0))
+    blob = _parent_format(game)
+    meta = blob["meta"]
+    uniform = Fraction(1, game.h_group.order)
+    meta["alpha_law"] = [[list(g), str(uniform)] for g in game.h_group.elements]
+    meta["beta_law"] = meta["alpha_law"]
+    meta["case_of"] = [[x, y, 1] for x, y, _ in meta["case_of"]]
+    for _, point in meta["omega"]:
+        point["sign"] = -point["sign"]
+    meta["rigidity_constant"] = "1/1"
+    back = _reload(blob)
+    _assert_same_game(back, game)
+    assert all(back.sign(w) == game.sign(w) for w in game.omega)
+    reports = [_rigidity(g, strat.algebra, strat.pvms.items(), rounding=False) for g in (game, back)]
+    assert reports[0] == reports[1]
+    assert reports[1]["c_alpha"] == reports[1]["c_beta"] == 7 / 6
+
+
+def _tamper(part):
+    def apply(blob):
+        if part == "alpha off the group":
+            blob["meta"]["omega"][0][1]["alpha"] = [2, 0, 0, 0]
+        elif part == "beta off the group":
+            blob["meta"]["omega"][0][1]["beta"] = [0, 1]
+        elif part == "weight":
+            row = next(row for row in blob["mu"] if row[0] == "PX")
+            row[2] = str(2 * Fraction(row[2]))
+        elif part in ("weights moved", "mu"):  # half of one mass to another: the sum stays 1
+            rows = [row for row in blob["mu"] if (row[0] == "PX") == (part != "mu")]
+            a, b = [row for row in rows if row[0] != "PZ"][:2]
+            half = Fraction(a[2]) / 2
+            a[2], b[2] = str(half), str(Fraction(b[2]) + half)
+        elif part == "rule":
+            rule = next(rule for rule in blob["rules"] if rule[2] == "pauli_x")
+            rule[3] = [1 - rule[3][0]] + rule[3][1:]
+        elif part == "answer":
+            blob["questions"][2][1] = blob["questions"][2][1][::-1]
+        elif part == "question order":
+            blob["questions"][2], blob["questions"][3] = blob["questions"][3], blob["questions"][2]
+        elif part == "label":
+            blob["meta"]["omega"][0][0] = "elsewhere"
+        elif part == "meta":
+            del blob["meta"]
+    return apply
+
+
+@pytest.mark.parametrize(
+    "part, match",
+    [
+        ("alpha off the group", "out of range"),
+        ("beta off the group", "out of range"),
+        ("weight", "sum to 1"),
+        ("weights moved", "independent"),
+        ("mu", "mu"),
+        ("rule", "rules"),
+        ("answer", "answers"),
+        ("question order", "questions"),
+        ("label", "labels"),
+        ("meta", "Pauli rules"),
+    ],
+)
+def test_game_file_that_disagrees_with_omega_is_refused_at_load(part, match):
+    """alpha or beta off the group, a changed weight, a question, answer, mu
+    or rule entry that disagrees with the game omega defines, and Pauli
+    rules without omega raise InvalidArgument where the file enters, in
+    either file format."""
+    game = named_game("hamming")
+    for blob in (game.to_jsonable(), _parent_format(game)):
+        _tamper(part)(blob)
+        with pytest.raises(InvalidArgument, match=match):
+            _reload(blob)
+
+
+def test_expanded_game_writes_and_reloads_as_a_plain_game():
+    """expand_rules gives a plain game: its file holds the explicit tables
+    and no Pauli data, reloads to the same questions, mu order, rules and
+    value bits, and the rigidity report refuses it."""
+    game = game_from_code(LinearCode(2, [[1, 1, 1]]))
+    expanded = expand_rules(game)
+    blob = expanded.to_jsonable()
+    assert "meta" not in blob
+    back = _reload(blob)
+    assert back.omega is None and back.h_group is None
+    assert back.questions == expanded.questions
+    assert list(back.mu.items()) == list(expanded.mu.items())
+    assert back.rules == expanded.rules
+    strat = perturb_strategy(honest_strategy(game), 0.1, np.random.default_rng(2))
+    assert value(back, strat) == value(expanded, strat)
+    with pytest.raises(InvalidArgument, match="combined-game structure"):
+        pauli_rigidity_report(back, strat)
 
 
 def test_strategy_json_round_trip():
@@ -261,7 +424,7 @@ def test_combined_game_single_anticommuting_pair():
     grp = boolean_group(1)
     game = combined_game(grp, {"w": 1}, {"w": (1,)}, {"w": (1,)})
     assert len(game.questions) == 17  # PX, PZ, nine cells, six lines
-    assert game.omega_data["w"]["sign"] == -1
+    assert game.sign("w") == -1
     strat = honest_strategy(game)
     assert abs(value(game, strat) - 1.0) < 1e-9
 
@@ -273,8 +436,8 @@ def test_combined_game_both_branches():
     beta = {"c": (1,), "a": (1,)}
     game = combined_game(grp, omega, alpha, beta)
     assert len(game.questions) == 2 + 3 + 15
-    assert game.omega_data["c"]["sign"] == 1
-    assert game.omega_data["a"]["sign"] == -1
+    assert game.sign("c") == 1
+    assert game.sign("a") == -1
     strat = honest_strategy(game)
     assert abs(value(game, strat) - 1.0) < 1e-9
 
@@ -401,15 +564,20 @@ def test_closeness_identity_witness():
 
 
 def test_unitary_pvm_bridge():
+    """E_h ||U(h) - V(h)||_2^2 = sum_chi ||P_chi - Q_chi||_2^2, both sides
+    summed literally, for two representations of (Z/2)^2 far apart: the
+    identity the report's ``bridge_residual`` measures."""
     tau_x, _ = pauli_pvms(2)
     grp = boolean_group(2)
     u = rep_from_pvm(tau_x, grp)
     c = AlgebraElement(u.algebra, [haar_unitary(4, np.random.default_rng(7))])
     v = rep_from_pvm(tau_x.conjugated(c), grp)
-    w = tuple(np.eye(d) for d in u.algebra.dims)
-    bridge = unitary_pvm_bridge(u, v, w)
-    assert bridge.unitary_side > 1e-6
-    assert abs(bridge.unitary_side - bridge.pvm_side) < 1e-10
+    alg = u.algebra
+    unitary_side = np.mean([alg.norm2(u.images[h] - v.images[h]) ** 2 for h in grp.elements])
+    pu, pv = pvm_from_rep(u), pvm_from_rep(v)
+    pvm_side = sum(alg.norm2(pu[chi] - pv[chi]) ** 2 for chi in grp.elements)
+    assert unitary_side > 1e-6
+    assert abs(unitary_side - pvm_side) < 1e-10
 
 
 # -- rigidity reports --------------------------------------------------------------
@@ -620,10 +788,10 @@ def _float_honest_strategy(game):
         q: PVM(alg, pvm.outcomes, [np.kron(pvm.stacks[0], np.eye(2)[None])])
         for q, pvm in (("PX", tau_x), ("PZ", tau_z))
     }
-    for w, data in game.omega_data.items():
-        p_mat = lam[data["alpha"]].blocks[0]
-        q_mat = mod[data["beta"]].blocks[0]
-        if data["sign"] == 1:
+    for w, (_, alpha, beta) in game.omega.items():
+        p_mat = lam[alpha].blocks[0]
+        q_mat = mod[beta].blocks[0]
+        if game.sign(w) == 1:
             pw, qw = np.kron(p_mat, np.eye(2)), np.kron(q_mat, np.eye(2))
             sub = _float_commuting_pvms(alg, pw, qw, game.answers[(w, "y")])
         else:
@@ -667,9 +835,9 @@ def test_honest_strategy_matrices_unchanged(name):
     strat = honest_strategy(game)
     alg = strat.algebra
     eye = np.eye(2)
-    for w, data in game.omega_data.items():
-        p, q = lam[data["alpha"]], mod[data["beta"]]
-        if data["sign"] == 1:
+    for w, (_, alpha, beta) in game.omega.items():
+        p, q = lam[alpha], mod[beta]
+        if game.sign(w) == 1:
             expected = {
                 (w, "x1"): _float_sign_pvm(alg, np.kron(p, eye)),
                 (w, "x2"): _float_sign_pvm(alg, np.kron(q, eye)),
@@ -781,15 +949,15 @@ def test_an_outcome_list_missing_a_projection_raises():
     _joint_pvm(alg, [(1, 1), (1, -1), (-1, 1), (-1, -1)], [p, minus_p])
 
 
-def test_honest_strategy_rejects_labels_off_the_group():
-    """A game read from a file may carry any alpha and beta; the honest build
-    takes X^alpha and Z^beta from their bits only for group elements."""
-    for key, bad in (("alpha", (2, 0, 0, 0)), ("beta", (0, 1))):
-        game = named_game("hamming")
-        w = next(iter(game.omega_data))
-        game.omega_data[w] = {**game.omega_data[w], key: bad}
+def test_game_file_rejects_labels_off_the_group_at_load():
+    """alpha and beta are checked once, by combined_game, where a game file
+    enters: the honest build then takes X^alpha and Z^beta from their bits
+    knowing they are group elements."""
+    for key, bad in (("alpha", [2, 0, 0, 0]), ("beta", [0, 1])):
+        blob = named_game("hamming").to_jsonable()
+        blob["meta"]["omega"][0][1][key] = bad
         with pytest.raises(InvalidArgument, match="out of range"):
-            honest_strategy(game)
+            Game.from_jsonable(blob)
 
 
 def test_hamming_honest_and_perturbed_strategies_are_validated_once(monkeypatch):

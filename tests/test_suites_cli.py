@@ -290,8 +290,8 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_cli_sweep_keeps_the_probe_point(monkeypatch, tmp_path):
-    """The full report that probes the rounding cap is the sweep's first
-    point: three points cost three rigidity reports, and the CSV holds
+    """The sweep's own first full report probes the rounding cap, and is
+    kept: three points cost three rigidity reports, and the CSV holds
     exactly the points of one uninterrupted sweep."""
     calls = []
     report = suites._rigidity
