@@ -37,7 +37,8 @@ forms anyway and shares.
 The conditional expectation onto the commutant of a representation,
 E(x) = E_g u(g) x u(g)*, has one kernel, ``_commutant_mean``, which projects
 a whole stack of elements per call.  The commutant's block decomposition
-(:class:`CommutantDecomposition`) compresses and lifts stacks, so the nearest
+(:class:`CommutantDecomposition`) is read off the group's cached irreps,
+without random numbers; it compresses and lifts stacks, so the nearest
 commutant unitary and the product stabilization run without a loop over
 group elements.
 """
@@ -102,10 +103,6 @@ class TracialAlgebra:
         return obj
 
     @property
-    def nblocks(self) -> int:
-        return len(self.dims)
-
-    @property
     def weights(self):
         return tuple(c * n for c, n in zip(self.coeffs, self.dims))
 
@@ -127,8 +124,10 @@ class TracialAlgebra:
     # -- element constructors ------------------------------------------------
 
     def element(self, blocks) -> "AlgebraElement":
+        if len(blocks) != len(self.dims):
+            raise InvalidArgument(f"{len(blocks)} blocks, expected {len(self.dims)}")
         mats = []
-        for n, b in zip(self.dims, blocks, strict=True):
+        for n, b in zip(self.dims, blocks):
             b = np.array(b, dtype=complex)
             if b.shape != (n, n):
                 raise InvalidArgument(f"block shape {b.shape}, expected ({n},{n})")
@@ -150,13 +149,6 @@ class TracialAlgebra:
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.zeros((n, n), complex) for n in self.dims])
-
-    def random_selfadjoint(self, rng: np.random.Generator) -> "AlgebraElement":
-        mats = []
-        for n in self.dims:
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            mats.append((a + a.conj().T) / 2)
-        return AlgebraElement(self, mats)
 
     # -- trace and norms -----------------------------------------------------
 
@@ -402,7 +394,7 @@ class PVM:
 
     Validation: every projection is self-adjoint and idempotent, the
     projections sum to ``unit`` and distinct projections multiply to zero,
-    each up to an operator-norm residual of at most ``tol``.  The residuals
+    each up to an operator-norm residual of at most ``VALIDATION_TOL``.  The residuals
     are screened by their Frobenius norms on the stacks and computed exactly
     only where the screen fails; a failure raises :class:`InvalidPVM` with
     the exact operator-norm residual.  ``residual`` records an upper bound
@@ -412,7 +404,7 @@ class PVM:
     PVM from :meth:`_trusted`, the bound its builder derived.
     """
 
-    def __init__(self, algebra, outcomes, projections, unit=None, tol=VALIDATION_TOL):
+    def __init__(self, algebra, outcomes, projections, unit=None):
         outcomes = list(outcomes)
         stacks = _read_only_stacks(algebra.dims, list(projections))
         if any(len(s) != len(outcomes) for s in stacks):
@@ -429,13 +421,13 @@ class PVM:
         def completeness(b, sel):
             yield (stacks[b].sum(axis=0) - self.unit.blocks[b])[None]
 
-        _, own_norms, own_bound = _exact_residuals(algebra.dims, len(outcomes), own, tol)
+        _, own_norms, own_bound = _exact_residuals(algebra.dims, len(outcomes), own, VALIDATION_TOL)
         # the sum figure is exact whenever the message is printed
         _, sum_norms, sum_bound = _exact_residuals(
-            algebra.dims, 1, completeness, -1.0 if own_norms.size else tol
+            algebra.dims, 1, completeness, -1.0 if own_norms.size else VALIDATION_TOL
         )
         worst, worst_sum = own_norms.max(initial=0.0), sum_norms.max(initial=0.0)
-        if worst > tol or worst_sum > tol:
+        if worst > VALIDATION_TOL or worst_sum > VALIDATION_TOL:
             raise InvalidPVM(
                 "projection family fails validation "
                 f"(projection residual {worst:.3g}, sum residual {worst_sum:.3g})",
@@ -447,9 +439,11 @@ class PVM:
         def products(b, sel):
             yield stacks[b][left[sel]] @ stacks[b][right[sel]]
 
-        failed, norms, product_bound = _exact_residuals(algebra.dims, len(left), products, tol)
+        failed, norms, product_bound = _exact_residuals(
+            algebra.dims, len(left), products, VALIDATION_TOL
+        )
         for t, r in zip(failed, norms.tolist()):
-            if r > tol:
+            if r > VALIDATION_TOL:
                 i, j = left[t], right[t]
                 raise InvalidPVM(
                     f"projections for {outcomes[i]!r},{outcomes[j]!r} are not "
@@ -582,8 +576,8 @@ class AlmostHom:
     stacks (``stacks``); ``images[g]`` is an element whose blocks are views
     into those stacks, built on first read.
 
-    Validation: every image u satisfies ||u u* - 1|| <= tol and
-    ||u* u - 1|| <= tol in operator norm, screened by Frobenius norms in
+    Validation: every image u satisfies ||u u* - 1|| <= ``VALIDATION_TOL`` and
+    ||u* u - 1|| <= ``VALIDATION_TOL`` in operator norm, screened by Frobenius norms in
     stacked arrays and computed exactly only where the screen fails; a
     failure raises :class:`InvalidRepresentation` with the exact worst
     residual.
@@ -591,7 +585,7 @@ class AlmostHom:
 
     multiplicative = False
 
-    def __init__(self, group, algebra, images, tol=VALIDATION_TOL):
+    def __init__(self, group, algebra, images):
         elements = group.elements
         if isinstance(images, dict):
             missing = [g for g in elements if g not in images]
@@ -603,9 +597,9 @@ class AlmostHom:
             raise InvalidArgument(f"{len(stacks[0])} images for {len(elements)} elements")
         self._store(group, algebra, stacks)
         unitarity = _unitarity_residuals(stacks)
-        _, norms, _ = _exact_residuals(algebra.dims, len(elements), unitarity, tol)
+        _, norms, _ = _exact_residuals(algebra.dims, len(elements), unitarity, VALIDATION_TOL)
         worst = float(norms.max(initial=0.0))
-        if worst > tol:
+        if worst > VALIDATION_TOL:
             raise InvalidRepresentation(
                 f"images are not unitary (residual {worst:.3g})", residual=worst
             )
@@ -669,17 +663,17 @@ class UnitaryRep(AlmostHom):
 
     multiplicative = True
 
-    def __init__(self, group, algebra, images, tol=VALIDATION_TOL, check="auto"):
+    def __init__(self, group, algebra, images, check="auto"):
         if check not in ("auto", "none"):
             raise InvalidArgument(f"check must be 'auto' or 'none', got {check!r}")
-        super().__init__(group, algebra, images, tol=tol)
+        super().__init__(group, algebra, images)
         if check == "none":
             return
         pairs = _law_pairs(group, algebra.dims)
         law = _law_residuals(self.stacks, pairs)
-        _, norms, _ = _exact_residuals(algebra.dims, len(pairs[0]), law, tol)
+        _, norms, _ = _exact_residuals(algebra.dims, len(pairs[0]), law, VALIDATION_TOL)
         worst = float(norms.max(initial=0.0))
-        if worst > tol:
+        if worst > VALIDATION_TOL:
             raise InvalidRepresentation(
                 f"multiplication law fails (residual {worst:.3g})", residual=worst
             )
@@ -1100,16 +1094,18 @@ def unitary_polar_factor(b: np.ndarray) -> np.ndarray:
 class CommutantDecomposition:
     """Block structure of N = M  intersect  {u(g)}' for a representation u.
 
-    Every block of M splits into components; on each component the commutant
-    acts as M_m tensor 1_d after the stored basis change (an isometry with
-    m*d columns, grouped d at a time).  ``algebra_n`` is the commutant as a
-    tracial algebra in its own right, with ``compress``/``lift`` moving
-    stacks of elements between the two pictures.
+    ``components`` holds one ``(block, W, m, d)`` per irrep rho occurring m
+    times in a block, W an isometry with u(g) W = W (1_m (x) rho(g)) on whose
+    range N acts as M_m (x) 1_d, and ``irreps`` each rho as a ``(family,
+    index)`` pair into ``group.irrep_stacks()``.  ``algebra_n`` is N as a
+    tracial algebra, with ``compress``/``lift`` moving stacks of elements
+    between the two pictures.
     """
 
-    def __init__(self, ambient: TracialAlgebra, components):
+    def __init__(self, ambient: TracialAlgebra, components, irreps):
         self.ambient = ambient
         self.components = components  # list of (block_index, W, m, d)
+        self.irreps = irreps  # list of (family, index), one per component
         dims = [m for (_, _, m, _) in components]
         coeffs = [ambient.coeffs[bi] * d for (bi, _, _, d) in components]
         self.algebra_n = TracialAlgebra._raw(dims, coeffs)
@@ -1135,125 +1131,80 @@ class CommutantDecomposition:
         return tuple(mats)
 
 
-# commutant_blocks (and the split of a group's regular representation into
-# irreps) draws this many random pairs before it gives up; commutant_blocks
-# accepts a decomposition whose block-scalar residual is at most the tolerance
-_COMMUTANT_TRIES = 8
+# commutant_blocks accepts a basis whose isometry and intertwining residuals
+# are at most this in operator norm
 _COMMUTANT_TOL = 1e-8
 
 
-def commutant_blocks(rep: UnitaryRep, rng=None) -> CommutantDecomposition:
-    """Diagonalize the commutant of a representation into matrix blocks.
+def commutant_blocks(rep: UnitaryRep) -> CommutantDecomposition:
+    """Diagonalize the commutant of a representation into matrix blocks,
+    read off the group's irreps (``irrep_stacks()``) without random numbers.
 
-    Uses a generic self-adjoint element of the commutant (a conditional
-    expectation of a random self-adjoint); eigenvalue clusters give the
-    columns, a second random element links clusters belonging to the same
-    component and aligns their bases.  Three more random elements, projected
-    in a second call of the conditional-expectation kernel, must come back
-    from compress and lift within ``_COMMUTANT_TOL`` in operator norm.
-    Degenerate random draws are retried with fresh randomness,
-    ``_COMMUTANT_TRIES`` times in all.
+    For an irrep rho of dimension d, E_ij = (d/|G|) sum_g conj(rho(g)_ij) u(g)
+    are matrix units on each block: rho occurs m = round(tr E_11) times, and
+    with V_1 the top m eigenvectors of E_11 and V_i = E_i1 V_1 (one product
+    per family and block), W = [V_1 ... V_d] in (copy, irrep index) column
+    order has u(g) W = W (1_m (x) rho(g)).  Each block must have sum m d = n,
+    and ||W* W - 1|| and every ||u(g) W - W D(g)||, D(g) the direct sum of
+    the 1_m (x) rho(g), at most ``_COMMUTANT_TOL`` in operator norm, or
+    :class:`DegenerateDecomposition` is raised; by Schur's lemma compress and
+    lift are then inverse on the commutant.  A group above
+    ``ROUNDING_DIM_CAP`` raises :class:`ResourceCap` before any irrep is built.
     """
-    if rng is None:
-        rng = np.random.default_rng(7)
-    alg = rep.algebra
-    # target commutant dimension per block from the character formula
-    # E_g |tr u(g)|^2, one trace over each block's image stack
-    targets = [
-        round(float(np.sum(np.abs(np.einsum("gii->g", s)) ** 2) / rep.group.order))
-        for s in rep.stacks
-    ]
+    group, alg = rep.group, rep.algebra
+    order, dims = group.order, list(alg.dims)
+    if order > ROUNDING_DIM_CAP:
+        raise ResourceCap(f"group order {order} exceeds the cap {ROUNDING_DIM_CAP}")
+    families = group.irrep_stacks()
+    components, irreps = [], []
+    for bi, (n, stack) in enumerate(zip(dims, rep.stacks)):
+        for f, fam in enumerate(families):
+            d = fam.shape[-1]
+            # E_i1 of the family's irreps as one (k, d, n, n) array
+            col = fam[:, :, :, 0].conj().transpose(0, 2, 1).reshape(-1, order)
+            pieces = (col @ stack.reshape(order, n * n)).reshape(len(fam), d, n, n) * (d / order)
+            for q, e in enumerate(pieces):
+                m = round(float(np.trace(e[0]).real))
+                if m > 0:
+                    v1 = np.linalg.eigh(e[0])[1][:, n - m :]
+                    components.append((bi, (e @ v1).transpose(1, 2, 0).reshape(n, m * d), m, d))
+                    irreps.append((f, q))
+    filled = [sum(m * d for b, _, m, d in components if b == bi) for bi in range(len(dims))]
+    if filled != dims:
+        raise DegenerateDecomposition(f"irrep multiplicities fill {filled} of the blocks {dims}")
+    bases = [np.hstack([w for b, w, _, _ in components if b == bi]) for bi in range(len(dims))]
 
-    last_error = None
-    for _ in range(_COMMUTANT_TRIES):
-        try:
-            probes = [alg.random_selfadjoint(rng) for _ in range(2)]
-            t_el, s_el = zip(*_commutant_mean(rep.stacks, _read_only_stacks(alg.dims, probes)))
-            components = [
-                (bi, w, m, d)
-                for bi, n in enumerate(alg.dims)
-                for w, m, d in _split_block(t_el[bi], s_el[bi], n, targets[bi])
-            ]
-            dec = CommutantDecomposition(alg, components)
-            # validation: random commutant elements must be block-scalar
-            checks = [alg.random_selfadjoint(rng) for _ in range(3)]
-            xs = _commutant_mean(rep.stacks, _read_only_stacks(alg.dims, checks))
-            residual = np.max(
-                [_operator_norms(y - x) for y, x in zip(dec.lift(dec.compress(xs)), xs)], axis=0
-            )
-            bad = np.flatnonzero(residual > _COMMUTANT_TOL)
-            if bad.size:
-                raise DegenerateDecomposition(
-                    f"block-scalar residual {residual[bad[0]]:.3g} above {_COMMUTANT_TOL:g}"
-                )
-            return dec
-        except DegenerateDecomposition as exc:  # retry with fresh randomness
-            last_error = exc
-    raise DegenerateDecomposition(
-        f"no valid decomposition after {_COMMUTANT_TRIES} tries: {last_error}"
-    )
+    def intertwining(b, sel):
+        """u(g) W_b - W_b D(g) for the elements ``sel``; W_b D(g) is one
+        slab of m d columns per component, W (1_m (x) rho(g))."""
+        us = rep.stacks[b][sel]
+        slabs = [
+            np.einsum("xci,gij->gxcj", w.reshape(-1, m, d), families[f][q][sel])
+            for (bi, w, m, d), (f, q) in zip(components, irreps)
+            if bi == b
+        ]
+        yield us @ bases[b] - np.concatenate([x.reshape(*us.shape[:2], -1) for x in slabs], axis=2)
 
-
-def _split_block(t_mat, s_mat, n, target_dim):
-    """Components of one ambient block from a generic pair (t, s) in N."""
-    vals, vecs = np.linalg.eigh(t_mat)
-    clusters = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or vals[i] - vals[i - 1] > 1e-6:
-            clusters.append(vecs[:, start:i])
-            start = i
-    k = len(clusters)
-    # link clusters whose s-coupling is nonzero
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        left = clusters[i].conj().T @ s_mat
-        for j in range(i + 1, k):
-            if np.max(np.abs(left @ clusters[j])) > 1e-6:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-
-    comps = []
-    dim_n = 0
-    for idxs in groups.values():
-        d = clusters[idxs[0]].shape[1]
-        if any(clusters[i].shape[1] != d for i in idxs):
-            raise DegenerateDecomposition("unequal eigenspace dimensions")
-        m = len(idxs)
-        cols = [clusters[idxs[0]]]
-        for t in idxs[1:]:
-            b = clusters[idxs[0]].conj().T @ s_mat @ clusters[t]
-            sv = np.linalg.svd(b, compute_uv=False)
-            if sv[-1] < 1e-8:
-                raise DegenerateDecomposition("singular cluster coupling")
-            cols.append(clusters[t] @ unitary_polar_factor(b).conj().T)
-        comps.append((np.hstack(cols), m, d))
-        dim_n += m * m
-    if dim_n != target_dim:
+    _, norms, _ = _exact_residuals(dims, order, intertwining, _COMMUTANT_TOL)
+    isometry = [np.linalg.norm(w.conj().T @ w - np.eye(len(w)), 2) for w in bases]
+    worst = max(isometry + [float(norms.max(initial=0.0))])
+    if worst > _COMMUTANT_TOL:
         raise DegenerateDecomposition(
-            f"component dimensions sum to {dim_n}, expected {target_dim}"
+            f"commutant basis residual {worst:.3g} above {_COMMUTANT_TOL:g}"
         )
-    return comps
+    return CommutantDecomposition(alg, components, irreps)
 
 
-def nearest_unitary_in_commutant(rep: UnitaryRep, v: AlgebraElement, rng=None) -> AlgebraElement:
+def nearest_unitary_in_commutant(rep: UnitaryRep, v: AlgebraElement) -> AlgebraElement:
     """The unitary in the commutant closest to v in the 2-norm.
 
     Computes the conditional expectation onto the commutant and completes its
-    polar partial isometry to a unitary inside each commutant block.  The
-    output satisfies ||v - out||_2 <= sqrt(2) * ||v - E(v)||_2, and sqrt(2)
-    cannot be improved.
+    polar partial isometry to a unitary inside each block of
+    :func:`commutant_blocks`, which reads the blocks off the group's irreps.
+    The output satisfies ||v - out||_2 <= sqrt(2) * ||v - E(v)||_2, and
+    sqrt(2) cannot be improved.
     """
-    decomposition = commutant_blocks(rep, rng=rng)
+    decomposition = commutant_blocks(rep)
     ev = _commutant_mean(rep.stacks, [b[None] for b in v.blocks])
     u = [unitary_polar_factor(y) for y in decomposition.compress(ev)]
     return AlgebraElement(rep.algebra, [s[0] for s in decomposition.lift(u)])

@@ -20,11 +20,16 @@ import numpy as np
 
 from . import stability
 from .abelian import AbelianGroup
-from .algebra import AlgebraElement, AlmostHom, TracialAlgebra
+from .algebra import AlmostHom, TracialAlgebra
 from .codes import measure_from_code, read_code_file
-from .errors import GapstabError, InvalidArgument, ResourceCap
+from .errors import GapstabError, InvalidArgument, ResourceCap, check_shape
 from .games import (
+    _ALGEBRA,
+    _ELEMENT,
+    _FRACTION,
     Game,
+    _element_from_json,
+    _element_to_json,
     game_from_code,
     gn_game,
     honest_strategy,
@@ -92,22 +97,19 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+# JSON shapes of the measure and map files (see errors.check_shape)
+_MEASURE_FILE = {"orders": [int, ...], "weights": {str: _FRACTION}}
+_HOM_FILE = {"orders": [int, ...], "algebra": _ALGEBRA, "images": [[str, _ELEMENT], ...]}
+
+
 def _read_measure(path: str):
-    obj = _load_json(path)
-    group = AbelianGroup(tuple(int(m) for m in obj["orders"]))
+    obj = check_shape(_load_json(path), _MEASURE_FILE)
+    group = AbelianGroup(tuple(obj["orders"]))
     weights = {}
     for key, frac in obj["weights"].items():
         elem = tuple(int(t) for t in key.split())
         weights[elem] = weights.get(elem, Fraction(0)) + Fraction(frac)
     return group, ProbMeasure(group, weights)
-
-
-def _mats_to_json(x: AlgebraElement) -> list:
-    return [[np.real(b).tolist(), np.imag(b).tolist()] for b in x.blocks]
-
-
-def _mats_from_json(alg: TracialAlgebra, blocks: list) -> AlgebraElement:
-    return AlgebraElement(alg, [np.array(re) + 1j * np.array(im) for re, im in blocks])
 
 
 def write_almost_hom(path: str, phi: AlmostHom) -> None:
@@ -120,7 +122,7 @@ def write_almost_hom(path: str, phi: AlmostHom) -> None:
         "orders": list(group.orders),
         "algebra": [[d, str(Fraction(w))] for d, w in zip(alg.dims, alg.weights)],
         "images": [
-            [" ".join(str(t) for t in g), _mats_to_json(phi.images[g])]
+            [" ".join(str(t) for t in g), _element_to_json(phi.images[g])]
             for g in group.elements
         ],
     }
@@ -129,13 +131,15 @@ def write_almost_hom(path: str, phi: AlmostHom) -> None:
 
 
 def read_almost_hom(path: str) -> AlmostHom:
-    obj = _load_json(path)
-    group = AbelianGroup(tuple(int(m) for m in obj["orders"]))
-    alg = TracialAlgebra([(int(d), Fraction(w)) for d, w in obj["algebra"]])
+    """The map of a file written by :func:`write_almost_hom`; a file of
+    another shape (:func:`check_shape`) raises :class:`InvalidArgument`."""
+    obj = check_shape(_load_json(path), _HOM_FILE)
+    group = AbelianGroup(tuple(obj["orders"]))
+    alg = TracialAlgebra([(d, Fraction(w)) for d, w in obj["algebra"]])
     images = {}
     for key, blocks in obj["images"]:
         g = tuple(int(t) for t in key.split())
-        images[g] = _mats_from_json(alg, blocks)
+        images[g] = _element_from_json(alg, blocks)
     return AlmostHom(group, alg, images)
 
 

@@ -34,7 +34,7 @@ from .algebra import (
     _weighted_sums,
 )
 from .codes import LinearCode, measure_from_code, random_code
-from .errors import GapstabError, InvalidArgument, InvalidPVM, ResourceCap
+from .errors import GapstabError, InvalidArgument, InvalidPVM, ResourceCap, check_shape
 from .spectral import ProbMeasure, kappa
 from .stability import _check_bound, _pauli_extension, _pauli_pair, _pullback_sq, _round_pauli
 
@@ -62,6 +62,49 @@ def _decode(obj):
 
 def _frac_str(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
+
+
+def _is_label(obj) -> bool:
+    """A question label or answer as :func:`_encode` writes it: a string,
+    an integer or a list of them."""
+    return isinstance(obj, (str, int)) or isinstance(obj, list) and all(map(_is_label, obj))
+
+
+def _is_matrix(obj) -> bool:
+    """A JSON matrix of real numbers: a list of equal-length rows."""
+    try:
+        a = np.asarray(obj)
+    except ValueError:  # ragged rows
+        return False
+    return a.ndim == 2 and a.dtype.kind in "iuf"
+
+
+def _element_to_json(x: AlgebraElement) -> list:
+    return [[np.real(b).tolist(), np.imag(b).tolist()] for b in x.blocks]
+
+
+def _element_from_json(alg: TracialAlgebra, blocks) -> AlgebraElement:
+    """The inverse of :func:`_element_to_json`; ``alg.element`` checks the
+    block count and shapes."""
+    return alg.element([np.array(re) + 1j * np.array(im) for re, im in blocks])
+
+
+# JSON shapes of the input files (see :func:`~gapstab.errors.check_shape`)
+_FRACTION = (str, int, float)  # what Fraction() takes
+_ALGEBRA = [[int, _FRACTION], ...]
+_ELEMENT = [[_is_matrix, _is_matrix], ...]  # real and imaginary part per block
+_GAME_FILE = {
+    "questions": [[_is_label, [_is_label, ...]], ...],
+    "mu": [[_is_label, _is_label, _FRACTION], ...],
+    "rules": [[_is_label, _is_label, str, _is_label], ...],
+}
+_COMBINED_META = {
+    "h_orders": [int, ...],
+    "omega": [[_is_label, {"alpha": [int, ...], "beta": [int, ...]}], ...],
+}
+# the param of a rule, by tag; any other tag takes a label
+_RULE_PARAM = {"pairs": [[_is_label, _is_label], ...], "match_coord": int}
+_STRATEGY_FILE = {"algebra": _ALGEBRA, "pvms": [[_is_label, [[_is_label, _ELEMENT], ...]], ...]}
 
 
 class Game:
@@ -199,8 +242,9 @@ class Game:
         label's PX pair.  Every other ``meta`` key is ignored, and a file
         whose questions, answers, mu or rules differ from the rebuild raises
         :class:`InvalidArgument`, as does a file with Pauli rules and no
-        ``meta.omega``.
+        ``meta.omega`` or a file of another shape (:func:`check_shape`).
         """
+        check_shape(obj, _GAME_FILE)
         questions = []
         answers = {}
         for x_enc, ans in obj["questions"]:
@@ -211,17 +255,19 @@ class Game:
             (_decode(x), _decode(y)): Fraction(p) for x, y, p in obj["mu"]
         }
         rules = {}
-        for x, y, tag, param in obj["rules"]:
+        for i, (x, y, tag, param) in enumerate(obj["rules"]):
+            check_shape(param, _RULE_PARAM.get(tag, _is_label), f"file['rules'][{i}][3]")
             if tag == "pairs":
                 param = frozenset(_decode(p) for p in param)
             else:
                 param = _decode(param)
             rules[(_decode(x), _decode(y))] = (tag, param)
-        meta = obj.get("meta", {})
+        meta = check_shape(obj.get("meta", {}), {}, "file['meta']")
         if "omega" not in meta:
             if any(tag in ("pauli_x", "pauli_z") for tag, _ in rules.values()):
                 raise InvalidArgument("Pauli rules need the group and omega of a combined game")
             return cls(questions, answers, mu, rules)
+        check_shape(meta, _COMBINED_META, "file['meta']")
         points = {_decode(w): d for w, d in meta["omega"]}
         labels = dict.fromkeys(x[0] for x in questions if isinstance(x, tuple) and len(x) == 2)
         if set(labels) != set(points):
@@ -266,31 +312,21 @@ def strategy_to_jsonable(strategy: SynchronousStrategy) -> dict:
         "pvms": [],
     }
     for x, pvm in sorted(strategy.pvms.items(), key=repr):
-        entries = []
-        for a in pvm.outcomes:
-            blocks = [
-                [np.real(b).tolist(), np.imag(b).tolist()]
-                for b in pvm[a].blocks
-            ]
-            entries.append([_encode(a), blocks])
+        entries = [[_encode(a), _element_to_json(pvm[a])] for a in pvm.outcomes]
         out["pvms"].append([_encode(x), entries])
     return out
 
 
 def strategy_from_jsonable(obj: dict) -> SynchronousStrategy:
+    """The strategy of a file written by :func:`strategy_to_jsonable`, every
+    PVM validated; a file of another shape (:func:`check_shape`) raises
+    :class:`InvalidArgument`."""
+    check_shape(obj, _STRATEGY_FILE)
     alg = TracialAlgebra([(d, Fraction(w)) for d, w in obj["algebra"]])
     pvms = {}
     for x_enc, entries in obj["pvms"]:
-        outcomes = []
-        projections = []
-        for a_enc, blocks in entries:
-            outcomes.append(_decode(a_enc))
-            projections.append(
-                AlgebraElement(
-                    alg,
-                    [np.array(re) + 1j * np.array(im) for re, im in blocks],
-                )
-            )
+        outcomes = [_decode(a_enc) for a_enc, _ in entries]
+        projections = [_element_from_json(alg, blocks) for _, blocks in entries]
         pvms[_decode(x_enc)] = PVM(alg, outcomes, projections)
     return SynchronousStrategy(alg, pvms)
 

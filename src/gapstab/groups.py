@@ -23,14 +23,13 @@ import math
 import numpy as np
 
 from .algebra import (
-    _COMMUTANT_TRIES,
     _every_pair,
     _exact_residuals,
     _law_pairs,
     _law_residuals,
-    _split_block,
     _unitarity_residuals,
     _worst_residual,
+    unitary_polar_factor,
 )
 from .errors import DegenerateDecomposition, InvalidArgument, InvalidRepresentation
 
@@ -494,7 +493,7 @@ def _regular_irreps(group: FiniteGroup) -> list[np.ndarray]:
     lambda(g) moves e_y to e_(g y).  Its commutant is the right-regular
     algebra R(f)[x, y] = f(x^-1 y), self-adjoint when f(g^-1) = conj f(g), so
     two random such f, each a gather through the product table, give the
-    generic pair :func:`~gapstab.algebra._split_block` needs (Dixon 1970).
+    generic pair :func:`_split_block` needs (Dixon 1970).
     Each component is one irrep rho, of multiplicity d in lambda; its first
     d columns W0 span one copy, and rho(g) = W0* lambda(g) W0 with
     (lambda(g) W0)[x] = W0[g^-1 x], a row gather.  Degenerate draws of a
@@ -530,3 +529,59 @@ def _regular_irreps(group: FiniteGroup) -> list[np.ndarray]:
     families = [np.stack(by_dim[d]) for d in sorted(by_dim)]
     _check_irreps(group, families)
     return families
+
+
+# _regular_irreps draws this many random pairs before it gives up
+_COMMUTANT_TRIES = 8
+
+
+def _split_block(t_mat, s_mat, n, target_dim):
+    """Components ``(W, m, d)`` of a commutant on C^n from a generic pair
+    (t, s) of self-adjoint elements in it."""
+    vals, vecs = np.linalg.eigh(t_mat)
+    clusters = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or vals[i] - vals[i - 1] > 1e-6:
+            clusters.append(vecs[:, start:i])
+            start = i
+    k = len(clusters)
+    # link clusters whose s-coupling is nonzero
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        left = clusters[i].conj().T @ s_mat
+        for j in range(i + 1, k):
+            if np.max(np.abs(left @ clusters[j])) > 1e-6:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+
+    comps = []
+    dim_n = 0
+    for idxs in groups.values():
+        d = clusters[idxs[0]].shape[1]
+        if any(clusters[i].shape[1] != d for i in idxs):
+            raise DegenerateDecomposition("unequal eigenspace dimensions")
+        m = len(idxs)
+        cols = [clusters[idxs[0]]]
+        for t in idxs[1:]:
+            b = clusters[idxs[0]].conj().T @ s_mat @ clusters[t]
+            sv = np.linalg.svd(b, compute_uv=False)
+            if sv[-1] < 1e-8:
+                raise DegenerateDecomposition("singular cluster coupling")
+            cols.append(clusters[t] @ unitary_polar_factor(b).conj().T)
+        comps.append((np.hstack(cols), m, d))
+        dim_n += m * m
+    if dim_n != target_dim:
+        raise DegenerateDecomposition(
+            f"component dimensions sum to {dim_n}, expected {target_dim}"
+        )
+    return comps

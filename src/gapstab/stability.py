@@ -582,8 +582,9 @@ class TwistedRoundingResult:
     """Rounded twisted pair with its exact commutation relation.
 
     ``u_tilde`` and ``v_tilde`` live on the minus-one eigenspace corner of
-    the rounded central sign and satisfy U~(a)V~(b) = gamma(a, b)V~(b)U~(a)
-    up to machine precision; ``w`` is the re-polared partial isometry from
+    the rounded central sign (the corner coordinates where it is -1) and
+    satisfy U~(a)V~(b) = gamma(a, b)V~(b)U~(a) up to machine precision;
+    ``w`` is the re-polared partial isometry from
     the base algebra into that corner, one (corner_b x base_b) matrix per
     block.
     """
@@ -644,7 +645,13 @@ def round_twisted_pair(
 
 def _round_twisted(u_rep, v_rep, ext, signs, eps: float) -> TwistedRoundingResult:
     """:func:`round_twisted_pair` on ``ext`` once the cap is checked: ``signs[a, b]``
-    is the twist and ``eps`` the mean of the pair defects it defines."""
+    is the twist and ``eps`` the mean of the pair defects it defines.
+
+    pi is a direct sum of the extension's irreps and an identity block, so
+    the central sign's image Z is +-1 on the diagonal and 0 elsewhere (else,
+    to 1e-6 in Frobenius norm, :class:`DegenerateDecomposition`): Q keeps
+    the -1 coordinates, U~ and V~ are trusted cuts of pi's rows there, and w
+    is re-polared from the kept rows of the certificate's isometry."""
     a_grp, b_grp = u_rep.group, v_rep.group
     alg = u_rep.algebra
     # phi(a, b, z) = z U(a)V(b), with z innermost as in ext.elements
@@ -655,49 +662,41 @@ def _round_twisted(u_rep, v_rep, ext, signs, eps: float) -> TwistedRoundingResul
             "twisted defect identity failed; the inputs are not homomorphisms"
         )
 
-    # central sign on the corner, cut to its minus-one eigenspace
-    z_img = cert.pi.images[ext.central_sign]
+    # the central sign's image: Q keeps its -1 coordinates
     coeffs = cert.corner.coeffs
-    y_isos = []
-    p_minus_q_sq = 0.0
-    for zb in z_img.blocks:
-        zb = (zb + zb.conj().T) / 2.0
-        q_block = (np.eye(zb.shape[0]) - zb) / 2.0
-        qvals, qvecs = np.linalg.eigh(q_block)
-        if np.any(np.minimum(np.abs(qvals), np.abs(qvals - 1)) > 1e-6):
+    kept, p_minus_q_sq = [], 0.0
+    for c, s in zip(coeffs, cert.pi.stacks):
+        zb = s[ext.index(ext.central_sign)]
+        diag = np.where(zb.diagonal().real < 0, -1.0, 1.0)
+        if np.linalg.norm(zb - np.diag(diag)) > 1e-6:
             raise DegenerateDecomposition(
-                "rounded central sign is not an involution on the corner"
+                "rounded central sign is not a diagonal involution on the corner"
             )
-        y_isos.append(qvecs[:, qvals > 0.5])
-    if any(y.shape[1] == 0 for y in y_isos):
+        kept.append(np.flatnonzero(diag < 0))
+        p_minus_q_sq += c * np.linalg.norm((np.eye(len(zb)) + zb) / 2.0) ** 2
+    if any(not k.size for k in kept):
         raise DegenerateDecomposition(
             "the minus-one eigenspace of the central sign vanishes on a "
             "block; the inputs are far outside the rounding regime"
         )
-    for c, zb in zip(coeffs, z_img.blocks):
-        p_minus_q_sq += c * np.linalg.norm((np.eye(zb.shape[0]) + zb) / 2.0) ** 2
     p_minus_q = math.sqrt(p_minus_q_sq)
     p_minus_q_bound = (19.0 * math.sqrt(2.0) + 4.0) * math.sqrt(eps)
 
-    q_corner = TracialAlgebra._raw([y.shape[1] for y in y_isos], coeffs)
-    trace_q = sum(c * y.shape[1] for c, y in zip(coeffs, y_isos))
+    q_corner = TracialAlgebra._raw([len(k) for k in kept], coeffs)
+    trace_q = sum(c * len(k) for c, k in zip(coeffs, kept))
 
-    def cut(elements) -> list:
-        """y* pi(g) y over the given elements of ext, one product per block."""
-        rows = [ext.index(g) for g in elements]
-        return [y.conj().T @ s[rows] @ y for y, s in zip(y_isos, cert.pi.stacks)]
+    def cut(grp, embed) -> UnitaryRep:
+        # the rows of the trusted pi at grp's embedded elements, kept coordinates
+        rows = [ext.index(embed(g)) for g in grp.elements]
+        stacks = [s[np.ix_(rows, k, k)] for k, s in zip(kept, cert.pi.stacks)]
+        return UnitaryRep._trusted(grp, q_corner, stacks)
 
-    u_tilde = UnitaryRep(
-        a_grp, q_corner, cut(map(ext.embed_a, a_grp.elements)), tol=1e-5, check="none"
-    )
-    v_tilde = UnitaryRep(
-        b_grp, q_corner, cut(map(ext.embed_b, b_grp.elements)), tol=1e-5, check="none"
-    )
+    u_tilde, v_tilde = cut(a_grp, ext.embed_a), cut(b_grp, ext.embed_b)
 
     relation_residual = math.sqrt(_pair_defects(u_tilde, v_tilde, signs).max())
 
     # re-polar Qw to a partial isometry
-    w_prime = tuple(_polar_part(y.conj().T @ wm)[0] for y, wm in zip(y_isos, cert.w))
+    w_prime = tuple(_polar_part(wm[k])[0] for k, wm in zip(kept, cert.w))
     isometry_defect = _gram_defect(w_prime, alg.coeffs)
     isometry_bound = p_minus_q_bound**2
 
@@ -983,10 +982,14 @@ def stabilize_product(
     Stages (ii) and (iii) run on stacks: the images enter the corner as
     x -> w1 x w1* + (1 - w1 w1*), one stack per block for the first factor
     and one for the second; the second-factor stack is projected onto N by
-    one call of the conditional-expectation kernel, compressed into N,
+    one call of the conditional-expectation kernel, compressed into N
+    (:func:`~gapstab.algebra.commutant_blocks`, read off G1's irreps),
     replaced by its polar factors and lifted back.  d1_corner, eta,
     v_to_phi and the mu2 and mu2 * mu2 sums of eta^2 are weighted squared
-    2-norms of those stacks.
+    2-norms of those stacks.  The assembled pi(g, h) is the direct sum over
+    the components j of pi2(h)_j (x) u_j(g), u_j the recorded irrep; pi1,
+    pi2 and pi are trusted, not validated again, and ``pi_residual`` is the
+    measured ``rep_residual(pi)``.
     """
     group = phi.group
     if not isinstance(group, ProductGroup):
@@ -1022,7 +1025,7 @@ def stabilize_product(
     stage1_exact = eps1_uniform <= _EXACT_STAGE_TOL
     if stage1_exact:
         corner1 = base
-        pi1 = UnitaryRep(g1, base, phi1.stacks, tol=1e-6, check="none")
+        pi1 = UnitaryRep._trusted(g1, base, phi1.stacks)
         w1 = tuple(np.eye(m, dtype=complex) for m in base.dims)
         cert1 = None
     else:
@@ -1081,58 +1084,38 @@ def stabilize_product(
 
     stage2_exact = v_defect_uniform <= _EXACT_STAGE_TOL
     if stage2_exact:
-        corner2 = n_alg
-        pi2 = UnitaryRep(g2, n_alg, v_hom.stacks, tol=1e-6, check="none")
+        pi2 = UnitaryRep._trusted(g2, n_alg, v_hom.stacks)
         w2 = tuple(np.eye(m, dtype=complex) for m in n_alg.dims)
         cert2 = None
     else:
         cert2 = gowers_hatami_round(v_hom)
-        corner2 = cert2.corner
         pi2 = cert2.pi
         w2 = cert2.w
 
-    # assembly: on each commutant component the first factor acts through
-    # the component's small representation (the mean of the m diagonal d x d
-    # blocks of w* pi1(g) w) and the second through the rounded corner of N
-    reps_u = []
-    for bi, w_iso, m_dim, d_dim in decomp.components:
-        b = (w_iso.conj().T @ pi1.stacks[bi] @ w_iso).reshape(-1, m_dim, d_dim, m_dim, d_dim)
-        reps_u.append(np.einsum("gsasb->gab", b) / m_dim)
-
-    per_block = [[] for _ in range(base.nblocks)]
-    for j, (bi, _, _, _) in enumerate(decomp.components):
-        per_block[bi].append(j)
-    if any(not js for js in per_block):
-        raise DegenerateDecomposition("a base block carries no commutant component")
-
-    final_dims = [
-        sum(corner2.dims[j] * decomp.components[j][3] for j in js)
-        for js in per_block
-    ]
-    final_alg = TracialAlgebra._raw(final_dims, base.coeffs)
-
-    w_total = []
-    for i, js in enumerate(per_block):
-        rows = []
-        for j in js:
-            _, w_iso, _, d_dim = decomp.components[j]
-            rows.append(np.kron(w2[j], np.eye(d_dim)) @ w_iso.conj().T @ w1[i])
+    # assembly: pi(g, h) is block diagonal over the commutant components j
+    # of each base block, pi2(h)_j (x) u_j(g) on component j with u_j its
+    # irrep; the Kronecker product of the stacks (1, |G2|, ...) and
+    # (|G1|, 1, ...) runs g outermost, as group.elements.  pi2 and the
+    # irreps are trusted, and so is this direct sum of their products
+    families = g1.irrep_stacks()
+    w_total, final_stacks = [], []
+    for i, w1_block in enumerate(w1):
+        rows, kron_blocks = [], []
+        for j, ((bi, w_iso, _, d), (f, q)) in enumerate(zip(decomp.components, decomp.irreps)):
+            if bi == i:
+                rows.append(np.kron(w2[j], np.eye(d)) @ w_iso.conj().T @ w1_block)
+                kron_blocks.append(np.kron(pi2.stacks[j][None], families[f][q][:, None]))
         w_total.append(np.vstack(rows))
-
-    # pi(g, h) is block diagonal over the components j of each base block,
-    # pi2(h)_j (x) u_j(g) on component j; the Kronecker product of the stacks
-    # (1, |G2|, ...) and (|G1|, 1, ...) runs g outermost, as group.elements
-    final_stacks = []
-    for n_final, js in zip(final_dims, per_block):
+        n_final = len(w_total[-1])
         stack = np.zeros((g1.order, g2.order, n_final, n_final), dtype=complex)
         off = 0
-        for j in js:
-            blk = np.kron(pi2.stacks[j][None], reps_u[j][:, None])
+        for blk in kron_blocks:
             size = blk.shape[-1]
             stack[:, :, off : off + size, off : off + size] = blk
             off += size
-        final_stacks.append(stack)
-    pi_final = UnitaryRep(group, final_alg, final_stacks, tol=1e-5, check="none")
+        final_stacks.append(stack.reshape(group.order, n_final, n_final))
+    final_alg = TracialAlgebra._raw([len(w) for w in w_total], base.coeffs)
+    pi_final = UnitaryRep._trusted(group, final_alg, final_stacks)
 
     per_sq = _pullback_sq(w_total, base.coeffs, phi.stacks, pi_final.stacks)
     distance_mu1 = float(mu1_w @ per_sq[rows1][mu1_idx])
@@ -1144,7 +1127,6 @@ def stabilize_product(
         w_total, base.coeffs, pulled1, [s[rows1] for s in pi_final.stacks]
     )
     assembly_residual = math.sqrt(assembly_sq.max())
-
 
     report = StabilizationReport(
         epsilon=eps,

@@ -333,7 +333,7 @@ def suite_sqrt2(trials: int = 1000, seed: int = 7) -> SuiteResult:
                 rep.algebra, [haar_unitary(d, rng) for d in rep.algebra.dims]
             )
         alg = rep.algebra
-        u = nearest_unitary_in_commutant(rep, v, rng=np.random.default_rng(7))
+        u = nearest_unitary_in_commutant(rep, v)
         lhs = alg.norm2(v - u)
         rhs = math.sqrt(2.0) * alg.norm2(v - conditional_expectation_commutant(rep, v))
         ok = _holds(lhs, rhs)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapstab import algebra
+from gapstab import algebra, groups, stability, suites
 from gapstab.abelian import AbelianGroup, boolean_group, cyclic, regular_rep
 from gapstab.algebra import (
     PVM,
@@ -25,6 +25,7 @@ from gapstab.algebra import (
     unitary_polar_factor,
 )
 from gapstab.errors import (
+    DegenerateDecomposition,
     InvalidArgument,
     InvalidPVM,
     InvalidRepresentation,
@@ -249,6 +250,117 @@ def test_commutant_mean_matches_group_loop(monkeypatch, entries):
         np.testing.assert_allclose(lifted, e, rtol=0, atol=1e-10)
 
 
+def _probe_commutant_blocks(rep, rng):
+    """The commutant's blocks found by random probes, the oracle for
+    commutant_blocks: the conditional expectations of two random
+    self-adjoint elements form a generic pair of the commutant, which
+    groups._split_block splits against the character formula's dimension
+    E_g |tr u(g)|^2 of each block; a degenerate draw is retried."""
+    alg = rep.algebra
+    targets = [
+        round(float(np.sum(np.abs(np.einsum("gii->g", s)) ** 2) / rep.group.order))
+        for s in rep.stacks
+    ]
+    for _ in range(groups._COMMUTANT_TRIES):
+        probes = []
+        for n in alg.dims:
+            a = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            probes.append((a + a.conj().transpose(0, 2, 1)) / 2)
+        pairs = algebra._commutant_mean(rep.stacks, probes)
+        try:
+            components = [
+                (bi, w, m, d)
+                for bi, (n, (t, s)) in enumerate(zip(alg.dims, pairs))
+                for w, m, d in groups._split_block(t, s, n, targets[bi])
+            ]
+        except DegenerateDecomposition:
+            continue
+        return algebra.CommutantDecomposition(alg, components, [None] * len(components))
+    raise AssertionError("no generic probe pair")
+
+
+def _two_block_s3_rep():
+    """S3 on M_6 (+) M_3: the regular representation next to the
+    permutation one."""
+    grp = symmetric_group(3)
+    perm = np.eye(3)[np.array(grp.elements)].transpose(0, 2, 1)
+    alg = TracialAlgebra([(6, Fraction(1, 3)), (3, Fraction(2, 3))])
+    return UnitaryRep(grp, alg, [regular_rep(grp).stacks[0], perm])
+
+
+def _stage_one_pi():
+    """The rounded representation of a noisy regular S3, as the first stage
+    of a product stabilization builds it."""
+    phi = suites._noisy_hom(regular_rep(symmetric_group(3)), 0.1, np.random.default_rng(3))
+    return stability.gowers_hatami_round(phi).pi
+
+
+def _exact_phi1():
+    """An exact map of Z4, trusted as the exact first stage of a product
+    stabilization trusts it."""
+    rep = regular_rep(cyclic(4))
+    phi = AlmostHom(rep.group, rep.algebra, rep.stacks)
+    return UnitaryRep._trusted(phi.group, phi.algebra, phi.stacks)
+
+
+_COMMUTANT_CASES = {
+    "regular-s3": lambda: regular_rep(symmetric_group(3)),
+    "regular-s4": lambda: regular_rep(symmetric_group(4)),
+    "z2xs3-flip": lambda: suites._permutation_rep(3, flip=True),
+    "two-block": _two_block_s3_rep,
+    "stage-one-pi": _stage_one_pi,
+    "exact-phi1": _exact_phi1,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMMUTANT_CASES))
+def test_commutant_blocks_match_the_random_probe_oracle(case):
+    """The blocks read off the irreps against the random-probe oracle: the
+    same (block, m, d) components, the same nearest commutant unitary, and
+    W* u(g) W = 1_m (x) rho(g) for every g with rho the recorded irrep."""
+    rep = _COMMUTANT_CASES[case]()
+    dec = commutant_blocks(rep)
+    oracle = _probe_commutant_blocks(rep, np.random.default_rng(7))
+    assert sorted((bi, m, d) for bi, _, m, d in dec.components) == sorted(
+        (bi, m, d) for bi, _, m, d in oracle.components
+    )
+    families = rep.group.irrep_stacks()
+    for (bi, w, m, d), (f, q) in zip(dec.components, dec.irreps):
+        got = w.conj().T @ rep.stacks[bi] @ w
+        want = np.kron(np.eye(m), families[f][q])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    rng = np.random.default_rng(11)
+    v = AlgebraElement(rep.algebra, [haar_unitary(n, rng) for n in rep.algebra.dims])
+    ev = algebra._commutant_mean(rep.stacks, [b[None] for b in v.blocks])
+    want = oracle.lift([unitary_polar_factor(y) for y in oracle.compress(ev)])
+    for got, w in zip(nearest_unitary_in_commutant(rep, v).blocks, want):
+        np.testing.assert_allclose(got, w[0], rtol=0, atol=1e-12)
+
+
+def test_commutant_blocks_refuse_a_noisy_map():
+    """Images off a representation by unitary noise, trusted as if they were
+    one: the basis fails its check."""
+    rep = regular_rep(symmetric_group(3))
+    noisy = suites._noisy_hom(rep, 0.05, np.random.default_rng(5))
+    with pytest.raises(DegenerateDecomposition):
+        commutant_blocks(UnitaryRep._trusted(noisy.group, noisy.algebra, noisy.stacks))
+
+
+def test_commutant_blocks_refuse_a_group_above_the_cap(monkeypatch):
+    """The cap is checked before any irrep is built."""
+    rep = regular_rep(cyclic(6))
+
+    def fail():
+        raise AssertionError("irreps built above the cap")
+
+    monkeypatch.setattr(rep.group, "irrep_stacks", fail)
+    monkeypatch.setattr(algebra, "ROUNDING_DIM_CAP", 5)
+    with pytest.raises(ResourceCap):
+        commutant_blocks(rep)
+    with pytest.raises(ResourceCap):
+        nearest_unitary_in_commutant(rep, rep.algebra.identity())
+
+
 def test_nearest_unitary_sqrt2():
     """||v - u||_2 <= sqrt(2) ||v - E(v)||_2, tight at a mean-zero unitary."""
     rep = regular_rep(cyclic(2))
@@ -288,7 +400,8 @@ def test_norm_conditional_duality():
 
 # -- screened validation at the tolerance boundary -----------------------------
 
-TOL = 1e-9
+TOL = algebra.VALIDATION_TOL
+assert TOL == 1e-9
 
 
 def _count_exact_norms(monkeypatch):
@@ -352,17 +465,17 @@ def test_pvm_accepts_operator_norm_below_tol_frobenius_above(monkeypatch):
     alg, projs = _scaled_halves(64, 0.9 * TOL)
     frob = np.linalg.norm(projs[0].blocks[0] @ projs[0].blocks[0] - projs[0].blocks[0])
     assert frob > TOL
-    PVM(alg, [0, 1], projs, tol=TOL)
+    PVM(alg, [0, 1], projs)
     assert calls  # the screen failed and the exact path decided
     alg, projs = _tilted_pairs(32, 0.9 * TOL)
     assert np.linalg.norm(projs[0].blocks[0] @ projs[1].blocks[0]) > TOL
-    PVM(alg, ["a", "b"], projs, tol=TOL)
+    PVM(alg, ["a", "b"], projs)
 
 
 def test_pvm_rejects_operator_norm_just_above_tol():
     alg, projs = _scaled_halves(64, 1.1 * TOL)
     with pytest.raises(InvalidPVM) as info:
-        PVM(alg, [0, 1], projs, tol=TOL)
+        PVM(alg, [0, 1], projs)
     p, q = projs
     worst = max(alg.norm_inf(p * p - p), alg.norm_inf(p - p.H), alg.norm_inf(q * q - q))
     worst_sum = alg.norm_inf(p + q - alg.identity())
@@ -370,7 +483,7 @@ def test_pvm_rejects_operator_norm_just_above_tol():
     assert TOL < info.value.residual < 1.2 * TOL
     alg, projs = _tilted_pairs(32, 1.1 * TOL)
     with pytest.raises(InvalidPVM):
-        PVM(alg, ["a", "b"], projs, tol=TOL)
+        PVM(alg, ["a", "b"], projs)
 
 
 @pytest.mark.parametrize("stack_entries", [None, 4 * 16 * 16])
@@ -434,9 +547,9 @@ def test_almost_hom_unitarity_boundary():
         # (1 + delta)^2 - 1 is about 2 delta on every diagonal entry
         return {(0,): ident, (1,): (1.0 + delta) * ident}
 
-    AlmostHom(grp, alg, images(0.45 * TOL), tol=TOL)
+    AlmostHom(grp, alg, images(0.45 * TOL))
     with pytest.raises(InvalidRepresentation) as info:
-        AlmostHom(grp, alg, images(0.55 * TOL), tol=TOL)
+        AlmostHom(grp, alg, images(0.55 * TOL))
     u = images(0.55 * TOL)[(1,)]
     exact = max(alg.norm_inf(u * u.H - ident), alg.norm_inf(u.H * u - ident))
     assert info.value.residual == exact
@@ -454,9 +567,9 @@ def test_unitary_rep_multiplication_boundary():
         theta = math.asin(r / 2.0)
         return {(0,): alg.identity(), (1,): alg.element([np.exp(1j * theta) * signs])}
 
-    UnitaryRep(grp, alg, images(0.9 * TOL), tol=TOL)
+    UnitaryRep(grp, alg, images(0.9 * TOL))
     with pytest.raises(InvalidRepresentation) as info:
-        UnitaryRep(grp, alg, images(1.1 * TOL), tol=TOL)
+        UnitaryRep(grp, alg, images(1.1 * TOL))
     u = images(1.1 * TOL)
     assert info.value.residual == alg.norm_inf(u[(0,)] - u[(1,)] * u[(1,)])
     assert TOL < info.value.residual < 1.2 * TOL
@@ -472,9 +585,9 @@ def test_pvm_self_adjointness_boundary():
         p = np.array([[1.0, x], [0.0, 0.0]], dtype=complex)
         return [alg.element([p]), alg.element([np.eye(2) - p])]
 
-    PVM(alg, [0, 1], family(0.9 * TOL), tol=TOL)
+    PVM(alg, [0, 1], family(0.9 * TOL))
     with pytest.raises(InvalidPVM) as info:
-        PVM(alg, [0, 1], family(1.1 * TOL), tol=TOL)
+        PVM(alg, [0, 1], family(1.1 * TOL))
     assert TOL < info.value.residual < 1.2 * TOL
 
 
@@ -509,7 +622,7 @@ def _case_pvm_own(r):
     def expected():
         return max(alg.norm_inf(p - p.H), alg.norm_inf(q - q.H))
 
-    return lambda: PVM(alg, [0, 1], [p, q], tol=TOL), expected, InvalidPVM, "projection residual"
+    return lambda: PVM(alg, [0, 1], [p, q]), expected, InvalidPVM, "projection residual"
 
 
 def _case_pvm_sum(r):
@@ -518,7 +631,7 @@ def _case_pvm_sum(r):
     def expected():
         return alg.norm_inf(a + b - alg.identity())
 
-    return lambda: PVM(alg, ["a", "b"], [a, b], tol=TOL), expected, InvalidPVM, "sum residual"
+    return lambda: PVM(alg, ["a", "b"], [a, b]), expected, InvalidPVM, "sum residual"
 
 
 def _case_pvm_orthogonality(r):
@@ -526,7 +639,7 @@ def _case_pvm_orthogonality(r):
     x = alg.element([np.zeros((2, 2)), np.diag(np.r_[np.zeros(32), 1.0])])
 
     def make():
-        return PVM(alg, ["x", "a", "b"], [x, a, b], unit=x + a + b, tol=TOL)
+        return PVM(alg, ["x", "a", "b"], [x, a, b], unit=x + a + b)
 
     return make, lambda: alg.norm_inf(a * b), InvalidPVM, "'a','b' are not orthogonal"
 
@@ -540,7 +653,7 @@ def _case_unitarity(r):
         return max(alg.norm_inf(u * u.H - ident), alg.norm_inf(u.H * u - ident))
 
     def make():
-        return AlmostHom(cyclic(2), alg, {(0,): ident, (1,): u}, tol=TOL)
+        return AlmostHom(cyclic(2), alg, {(0,): ident, (1,): u})
 
     return make, expected, InvalidRepresentation, "not unitary"
 
@@ -553,7 +666,7 @@ def _case_law(r):
     g = alg.element([np.exp(1j * math.asin(x / 2)) * s for x, s in zip((r / 2, r), signs)])
 
     def make():
-        return UnitaryRep(cyclic(2), alg, {(0,): ident, (1,): g}, tol=TOL)
+        return UnitaryRep(cyclic(2), alg, {(0,): ident, (1,): g})
 
     return make, lambda: alg.norm_inf(ident - g * g), InvalidRepresentation, "law fails"
 
@@ -993,7 +1106,7 @@ def test_conjugating_a_borderline_pvm_takes_the_full_check(monkeypatch):
     """A family validated at 0.9 of the tolerance is validated again when
     conjugated, with the full check's residual."""
     alg, projs = _scaled_halves(64, 0.9 * TOL)
-    pvm = PVM(alg, [0, 1], projs, tol=TOL)
+    pvm = PVM(alg, [0, 1], projs)
     u = alg.element([haar_unitary(64, np.random.default_rng(22))])
     checks = _count_residual_checks(monkeypatch)
     moved = pvm.conjugated(u)

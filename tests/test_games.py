@@ -960,6 +960,20 @@ def test_game_file_rejects_labels_off_the_group_at_load():
             Game.from_jsonable(blob)
 
 
+@pytest.mark.parametrize(
+    "tag, param", [("pairs", 5), ("pairs", [[0, 1, 1]]), ("match_coord", "x")]
+)
+def test_game_file_rule_params_take_the_shape_of_their_tag(tag, param):
+    """A rule's param is checked against its tag where the file enters: a
+    "pairs" rule lists pairs of answers and a "match_coord" rule names a
+    coordinate."""
+    blob = {"questions": [["a", [0, 1]]], "mu": [["a", "a", "1"]], "rules": [["a", "a", tag, param]]}
+    with pytest.raises(InvalidArgument, match=r"malformed file\['rules'\]\[0\]\[3\]"):
+        Game.from_jsonable(blob)
+    blob["rules"][0][3] = [[0, 0], [1, 1]] if tag == "pairs" else 0
+    assert Game.from_jsonable(blob).rules[("a", "a")][0] == tag
+
+
 def test_hamming_honest_and_perturbed_strategies_are_validated_once(monkeypatch):
     """The honest PVMs are formed exactly and their noisy conjugates carry a
     derived bound: neither goes through PVM validation."""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -27,6 +28,7 @@ from gapstab.algebra import (
     rep_residual,
 )
 from gapstab.errors import (
+    DegenerateDecomposition,
     GapstabError,
     InvalidArgument,
     InvalidRepresentation,
@@ -728,6 +730,93 @@ def test_twisted_cut_matches_per_element_oracle():
         for g in tilde.group.elements:
             for y, got, blk in zip(ys, tilde(g).blocks, cert.pi(embed(g)).blocks):
                 assert np.abs(got - y.conj().T @ blk @ y).max() <= 1e-14
+
+
+def _block_sum(a, b):
+    """Per element, the direct sum of two image stacks."""
+    k, p, _ = a.shape
+    out = np.zeros((k, p + b.shape[-1], p + b.shape[-1]), dtype=complex)
+    out[:, :p, :p], out[:, p:, p:] = a, b
+    return out
+
+
+def _half_twisted_pair():
+    """On C^4 (+) C^4, the two-qubit Pauli pair next to the X part with a
+    trivial V: the second half commutes where the twist asks for a sign."""
+    u, v = _pauli_reps(2)
+    alg = TracialAlgebra.matrix(8)
+    trivial = np.broadcast_to(np.eye(4), v.stacks[0].shape)
+    return (
+        UnitaryRep(u.group, alg, [_block_sum(u.stacks[0], u.stacks[0])]),
+        UnitaryRep(v.group, alg, [_block_sum(v.stacks[0], trivial)]),
+        lambda a, chi: int(u.group.pairing(chi, a)),
+    )
+
+
+def _degenerate_twisted_pair():
+    """X (x) X on Z2^2 against Z (x) 1 on Z2^2, twisted by the degenerate
+    (-1)^(a_0 b_0): the extension's irreps come from the regular split."""
+    grp = boolean_group(2)
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    alg = TracialAlgebra.matrix(4)
+    power = np.linalg.matrix_power
+    u = np.array([np.kron(power(x, a[0]), power(x, a[1])) for a in grp.elements])
+    v = np.array([np.kron(power(z, b[0]), np.eye(2)) for b in grp.elements])
+    return (
+        UnitaryRep(grp, alg, [u]),
+        UnitaryRep(grp, alg, [v]),
+        lambda a, b: (-1) ** (a[0] * b[0]),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, ranks, trace_q, p_minus_q",
+    [
+        (_half_twisted_pair, [(4, 4)], 0.5, math.sqrt(0.5)),
+        (_degenerate_twisted_pair, [(4, 0)], 1.0, 0.0),
+    ],
+    ids=["completion", "degenerate"],
+)
+def test_twisted_cut_keeps_the_minus_one_coordinates(make, ranks, trace_q, p_minus_q):
+    """The rounded central sign is +-1 on the diagonal: with a completion
+    block (t > 0) its +1 coordinates are cut away, and on a degenerate twist
+    its image carries the rounding of the regular split.  U~ and V~ are the
+    kept coordinates of pi's rows at (a, 1, +1) and (1, b, +1), byte for
+    byte."""
+    u, v, gamma = make()
+    res = round_twisted_pair(u, v, gamma)
+    cert = res.certificate
+    ext = cert.group
+    assert cert.spectral_ranks == ranks
+    z = cert.pi(ext.central_sign).blocks[0]
+    assert np.abs(z - np.diag(np.sign(z.diagonal().real))).max() <= 1e-12
+    kept = np.flatnonzero(z.diagonal().real < 0)
+    for tilde, embed in ((res.u_tilde, ext.embed_a), (res.v_tilde, ext.embed_b)):
+        rows = [ext.index(embed(g)) for g in tilde.group.elements]
+        assert tilde.stacks[0].tobytes() == cert.pi.stacks[0][np.ix_(rows, kept, kept)].tobytes()
+    assert res.trace_q == pytest.approx(trace_q, rel=1e-15)
+    assert res.p_minus_q == pytest.approx(p_minus_q, rel=1e-12, abs=1e-12)
+    assert res.relation_residual <= 1e-12
+
+
+def test_twisted_cut_refuses_an_off_diagonal_central_sign(monkeypatch):
+    """A central sign that is an involution but mixes a -1 with a +1
+    coordinate is no direct sum of irreps and an identity block."""
+    u, v, gamma = _half_twisted_pair()
+    round_map = stability.gowers_hatami_round
+
+    def rotated(phi):
+        cert = round_map(phi)
+        c, s = math.cos(0.1), math.sin(0.1)
+        rot = np.eye(cert.corner.dims[0], dtype=complex)
+        rot[np.ix_([0, 4], [0, 4])] = [[c, -s], [s, c]]
+        stacks = [rot @ cert.pi.stacks[0] @ rot.conj().T]
+        pi = UnitaryRep._trusted(cert.group, cert.corner, stacks)
+        return dataclasses.replace(cert, pi=pi)
+
+    monkeypatch.setattr(stability, "gowers_hatami_round", rotated)
+    with pytest.raises(DegenerateDecomposition, match="diagonal involution"):
+        round_twisted_pair(u, v, gamma)
 
 
 def test_amplification_checks():

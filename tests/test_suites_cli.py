@@ -189,6 +189,86 @@ def test_cli_game_pipeline(tmp_path, capsys):
     assert "certificate" not in blob
 
 
+def _edited(path, edit):
+    """Rewrite the JSON file ``path`` through ``edit`` and return the path."""
+    obj = json.loads(open(path).read())
+    edit(obj)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return path
+
+
+def _assert_malformed(argv, capsys, message):
+    """The command exits with the input-error code 3 and the JSON error
+    record of InvalidArgument with ``message``."""
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "InvalidArgument", "message": message}
+
+
+@pytest.fixture
+def game_files(tmp_path, capsys):
+    """A built game file and its honest strategy file."""
+    code = _write_code(tmp_path / "id.code", "2 1 1", ["1"])
+    game, strat = str(tmp_path / "game.json"), str(tmp_path / "strat.json")
+    assert main(["build-game", code, "--out", game]) == 0
+    assert main(["honest", game, "--out", strat]) == 0
+    capsys.readouterr()
+    return game, strat
+
+
+def test_cli_game_file_of_another_shape(game_files, capsys):
+    """A meta.omega entry [label, 5] instead of [label, {alpha, beta}]."""
+    game, strat = game_files
+
+    def edit(obj):
+        obj["meta"]["omega"][0][1] = 5
+
+    message = "malformed file['meta']['omega'][0][1]: unexpected 5"
+    _assert_malformed(["eval", _edited(game, edit), strat], capsys, message)
+
+
+def test_cli_strategy_file_of_another_shape(game_files, capsys):
+    """A PVM entry [1, 5] instead of [answer, blocks]."""
+    game, strat = game_files
+
+    def edit(obj):
+        obj["pvms"][0][1][0] = [1, 5]
+
+    message = "malformed file['pvms'][0][1][0][1]: unexpected 5"
+    _assert_malformed(["eval", game, _edited(strat, edit)], capsys, message)
+
+
+def test_cli_strategy_file_with_an_extra_block(game_files, capsys):
+    """A projection with one block more than the algebra has."""
+    game, strat = game_files
+
+    def edit(obj):
+        blocks = obj["pvms"][0][1][0][1]
+        blocks.append(blocks[0])
+
+    _assert_malformed(["eval", game, _edited(strat, edit)], capsys, "2 blocks, expected 1")
+
+
+def test_cli_map_file_of_another_shape(tmp_path, capsys):
+    """An image entry [element, 5] instead of [element, blocks]."""
+    rep = regular_rep(cyclic(3))
+    path = str(tmp_path / "hom.json")
+    write_almost_hom(path, AlmostHom(rep.group, rep.algebra, rep.images))
+
+    def edit(obj):
+        obj["images"][1][1] = 5
+
+    message = "malformed file['images'][1][1]: unexpected 5"
+    _assert_malformed(["round", _edited(path, edit)], capsys, message)
+
+
+def test_cli_measure_file_of_another_shape(tmp_path, capsys):
+    """A weight [1] where a number or fraction string belongs."""
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps({"orders": [2], "weights": {"1": [1]}}))
+    _assert_malformed(["kappa", str(path)], capsys, "malformed file['weights']['1']: unexpected [1]")
+
+
 def test_cli_build_game_needs_out(tmp_path, capsys):
     code = _write_code(tmp_path / "id.code", "2 1 1", ["1"])
     assert main(["build-game", code]) == 3
