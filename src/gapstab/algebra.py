@@ -38,9 +38,9 @@ The conditional expectation onto the commutant of a representation,
 E(x) = E_g u(g) x u(g)*, has one kernel, ``_commutant_mean``, which projects
 a whole stack of elements per call.  The commutant's block decomposition
 (:class:`CommutantDecomposition`) is read off the group's cached irreps,
-without random numbers; it compresses and lifts stacks, so the nearest
-commutant unitary and the product stabilization run without a loop over
-group elements.
+without random numbers; it compresses and lifts stacks, and since compress o
+E = compress and lift o compress = E, the nearest commutant unitary and the
+product stabilization take E from one compression, without a group sum.
 """
 
 from __future__ import annotations
@@ -607,7 +607,7 @@ class AlmostHom:
     def _store(self, group, algebra, stacks):
         self.group = group
         self.algebra = algebra
-        self.stacks = tuple(stacks)
+        self.stacks = tuple(s.reshape(-1, *s.shape[-2:]) for s in stacks)
         for stack in self.stacks:
             stack.flags.writeable = False
 
@@ -624,7 +624,8 @@ class AlmostHom:
         """An instance on image stacks built from checked parts, such as a
         direct sum of a group's irreps (checked once per group by
         ``irrep_stacks()``): one ``(|G|, n, n)`` array per block in
-        ``group.elements`` order, made read-only in place, not copied and
+        ``group.elements`` order (leading axes merged, as in
+        :func:`_read_only_stacks`), made read-only in place, not copied and
         not validated again."""
         obj = cls.__new__(cls)
         obj._store(group, algebra, stacks)
@@ -1111,10 +1112,13 @@ class CommutantDecomposition:
         self.algebra_n = TracialAlgebra._raw(dims, coeffs)
 
     def compress(self, xs) -> tuple:
-        """Coordinates of elements of the commutant: one ``(k, m, m)`` stack
-        per component from one ``(k, n, n)`` stack per ambient block (each x
-        must lie in N).  The partial trace over 1_d is a trace over the two
-        d axes of W* x W read as ``(k, m, d, m, d)``."""
+        """Coordinates in the commutant: one ``(k, m, m)`` stack per
+        component from one ``(k, n, n)`` stack per ambient block.  The partial
+        trace over 1_d is a trace over the two d axes of W* x W read as
+        ``(k, m, d, m, d)``.  Any x is accepted: because the components'
+        columns fill each block (sum m d = n, checked when built),
+        compress(x) = compress(E(x)) for E the conditional expectation onto
+        N, and lift(compress(x)) = E(x)."""
         out = []
         for bi, w, m, d in self.components:
             b = w.conj().T @ xs[bi] @ w
@@ -1198,15 +1202,14 @@ def commutant_blocks(rep: UnitaryRep) -> CommutantDecomposition:
 def nearest_unitary_in_commutant(rep: UnitaryRep, v: AlgebraElement) -> AlgebraElement:
     """The unitary in the commutant closest to v in the 2-norm.
 
-    Computes the conditional expectation onto the commutant and completes its
-    polar partial isometry to a unitary inside each block of
-    :func:`commutant_blocks`, which reads the blocks off the group's irreps.
-    The output satisfies ||v - out||_2 <= sqrt(2) * ||v - E(v)||_2, and
-    sqrt(2) cannot be improved.
+    Lifts back the polar factors of v compressed into the blocks of
+    :func:`commutant_blocks` (read off the group's irreps), which is E(v)
+    compressed: E, the conditional expectation, is not formed.  The output
+    satisfies ||v - out||_2 <= sqrt(2) * ||v - E(v)||_2, and sqrt(2) cannot
+    be improved.
     """
     decomposition = commutant_blocks(rep)
-    ev = _commutant_mean(rep.stacks, [b[None] for b in v.blocks])
-    u = [unitary_polar_factor(y) for y in decomposition.compress(ev)]
+    u = [unitary_polar_factor(y) for y in decomposition.compress([b[None] for b in v.blocks])]
     return AlgebraElement(rep.algebra, [s[0] for s in decomposition.lift(u)])
 
 

@@ -522,14 +522,17 @@ def closeness(
 
     ``w`` holds one (corner_b x base_b) matrix per block, the base being
     strat_a's algebra and the corner strat_b's.  The question average is
-    uniform over the common questions; answer sets must agree question by
-    question.  The corner projection is the identity of strat_b's algebra.
+    uniform over the common questions, of which there must be one; answer
+    sets must agree question by question.  The corner projection is the
+    identity of strat_b's algebra.
     """
     base = strat_a.algebra
     corner = strat_b.algebra
     questions = sorted(
         set(strat_a.pvms) & set(strat_b.pvms), key=repr
     )
+    if not questions:
+        raise InvalidArgument("the strategies share no question")
     weights = {x: 1.0 / len(questions) for x in questions}
     trace_base = _trace_defect(base, [m.conj().T @ m for m in w])
     trace_corner = _trace_defect(corner, [m @ m.conj().T for m in w]) / corner.tau_one

@@ -89,13 +89,24 @@ class FiniteGroup:
             _check_unitary_irreps(families)
             for fam in families:
                 fam.flags.writeable = False
-            self._irreps, self._irrep_law = families, {}
+            self._irreps = families
         return self._irreps
 
     def _build_irreps(self) -> list[np.ndarray]:
         """The irrep families, by default split off the left regular
         representation (:func:`_regular_irreps`)."""
         return _regular_irreps(self)
+
+    def _irrep(self, f, q) -> np.ndarray:
+        """The (|G|, d, d) images of one irrep, ``irrep_stacks()[f][q]``."""
+        return self.irrep_stacks()[f][q]
+
+    def _trivial_irrep(self) -> tuple:
+        """The (family, index) of the 1-d irrep nearest 1: the trivial one,
+        which a split of the regular representation gives only to rounding."""
+        families = self.irrep_stacks()
+        ones = [(f, q) for f, s in enumerate(families) if s.shape[-1] == 1 for q in range(len(s))]
+        return min(ones, key=lambda fq: np.abs(self._irrep(*fq) - 1).max())
 
     def _irrep_law_residual(self, occurring, dims) -> float:
         """The largest multiplication-law residual, in operator norm, over
@@ -106,18 +117,18 @@ class FiniteGroup:
         Each irrep's residual is computed once per group and per regime of
         those pairs (every pair, or the sampled ones), by
         :func:`~gapstab.algebra._worst_residual`, and kept beside the irreps.
+        Only the occurring irreps' images are read (:meth:`_irrep`).
         """
-        families = self.irrep_stacks()
-        every = _every_pair(self, dims)
-        missing = [fq for fq in occurring if (every, *fq) not in self._irrep_law]
+        law, every = vars(self).setdefault("_irrep_law", {}), _every_pair(self, dims)
+        missing = [fq for fq in occurring if (every, *fq) not in law]
         if missing:
             pairs = _law_pairs(self, dims)
             for f, q in missing:
-                irrep = families[f][q]
-                self._irrep_law[every, f, q] = _worst_residual(
+                irrep = self._irrep(f, q)
+                law[every, f, q] = _worst_residual(
                     (irrep.shape[-1],), len(pairs[0]), _law_residuals((irrep,), pairs)
                 )
-        return max((self._irrep_law[every, f, q] for f, q in occurring), default=0.0)
+        return max((law[every, f, q] for f, q in occurring), default=0.0)
 
     def is_subgroup(self, subset) -> bool:
         """Check that ``subset`` is closed under multiplication and inverse."""
@@ -201,6 +212,21 @@ class ProductGroup(FiniteGroup):
                 kron = np.einsum("kgij,lhab->klghiajb", s1, s2)
                 out.append(kron.reshape(k1 * k2, n1 * n2, d1 * d2, d1 * d2))
         return out
+
+    def _product_irrep(self, irrep1, irrep2) -> tuple:
+        """The (family, index) of rho1 (x) rho2 in :meth:`_build_irreps`'s
+        order, from the factors' (family, index) pairs of rho1 and rho2."""
+        (f1, q1), (f2, q2), families2 = irrep1, irrep2, self.second.irrep_stacks()
+        return f1 * len(families2) + f2, q1 * len(families2[f2]) + q2
+
+    def _irrep(self, f, q):
+        """One product irrep, bit for bit as :meth:`_build_irreps` forms it,
+        from the factors' irreps alone."""
+        families2 = self.second.irrep_stacks()
+        (f1, f2), k2 = divmod(f, len(families2)), len(families2[f % len(families2)])
+        s1, s2 = self.first.irrep_stacks()[f1][q // k2], families2[f2][q % k2]
+        d = s1.shape[-1] * s2.shape[-1]
+        return np.einsum("gij,hab->ghiajb", s1, s2).reshape(self.order, d, d)
 
     def __repr__(self):
         return f"ProductGroup({self.first!r}, {self.second!r})"

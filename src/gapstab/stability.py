@@ -32,7 +32,6 @@ from .algebra import (
     AlmostHom,
     TracialAlgebra,
     UnitaryRep,
-    _commutant_mean,
     _fourier_blocks,
     _fourier_defect,
     _frobenius_sq,
@@ -43,7 +42,6 @@ from .algebra import (
     _pairwise_defect,
     commutant_blocks,
     defect,
-    rep_residual,
     unitary_polar_factor,
 )
 from .errors import (
@@ -155,6 +153,8 @@ class RoundingCertificate:
     intermediates : contraction-stage numbers and numerical health figures.
     spectral_ranks : per block, the rank R of the spectral projection and
         the dimension t of its completion; the corner has dimension R + t.
+    irreps : per block, the ``(family, index)`` into ``group.irrep_stacks()``
+        of each irrep copy on pi's first R coordinates, in their order.
 
     The corner projection P lives in the amplified algebra M tensor M_|G|
     and is not materialised: pi is stored in corner coordinates, where P is
@@ -175,6 +175,7 @@ class RoundingCertificate:
     threshold_ties: bool
     tie_count: int
     spectral_ranks: list
+    irreps: list
 
     def pullback(self, g) -> AlgebraElement:
         """w* pi(g) w in the base algebra."""
@@ -406,8 +407,8 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
     # pi is a direct sum of the group's checked irreps and an identity block:
     # it is unitary, and its law residual is the worst over the irreps that occur
     pi = UnitaryRep._trusted(group, corner, pi_stacks)
-    occurring = {fq for blk in blocks for fq in blk["irreps"]}
-    pi_residual = group._irrep_law_residual(occurring, corner.dims)
+    irreps = [blk["irreps"] for blk in blocks]
+    pi_residual = group._irrep_law_residual({fq for b in irreps for fq in b}, corner.dims)
     intermediates = {
         "contraction_distance": contraction,
         "contraction_bound": CONTRACTION_CONSTANT * eps,
@@ -439,6 +440,7 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
         threshold_ties=any(blk["ties"] for blk in blocks),
         tie_count=sum(blk["ties"] for blk in blocks),
         spectral_ranks=[(blk["R"], blk["t"]) for blk in blocks],
+        irreps=irreps,
     )
 
 
@@ -543,7 +545,8 @@ def round_commuting_pair(u_rep: UnitaryRep, v_rep: UnitaryRep) -> PairRoundingRe
     ones = np.ones((a_grp.order, b_grp.order))
     eps = float(_pair_defects(u_rep, v_rep, ones).mean())
     group = ProductGroup(a_grp, b_grp)
-    phi = AlmostHom(group, alg, _pair_products(u_rep, v_rep))
+    # products of two validated representations: trusted
+    phi = AlmostHom._trusted(group, alg, _pair_products(u_rep, v_rep))
     cert = gowers_hatami_round(phi)
     if abs(cert.input_defect - eps) > 1e-6 * max(1.0, eps):
         raise GapstabError(
@@ -654,8 +657,9 @@ def _round_twisted(u_rep, v_rep, ext, signs, eps: float) -> TwistedRoundingResul
     is re-polared from the kept rows of the certificate's isometry."""
     a_grp, b_grp = u_rep.group, v_rep.group
     alg = u_rep.algebra
-    # phi(a, b, z) = z U(a)V(b), with z innermost as in ext.elements
-    phi = AlmostHom(ext, alg, [np.stack([p, -p], axis=2) for p in _pair_products(u_rep, v_rep)])
+    # phi(a, b, z) = z U(a)V(b), z innermost as in ext.elements: trusted
+    pairs = _pair_products(u_rep, v_rep)
+    phi = AlmostHom._trusted(ext, alg, [np.stack([p, -p], axis=2) for p in pairs])
     cert = gowers_hatami_round(phi)
     if abs(cert.input_defect - eps) > 1e-6 * max(1.0, eps):
         raise GapstabError(
@@ -915,49 +919,33 @@ def _round_pauli(pair: _PauliPair) -> PauliRoundingResult:
 
 @dataclass
 class StabilizationReport:
-    """Every intermediate quantity of the two-stage stabilization."""
+    """Every intermediate quantity of the two-stage stabilization; ``stage1``
+    and ``stage2`` are the reports of the two roundings' certificates."""
 
     epsilon: float
     epsilon_split: dict
     split_identity_residual: float
     kappa1: float
-    stage1_exact: bool
-    stage1: dict | None
+    stage1: dict
     d1_base: float
     d1_corner: float
     eta: dict = field(repr=False)
-    eta_sq_mu2: float = 0.0
-    eta_bound_triangle: float = 0.0
-    eta_bound_gap_form: float = 0.0
-    v_to_phi: dict = field(default_factory=dict, repr=False)
-    v_defect_uniform: float = 0.0
-    v_defect_mu2: float = 0.0
-    v_defect_bound: float = 0.0
-    stage2_exact: bool = False
-    stage2: dict | None = None
-    distance_uniform: float = 0.0
-    distance_mu1: float = 0.0
-    distance_mu2: float = 0.0
-    distance_mixture: float = 0.0
-    trace_total: float = 0.0
-    trace_excess: float = 0.0
-    assembly_residual: float = 0.0
-    pi_residual: float = 0.0
-
-
-def _embedded_measure(group: ProductGroup, mu: ProbMeasure, slot: int) -> ProbMeasure:
-    if slot == 0:
-        return ProbMeasure(
-            group,
-            {(g, group.second.identity): p for g, p in mu.items_nonzero()},
-        )
-    return ProbMeasure(
-        group,
-        {(group.first.identity, h): p for h, p in mu.items_nonzero()},
-    )
-
-
-_EXACT_STAGE_TOL = 1e-18
+    eta_sq_mu2: float
+    eta_bound_triangle: float
+    eta_bound_gap_form: float
+    v_to_phi: dict = field(repr=False)
+    v_defect_uniform: float
+    v_defect_mu2: float
+    v_defect_bound: float
+    stage2: dict
+    distance_uniform: float
+    distance_mu1: float
+    distance_mu2: float
+    distance_mixture: float
+    trace_total: float
+    trace_excess: float
+    assembly_residual: float
+    pi_residual: float
 
 
 def stabilize_product(
@@ -970,7 +958,8 @@ def stabilize_product(
     commutant N of the rounded representation; (iii) replace each by the
     nearest unitary of N; (iv) round that almost-homomorphism inside N;
     (v) assemble a genuine representation of G1 x G2 on the doubly-rounded
-    corner together with a composed isometry.
+    corner together with a composed isometry.  Each stage is one
+    :func:`gowers_hatami_round`, which refuses a stage over its cap.
 
     Defect accounting uses the mixture measure mu(x, y) = (mu1(x)1_{y=e} +
     mu2(y)1_{x=e}) / 2; the report carries the four-way defect split, the
@@ -981,25 +970,29 @@ def stabilize_product(
 
     Stages (ii) and (iii) run on stacks: the images enter the corner as
     x -> w1 x w1* + (1 - w1 w1*), one stack per block for the first factor
-    and one for the second; the second-factor stack is projected onto N by
-    one call of the conditional-expectation kernel, compressed into N
-    (:func:`~gapstab.algebra.commutant_blocks`, read off G1's irreps),
-    replaced by its polar factors and lifted back.  d1_corner, eta,
+    and one for the second; the second is compressed into N once
+    (:func:`~gapstab.algebra.commutant_blocks`), its lift is its projection
+    onto N, and its polar factors are stage two's map.  d1_corner, eta,
     v_to_phi and the mu2 and mu2 * mu2 sums of eta^2 are weighted squared
     2-norms of those stacks.  The assembled pi(g, h) is the direct sum over
-    the components j of pi2(h)_j (x) u_j(g), u_j the recorded irrep; pi1,
-    pi2 and pi are trusted, not validated again, and ``pi_residual`` is the
-    measured ``rep_residual(pi)``.
+    the components j of pi2(h)_j (x) u_j(g), u_j the recorded irrep: up to
+    a permutation, of product irreps u_j (x) rho2, rho2 over stage two's
+    irreps on j (and the trivial one on its completion).  Maps built from
+    checked parts are trusted, not validated again; ``pi_residual`` is the
+    kept law residual of those product irreps (``rep_residual(pi)`` up to
+    rounding), each formed alone, so the product's (|G1| |G2|)^2 irrep
+    entries are never built.
     """
     group = phi.group
     if not isinstance(group, ProductGroup):
         raise InvalidArgument("stabilize_product needs a two-factor product group")
     g1, g2 = group.first, group.second
     base = phi.algebra
-    e1, e2 = g1.identity, g2.identity
+    e1, e2 = group.identity
 
-    mu1_emb = _embedded_measure(group, mu1, 0)
-    mu2_emb = _embedded_measure(group, mu2, 1)
+    # mu1 and mu2 on the two factors' copies in G1 x G2
+    mu1_emb = ProbMeasure(group, {(g, e2): p for g, p in mu1.items_nonzero()})
+    mu2_emb = ProbMeasure(group, {(e1, h): p for h, p in mu2.items_nonzero()})
     mix = ProbMeasure(
         group,
         {
@@ -1018,25 +1011,14 @@ def stabilize_product(
 
     kappa1 = float(kappa(g1, mu1).kappa)
 
-    # stage one: the first factor
+    # stage one: the first factor, rows of the validated phi (trusted)
     rows1 = [group.index((g, e2)) for g in g1.elements]
-    phi1 = AlmostHom(g1, base, [s[rows1] for s in phi.stacks])
-    eps1_uniform = defect(phi1)
-    stage1_exact = eps1_uniform <= _EXACT_STAGE_TOL
-    if stage1_exact:
-        corner1 = base
-        pi1 = UnitaryRep._trusted(g1, base, phi1.stacks)
-        w1 = tuple(np.eye(m, dtype=complex) for m in base.dims)
-        cert1 = None
-    else:
-        cert1 = gowers_hatami_round(phi1)
-        corner1 = cert1.corner
-        pi1 = cert1.pi
-        w1 = cert1.w
+    phi1 = AlmostHom._trusted(g1, base, [s[rows1] for s in phi.stacks])
+    cert1 = gowers_hatami_round(phi1)
+    corner1, pi1, w1 = cert1.corner, cert1.pi, cert1.w
 
     mu1_idx, mu1_w = _measure_weights(g1, mu1)
-    d1_per = _pullback_sq(w1, base.coeffs, phi1.stacks, pi1.stacks)
-    d1_base = float(mu1_w @ d1_per[mu1_idx])
+    d1_base = float(mu1_w @ np.array([cert1.per_element[g1.elements[i]] for i in mu1_idx]))
 
     # images move into the corner as x -> w1 x w1* + (1 - w1 w1*), per stack
     complement = [np.eye(len(m)) - m @ m.conj().T for m in w1]
@@ -1049,15 +1031,14 @@ def stabilize_product(
         mu1_w @ _distance_sq(corner1.coeffs, first, [s[mu1_idx] for s in pi1.stacks])
     )
 
-    # stage two: second-factor values moved into the corner, projected on N
+    # stage two: second-factor values moved into the corner, compressed into N
     rows2 = [group.index((e1, h)) for h in g2.elements]
     second = into_corner([s[rows2] for s in phi.stacks])
     decomp = commutant_blocks(pi1)
-    n_alg = decomp.algebra_n
-    expected = _commutant_mean(pi1.stacks, second)
-    eta_sq = _distance_sq(corner1.coeffs, second, expected)
-    v_stacks = [unitary_polar_factor(y) for y in decomp.compress(expected)]
-    v_sq = _distance_sq(corner1.coeffs, second, decomp.lift(v_stacks))
+    compressed = decomp.compress(second)
+    eta_sq = _distance_sq(corner1.coeffs, second, decomp.lift(compressed))
+    v_hom = AlmostHom._trusted(g2, decomp.algebra_n, list(map(unitary_polar_factor, compressed)))
+    v_sq = _distance_sq(corner1.coeffs, second, decomp.lift(v_hom.stacks))
     eta = dict(zip(g2.elements, np.sqrt(eta_sq).tolist()))
     v_to_phi = dict(zip(g2.elements, np.sqrt(v_sq).tolist()))
 
@@ -1068,8 +1049,6 @@ def stabilize_product(
     )
     eta_bound_gap_form = 12.0 * kappa1 * max(d1_corner, eps)
 
-    v_hom = AlmostHom(g2, n_alg, v_stacks)
-    v_defect_uniform = defect(v_hom)
     v_defect_mu2 = defect(v_hom, mu2, mu2)
     conv_idx, conv_w = _measure_weights(g2, mu2.convolve(mu2))
     eta_conv = math.sqrt(float(conv_w @ eta_sq[conv_idx]))
@@ -1082,15 +1061,7 @@ def stabilize_product(
     _check_bound(eta_sq_mu2, eta_bound_gap_form, "commutant distance (gap form)")
     _check_bound(v_defect_mu2, v_defect_bound, "stage-two defect")
 
-    stage2_exact = v_defect_uniform <= _EXACT_STAGE_TOL
-    if stage2_exact:
-        pi2 = UnitaryRep._trusted(g2, n_alg, v_hom.stacks)
-        w2 = tuple(np.eye(m, dtype=complex) for m in n_alg.dims)
-        cert2 = None
-    else:
-        cert2 = gowers_hatami_round(v_hom)
-        pi2 = cert2.pi
-        w2 = cert2.w
+    cert2 = gowers_hatami_round(v_hom)
 
     # assembly: pi(g, h) is block diagonal over the commutant components j
     # of each base block, pi2(h)_j (x) u_j(g) on component j with u_j its
@@ -1103,8 +1074,8 @@ def stabilize_product(
         rows, kron_blocks = [], []
         for j, ((bi, w_iso, _, d), (f, q)) in enumerate(zip(decomp.components, decomp.irreps)):
             if bi == i:
-                rows.append(np.kron(w2[j], np.eye(d)) @ w_iso.conj().T @ w1_block)
-                kron_blocks.append(np.kron(pi2.stacks[j][None], families[f][q][:, None]))
+                rows.append(np.kron(cert2.w[j], np.eye(d)) @ w_iso.conj().T @ w1_block)
+                kron_blocks.append(np.kron(cert2.pi.stacks[j][None], families[f][q][:, None]))
         w_total.append(np.vstack(rows))
         n_final = len(w_total[-1])
         stack = np.zeros((g1.order, g2.order, n_final, n_final), dtype=complex)
@@ -1116,6 +1087,14 @@ def stabilize_product(
         final_stacks.append(stack.reshape(group.order, n_final, n_final))
     final_alg = TracialAlgebra._raw([len(w) for w in w_total], base.coeffs)
     pi_final = UnitaryRep._trusted(group, final_alg, final_stacks)
+
+    # the product irreps u_j (x) rho2 that occur, rho2 trivial on a completion
+    trivial2 = g2._trivial_irrep()
+    occurring = {
+        group._product_irrep(irrep1, irrep2)
+        for irrep1, irreps2, (_, t) in zip(decomp.irreps, cert2.irreps, cert2.spectral_ranks)
+        for irrep2 in irreps2 + [trivial2] * (t > 0)
+    }
 
     per_sq = _pullback_sq(w_total, base.coeffs, phi.stacks, pi_final.stacks)
     distance_mu1 = float(mu1_w @ per_sq[rows1][mu1_idx])
@@ -1133,8 +1112,7 @@ def stabilize_product(
         epsilon_split=eps_split,
         split_identity_residual=split_residual,
         kappa1=kappa1,
-        stage1_exact=stage1_exact,
-        stage1=cert1.report() if cert1 is not None else None,
+        stage1=cert1.report(),
         d1_base=d1_base,
         d1_corner=d1_corner,
         eta=eta,
@@ -1142,11 +1120,10 @@ def stabilize_product(
         eta_bound_triangle=eta_bound_triangle,
         eta_bound_gap_form=eta_bound_gap_form,
         v_to_phi=v_to_phi,
-        v_defect_uniform=v_defect_uniform,
+        v_defect_uniform=cert2.input_defect,
         v_defect_mu2=v_defect_mu2,
         v_defect_bound=v_defect_bound,
-        stage2_exact=stage2_exact,
-        stage2=cert2.report() if cert2 is not None else None,
+        stage2=cert2.report(),
         distance_uniform=float(per_sq.mean()),
         distance_mu1=distance_mu1,
         distance_mu2=distance_mu2,
@@ -1154,6 +1131,6 @@ def stabilize_product(
         trace_total=final_alg.tau_one,
         trace_excess=final_alg.tau_one - base.tau_one,
         assembly_residual=assembly_residual,
-        pi_residual=rep_residual(pi_final),
+        pi_residual=group._irrep_law_residual(occurring, final_alg.dims),
     )
     return pi_final, report

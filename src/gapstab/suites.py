@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -214,9 +215,11 @@ def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:
 # -- Gowers-Hatami rounding --------------------------------------------------------
 
 
+@cache
 def _permutation_rep(n: int, flip: bool = False) -> UnitaryRep:
     """S_n by its permutation matrices (e_i -> e_g(i)); with ``flip``, Z/2 x S_n
-    with the generator of Z/2 swapping the two halves of C^2 (x) C^n."""
+    with the generator of Z/2 swapping the two halves of C^2 (x) C^n.  Built
+    once per process, so each group splits off its irreps once."""
     grp = symmetric_group(n)
     # stack[k] is the permutation matrix of the k-th element
     stack = np.eye(n)[np.array(grp.elements)].transpose(0, 2, 1)

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from gapstab.abelian import boolean_group, cyclic, regular_rep, rep_from_pvm
-from gapstab.algebra import PVM, AlgebraElement, AlmostHom, TracialAlgebra, defect
+from gapstab.algebra import (
+    PVM,
+    AlgebraElement,
+    AlmostHom,
+    TracialAlgebra,
+    defect,
+    rep_residual,
+)
 from gapstab.cli import main as cli_main
 from gapstab.codes import LinearCode, measure_from_code, random_code
 from gapstab.games import (
@@ -236,6 +243,7 @@ def test_ac04_subgroup_bound_product_form():
         # raises if eta or the stage-two defect exceeds its bound
         pi, report = stabilize_product(phi, mu1, mu2)
         assert report.pi_residual < 1e-8
+        assert rep_residual(pi) < 1e-8  # measured on the assembled map itself
     _ok("AC4", f"24 product-form trials, worst lhs/bound {worst:.3e}")
 
 

@@ -563,6 +563,18 @@ def test_closeness_identity_witness():
     assert set(r["per_question"]) == {"x1", "x2", "y"}
 
 
+def test_closeness_refuses_strategies_without_a_common_question():
+    """The repetition honest strategy split into its PX and PZ parts: no
+    question is measured, so no distance is certified."""
+    strat = honest_strategy(named_game("repetition"))
+    px = SynchronousStrategy(strat.algebra, {"PX": strat["PX"]})
+    pz = SynchronousStrategy(strat.algebra, {"PZ": strat["PZ"]})
+    w = tuple(np.eye(d) for d in strat.algebra.dims)
+    with pytest.raises(InvalidArgument, match="share no question"):
+        closeness(px, pz, w)
+    assert closeness(px, px, w).per_question.keys() == {"PX"}
+
+
 def test_unitary_pvm_bridge():
     """E_h ||U(h) - V(h)||_2^2 = sum_chi ||P_chi - Q_chi||_2^2, both sides
     summed literally, for two representations of (Z/2)^2 far apart: the

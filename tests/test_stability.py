@@ -374,6 +374,28 @@ def test_fourier_rounding_matches_dense(case):
     assert abs(rf["pi_residual"] - rep_residual(fourier.pi)) <= 1e-14
 
 
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_certificate_irreps_rebuild_pi(case):
+    """cert.irreps lists pi's irrep copies in its coordinate order: they
+    fill the first R coordinates of each block, the identity the t
+    completion coordinates, and that rebuilds pi's stacks exactly."""
+    make, sigma, seed = _ORACLE_CASES[case]
+    cert = gowers_hatami_round(suites._noisy_hom(make(), sigma, np.random.default_rng(seed)))
+    families = cert.group.irrep_stacks()
+    for (r_dim, t_dim), irreps, stack in zip(cert.spectral_ranks, cert.irreps, cert.pi.stacks):
+        rebuilt = np.zeros_like(stack)
+        off = 0
+        for f, q in irreps:
+            d = families[f].shape[-1]
+            rebuilt[:, off : off + d, off : off + d] = families[f][q]
+            off += d
+        assert off == r_dim
+        rebuilt[:, r_dim:, r_dim:] = np.eye(t_dim)
+        assert np.array_equal(rebuilt, stack)
+    if case == "completion":
+        assert cert.spectral_ranks[0][1] > 0
+
+
 @pytest.mark.parametrize("sampled", [False, True], ids=["every-pair", "sampled"])
 @pytest.mark.parametrize(
     "case", ["boolean3", "two-block", "repetition-extension", "s4-permutation", "c2xs3"]
@@ -950,7 +972,8 @@ def test_stabilize_product_exact():
     mu1 = ProbMeasure.uniform(grp_a)
     mu2 = ProbMeasure.uniform(grp_b)
     pi, rep = stabilize_product(phi, mu1, mu2)
-    assert rep.stage1_exact and rep.stage2_exact
+    # both stages go through the rounding, whose certificates see exact maps
+    assert rep.stage1["input_defect"] < 1e-20 and rep.stage2["input_defect"] < 1e-20
     assert rep.distance_uniform < 1e-20
     assert rep.pi_residual < 1e-9
     assert rep.trace_excess < 1e-9
@@ -963,7 +986,8 @@ def test_stabilize_product_noisy():
     mu2 = ProbMeasure.uniform(grp_b)
     pi, rep = stabilize_product(phi, mu1, mu2)
     assert rep.epsilon > 0
-    assert rep.pi_residual < 1e-8  # the assembled map is a genuine representation
+    assert rep.pi_residual < 1e-8  # read off the product irreps that occur
+    assert rep_residual(pi) < 1e-8  # the assembled map is a genuine representation
     assert rep.assembly_residual < 1e-10  # and on G1 it pulls back to stage one
     assert rep.split_identity_residual < 1e-12
     assert rep.distance_mixture >= 0
@@ -992,8 +1016,10 @@ def test_stabilize_product_nonabelian_first_factor():
     phi = _independently_noisy_product(g1, g2, 0.05, np.random.default_rng(4))
     alg = phi.algebra
     pi, rep = stabilize_product(phi, ProbMeasure.uniform(g1), ProbMeasure.uniform(g2))
-    assert not rep.stage1_exact and rep.stage1["largest_block"] == 36
-    assert not rep.stage2_exact
+    assert rep.stage1["largest_block"] == 36
+    # stage two rounds inside N, whose blocks are S3's irreps' multiplicities
+    # 3, 3 and 6 in stage one's representation
+    assert rep.stage2["largest_block"] == 6
     assert rep.pi_residual < 1e-8
     assert rep.assembly_residual < 1e-10
 
@@ -1066,6 +1092,121 @@ def test_stabilize_product_checks_its_stage_two_bounds(monkeypatch):
     monkeypatch.setattr(stability, "kappa", lambda group, mu: SimpleNamespace(kappa=0))
     with pytest.raises(GapstabError, match=r"commutant distance \(triangle form\)"):
         stabilize_product(phi, mu1, mu2)
+
+
+_PRODUCTS = {
+    "S3xZ3": (symmetric_group(3), cyclic(3)),
+    "Z2^2xZ4": (boolean_group(2), cyclic(4)),
+    "S4xZ2": (symmetric_group(4), cyclic(2)),
+    "Z3xS3": (cyclic(3), symmetric_group(3)),
+}
+
+
+def _stabilized_irreps(monkeypatch, g1, g2, sigma, seed):
+    """Stabilize the independently noisy product; return the assembled pi,
+    the report and the product irreps whose law residuals pi_residual read."""
+    phi = _independently_noisy_product(g1, g2, sigma, np.random.default_rng(seed))
+    group, read = phi.group, []
+    law = group._irrep_law_residual
+    monkeypatch.setattr(group, "_irrep_law_residual", lambda occ, dims: read.append(occ) or law(occ, dims))
+    pi, rep = stabilize_product(phi, ProbMeasure.uniform(g1), ProbMeasure.uniform(g2))
+    (occurring,) = read
+    return pi, rep, occurring
+
+
+def _irreps_by_character(rep: UnitaryRep) -> set:
+    """The (family, index) of every irrep with a positive multiplicity in
+    rep, from its character: (1/|G|) sum_g conj(chi(g)) tr rep(g)."""
+    trace = sum(np.trace(s, axis1=1, axis2=2) for s in rep.stacks)
+    return {
+        (f, q)
+        for f, fam in enumerate(rep.group.irrep_stacks())
+        for q, chi in enumerate(np.trace(fam, axis1=2, axis2=3))
+        if (chi.conj() @ trace).real / rep.group.order > 0.5
+    }
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("name", sorted(_PRODUCTS))
+def test_stabilize_product_reads_pi_residual_off_the_product_irreps(monkeypatch, name, sigma):
+    """The assembled representation is a direct sum of product irreps
+    u_j (x) rho2: pi_residual is read off exactly those that occur in pi,
+    by its character, and equals the measured rep_residual(pi)."""
+    pi, rep, occurring = _stabilized_irreps(monkeypatch, *_PRODUCTS[name], sigma, 0)
+    assert pi.group._irreps is None  # the product's families were never built
+    assert occurring == _irreps_by_character(pi)
+    assert abs(rep.pi_residual - rep_residual(pi)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "g1, g2, sigma, seed, completion",
+    [
+        (cyclic(2), cyclic(3), 3.0, 2, 1 / 6),
+        (cyclic(3), symmetric_group(3), 2.0, 1, 1 / 9),
+        (cyclic(3), symmetric_group(3), 3.0, 0, 8 / 9),
+    ],
+    ids=["Z2xZ3", "Z3xS3-small", "Z3xS3-large"],
+)
+def test_stabilize_product_pi_residual_with_a_stage_two_completion(
+    monkeypatch, g1, g2, sigma, seed, completion
+):
+    """Far outside the rounding regime stage two completes its spectral
+    projection; the completion carries G2's trivial irrep, matched among
+    S3's irreps split off its regular representation too."""
+    pi, rep, occurring = _stabilized_irreps(monkeypatch, g1, g2, sigma, seed)
+    extra = rep.stage2["tau_corner"] - rep.stage2["tau_spectral_projection"]
+    assert extra == pytest.approx(completion, abs=1e-12)
+    assert occurring == _irreps_by_character(pi)
+    assert abs(rep.pi_residual - rep_residual(pi)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCTS))
+def test_product_irreps_are_formed_one_at_a_time(name):
+    """Each product irrep rho1 (x) rho2, located by _product_irrep and formed
+    by _irrep from the two factors' irreps, is bit for bit the image stack
+    that irrep_stacks() builds, and _trivial_irrep finds the trivial irrep of
+    each factor and of the product."""
+    g1, g2 = _PRODUCTS[name]
+    group = ProductGroup(g1, g2)
+    located = [
+        group._product_irrep(irrep1, irrep2)
+        for irrep1 in _irrep_indices(g1)
+        for irrep2 in _irrep_indices(g2)
+    ]
+    formed = {fq: group._irrep(*fq) for fq in located}
+    assert group._irreps is None
+    assert sorted(formed) == _irrep_indices(group)
+    families = group.irrep_stacks()
+    for (f, q), stack in formed.items():
+        assert np.array_equal(stack, families[f][q])
+    for grp in (g1, g2, group):
+        f, q = grp._trivial_irrep()
+        assert np.abs(grp.irrep_stacks()[f][q] - 1).max() < 1e-12
+    assert group._trivial_irrep() == group._product_irrep(g1._trivial_irrep(), g2._trivial_irrep())
+
+
+def _irrep_indices(group) -> list:
+    return [(f, q) for f, fam in enumerate(group.irrep_stacks()) for q in range(len(fam))]
+
+
+def test_roundings_of_checked_parts_validate_no_map(monkeypatch):
+    """The pair roundings and the stabilization build every map from checked
+    parts and trust it: with validation refused, each still runs on inputs
+    built beforehand."""
+    u, v = _tensor_pair(cyclic(2), cyclic(3))
+    pu, pv = _pauli_reps(1)
+    grp = pu.group
+    g1, g2 = symmetric_group(3), cyclic(3)
+    phi = _independently_noisy_product(g1, g2, 0.05, np.random.default_rng(4))
+
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a map built from checked parts was validated again")
+
+    monkeypatch.setattr(AlmostHom, "__init__", refused)
+    assert round_commuting_pair(u, v).commuting_residual < 1e-9
+    assert round_twisted_pair(pu, pv, lambda a, chi: int(grp.pairing(chi, a))).relation_residual < 1e-9
+    pi, rep = stabilize_product(phi, ProbMeasure.uniform(g1), ProbMeasure.uniform(g2))
+    assert rep.pi_residual < 1e-8
 
 
 def test_equivariance_residual_matches_pair_loop():

@@ -5,6 +5,7 @@ import pytest
 
 import gapstab.cli as cli
 import gapstab.games as games
+import gapstab.groups as groups
 import gapstab.stability as stability
 import gapstab.suites as suites
 from gapstab.abelian import cyclic, regular_rep
@@ -97,6 +98,17 @@ def test_suite_gh_computes_each_defect_once(monkeypatch):
     res = suites.suite_gh(trials=3, seed=11)
     assert len(calls) == 3 and res.failures == 3
     assert [row[3] for row in res.rows] == expected
+
+
+def test_suite_sqrt2_splits_s3_once(monkeypatch):
+    """The suites' permutation representations are built once per process:
+    over 300 trials, a third of them on S3, S3's regular representation is
+    split into irreps once."""
+    calls, split = [], groups._regular_irreps
+    monkeypatch.setattr(groups, "_regular_irreps", lambda group: calls.append(group) or split(group))
+    suites._permutation_rep.cache_clear()
+    res = suites.suite_sqrt2(trials=300)
+    assert res.failures == 0 and len(calls) == 1
 
 
 # -- manifests ----------------------------------------------------------------------
