@@ -28,8 +28,9 @@ from that one and from the unitarity residual (``_conjugation_bound``)
 instead of a second validation, unless the derived bound exceeds half the
 tolerance.  Such a conjugate, and a PVM whose projections are formed exactly
 (the perfect strategies of ``games``), is stored through ``PVM._trusted``
-with its bound.  :func:`rep_residual` takes operator norms only of the residuals
-whose Frobenius norm could exceed the worst one found.  The uniform defect of
+with its bound, the exact ones as real float64 stacks.  :func:`rep_residual`
+takes operator norms only of the residuals whose Frobenius norm could exceed
+the worst one found.  The uniform defect of
 a map is read off its Fourier blocks over the group's irreps
 (``_fourier_blocks``, ``_fourier_defect``), which the Gowers-Hatami rounding
 forms anyway and shares.
@@ -387,10 +388,13 @@ class PVM:
     algebra rather than copied into each.
     ``projections`` lists one element per outcome, or gives one ``(k, n, n)``
     stack per block in ``outcomes`` order (see :func:`_read_only_stacks`).
-    They are copied once into read-only stacks (``stacks``); ``pvm[a]`` and
-    ``projections`` are elements whose blocks are views into those stacks,
-    built on first read, and ``index(a)`` is the position of outcome ``a``
-    in them.
+    They are copied once into read-only complex stacks (``stacks``).  A PVM
+    formed exactly (:meth:`_trusted`) may instead hold real float64 stacks;
+    every kernel that reads ``stacks`` promotes them inside its own product,
+    bit for bit as a complex copy would give.  ``pvm[a]`` and
+    ``projections`` are elements built on first read, their blocks views
+    into complex stacks and complex copies of real ones, and ``index(a)``
+    is the position of outcome ``a`` in them.
 
     Validation: every projection is self-adjoint and idempotent, the
     projections sum to ``unit`` and distinct projections multiply to zero,
@@ -507,8 +511,9 @@ class PVM:
         """An instance on projection stacks built from checked parts, such as
         the conjugate of a validated PVM (:meth:`conjugated`) or projections
         formed exactly from signed permutations (``games._exact_pvm``): one
-        ``(k, n, n)`` complex array per block in ``outcomes`` order, made
-        read-only in place, not copied and not validated again.
+        ``(k, n, n)`` array per block in ``outcomes`` order, complex or, for
+        exact real projections, float64, made read-only in place, not copied
+        and not validated again.
         ``residual`` is the caller's bound on the validation residuals."""
         obj = cls.__new__(cls)
         for s in stacks:
@@ -832,7 +837,11 @@ def _weighted_sums(weights, stacks) -> tuple:
     """Per block, the stack of sums sum_k W[j, k] X_k, one for each row j.
 
     ``stacks`` holds one ``(k, n, n)`` stack per block (a PVM's projections
-    or a representation's images); one product W @ X per block.
+    or a representation's images); one product W @ X per block.  With
+    complex weights the product promotes a real stack itself, bit for bit as
+    from its complex copy; real weights meet real stacks only as the +-1
+    signs of the value and the bound checks, whose sums of exact projections
+    are exact.
     """
     return tuple(
         (weights @ s.reshape(len(s), -1)).reshape(-1, *s.shape[1:]) for s in stacks
@@ -844,12 +853,15 @@ def _trace_pairing(algebra, left, right, i, j) -> float:
 
     Each trace is the Hadamard-product sum tr(L R) = sum_{kl} L[k, l] R[l, k],
     O(n^2) per term instead of a full product, weighted by the block
-    coefficients; terms go through in the chunks of ``_chunks``.
+    coefficients; terms go through in the chunks of ``_chunks``.  A real
+    stack's chunk is promoted to complex first: einsum sums mixed or real
+    operands in another order than complex ones.
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     total = 0.0
     for b, sl in _chunks(algebra.dims, len(i)):
-        tr = np.einsum("kij,kji->k", left[b][i[sl]], right[b][j[sl]])
+        lc, rc = (np.asarray(s, dtype=complex) for s in (left[b][i[sl]], right[b][j[sl]]))
+        tr = np.einsum("kij,kji->k", lc, rc)
         total += algebra.coeffs[b] * float(tr.real.sum())
     return total
 

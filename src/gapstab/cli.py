@@ -122,7 +122,7 @@ def write_almost_hom(path: str, phi: AlmostHom) -> None:
         "orders": list(group.orders),
         "algebra": [[d, str(Fraction(w))] for d, w in zip(alg.dims, alg.weights)],
         "images": [
-            [" ".join(str(t) for t in g), _element_to_json(phi.images[g])]
+            [" ".join(str(t) for t in g), _element_to_json(phi.images[g].blocks)]
             for g in group.elements
         ],
     }

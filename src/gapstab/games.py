@@ -79,8 +79,10 @@ def _is_matrix(obj) -> bool:
     return a.ndim == 2 and a.dtype.kind in "iuf"
 
 
-def _element_to_json(x: AlgebraElement) -> list:
-    return [[np.real(b).tolist(), np.imag(b).tolist()] for b in x.blocks]
+def _element_to_json(blocks) -> list:
+    """An element's blocks (complex, or real for an exact PVM's stacks) as
+    their real and imaginary parts."""
+    return [[np.real(b).tolist(), np.imag(b).tolist()] for b in blocks]
 
 
 def _element_from_json(alg: TracialAlgebra, blocks) -> AlgebraElement:
@@ -312,7 +314,12 @@ def strategy_to_jsonable(strategy: SynchronousStrategy) -> dict:
         "pvms": [],
     }
     for x, pvm in sorted(strategy.pvms.items(), key=repr):
-        entries = [[_encode(a), _element_to_json(pvm[a])] for a in pvm.outcomes]
+        # read off the stacks, so no element (a complex copy of a real
+        # stack) is built and kept on the PVM
+        entries = [
+            [_encode(a), _element_to_json([s[i] for s in pvm.stacks])]
+            for i, a in enumerate(pvm.outcomes)
+        ]
         out["pvms"].append([_encode(x), entries])
     return out
 
@@ -335,7 +342,9 @@ def strategy_from_jsonable(obj: dict) -> SynchronousStrategy:
 
 
 def _sign_observable(pvm: PVM) -> AlgebraElement:
-    return pvm[1] - pvm[-1]
+    """P_1 - P_-1, read off the stacks, so no element (a complex copy of a
+    real stack) is built and kept on the PVM."""
+    return AlgebraElement(pvm.algebra, [s[pvm.index(1)] - s[pvm.index(-1)] for s in pvm.stacks])
 
 
 def _pair_value(game: Game, held: dict, x, y, cache):
@@ -770,7 +779,9 @@ _ONE_QUBIT = SignedPerm.identity(2)
 
 def _exact_pvm(alg, outcomes, stack) -> PVM:
     """The PVM of ``outcomes`` on one (k, n, n) stack of projections formed
-    exactly in binary64, stored through :meth:`PVM._trusted`.
+    exactly in binary64, stored through :meth:`PVM._trusted` as a real
+    float64 stack: half the bytes of a complex one, whose imaginary parts
+    would all be zero.
 
     The stack is the caller's exact projections (dyadic entries of signed
     permutations), so every validation residual is exactly zero and the
@@ -780,7 +791,7 @@ def _exact_pvm(alg, outcomes, stack) -> PVM:
     projection is missing and :class:`InvalidPVM` is raised.
     """
     outcomes = list(outcomes)
-    stack = np.asarray(stack, dtype=complex)
+    stack = np.asarray(stack, dtype=float)
     n = stack.shape[-1]
     if len(set(outcomes)) != len(outcomes):
         raise InvalidPVM("duplicate outcome labels")
@@ -791,7 +802,7 @@ def _exact_pvm(alg, outcomes, stack) -> PVM:
 
 def _joint_stack(signs: np.ndarray, ops) -> np.ndarray:
     """prod_k (1 + b_k O_k) / 2 for every row b of the (K, m) array of signs
-    ``signs``, as a complex (K, d, d) stack, from one pass over the 2^m
+    ``signs``, as a real (K, d, d) stack, from one pass over the 2^m
     subset products O_S: the projection is 2^-m sum_S (prod_{k in S} b_k) O_S.
     Every O_S is a signed permutation, so each entry is a sum of terms
     +-2^-m, formed exactly (one ``bincount`` over the K 2^m d nonzero
@@ -806,7 +817,7 @@ def _joint_stack(signs: np.ndarray, ops) -> np.ndarray:
     cells = (np.arange(count) * d * d)[:, None, None] + cells
     values = np.array([coef[:, None] * op.sign for op, coef in terms]).transpose(1, 0, 2)
     flat = np.bincount(cells.ravel(), weights=values.ravel(), minlength=count * d * d)
-    return flat.reshape(count, d, d).astype(complex)
+    return flat.reshape(count, d, d)
 
 
 def _spectral_pvm(alg, outcomes, signs, ops) -> PVM:
@@ -1096,7 +1107,8 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
     magic-square grid around that pair.  Every observable is a signed
     permutation taken from the bits of alpha and beta, its laws are checked
     exactly, and every projection is formed exactly, so no PVM is validated
-    in floating point (see :func:`_exact_pvm`).
+    in floating point and every PVM holds one real float64 stack (see
+    :func:`_exact_pvm`).
     """
     if game.omega is None:
         raise InvalidArgument("the game does not carry combined-game structure")

@@ -32,6 +32,7 @@ from .algebra import (
     AlmostHom,
     TracialAlgebra,
     UnitaryRep,
+    _check_defect_pairs,
     _fourier_blocks,
     _fourier_defect,
     _frobenius_sq,
@@ -962,7 +963,9 @@ def stabilize_product(
     :func:`gowers_hatami_round`, which refuses a stage over its cap.
 
     Defect accounting uses the mixture measure mu(x, y) = (mu1(x)1_{y=e} +
-    mu2(y)1_{x=e}) / 2; the report carries the four-way defect split, the
+    mu2(y)1_{x=e}) / 2; its defect and the four-way split are five
+    weightings of one grid of law residuals over supp(mu)^2 (``_law_sq``),
+    whose pairs hold every split's.  The report carries the split, the
     commutant-distance figures eta with both forms of their gap bound, the
     stage defects and every closeness number of the assembly.  The mu2 mean
     of eta^2 is checked against both bounds and the stage-two mu2 defect
@@ -1000,13 +1003,21 @@ def stabilize_product(
             for g in set(mu1_emb.support) | set(mu2_emb.support)
         },
     )
-    eps = defect(phi, mix, mix)
-    eps_split = {
-        (1, 1): defect(phi, mu1_emb, mu1_emb),
-        (1, 2): defect(phi, mu1_emb, mu2_emb),
-        (2, 1): defect(phi, mu2_emb, mu1_emb),
-        (2, 2): defect(phi, mu2_emb, mu2_emb),
+    # one law grid over supp(mix)^2 in mix's order, weighted five ways: eps
+    # is bit for bit defect(phi, mix, mix), and each split term weighs the
+    # same grid, its weights zero off its own supports
+    mix_idx, mix_w = _measure_weights(group, mix)
+    _check_defect_pairs(len(mix_idx), len(mix_idx))
+    law = _law_sq(phi, mix_idx, mix_idx).ravel()
+    on_mix = {
+        k: np.array([float(m(g)) for g in mix.support]) for k, m in ((1, mu1_emb), (2, mu2_emb))
     }
+
+    def weighted(left, right) -> float:
+        return float(np.outer(left, right).ravel() @ law)
+
+    eps = weighted(mix_w, mix_w)
+    eps_split = {(a, b): weighted(on_mix[a], on_mix[b]) for a in (1, 2) for b in (1, 2)}
     split_residual = abs(sum(eps_split.values()) - 4.0 * eps)
 
     kappa1 = float(kappa(g1, mu1).kappa)

@@ -820,11 +820,16 @@ def _dense(o: SignedPerm) -> np.ndarray:
 
 
 def _assert_same_pvms(exact: dict, oracle: dict):
+    """The exact PVMs hold real float64 stacks whose complex copies are the
+    validated oracle's stacks byte for byte."""
     assert list(exact) == list(oracle)
     for x, pvm in oracle.items():
         got = exact[x]
         assert got.outcomes == pvm.outcomes, x
-        assert [s.tobytes() for s in got.stacks] == [s.tobytes() for s in pvm.stacks], x
+        assert all(s.dtype == np.float64 for s in got.stacks), x
+        assert [s.astype(complex).tobytes() for s in got.stacks] == [
+            s.tobytes() for s in pvm.stacks
+        ], x
         assert got.residual == pvm.residual, x
 
 
@@ -890,6 +895,102 @@ def test_exact_magic_square_and_commutation_strategies_equal_the_float_oracle():
         exact = games._commuting_pvms(alg, p, q, answers)
         _assert_same_pvms(exact, _float_commuting_pvms(alg, _dense(p), _dense(q), answers))
         assert value(commutation_game((-1, 1), (-1, 1)), SynchronousStrategy(alg, exact)) == 1.0
+
+
+def _complex_stored(pvm: PVM) -> PVM:
+    """The same PVM with its stacks stored as complex128, as exact PVMs
+    once were."""
+    stacks = [s.astype(complex) for s in pvm.stacks]
+    return PVM._trusted(pvm.algebra, pvm.outcomes, stacks, pvm.residual)
+
+
+def _stack_bytes(pvm: PVM) -> list:
+    return [s.tobytes() for s in pvm.stacks]
+
+
+def _assert_real_conjugates_as_complex(pvms: dict, rng) -> dict:
+    """Every PVM of ``pvms`` holds real float64 stacks, and its conjugate by
+    each noise draw has the bytes and bound of the complex copy's; returns
+    the conjugates."""
+    alg = next(iter(pvms.values())).algebra
+    noise = algebra._noise_unitaries(alg.dims, len(pvms), 0.05, rng)
+    out = {}
+    for (x, pvm), blocks in zip(pvms.items(), noise, strict=True):
+        assert all(s.dtype == np.float64 for s in pvm.stacks), x
+        u = AlgebraElement(alg, blocks)
+        got, want = pvm.conjugated(u), _complex_stored(pvm).conjugated(u)
+        assert _stack_bytes(got) == _stack_bytes(want), x
+        assert [b.tobytes() for b in got.unit.blocks] == [b.tobytes() for b in want.unit.blocks]
+        assert got.residual == want.residual, x
+        out[x] = got
+    return out
+
+
+def _assert_closeness_as_complex(real: dict, noisy: dict, rng):
+    """closeness between the real PVMs and their conjugates, either way
+    round, gives the complex copy's numbers bit for bit."""
+    alg = next(iter(real.values())).algebra
+    w = tuple(haar_unitary(n, rng) for n in alg.dims)
+    copy = {x: _complex_stored(p) for x, p in real.items()}
+    for a, b, a_copy, b_copy in ((real, noisy, copy, noisy), (noisy, real, noisy, copy)):
+        got = closeness(SynchronousStrategy(alg, a), SynchronousStrategy(alg, b), w)
+        want = closeness(SynchronousStrategy(alg, a_copy), SynchronousStrategy(alg, b_copy), w)
+        assert got.report() == want.report()
+
+
+def _assert_json_as_complex(pvms: dict):
+    """strategy_to_jsonable writes the complex copy's text and builds no
+    element on the real PVMs."""
+    alg = next(iter(pvms.values())).algebra
+    copy = {x: _complex_stored(p) for x, p in pvms.items()}
+    got = json.dumps(strategy_to_jsonable(SynchronousStrategy(alg, pvms)))
+    assert got == json.dumps(strategy_to_jsonable(SynchronousStrategy(alg, copy)))
+    assert not any("projections" in vars(p) for p in pvms.values())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_real_pauli_pvms_act_as_their_complex_copies(n):
+    """pauli_pvms(n) store float64 stacks; conjugation by noise draws,
+    rep_from_pvm, closeness and the JSON writer give bit for bit what the
+    complex-stored copies give."""
+    group = boolean_group(n)
+    tau_x, tau_z = pauli_pvms(n)
+    real = {"PX": tau_x, "PZ": tau_z}
+    rng = np.random.default_rng(n)
+    noisy = _assert_real_conjugates_as_complex(real, rng)
+    for pvm, grp in ((tau_x, group), (tau_z, group.dual())):
+        got, want = rep_from_pvm(pvm, grp), rep_from_pvm(_complex_stored(pvm), grp)
+        assert [s.tobytes() for s in got.stacks] == [s.tobytes() for s in want.stacks]
+    _assert_closeness_as_complex(real, noisy, rng)
+    _assert_json_as_complex(real)
+
+
+def test_real_hamming_honest_strategy_acts_as_its_complex_copy():
+    """The Hamming honest strategy stores float64 stacks; conjugation by the
+    noise draws, the value terms of a strategy mixing real and conjugated
+    PVMs, rep_from_pvm on PX and PZ, closeness and the JSON writer give bit
+    for bit what the complex-stored copy gives."""
+    game = named_game("hamming")
+    honest = honest_strategy(game)
+    rng = np.random.default_rng(0)
+    noisy = _assert_real_conjugates_as_complex(honest.pvms, rng)
+    copy = {x: _complex_stored(p) for x, p in honest.pvms.items()}
+    # every other question perturbed, so value pairs real with complex stacks
+    for source in (honest.pvms, copy):
+        mixed = [(x, noisy[x] if i % 2 else p) for i, (x, p) in enumerate(source.items())]
+        terms = _value_terms(game, mixed)
+        if source is copy:
+            assert terms[0] == real_terms[0] < 1.0
+            assert terms[1] == real_terms[1]
+        real_terms = terms
+    perfect = value(game, honest)
+    assert perfect == value(game, SynchronousStrategy(honest.algebra, copy)) > 1.0 - 1e-12
+    group = game.h_group
+    for x, grp in (("PX", group), ("PZ", group.dual())):
+        got, want = rep_from_pvm(honest[x], grp), rep_from_pvm(copy[x], grp)
+        assert [s.tobytes() for s in got.stacks] == [s.tobytes() for s in want.stacks]
+    _assert_closeness_as_complex(honest.pvms, noisy, rng)
+    _assert_json_as_complex(honest.pvms)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -1111,14 +1212,20 @@ def test_value_errors_keep_their_types_and_messages():
     )
 
 
+def _perturbed_strategy_bytes(honest) -> int:
+    """The bytes of a whole perturbed copy of ``honest``: its projections'
+    entries as complex128, 16 bytes each, whatever the honest stacks' dtype."""
+    return 16 * sum(s.size for pvm in honest.pvms.values() for s in pvm.stacks)
+
+
 def test_quick_hamming_point_holds_no_perturbed_strategy():
     """Under tracemalloc, which sees numpy's buffers, a quick Hamming sweep
-    point peaks well below the honest strategy's projections: it holds one
-    omega label's perturbed PVMs at a time, plus PX and PZ, never a whole
+    point peaks well below a whole perturbed strategy's projections: it holds
+    one omega label's perturbed PVMs at a time, plus PX and PZ, never a whole
     perturbed strategy beside the honest one."""
     game = named_game("hamming")
     honest = honest_strategy(game)
-    projections = sum(s.nbytes for pvm in honest.pvms.values() for s in pvm.stacks)
+    projections = _perturbed_strategy_bytes(honest)
     rigidity_sweep(game, honest, [0.05], full_report=False)  # fill the caches once
     tracemalloc.start()
     try:
@@ -1197,12 +1304,12 @@ def test_a_refused_rounding_reads_no_pvm(monkeypatch):
 
 def test_full_hamming_point_holds_no_perturbed_strategy():
     """Under tracemalloc, a full Hamming sweep point, rounding included,
-    peaks below three times the honest strategy's projections: it streams
-    the perturbed PVMs as the quick point does and keeps only PX and PZ for
-    the rounding."""
+    peaks below three times a whole perturbed strategy's projections: it
+    streams the perturbed PVMs as the quick point does and keeps only PX and
+    PZ for the rounding."""
     game = named_game("hamming")
     honest = honest_strategy(game)
-    projections = sum(s.nbytes for pvm in honest.pvms.values() for s in pvm.stacks)
+    projections = _perturbed_strategy_bytes(honest)
     rigidity_sweep(game, honest, [0.05], full_report=True)  # fill the caches once
     tracemalloc.start()
     try:

@@ -994,6 +994,58 @@ def test_stabilize_product_noisy():
     assert rep.trace_total >= 1.0 - 1e-9
 
 
+def _skewed(grp, rng):
+    """A measure on grp with every element in its support, unequal weights."""
+    raw = rng.integers(1, 9, size=grp.order)
+    return ProbMeasure(grp, {g: Fraction(int(r), int(raw.sum())) for g, r in zip(grp.elements, raw)})
+
+
+@pytest.mark.parametrize(
+    "case, sigma, weighted",
+    [("z2xz3", 0.08, False), ("z2xz3", 0.0, False), ("s3xz3", 0.05, False), ("s3xz3", 0.05, True)],
+)
+def test_stabilize_product_defects_from_one_law_grid(monkeypatch, case, sigma, weighted):
+    """The product's defect and its four-way split are weightings of one
+    grid of phi's law residuals: eps is defect(phi, mix, mix) bit for bit,
+    and each split term is the five-call formula's defect(phi, mu_a, mu_b)
+    within 1e-12 relative (1e-15 absolute at rounding level)."""
+    rng = np.random.default_rng(3)
+    if case == "z2xz3":
+        grp, phi = _product_form_phi(cyclic(2), cyclic(3), sigma, rng)
+    else:
+        grp = ProductGroup(symmetric_group(3), cyclic(3))
+        phi = _independently_noisy_product(grp.first, grp.second, sigma, rng)
+    g1, g2 = grp.first, grp.second
+    if weighted:
+        mu1, mu2 = _skewed(g1, rng), _skewed(g2, rng)
+    else:
+        mu1, mu2 = ProbMeasure.uniform(g1), ProbMeasure.uniform(g2)
+    grids = []
+
+    def law_sq(f, rows, cols):
+        grids.append(f is phi)
+        return algebra._law_sq(f, rows, cols)
+
+    monkeypatch.setattr(stability, "_law_sq", law_sq)
+    _, rep = stabilize_product(phi, mu1, mu2)
+    assert grids.count(True) == 1  # phi's law residuals are formed once
+    # the five-call oracle
+    e1, e2 = grp.identity
+    emb = {
+        1: ProbMeasure(grp, {(g, e2): p for g, p in mu1.items_nonzero()}),
+        2: ProbMeasure(grp, {(e1, h): p for h, p in mu2.items_nonzero()}),
+    }
+    support = set(emb[1].support) | set(emb[2].support)
+    mix = ProbMeasure(grp, {g: (emb[1](g) + emb[2](g)) / 2 for g in support})
+    assert rep.epsilon == defect(phi, mix, mix)
+    assert list(rep.epsilon_split) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for (a, b), got in rep.epsilon_split.items():
+        want = defect(phi, emb[a], emb[b])
+        assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (a, b)
+    if sigma > 0:
+        assert rep.epsilon > 1e-6
+
+
 def _independently_noisy_product(g1, g2, sigma, rng):
     """The regular representation of G1 x G2, every image but the identity's
     multiplied by its own noise unitary."""
