@@ -28,7 +28,9 @@ from that one and from the unitarity residual (``_conjugation_bound``)
 instead of a second validation, unless the derived bound exceeds half the
 tolerance.  Such a conjugate, and a PVM whose projections are formed exactly
 (the perfect strategies of ``games``), is stored through ``PVM._trusted``
-with its bound, the exact ones as real float64 stacks.  :func:`rep_residual`
+with its bound, the exact ones as real float16 stacks; every kernel promotes
+them inside its own product, so no arithmetic runs in float16.
+:func:`rep_residual`
 takes operator norms only of the residuals whose Frobenius norm could exceed
 the worst one found.  The uniform defect of
 a map is read off its Fourier blocks over the group's irreps
@@ -246,12 +248,15 @@ def _noise_unitaries(dims, count: int, sigma: float, rng: np.random.Generator):
     The Gaussians are drawn in the order of a loop over the count, then the
     blocks, real part then imaginary part, so the unitaries and the state of
     ``rng`` afterwards are those of drawing them one at a time.  They are
-    drawn and exponentiated in chunks of at most ``_STACK_ENTRIES`` entries
-    (and one draw): per block, one batched SVD takes the operator norms, one
-    batched ``eigh`` diagonalizes and one batched product exponentiates.
+    drawn and exponentiated in chunks (of at least one draw) whose whole
+    working set, about six complex temporaries of a chunk's entries, stays
+    near ``_STACK_ENTRIES``: a chunk holds at most a quarter of that many
+    entries.  Per block, one batched SVD takes the operator norms, one
+    batched ``eigh`` diagonalizes and one batched product exponentiates;
+    each works matrix by matrix, so the chunk size changes no bit.
     """
     sizes = [2 * n * n for n in dims]
-    step = max(1, _STACK_ENTRIES // (sum(sizes) // 2))
+    step = max(1, _STACK_ENTRIES // 4 // (sum(sizes) // 2))
     for start in range(0, count, step):
         k = min(step, count - start)
         raw = rng.standard_normal((k, sum(sizes)))
@@ -389,12 +394,13 @@ class PVM:
     ``projections`` lists one element per outcome, or gives one ``(k, n, n)``
     stack per block in ``outcomes`` order (see :func:`_read_only_stacks`).
     They are copied once into read-only complex stacks (``stacks``).  A PVM
-    formed exactly (:meth:`_trusted`) may instead hold real float64 stacks;
+    formed exactly (:meth:`_trusted`) may instead hold real float16 stacks;
     every kernel that reads ``stacks`` promotes them inside its own product,
-    bit for bit as a complex copy would give.  ``pvm[a]`` and
-    ``projections`` are elements built on first read, their blocks views
-    into complex stacks and complex copies of real ones, and ``index(a)``
-    is the position of outcome ``a`` in them.
+    bit for bit as a complex copy would give, so no arithmetic runs in
+    float16.
+    ``pvm[a]`` and ``projections`` are elements built on each read and not
+    kept, their blocks views into complex stacks and complex copies of real
+    ones, and ``index(a)`` is the position of outcome ``a`` in them.
 
     Validation: every projection is self-adjoint and idempotent, the
     projections sum to ``unit`` and distinct projections multiply to zero,
@@ -468,13 +474,14 @@ class PVM:
         self._index = {a: i for i, a in enumerate(outcomes)}
         self.stacks = stacks
 
-    @cached_property
+    @property
     def projections(self) -> list:
-        """One element per outcome, its blocks views into ``stacks``."""
+        """One element per outcome, built on each read (see :class:`PVM`)."""
         return [AlgebraElement(self.algebra, bs) for bs in zip(*self.stacks)]
 
     def __getitem__(self, outcome) -> AlgebraElement:
-        return self.projections[self._index[outcome]]
+        i = self._index[outcome]
+        return AlgebraElement(self.algebra, [s[i] for s in self.stacks])
 
     def __len__(self):
         return len(self.outcomes)
@@ -512,8 +519,8 @@ class PVM:
         the conjugate of a validated PVM (:meth:`conjugated`) or projections
         formed exactly from signed permutations (``games._exact_pvm``): one
         ``(k, n, n)`` array per block in ``outcomes`` order, complex or, for
-        exact real projections, float64, made read-only in place, not copied
-        and not validated again.
+        exact real projections, float16, made read-only in place,
+        not copied and not validated again.
         ``residual`` is the caller's bound on the validation residuals."""
         obj = cls.__new__(cls)
         for s in stacks:
@@ -768,68 +775,127 @@ def _law_sq(phi: AlmostHom, rows, cols) -> np.ndarray:
     return out
 
 
-def _product_chunks(us: np.ndarray, vs: np.ndarray):
+# Spare chunk buffers of the pair kernels by dtype, kept between calls: fresh
+# 1 MB buffers on every call are faulted in afresh whenever the allocator has
+# handed the last ones back to the system, which depends on the heap that
+# earlier work left behind (about 2,000 minor faults per N = 4 twisted
+# amplification check in one such heap).  A spare's contents are never read
+# before they are written.
+_SPARE_BUFFERS = {}
+
+
+def _take_buffer(size: int, dtype) -> np.ndarray:
+    """A 1-D buffer of at least ``size`` entries of ``dtype``: the last spare
+    of that dtype if it is large enough, else a new one of ``size``
+    entries.  It is the caller's alone until :func:`_keep_buffer` gives it
+    back."""
+    spares = _SPARE_BUFFERS.setdefault(np.dtype(dtype), [])
+    buf = spares.pop() if spares else None
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+    return buf
+
+
+def _keep_buffer(buf: np.ndarray):
+    """Give a buffer from :func:`_take_buffer` back as a spare, unless it is
+    larger than a complex ``_STACK_ENTRIES`` buffer."""
+    if buf.nbytes <= 16 * _STACK_ENTRIES:
+        _SPARE_BUFFERS.setdefault(buf.dtype, []).append(buf)
+
+
+def _product_chunks(us: np.ndarray, vs: np.ndarray, dtype=None):
     """U(a)V(b) and V(b)U(a) for every pair of images of two ``(k, n, n)``
     stacks, as ``(sa, sb, uv, vu)`` chunks with ``uv[i, :, j, :]`` the product
     of the i-th a in slice ``sa`` and the j-th b in ``sb``.  Each side of a
     chunk is one concatenated product (ka n x n) @ (n x kb n) of at most
-    ``_STACK_ENTRIES`` entries, written into one pair of buffers that every
-    chunk reuses: a chunk is valid only until the next one is drawn."""
+    ``_STACK_ENTRIES`` entries (the first chunk is the largest), written
+    into one pair of buffers of ``dtype`` (by default the stacks' type) that
+    every chunk reuses: a chunk is valid only until the next one is drawn,
+    and the caller may overwrite it.  The buffers are spares
+    (:func:`_take_buffer`), kept again at the end."""
     (na, n, _), nb = us.shape, len(vs)
     b_step = max(1, min(nb, _STACK_ENTRIES // (n * n)))
     a_step = max(1, _STACK_ENTRIES // (b_step * n * n))
-    uv_buf = np.empty(min(na, a_step) * b_step * n * n, dtype=np.result_type(us, vs))
-    vu_buf = np.empty_like(uv_buf)
-    for a0 in range(0, na, a_step):
-        ua = us[a0 : a0 + a_step]
-        ka = len(ua)
-        ua_cols = ua.transpose(1, 0, 2).reshape(n, ka * n)
-        for b0 in range(0, nb, b_step):
-            vb = vs[b0 : b0 + b_step]
-            kb = len(vb)
-            size = ka * kb * n * n
-            uv = np.matmul(
-                ua.reshape(ka * n, n),
-                vb.transpose(1, 0, 2).reshape(n, kb * n),
-                out=uv_buf[:size].reshape(ka * n, kb * n),
-            )
-            vu = np.matmul(
-                vb.reshape(kb * n, n), ua_cols, out=vu_buf[:size].reshape(kb * n, ka * n)
-            )
-            yield (
-                slice(a0, a0 + ka),
-                slice(b0, b0 + kb),
-                uv.reshape(ka, n, kb, n),
-                vu.reshape(kb, n, ka, n).transpose(2, 1, 0, 3),
-            )
+    size = min(na, a_step) * b_step * n * n
+    dtype = np.result_type(us, vs) if dtype is None else dtype
+    uv_buf, vu_buf = _take_buffer(size, dtype), _take_buffer(size, dtype)
+    try:
+        for a0 in range(0, na, a_step):
+            ua = us[a0 : a0 + a_step]
+            ka = len(ua)
+            ua_cols = ua.transpose(1, 0, 2).reshape(n, ka * n)
+            for b0 in range(0, nb, b_step):
+                vb = vs[b0 : b0 + b_step]
+                kb = len(vb)
+                size = ka * kb * n * n
+                uv = np.matmul(
+                    ua.reshape(ka * n, n),
+                    vb.transpose(1, 0, 2).reshape(n, kb * n),
+                    out=uv_buf[:size].reshape(ka * n, kb * n),
+                )
+                vu = np.matmul(
+                    vb.reshape(kb * n, n), ua_cols, out=vu_buf[:size].reshape(kb * n, ka * n)
+                )
+                yield (
+                    slice(a0, a0 + ka),
+                    slice(b0, b0 + kb),
+                    uv.reshape(ka, n, kb, n),
+                    vu.reshape(kb, n, ka, n).transpose(2, 1, 0, 3),
+                )
+    finally:
+        _keep_buffer(uv_buf)
+        _keep_buffer(vu_buf)
+
+
+def _sq_moduli_sums(z: np.ndarray) -> np.ndarray:
+    """(z.real**2 + z.imag**2).sum(axis=(1, 3)) of a chunk, bit for bit.  A
+    complex z holds its squares in its own parts, so it is overwritten; a
+    real one has no imaginary part to hold them and takes the expression."""
+    if not np.iscomplexobj(z):
+        return (z.real**2 + z.imag**2).sum(axis=(1, 3))
+    re, im = z.real, z.imag
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    return re.sum(axis=(1, 3))
 
 
 def _pair_defects(u: AlmostHom, v: AlmostHom, gamma) -> np.ndarray:
     """D[a, b] = ||U(a)V(b) - gamma[a, b] V(b)U(a)||_2^2 as an (|A|, |B|) array.
 
     Rows and columns follow the element orders of the two groups; ``gamma``
-    is all ones for commutators.  The products come from ``_product_chunks``.
+    is all ones for commutators.  The products come from ``_product_chunks``
+    in a type that holds ``gamma`` too, and the difference and its squared
+    moduli are formed in their buffers, operation for operation as the
+    fresh expressions, so a complex chunk allocates nothing.
     """
     if not u.algebra.compatible(v.algebra):
         raise InvalidArgument("the two representations live on different algebras")
     gamma = np.asarray(gamma)
     out = np.zeros((u.group.order, v.group.order))
     for us, vs, c in zip(u.stacks, v.stacks, u.algebra.coeffs):
-        for sa, sb, uv, vu in _product_chunks(us, vs):
-            d = uv - gamma[sa, None, sb, None] * vu
-            out[sa, sb] += c * (d.real**2 + d.imag**2).sum(axis=(1, 3))
+        for sa, sb, uv, vu in _product_chunks(us, vs, np.result_type(us, vs, gamma)):
+            d = np.subtract(uv, np.multiply(gamma[sa, None, sb, None], vu, out=vu), out=uv)
+            out[sa, sb] += c * _sq_moduli_sums(d)
     return out
 
 
 def _pair_traces(us: np.ndarray, vs: np.ndarray) -> tuple:
     """tr X*X, tr Z*Z and tr X*Z for X = U(a)V(b), Z = V(b)U(a), as three
-    (|A|, |B|) arrays over two ``(k, n, n)`` image stacks."""
+    (|A|, |B|) arrays over two ``(k, n, n)`` image stacks.  X*Z goes into
+    one spare buffer (:func:`_take_buffer`) and the squared moduli into the
+    chunk's own buffers, so a complex chunk allocates nothing."""
     shape = (len(us), len(vs))
     xx, zz, xz = np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
+    buf = None
     for sa, sb, uv, vu in _product_chunks(us, vs):
-        xx[sa, sb] = (uv.real**2 + uv.imag**2).sum(axis=(1, 3))
-        zz[sa, sb] = (vu.real**2 + vu.imag**2).sum(axis=(1, 3))
-        xz[sa, sb] = (uv.conj() * vu).sum(axis=(1, 3))
+        if buf is None:  # the first chunk is the largest
+            buf = _take_buffer(uv.size, uv.dtype)
+        t = np.conjugate(uv, out=buf[: uv.size].reshape(uv.shape))
+        xz[sa, sb] = np.multiply(t, vu, out=t).sum(axis=(1, 3))
+        xx[sa, sb] = _sq_moduli_sums(uv)
+        zz[sa, sb] = _sq_moduli_sums(vu)
+    if buf is not None:
+        _keep_buffer(buf)
     return xx, zz, xz
 
 
@@ -839,9 +905,10 @@ def _weighted_sums(weights, stacks) -> tuple:
     ``stacks`` holds one ``(k, n, n)`` stack per block (a PVM's projections
     or a representation's images); one product W @ X per block.  With
     complex weights the product promotes a real stack itself, bit for bit as
-    from its complex copy; real weights meet real stacks only as the +-1
-    signs of the value and the bound checks, whose sums of exact projections
-    are exact.
+    from its complex copy; real weights are float64 and meet real stacks
+    only as the +-1 signs of the value and the bound checks, whose sums of
+    exact projections are exact.  A float16 stack is promoted to the
+    weights' type, so no sum is formed in float16.
     """
     return tuple(
         (weights @ s.reshape(len(s), -1)).reshape(-1, *s.shape[1:]) for s in stacks

@@ -343,8 +343,10 @@ def strategy_from_jsonable(obj: dict) -> SynchronousStrategy:
 
 def _sign_observable(pvm: PVM) -> AlgebraElement:
     """P_1 - P_-1, read off the stacks, so no element (a complex copy of a
-    real stack) is built and kept on the PVM."""
-    return AlgebraElement(pvm.algebra, [s[pvm.index(1)] - s[pvm.index(-1)] for s in pvm.stacks])
+    real stack) is built.  The rows are promoted before the subtraction, so
+    the difference of two float16 rows is formed in complex, not float16."""
+    i, j = pvm.index(1), pvm.index(-1)
+    return AlgebraElement(pvm.algebra, [np.subtract(s[i], s[j], dtype=complex) for s in pvm.stacks])
 
 
 def _pair_value(game: Game, held: dict, x, y, cache):
@@ -605,10 +607,10 @@ def commutation_bound_check(
     q_pvm = strategy[x2]
     alg = p_pvm.algebra
     lhs = 0.0
-    for a in p_pvm.outcomes:
-        for b in q_pvm.outcomes:
-            c = p_pvm[a] * q_pvm[b] - q_pvm[b] * p_pvm[a]
-            lhs += alg.norm2(c) ** 2
+    qs = q_pvm.projections
+    for p in p_pvm.projections:
+        for q in qs:
+            lhs += alg.norm2(p * q - q * p) ** 2
     lhs_unitary = None
     bound_unitary = None
     if set(p_pvm.outcomes) == {-1, 1} and set(q_pvm.outcomes) == {-1, 1}:
@@ -780,15 +782,17 @@ _ONE_QUBIT = SignedPerm.identity(2)
 def _exact_pvm(alg, outcomes, stack) -> PVM:
     """The PVM of ``outcomes`` on one (k, n, n) stack of projections formed
     exactly in binary64, stored through :meth:`PVM._trusted` as a real
-    float64 stack: half the bytes of a complex one, whose imaginary parts
-    would all be zero.
+    float16 stack: a quarter of the float64 bytes and an eighth of a complex
+    stack's.
 
     The stack is the caller's exact projections (dyadic entries of signed
     permutations), so every validation residual is exactly zero and the
     recorded ``residual`` is the rounding slack alone, the value a full
-    validation records.  The one check left is completeness, exact on these
-    entries: the projections must sum to the identity, else a nonzero
-    projection is missing and :class:`InvalidPVM` is raised.
+    validation records.  Two checks are left, both exact: the projections
+    must sum to the identity, else a nonzero projection is missing, and
+    every entry must survive the cast to float16, as the entries +-2^-k or
+    0 (k <= 12) of the Pauli strategies do; either failure raises
+    :class:`InvalidPVM`.
     """
     outcomes = list(outcomes)
     stack = np.asarray(stack, dtype=float)
@@ -797,7 +801,10 @@ def _exact_pvm(alg, outcomes, stack) -> PVM:
         raise InvalidPVM("duplicate outcome labels")
     if not np.array_equal(stack.sum(axis=0), np.eye(n)):
         raise InvalidPVM("the projections do not sum to the identity")
-    return PVM._trusted(alg, outcomes, (stack,), _rounding_slack(n, len(outcomes)))
+    half = stack.astype(np.float16)
+    if not np.array_equal(half, stack):
+        raise InvalidPVM("the projections are not exact in float16")
+    return PVM._trusted(alg, outcomes, (half,), _rounding_slack(n, len(outcomes)))
 
 
 def _joint_stack(signs: np.ndarray, ops) -> np.ndarray:
@@ -1107,7 +1114,7 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
     magic-square grid around that pair.  Every observable is a signed
     permutation taken from the bits of alpha and beta, its laws are checked
     exactly, and every projection is formed exactly, so no PVM is validated
-    in floating point and every PVM holds one real float64 stack (see
+    in floating point and every PVM holds one real float16 stack (see
     :func:`_exact_pvm`).
     """
     if game.omega is None:

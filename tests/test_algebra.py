@@ -892,13 +892,14 @@ def _noise_unitary_loop(n, sigma, rng):
 
 @pytest.mark.parametrize(
     "dims, count, stack_entries",
-    [((8,), 20, None), ((2, 3), 7, None), ((4,), 11, 40), ((2, 3), 5, 20)],
+    [((8,), 20, None), ((2, 3), 7, None), ((4,), 11, 40), ((2, 3), 5, 20), ((32,), 449, None)],
 )
 def test_noise_unitaries_equal_one_at_a_time_draws(monkeypatch, dims, count, stack_entries):
     """The batched noise kernel yields, bit for bit, the unitaries of a loop
     that draws one per count and block in turn, and leaves the generator in
-    the same state; no batched eigh holds more than _STACK_ENTRIES entries
-    (or one draw's block)."""
+    the same state; no batched eigh holds more than a quarter of
+    _STACK_ENTRIES entries (or one draw's block).  449 draws at d = 32, a
+    Hamming strategy's, span several chunks at the default cap."""
     if stack_entries is not None:
         monkeypatch.setattr(algebra, "_STACK_ENTRIES", stack_entries)
     batched, alone = np.random.default_rng(3), np.random.default_rng(3)
@@ -912,9 +913,105 @@ def test_noise_unitaries_equal_one_at_a_time_draws(monkeypatch, dims, count, sta
     for blocks, ref in zip(got, want):
         assert all(np.array_equal(u, r) for u, r in zip(blocks, ref, strict=True))
     assert batched.random() == alone.random()
-    assert max(sizes) <= max(algebra._STACK_ENTRIES, max(dims) ** 2)
-    if stack_entries is not None:
+    assert max(sizes) <= max(algebra._STACK_ENTRIES // 4, max(dims) ** 2)
+    if stack_entries is not None or count > 100:
         assert len(sizes) > len(dims)  # several chunks
+
+
+def _pair_defects_by_formula(u, v, gamma):
+    """The pair defects as a fresh difference and squared moduli per chunk:
+    the oracle of the kernel that forms them in the chunk buffers."""
+    out = np.zeros((u.group.order, v.group.order))
+    for us, vs, c in zip(u.stacks, v.stacks, u.algebra.coeffs):
+        for sa, sb, uv, vu in algebra._product_chunks(us, vs):
+            d = uv - gamma[sa, None, sb, None] * vu
+            out[sa, sb] += c * (d.real**2 + d.imag**2).sum(axis=(1, 3))
+    return out
+
+
+def _real_hom(group, alg, seed):
+    """Real orthogonal images, stored as they are."""
+    rng = np.random.default_rng(seed)
+    stacks = [
+        np.array([np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in group.elements])
+        for n in alg.dims
+    ]
+    return AlmostHom._trusted(group, alg, stacks)
+
+
+@pytest.mark.parametrize("stack_entries", [None, 50])
+@pytest.mark.parametrize("orders, dims", [((3, 3), (2, 3)), ((2,) * 5, (32,)), ((5,), (20,))])
+def test_pair_defects_equal_the_fresh_formula(monkeypatch, orders, dims, stack_entries):
+    """The pair defects formed in the chunk buffers equal the fresh-temporary
+    formula bit for bit, with gamma all ones and with the character table,
+    on complex and on real images, in one chunk or several."""
+    if stack_entries is not None:
+        monkeypatch.setattr(algebra, "_STACK_ENTRIES", stack_entries)
+    grp = AbelianGroup(orders)
+    alg = TracialAlgebra([(n, Fraction(1, len(dims))) for n in dims])
+    table = grp.character_table().T
+    for make in (_random_hom, _real_hom):
+        u, v = make(grp, alg, 1), make(grp.dual(), alg, 2)
+        for gamma in (np.ones(table.shape), table):
+            got = algebra._pair_defects(u, v, gamma)
+            assert got.tobytes() == _pair_defects_by_formula(u, v, gamma).tobytes()
+
+
+@pytest.mark.parametrize("stack_entries", [None, 50])
+@pytest.mark.parametrize("k, n", [(9, 3), (16, 16), (7, 100)])
+def test_pair_traces_equal_the_fresh_formula(monkeypatch, k, n, stack_entries):
+    """tr X*X, tr Z*Z and tr X*Z formed in the chunk buffers equal the
+    fresh-temporary formulas bit for bit, for complex stacks, a real stack
+    against a complex one and two real stacks, in one chunk or several."""
+    if stack_entries is not None:
+        monkeypatch.setattr(algebra, "_STACK_ENTRIES", stack_entries)
+    rng = np.random.default_rng(k)
+    us = np.array([haar_unitary(n, rng) for _ in range(k)])
+    vs = np.array([haar_unitary(n, rng) for _ in range(k)])
+    for left, right in ((us, vs), (us.real, vs), (us.real, vs.imag)):
+        got = algebra._pair_traces(left, right)
+        want = [np.empty(got[0].shape), np.empty(got[1].shape), np.empty(got[2].shape, complex)]
+        chunks = 0
+        for sa, sb, uv, vu in algebra._product_chunks(left, right):
+            want[0][sa, sb] = (uv.real**2 + uv.imag**2).sum(axis=(1, 3))
+            want[1][sa, sb] = (vu.real**2 + vu.imag**2).sum(axis=(1, 3))
+            want[2][sa, sb] = (uv.conj() * vu).sum(axis=(1, 3))
+            chunks += 1
+        assert [w.tobytes() for w in want] == [g.tobytes() for g in got]
+        assert chunks > 1 or stack_entries is None
+
+
+def test_product_chunk_buffers_are_kept_for_the_next_call(monkeypatch):
+    """The pair kernels take their chunk buffers from the spares and give
+    them back: a second call allocates none and gives the same bytes.  Two
+    live chunk streams never share a buffer, and a buffer above the cap is
+    not kept."""
+    rng = np.random.default_rng(4)
+    us = np.array([haar_unitary(8, rng) for _ in range(6)])
+    vs = np.array([haar_unitary(8, rng) for _ in range(6)])
+    monkeypatch.setattr(algebra, "_SPARE_BUFFERS", {})
+
+    def spares():
+        return sorted(id(b) for bs in algebra._SPARE_BUFFERS.values() for b in bs)
+
+    fresh = algebra._pair_traces(us, vs)
+    kept = spares()
+    assert len(kept) == 3
+    again = algebra._pair_traces(us, vs)
+    assert spares() == kept
+    assert [x.tobytes() for x in again] == [x.tobytes() for x in fresh]
+    first, second = algebra._product_chunks(us, vs), algebra._product_chunks(vs, us)
+    (_, _, uv1, vu1), (_, _, uv2, vu2) = next(first), next(second)
+    for a in (uv1, vu1):
+        for b in (uv2, vu2):
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(uv1.transpose(0, 2, 1, 3), us[:, None] @ vs[None])
+    first.close(), second.close()
+    assert len(spares()) == 4  # the second stream made one more
+    monkeypatch.setattr(algebra, "_SPARE_BUFFERS", {})
+    monkeypatch.setattr(algebra, "_STACK_ENTRIES", 50)
+    algebra._pair_traces(us, vs)  # each 8 x 8 product exceeds 50 entries
+    assert spares() == []
 
 
 @pytest.mark.parametrize("case", sorted(_FOURIER_DEFECT_REPS))
@@ -1134,7 +1231,9 @@ def test_pvm_projections_are_read_only_views_of_the_stacks():
     pvm = _random_pvm(alg, ["x", "y", "z"], 11)
     for i, a in enumerate(pvm.outcomes):
         assert pvm.index(a) == i
-        assert pvm.projections[i] is pvm[a]
+        assert [x.tobytes() for x in pvm.projections[i].blocks] == [
+            x.tobytes() for x in pvm[a].blocks
+        ]
         for b, block in enumerate(pvm[a].blocks):
             assert np.shares_memory(block, pvm.stacks[b])
             assert np.array_equal(block, pvm.stacks[b][i])
@@ -1163,14 +1262,15 @@ def test_identity_unit_pvms_share_one_read_only_unit():
 
 
 def test_element_views_are_built_on_first_read():
-    """A PVM's ``projections`` and a map's ``images`` are built when first
-    read, once, from the stacks; validation and the stacked kernels read
-    only the stacks."""
+    """A PVM's ``projections`` are built on each read and never kept, and a
+    map's ``images`` when first read, once, from the stacks; validation and
+    the stacked kernels read only the stacks."""
     alg = TracialAlgebra([(2, Fraction(1, 3)), (3, Fraction(2, 3))])
     pvm = _random_pvm(alg, ["x", "y", "z"], 11)
-    assert "projections" not in vars(pvm)
-    assert pvm["y"] is pvm.projections[1]
-    assert "projections" in vars(pvm)
+    before = set(vars(pvm))
+    assert pvm["y"] is not pvm["y"]
+    assert np.shares_memory(pvm["y"].blocks[1], pvm.projections[1].blocks[1])
+    assert set(vars(pvm)) == before
     rep = _two_block_rep(cyclic(3), 9)
     assert "images" not in vars(rep)
     assert rep((1,)) is rep.images[(1,)]

@@ -820,13 +820,13 @@ def _dense(o: SignedPerm) -> np.ndarray:
 
 
 def _assert_same_pvms(exact: dict, oracle: dict):
-    """The exact PVMs hold real float64 stacks whose complex copies are the
+    """The exact PVMs hold real float16 stacks whose complex copies are the
     validated oracle's stacks byte for byte."""
     assert list(exact) == list(oracle)
     for x, pvm in oracle.items():
         got = exact[x]
         assert got.outcomes == pvm.outcomes, x
-        assert all(s.dtype == np.float64 for s in got.stacks), x
+        assert all(s.dtype == np.float16 for s in got.stacks), x
         assert [s.astype(complex).tobytes() for s in got.stacks] == [
             s.tobytes() for s in pvm.stacks
         ], x
@@ -909,14 +909,14 @@ def _stack_bytes(pvm: PVM) -> list:
 
 
 def _assert_real_conjugates_as_complex(pvms: dict, rng) -> dict:
-    """Every PVM of ``pvms`` holds real float64 stacks, and its conjugate by
+    """Every PVM of ``pvms`` holds real float16 stacks, and its conjugate by
     each noise draw has the bytes and bound of the complex copy's; returns
     the conjugates."""
     alg = next(iter(pvms.values())).algebra
     noise = algebra._noise_unitaries(alg.dims, len(pvms), 0.05, rng)
     out = {}
     for (x, pvm), blocks in zip(pvms.items(), noise, strict=True):
-        assert all(s.dtype == np.float64 for s in pvm.stacks), x
+        assert all(s.dtype == np.float16 for s in pvm.stacks), x
         u = AlgebraElement(alg, blocks)
         got, want = pvm.conjugated(u), _complex_stored(pvm).conjugated(u)
         assert _stack_bytes(got) == _stack_bytes(want), x
@@ -950,7 +950,7 @@ def _assert_json_as_complex(pvms: dict):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_real_pauli_pvms_act_as_their_complex_copies(n):
-    """pauli_pvms(n) store float64 stacks; conjugation by noise draws,
+    """pauli_pvms(n) store float16 stacks; conjugation by noise draws,
     rep_from_pvm, closeness and the JSON writer give bit for bit what the
     complex-stored copies give."""
     group = boolean_group(n)
@@ -966,7 +966,7 @@ def test_real_pauli_pvms_act_as_their_complex_copies(n):
 
 
 def test_real_hamming_honest_strategy_acts_as_its_complex_copy():
-    """The Hamming honest strategy stores float64 stacks; conjugation by the
+    """The Hamming honest strategy stores float16 stacks; conjugation by the
     noise draws, the value terms of a strategy mixing real and conjugated
     PVMs, rep_from_pvm on PX and PZ, closeness and the JSON writer give bit
     for bit what the complex-stored copy gives."""
@@ -991,6 +991,43 @@ def test_real_hamming_honest_strategy_acts_as_its_complex_copy():
         assert [s.tobytes() for s in got.stacks] == [s.tobytes() for s in want.stacks]
     _assert_closeness_as_complex(honest.pvms, noisy, rng)
     _assert_json_as_complex(honest.pvms)
+
+
+def test_exact_pvm_rejects_entries_float16_would_round():
+    """A pair {P, 1 - P} with the entry 1/2 + 2^-20, which float16 would
+    round, sums to the identity but is refused, not stored rounded."""
+    a = 0.5 + 2.0**-20
+    b = math.sqrt(a * (1 - a))
+    p = np.array([[a, b], [b, 1 - a]])
+    stack = np.array([p, np.eye(2) - p])
+    assert np.array_equal(stack.sum(axis=0), np.eye(2))
+    with pytest.raises(InvalidPVM, match="float16"):
+        games._exact_pvm(TracialAlgebra.matrix(2), [0, 1], stack)
+
+
+def test_hamming_honest_stacks_take_a_quarter_of_their_float64_bytes():
+    honest = honest_strategy(named_game("hamming"))
+    stacks = [s for pvm in honest.pvms.values() for s in pvm.stacks]
+    assert all(s.dtype == np.float16 for s in stacks)
+    assert 4 * sum(s.nbytes for s in stacks) == 8 * sum(s.size for s in stacks)
+
+
+def test_reading_a_projection_keeps_nothing_on_the_pvm():
+    """``pvm[a]`` of an honest PVM is built per read: the PVM's attributes are
+    the same objects before and after, and the element's block is the complex
+    copy of the stack's row, as an element of a complex-stored copy gives."""
+    pvm = honest_strategy(named_game("hamming")).pvms["PX"]
+    before = dict(vars(pvm))
+    for x in pvm.outcomes:
+        got = pvm[x].blocks[0]
+        assert got.dtype == complex
+        assert got.tobytes() == _complex_stored(pvm)[x].blocks[0].tobytes()
+    assert [p.blocks[0].tobytes() for p in pvm.projections] == [
+        s.astype(complex).tobytes() for s in pvm.stacks[0]
+    ]
+    after = vars(pvm)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
 
 
 @pytest.mark.parametrize("n", range(1, 5))
