@@ -67,8 +67,8 @@ VALIDATION_TOL = 1e-9
 
 # Largest group order the defect and the rounding take: the uniform defect
 # sums |G|^2 law residuals or builds the irreps' |G|^2 image entries.
-# ``stability`` imports it under the same name and bounds the rounding's
-# stacks by its square; a manifest's ``dim_cap`` lowers the rounding's copy.
+# ``stability`` reads this name at call time and bounds the rounding's stacks
+# by its square; a manifest's ``dim_cap`` rebinds it for one operation.
 ROUNDING_DIM_CAP = 4096
 
 
@@ -1290,19 +1290,3 @@ def nearest_unitary_in_commutant(rep: UnitaryRep, v: AlgebraElement) -> AlgebraE
     decomposition = commutant_blocks(rep)
     u = [unitary_polar_factor(y) for y in decomposition.compress([b[None] for b in v.blocks])]
     return AlgebraElement(rep.algebra, [s[0] for s in decomposition.lift(u)])
-
-
-def norm_conditional_duality_check(u: UnitaryRep, xi: AlgebraElement):
-    """The distance to the commutant equals a supremum of trace pairings.
-
-    Returns (lhs, sup_found) where lhs = ||xi - E(xi)||_2 and sup_found is
-    tau(xi * eta) for the maximizing eta (mean-zero under E, unit 2-norm).
-    When xi lies in the commutant both values are 0 and no maximizer exists.
-    """
-    alg = u.algebra
-    diff = xi - conditional_expectation_commutant(u, xi)
-    lhs = alg.norm2(diff)
-    if lhs < 1e-14:
-        return lhs, 0.0
-    eta = (1.0 / lhs) * diff.H
-    return lhs, float(np.real(alg.tau(xi * eta)))

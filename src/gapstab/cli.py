@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import stability
+from . import algebra, stability
 from .abelian import AbelianGroup
 from .algebra import AlmostHom, TracialAlgebra
 from .codes import measure_from_code, read_code_file
@@ -336,13 +336,13 @@ def dispatch(man: ExperimentManifest) -> int:
             f"unknown operation {man.operation!r}; "
             f"choose from {', '.join(sorted(_OPERATIONS))}"
         )
-    old_cap = stability.ROUNDING_DIM_CAP
+    old_cap = algebra.ROUNDING_DIM_CAP
     if "dim_cap" in man.parameters:
-        stability.ROUNDING_DIM_CAP = int(man.parameters["dim_cap"])
+        algebra.ROUNDING_DIM_CAP = int(man.parameters["dim_cap"])
     try:
         return _OPERATIONS[man.operation](man)
     finally:
-        stability.ROUNDING_DIM_CAP = old_cap
+        algebra.ROUNDING_DIM_CAP = old_cap
 
 
 # -- argument parsing ---------------------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
 from .spectral import ProbMeasure
 
 DISTANCE_CAP = 2**24
+_CODE_TRIES = 200
 
 
 def _factor_prime_power(q: int):
@@ -76,8 +77,6 @@ def _is_irreducible(poly, p):
 @lru_cache(maxsize=None)
 def _default_modulus(p: int, k: int):
     """Smallest-encoding monic irreducible of degree k over F_p."""
-    if k == 1:
-        return (0, 1)
     for enc in range(p**k):
         poly = tuple((enc // p**i) % p for i in range(k)) + (1,)
         if _is_irreducible(poly, p):
@@ -89,25 +88,18 @@ class FiniteField:
     """F_q arithmetic on integer element codes 0..q-1.
 
     An element's base-p digits are its coordinates in the polynomial basis
-    1, x, ..., x^(k-1) modulo the chosen irreducible.  Addition and
-    multiplication are table lookups.
+    1, x, ..., x^(k-1) modulo ``modulus``, the smallest-encoding monic
+    irreducible of degree k.  Addition and multiplication are table lookups.
     """
 
-    def __init__(self, q: int, modulus=None):
+    def __init__(self, q: int):
         p, k = _factor_prime_power(q)
         if q > 1024:
             raise ResourceCap(f"field size {q} above table cap 1024")
         if k > 16:
             raise InvalidField(f"extension degree {k} above 16")
         self.q, self.p, self.k = q, p, k
-        if modulus is None:
-            modulus = _default_modulus(p, k)
-        modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise InvalidField("modulus must be monic of degree k")
-        if k > 1 and not _is_irreducible(modulus, p):
-            raise InvalidField(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = modulus
+        self.modulus = modulus = _default_modulus(p, k)
 
         digits = np.array(
             [[(e // p**i) % p for i in range(k)] for e in range(q)], dtype=np.int64
@@ -207,8 +199,8 @@ class FiniteField:
 
 
 @lru_cache(maxsize=None)
-def finite_field(q: int, modulus=None) -> FiniteField:
-    return FiniteField(q, modulus=modulus)
+def finite_field(q: int) -> FiniteField:
+    return FiniteField(q)
 
 
 class LinearCode:
@@ -262,14 +254,15 @@ class LinearCode:
     def params(self):
         return (self.length, self.dim, self._distance)
 
-    def distance(self, cap: int = DISTANCE_CAP) -> int:
-        """Exact minimum weight by enumerating all q^N - 1 nonzero codewords."""
+    def distance(self) -> int:
+        """Exact minimum weight by enumerating all q^N - 1 nonzero codewords,
+        at most ``DISTANCE_CAP`` of them."""
         if self._distance is not None:
             return self._distance
         total = self.q**self.dim - 1
-        if total > cap:
+        if total > DISTANCE_CAP:
             raise ResourceCap(
-                f"{total} codewords exceed the enumeration cap {cap}; "
+                f"{total} codewords exceed the enumeration cap {DISTANCE_CAP}; "
                 "certified distance unavailable"
             )
         f, gen = self.field, self.generator
@@ -294,10 +287,6 @@ class LinearCode:
     def __repr__(self):
         d = self._distance if self._distance is not None else "?"
         return f"LinearCode[{self.length},{self.dim},{d}]_{self.q}"
-
-
-def code_new(q: int, generator, **kw) -> LinearCode:
-    return LinearCode(q, generator, **kw)
 
 
 def measure_from_code(code: LinearCode):
@@ -361,17 +350,15 @@ def reed_muller_multilinear(q: int, m: int) -> LinearCode:
     return LinearCode(f, np.array(rows), distance_bound=bound)
 
 
-def random_code(
-    q: int, length: int, dim: int, min_distance: int, rng=None, max_tries: int = 200
-) -> LinearCode:
-    """Rejection-sample generators until the exact distance certifies."""
+def random_code(q: int, length: int, dim: int, min_distance: int, rng=None) -> LinearCode:
+    """Rejection-sample up to ``_CODE_TRIES`` generators until the exact distance certifies."""
     if rng is None:
         rng = np.random.default_rng(0)
     if dim > length:
         raise InvalidArgument("dimension cannot exceed length")
     f = finite_field(q)
     best = None
-    for _ in range(max_tries):
+    for _ in range(_CODE_TRIES):
         gen = rng.integers(q, size=(dim, length))
         try:
             code = LinearCode(f, gen)
@@ -384,7 +371,7 @@ def random_code(
             return code
     raise SamplingFailure(
         f"no [{length},{dim}] code with distance >= {min_distance} "
-        f"in {max_tries} tries",
+        f"in {_CODE_TRIES} tries",
         best=None if best is None else best.params,
     )
 
@@ -412,12 +399,3 @@ def read_code_file(path) -> LinearCode:
         distance = int(rest[0][1])
     return LinearCode(q, rows, distance=distance)
 
-
-def write_code_file(path, code: LinearCode) -> None:
-    lines = [f"{code.q} {code.length} {code.dim}"]
-    for row in code.generator:
-        lines.append(" ".join(str(int(x)) for x in row))
-    if code._distance is not None:
-        lines.append(f"d {code._distance}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -36,7 +36,14 @@ from .algebra import (
 from .codes import LinearCode, measure_from_code, random_code
 from .errors import GapstabError, InvalidArgument, InvalidPVM, ResourceCap, check_shape
 from .spectral import ProbMeasure, kappa
-from .stability import _check_bound, _pauli_extension, _pauli_pair, _pullback_sq, _round_pauli
+from .stability import (
+    _check_bound,
+    _pauli_extension,
+    _pauli_pair,
+    _pullback_sq,
+    _ratio,
+    _round_pauli,
+)
 
 COMMUTATION_PROJECTION_CONSTANT = 16.0
 COMMUTATION_UNITARY_CONSTANT = 64.0
@@ -45,6 +52,7 @@ ETA_SQUARE_CONSTANT = 24.0
 COMBINED_CONSTANT = 1320.0
 
 PAULI_DIM_CAP = 12
+_RULE_TABLE_CAP = 4096  # answer pairs per rule that expand_rules tabulates
 
 
 def _encode(label):
@@ -464,14 +472,15 @@ def _value_terms(game: Game, pvms, keep=()) -> tuple:
     return min(max(total, 0.0), 1.0), terms, kept
 
 
-def expand_rules(game: Game, cap: int = 4096) -> Game:
+def expand_rules(game: Game) -> Game:
     """Replace every intensional rule by its explicit accepted-pair table.
 
     Cross-check helper: values computed against the expanded game must
-    agree with the tagged evaluators.  The cap bounds the answer-pair count
-    per rule.  The result is a plain game with the same questions and mu
-    order: it carries no group or omega, so it writes and reloads as a plain
-    game file, and :func:`pauli_rigidity_report` refuses it.
+    agree with the tagged evaluators.  ``_RULE_TABLE_CAP`` bounds the
+    answer-pair count per rule.  The result is a plain game with the same
+    questions and mu order: it carries no group or omega, so it writes and
+    reloads as a plain game file, and :func:`pauli_rigidity_report` refuses
+    it.
     """
     rules = {}
     for (x, y), (tag, param) in game.rules.items():
@@ -479,7 +488,7 @@ def expand_rules(game: Game, cap: int = 4096) -> Game:
             rules[(x, y)] = (tag, param)
             continue
         na, nb = len(game.answers[x]), len(game.answers[y])
-        if na * nb > cap:
+        if na * nb > _RULE_TABLE_CAP:
             raise ResourceCap(f"rule table for ({x!r}, {y!r}) has {na * nb} entries")
         table = frozenset(
             (a, b)
@@ -593,18 +602,17 @@ CommutationBounds = namedtuple(
 )
 
 
-def commutation_bound_check(
-    strategy: SynchronousStrategy, epsilon: float, x1="x1", x2="x2"
-) -> CommutationBounds:
+def commutation_bound_check(strategy: SynchronousStrategy, epsilon: float) -> CommutationBounds:
     """Almost-commutation forced by a near-perfect commutation-game value.
 
-    Restricts the strategy to the two marginal questions.  lhs_projections
+    Restricts the strategy to the two marginal questions ``"x1"`` and
+    ``"x2"`` of :func:`commutation_game`.  lhs_projections
     = sum_{a,b} ||[p_a, q_b]||_2^2 against 16 epsilon; for +-1 answer sets
     also the observable form ||[p_1 - p_-1, q_1 - q_-1]||_2^2 against
     64 epsilon.
     """
-    p_pvm = strategy[x1]
-    q_pvm = strategy[x2]
+    p_pvm = strategy["x1"]
+    q_pvm = strategy["x2"]
     alg = p_pvm.algebra
     lhs = 0.0
     qs = q_pvm.projections
@@ -999,22 +1007,13 @@ def game_from_code(code: LinearCode, code2: LinearCode | None = None) -> Game:
     return combined_game(group_a, omega, alpha, beta)
 
 
-def gn_game(n: int, code_source=None, rng=None) -> Game:
+def gn_game(n: int, rng=None) -> Game:
     """A rigidity game for n qubits from one good binary code.
 
-    ``code_source`` may be a LinearCode or a callable producing one; the
-    default rejection-samples a [4n, n, >= n+1] code.  Both measure slots
-    use the same code.
+    Rejection-samples a [4n, n, >= n+1] code with ``rng``; both measure
+    slots use it.  For a given code, call :func:`game_from_code`.
     """
-    if code_source is None:
-        code = random_code(2, 4 * n, n, n + 1, rng=rng)
-    elif callable(code_source):
-        code = code_source()
-    else:
-        code = code_source
-    if code.dim != n:
-        raise InvalidArgument(f"code dimension {code.dim} does not match n={n}")
-    return game_from_code(code)
+    return game_from_code(random_code(2, 4 * n, n, n + 1, rng=rng))
 
 
 # -- honest strategies ------------------------------------------------------------
@@ -1234,7 +1233,7 @@ def _rigidity(game: Game, algebra: TracialAlgebra, pvms, rounding: bool) -> dict
         "prop_lhs": lhs,
         "prop_bound": prop_bound,
         "prop_constant": COMBINED_CONSTANT,
-        "prop_ratio": lhs / prop_bound if prop_bound > 1e-300 else None,
+        "prop_ratio": _ratio(lhs, prop_bound),
     }
     if not rounding:
         return report

@@ -34,6 +34,7 @@ from .errors import (
 from .groups import FiniteGroup
 
 GROUP_ORDER_CAP = 5040
+_SAMPLE_TRIES = 32
 
 
 class ProbMeasure:
@@ -220,11 +221,11 @@ def kappa_abelian(group: AbelianGroup, mu: ProbMeasure) -> GapReport:
     return GapReport(kappa, best, "abelian-Fourier")
 
 
-def kappa_general(group: FiniteGroup, mu: ProbMeasure, cap: int = GROUP_ORDER_CAP) -> GapReport:
+def kappa_general(group: FiniteGroup, mu: ProbMeasure) -> GapReport:
     """Gap constant from the regular representation of the symmetrized measure."""
     n = group.order
-    if n > cap:
-        raise ResourceCap(f"group order {n} exceeds the cap {cap}")
+    if n > GROUP_ORDER_CAP:
+        raise ResourceCap(f"group order {n} exceeds the cap {GROUP_ORDER_CAP}")
     if mu.group is not group and mu.group.elements != group.elements:
         raise InvalidArgument("measure lives on a different group")
     _require_generating(mu)
@@ -275,29 +276,22 @@ def poincare_residual(rep, mu: ProbMeasure, xi) -> tuple[float, float]:
     return lhs, rhs
 
 
-def alon_roichman_sample(
-    group: FiniteGroup,
-    target_kappa: float = 2.0,
-    rng=None,
-    max_tries: int = 32,
-    c: float = 6.0,
-    cap: int = GROUP_ORDER_CAP,
-) -> ProbMeasure:
+def alon_roichman_sample(group: FiniteGroup, target_kappa: float = 2.0, rng=None) -> ProbMeasure:
     """Uniform measure on a random multiset with certified kappa.
 
-    Draws ceil(c * ln|G|) elements uniformly, verifies kappa, and retries
-    with a doubled c every 8 failures.  The returned measure is certified by
-    the verification call, never by the probabilistic guarantee alone.
-    Raises SamplingFailure with the best kappa found when the budget runs
-    out.
+    Draws ceil(c * ln|G|) elements uniformly, c = 6 at first, verifies
+    kappa, and retries with a doubled c every 8 failures, ``_SAMPLE_TRIES``
+    draws at most.  The returned measure is certified by the verification
+    call, never by the probabilistic guarantee alone.  Raises
+    SamplingFailure with the best kappa found when the budget runs out.
     """
-    if group.order > cap:
-        raise ResourceCap(f"group order {group.order} exceeds the cap {cap}")
+    if group.order > GROUP_ORDER_CAP:
+        raise ResourceCap(f"group order {group.order} exceeds the cap {GROUP_ORDER_CAP}")
     if rng is None:
         rng = np.random.default_rng(0)
     best = None
-    cc = float(c)
-    for attempt in range(max_tries):
+    cc = 6.0
+    for attempt in range(_SAMPLE_TRIES):
         if attempt and attempt % 8 == 0:
             cc *= 2.0
         size = max(1, math.ceil(cc * math.log(max(group.order, 2))))
@@ -312,6 +306,6 @@ def alon_roichman_sample(
         if float(report.kappa) <= target_kappa:
             return mu
     raise SamplingFailure(
-        f"no sampled support reached kappa <= {target_kappa} in {max_tries} tries",
+        f"no sampled support reached kappa <= {target_kappa} in {_SAMPLE_TRIES} tries",
         best=None if best is None else best[1],
     )

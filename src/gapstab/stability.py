@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import algebra
 from .abelian import AbelianGroup, regular_rep
 from .algebra import (
-    ROUNDING_DIM_CAP,
     AlgebraElement,
     AlmostHom,
     TracialAlgebra,
@@ -63,12 +63,12 @@ SUBGROUP_CONSTANT = 38.0
 PAIR_CONSTANT = 1444.0
 TWISTED_CONSTANT = 30000.0
 
-# ROUNDING_DIM_CAP (from algebra, where it caps the defect) is the largest
-# group order the rounding takes, and the square root of the largest |G| m^2:
+# algebra.ROUNDING_DIM_CAP, read at call time, is the largest group order the
+# rounding (and the defect) takes, and the square root of the largest |G| m^2:
 # the entries of the input stack phi and of the blocks F_rho, whose families
 # hold |G| m^2 entries in all.  Since d_rho^2 <= |G|, it also bounds the
-# largest Hermitian block factorised, m d_rho <= sqrt(|G| m^2).  The rounding
-# reads this module's name, which a manifest's ``dim_cap`` may lower.
+# largest Hermitian block factorised, m d_rho <= sqrt(|G| m^2).  A manifest's
+# ``dim_cap`` rebinds that one name, so it moves both caps together.
 
 # Eigenvalues this close to the 1/2 cut are kept and flagged.
 THRESHOLD_TIE_TOL = 1e-9
@@ -91,8 +91,8 @@ def _ratio(value: float, bound: float):
 
 
 def _check_rounding_dim(group: FiniteGroup, dims):
-    """Refuse a rounding over ``ROUNDING_DIM_CAP`` before any work is done,
-    the group's irreps included.
+    """Refuse a rounding over ``algebra.ROUNDING_DIM_CAP`` before any work is
+    done, the group's irreps included.
 
     Bounds the group order (the irrep stacks hold |G|^2 entries, and the
     pairwise defect below the Fourier floor sums |G|^2 law residuals) and,
@@ -101,7 +101,7 @@ def _check_rounding_dim(group: FiniteGroup, dims):
     families.  The largest Hermitian block the rounding factorises, m d_rho,
     is at most sqrt(|G| m^2), because d_rho^2 <= |G|.
     """
-    cap, n, m = ROUNDING_DIM_CAP, group.order, max(dims)
+    cap, n, m = algebra.ROUNDING_DIM_CAP, group.order, max(dims)
     if n > cap:
         raise ResourceCap(f"group order {n} exceeds the cap {cap}")
     if n * m * m > cap * cap:
@@ -449,47 +449,39 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
 
 SubgroupCloseness = namedtuple("SubgroupCloseness", ["lhs", "bound"])
 
+_EQUIVARIANCE_TOL = 1e-8
 
-def equivariance_residual(phi: AlmostHom, subgroup, side: str = "left") -> float:
-    """Worst 2-norm failure of phi(hg) = phi(h)phi(g) (or the right version)."""
-    if side not in ("left", "right"):
-        raise InvalidArgument("side must be 'left' or 'right'")
+
+def equivariance_residual(phi: AlmostHom, subgroup) -> float:
+    """Worst 2-norm failure of phi(hg) = phi(h)phi(g), h in the subgroup, g in G."""
     group = phi.group
     sub = np.array([group.index(h) for h in subgroup], dtype=np.intp)
-    every = np.arange(group.order)
-    grid = _law_sq(phi, sub, every) if side == "left" else _law_sq(phi, every, sub)
+    grid = _law_sq(phi, sub, np.arange(group.order))
     return float(np.sqrt(grid.max(initial=0.0)))
 
 
 def subgroup_closeness_check(
-    phi: AlmostHom,
-    subgroup,
-    cert: RoundingCertificate,
-    side: str = "left",
-    tol: float = 1e-8,
-    strict: bool = True,
+    phi: AlmostHom, subgroup, cert: RoundingCertificate
 ) -> SubgroupCloseness:
     """Closeness of phi to the rounded representation along a subgroup.
 
-    For a subgroup H on which phi is exactly equivariant (phi(hg) =
-    phi(h)phi(g) for the left version), returns
+    For a subgroup H on which phi is left-equivariant (phi(hg) =
+    phi(h)phi(g) for h in H and every g), returns
 
         lhs   = (E_{h in H} ||phi(h) - w* pi(h) w||_2^2)^(1/2)
         bound = 38 * sqrt(defect)
 
     and the caller asserts lhs < bound.  When the equivariance residual
-    exceeds ``tol`` and ``strict`` is set, a precondition violation carrying
-    the residual is raised; with ``strict=False`` the check degrades to
-    reporting (the bound is then only heuristic).
+    exceeds ``_EQUIVARIANCE_TOL`` a precondition violation carrying the
+    residual is raised.
     """
     sub = tuple(subgroup)
     if not phi.group.is_subgroup(sub):
         raise InvalidArgument("the given subset is not a subgroup")
-    residual = equivariance_residual(phi, sub, side=side)
-    if strict and residual > tol:
+    residual = equivariance_residual(phi, sub)
+    if residual > _EQUIVARIANCE_TOL:
         raise PreconditionViolation(
-            f"phi is not {side}-equivariant on the subgroup "
-            f"(residual {residual:.3g})",
+            f"phi is not left-equivariant on the subgroup (residual {residual:.3g})",
             residual=residual,
         )
     lhs = math.sqrt(sum(cert.per_element[h] for h in sub) / len(sub))
@@ -632,15 +624,14 @@ def round_twisted_pair(
 ) -> TwistedRoundingResult:
     """Round a pair satisfying a commutation relation twisted by a sign.
 
-    ``gamma`` is a bicharacter A x B -> {+1, -1} (callable or dict).  The
+    ``gamma`` is a callable bicharacter A x B -> {+1, -1}.  The
     pair is packed into phi(a, b, z) = z U(a)V(b) on the central extension
     of A x B by the sign, rounded, and corrected so the output satisfies
     U~(a)V~(b) = gamma(a, b) V~(b)U~(a) exactly: the rounded central sign Z
     is written as P - 2Q, the corner is cut to Q, and w is re-polared.
     Distances stay below 30000 * epsilon.
     """
-    gam = gamma if callable(gamma) else (lambda a, b: gamma[(a, b)])
-    ext = CentralExtensionGroup(u_rep.group, v_rep.group, gam)
+    ext = CentralExtensionGroup(u_rep.group, v_rep.group, gamma)
     _check_rounding_dim(ext, u_rep.algebra.dims)
     signs = ext.signs.astype(float)
     eps = float(_pair_defects(u_rep, v_rep, signs).mean())

@@ -224,7 +224,7 @@ def test_ac04_subgroup_bound_product_form():
                 a_grp, b_grp = fa(), fb()
                 grp, phi = _product_form(a_grp, b_grp, sigma, rng)
                 sub = [(a, b_grp.identity) for a in a_grp.elements]
-                assert equivariance_residual(phi, sub, side="left") < 1e-10
+                assert equivariance_residual(phi, sub) < 1e-10
                 cert = gowers_hatami_round(phi)
                 close = subgroup_closeness_check(phi, sub, cert)
                 # squared form: lhs^2 <= 38^2 eps on every trial

@@ -9,16 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gapstab import codes
 from gapstab.codes import (
     FiniteField,
     LinearCode,
-    code_new,
     finite_field,
     measure_from_code,
     random_code,
     read_code_file,
     reed_muller_multilinear,
-    write_code_file,
 )
 from gapstab.errors import (
     InvalidArgument,
@@ -80,24 +79,24 @@ def test_trace_pairing_invertible():
 
 
 def test_repetition_code():
-    code = code_new(2, [[1, 1, 1]])
+    code = LinearCode(2, [[1, 1, 1]])
     assert code.params[:2] == (3, 1)
     assert code.distance() == 3
     assert np.array_equal(code.generator, [[1, 1, 1]])
 
 
 def test_hamming_code():
-    code = code_new(2, HAMMING)
+    code = LinearCode(2, HAMMING)
     assert (code.length, code.dim, code.distance()) == (7, 4, 3)
 
 
 def test_rank_validation():
     with pytest.raises(RankDeficient):
-        code_new(2, [[1, 0, 1], [1, 0, 1]])
+        LinearCode(2, [[1, 0, 1], [1, 0, 1]])
     with pytest.raises(InvalidArgument):
-        code_new(2, [[0, 2, 0]])  # entry outside the field
+        LinearCode(2, [[0, 2, 0]])  # entry outside the field
     with pytest.raises(InvalidArgument):
-        code_new(2, [])
+        LinearCode(2, [])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -125,18 +124,20 @@ def test_rank_check_counts_the_span(q):
                 LinearCode(f, rows)
 
 
-def test_distance_cap_and_declared():
-    code = code_new(2, HAMMING)
+def test_distance_cap_and_declared(monkeypatch):
+    code = LinearCode(2, HAMMING)
+    monkeypatch.setattr(codes, "DISTANCE_CAP", 4)
     with pytest.raises(ResourceCap):
-        code.distance(cap=4)  # 15 nonzero codewords exceed the cap
+        code.distance()  # 15 nonzero codewords exceed the cap
+    monkeypatch.setattr(codes, "DISTANCE_CAP", 1)
     declared = LinearCode(2, HAMMING, distance=3)
-    assert declared.distance(cap=1) == 3  # declaration short-circuits
+    assert declared.distance() == 3  # declaration short-circuits
     with pytest.raises(InvalidArgument):
         LinearCode(2, [[1, 1, 0]], distance_bound=3).distance()  # true d = 2
 
 
 def test_measure_from_repetition():
-    code = code_new(2, [[1, 1, 1]])
+    code = LinearCode(2, [[1, 1, 1]])
     group, mu, predicted = measure_from_code(code)
     assert group.orders == (2,)
     assert mu((1,)) == 1  # all three columns give the same character
@@ -145,7 +146,7 @@ def test_measure_from_repetition():
 
 
 def test_measure_from_hamming():
-    group, mu, predicted = measure_from_code(code_new(2, HAMMING))
+    group, mu, predicted = measure_from_code(LinearCode(2, HAMMING))
     assert group.orders == (2,) * 4
     assert sum(p for _, p in mu.items_nonzero()) == 1
     assert predicted == Fraction(7, 6)
@@ -153,7 +154,7 @@ def test_measure_from_hamming():
 
 
 def test_measure_from_gf4_code():
-    code = code_new(4, [[1, 2]])
+    code = LinearCode(4, [[1, 2]])
     group, mu, predicted = measure_from_code(code)
     # one column per field multiple per nontrivial scalar: (q-1)*K points
     assert sum(p for _, p in mu.items_nonzero()) == 1
@@ -208,18 +209,18 @@ def test_random_code():
     assert np.array_equal(code.generator, again.generator)
 
 
-def test_random_code_impossible():
+def test_random_code_impossible(monkeypatch):
+    monkeypatch.setattr(codes, "_CODE_TRIES", 20)
     with pytest.raises(SamplingFailure):
-        random_code(2, 3, 2, 3, rng=np.random.default_rng(0), max_tries=20)
+        random_code(2, 3, 2, 3, rng=np.random.default_rng(0))
 
 
 def test_code_file_round_trip(tmp_path):
     path = tmp_path / "hamming.code"
-    code = code_new(2, HAMMING)
-    code.distance()
-    write_code_file(path, code)
+    rows = "\n".join(" ".join(map(str, row)) for row in HAMMING)
+    path.write_text(f"2 7 4\n{rows}\nd 3\n")
     back = read_code_file(path)
-    assert np.array_equal(back.generator, code.generator)
+    assert np.array_equal(back.generator, HAMMING)
     assert back.distance() == 3
     empty = tmp_path / "empty.code"
     empty.write_text("")

@@ -472,8 +472,6 @@ def test_gn_game():
     game = gn_game(1, rng=np.random.default_rng(0))
     strat = honest_strategy(game)
     assert abs(value(game, strat) - 1.0) < 1e-9
-    with pytest.raises(InvalidArgument):
-        gn_game(2, code_source=LinearCode(2, [[1]]))
 
 
 # -- value engine ------------------------------------------------------------------
@@ -495,14 +493,15 @@ def test_value_shortcut_matches_explicit():
     assert abs(v_short - v_expl) < 1e-12
 
 
-def test_expand_rules_value_match():
+def test_expand_rules_value_match(monkeypatch):
     game = game_from_code(LinearCode(2, [[1]]))
     strat = perturb_strategy(honest_strategy(game), 0.15, np.random.default_rng(4))
     expanded = expand_rules(game)
     assert all(tag == "pairs" for tag, _ in expanded.rules.values())
     assert abs(value(game, strat) - value(expanded, strat)) < 1e-12
+    monkeypatch.setattr(games, "_RULE_TABLE_CAP", 1)
     with pytest.raises(ResourceCap):
-        expand_rules(game, cap=1)
+        expand_rules(game)
 
 
 def test_perturb_strategy_zero_sigma():
@@ -647,7 +646,7 @@ def test_hamming_report_refuses_rounding_before_amplification(monkeypatch):
     strat = honest_strategy(game)
     with pytest.raises(AssertionError, match="before the cap check"):
         pauli_rigidity_report(game, strat)
-    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 511)
+    monkeypatch.setattr(algebra, "ROUNDING_DIM_CAP", 511)
     with pytest.raises(ResourceCap, match="512"):
         pauli_rigidity_report(game, strat)
 
@@ -1327,7 +1326,7 @@ def test_a_refused_rounding_reads_no_pvm(monkeypatch):
     point draws its first noise unitary."""
     game = named_game("hamming")
     honest = honest_strategy(game)
-    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 511)
+    monkeypatch.setattr(algebra, "ROUNDING_DIM_CAP", 511)
     strat = SynchronousStrategy(honest.algebra, {})
     strat.pvms = type("Unreadable", (), {"items": staticmethod(_unreadable)})()
     with pytest.raises(ResourceCap, match="512"):

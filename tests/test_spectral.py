@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapstab import spectral
 from gapstab.abelian import AbelianGroup, boolean_group, cyclic, regular_rep
-from gapstab.codes import code_new, measure_from_code
+from gapstab.codes import LinearCode, measure_from_code
 from gapstab.errors import (
     InvalidArgument,
     NonGeneratingSupport,
@@ -132,11 +133,12 @@ def test_kappa_dispatch_consistency():
     assert exact.method == "abelian-Fourier"
 
 
-def test_kappa_general_cap():
-    grp = symmetric_group(3)
-    with pytest.raises(ResourceCap):
-        kappa_general(grp, ProbMeasure.uniform(grp), cap=4)
+def test_kappa_general_cap(monkeypatch):
     assert GROUP_ORDER_CAP == 5040
+    grp = symmetric_group(3)
+    monkeypatch.setattr(spectral, "GROUP_ORDER_CAP", 4)
+    with pytest.raises(ResourceCap):
+        kappa_general(grp, ProbMeasure.uniform(grp))
 
 
 def test_poincare_residual():
@@ -169,12 +171,11 @@ def test_alon_roichman_sample():
     assert dict(mu.items_nonzero()) == dict(again.items_nonzero())
 
 
-def test_alon_roichman_failure():
+def test_alon_roichman_failure(monkeypatch):
     grp = boolean_group(2)
+    monkeypatch.setattr(spectral, "_SAMPLE_TRIES", 3)
     with pytest.raises(SamplingFailure):
-        alon_roichman_sample(
-            grp, target_kappa=1e-6, rng=np.random.default_rng(0), max_tries=3
-        )
+        alon_roichman_sample(grp, target_kappa=1e-6, rng=np.random.default_rng(0))
 
 
 # -- the integer character-phase kernel against the per-character loop ------------
@@ -251,7 +252,7 @@ def test_kappa_kernel_exact_on_every_binary_code_shape():
             cols = rng.integers(2**n, size=k - n)
             rows = [[int(j == i) for j in range(n)] + [int(c >> i & 1) for c in cols]
                     for i in range(n)]
-            group, mu, predicted = measure_from_code(code_new(2, rows))
+            group, mu, predicted = measure_from_code(LinearCode(2, rows))
             assert kappa_abelian(group, mu).kappa == predicted
             _assert_kernel_matches_loop(group, mu)
 

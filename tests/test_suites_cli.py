@@ -1,14 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import gapstab.algebra as algebra
 import gapstab.cli as cli
 import gapstab.games as games
 import gapstab.groups as groups
 import gapstab.stability as stability
 import gapstab.suites as suites
-from gapstab.abelian import cyclic, regular_rep
+from gapstab.abelian import boolean_group, cyclic, regular_rep
 from gapstab.algebra import AlmostHom
 from gapstab.cli import (
     DEFAULT_SEED,
@@ -18,9 +20,9 @@ from gapstab.cli import (
     read_almost_hom,
     write_almost_hom,
 )
-from gapstab.errors import InvalidArgument
+from gapstab.errors import InvalidArgument, ResourceCap
 from gapstab.games import honest_strategy
-from gapstab.suites import DEFAULT_TRIALS, SUITES, named_game, rigidity_sweep, run_suite
+from gapstab.suites import SUITES, named_game, rigidity_sweep, run_suite
 
 _TINY = {
     "lemma17": 6,
@@ -49,9 +51,11 @@ def _write_code(path, header, rows):
 # -- suites -------------------------------------------------------------------------
 
 
-def test_registry_consistent():
-    assert set(SUITES) == set(DEFAULT_TRIALS)
+def test_registry_consistent(monkeypatch):
     assert set(_TINY) == set(SUITES)
+    # without trials a suite runs its own default
+    monkeypatch.setitem(SUITES, "gh", lambda **kw: kw)
+    assert run_suite("gh", seed=3) == {"seed": 3}
 
 
 def test_run_suite_unknown():
@@ -80,7 +84,9 @@ def test_suite_determinism():
 
 def test_suite_gh_computes_each_defect_once(monkeypatch):
     """suite_gh reads eps off the certificate, which is defect(phi) bit for
-    bit, and calls defect only for a trial the rounding refuses."""
+    bit, and calls defect only for a trial the rounding refuses other than by
+    the cap: a trial the cap refuses records a NaN eps, because its defect
+    builds what the cap bounds."""
     calls, expected = [], []
     defect, round_ = suites.defect, stability.gowers_hatami_round
 
@@ -93,11 +99,11 @@ def test_suite_gh_computes_each_defect_once(monkeypatch):
     res = suites.suite_gh(trials=6, seed=11)
     assert calls == [] and res.failures == 0
     assert [row[3] for row in res.rows] == expected
-    monkeypatch.setattr(stability, "ROUNDING_DIM_CAP", 1)
-    expected.clear()
+    monkeypatch.setattr(stability, "gowers_hatami_round", round_)
+    monkeypatch.setattr(algebra, "ROUNDING_DIM_CAP", 1)
     res = suites.suite_gh(trials=3, seed=11)
-    assert len(calls) == 3 and res.failures == 3
-    assert [row[3] for row in res.rows] == expected
+    assert calls == [] and res.failures == 3
+    assert all(math.isnan(row[3]) for row in res.rows)
 
 
 def test_suite_sqrt2_splits_s3_once(monkeypatch):
@@ -299,10 +305,28 @@ def test_cli_round(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["distance"] < 1e-12
 
-    cap_before = stability.ROUNDING_DIM_CAP
+    cap_before = algebra.ROUNDING_DIM_CAP
     assert main(["round", path, "--dim-cap", "4"]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "ResourceCap"
-    assert stability.ROUNDING_DIM_CAP == cap_before  # override must not leak
+    assert algebra.ROUNDING_DIM_CAP == cap_before  # override must not leak
+
+
+def test_one_cap_refuses_the_rounding_up_front(tmp_path, capsys, monkeypatch):
+    """The defect and the rounding read one cap, so a lowered cap refuses the
+    rounding of the exact regular map of Z2^4 in its up-front check, before
+    the group's irreps are built, and the CLI's --dim-cap does the same."""
+    rep = regular_rep(boolean_group(4))
+    phi = AlmostHom(rep.group, rep.algebra, rep.images)
+    path = str(tmp_path / "z2_4.json")
+    write_almost_hom(path, phi)
+    monkeypatch.setattr(algebra, "ROUNDING_DIM_CAP", 8)
+    with pytest.raises(ResourceCap, match="group order 16 exceeds the cap 8"):
+        stability.gowers_hatami_round(phi)
+    assert rep.group._irreps is None
+    monkeypatch.undo()
+    assert main(["round", path, "--dim-cap", "8"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "ResourceCap"
+    assert main(["round", path]) == 0
 
 
 def test_cli_verify_csv(tmp_path, capsys):
@@ -317,10 +341,10 @@ def test_cli_verify_csv(tmp_path, capsys):
 def test_cli_verify_dim_cap_reaches_the_rounding(capsys):
     """The cap reaches gowers_hatami_round through the manifest: every gh
     trial is refused, so the suite fails."""
-    cap_before = stability.ROUNDING_DIM_CAP
+    cap_before = algebra.ROUNDING_DIM_CAP
     assert main(["verify", "gh", "--trials", "2", "--dim-cap", "1"]) == 2
     assert "[FAIL] gh: 2 trials, 2 violations" in capsys.readouterr().out
-    assert stability.ROUNDING_DIM_CAP == cap_before
+    assert algebra.ROUNDING_DIM_CAP == cap_before
 
 
 def test_noisy_hom_draws_the_same_unitaries():
