@@ -136,12 +136,14 @@ class AbelianGroup(FiniteGroup):
         phases per chunk, so memory stays flat in |G|.
         """
         e = self.exponent
-        scaled = points.T * (e // np.array(self.orders, dtype=np.int64))[:, None]
+        orders = np.array(self.orders, dtype=np.int64)
+        scaled = points.T * (e // orders)[:, None]
+        # character coordinates by mixed radix: the last coordinate fastest
+        radix = np.array([*itertools.accumulate(self.orders[:0:-1], operator.mul, initial=1)][::-1])
         rows = max(1, _PHASE_ENTRIES // len(points))
         for start in range(first, self.order, rows):
             idx = np.arange(start, min(start + rows, self.order))
-            chars = np.stack(np.unravel_index(idx, self.orders), axis=1)
-            yield start, (chars @ scaled) % e
+            yield start, ((idx[:, None] // radix % orders) @ scaled) % e
 
     def _build_irreps(self):
         """The characters, one (|G|, |G|, 1, 1) stack in ``elements`` order."""

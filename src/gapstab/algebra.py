@@ -498,7 +498,8 @@ class PVM:
         block and bit for bit (u 1) u*; any other unit e to (u e) u*.  The
         residuals are not measured again: they are bounded by
         :func:`_conjugation_bound` from this PVM's ``residual``
-        and the unitarity residual of u, one n x n product per block.  When
+        and the unitarity residual of u, read off the product u u* (the
+        moved identity unit, or formed for the bound alone).  When
         that bound is at most ``VALIDATION_TOL / 2`` it becomes the result's
         ``residual``; the other half of the tolerance covers the rounding of
         a full check, which would therefore accept.  Otherwise (u far from
@@ -507,8 +508,9 @@ class PVM:
         exception and residual.
         """
         stacks = [(m @ s) @ m.conj().T for m, s in zip(u.blocks, self.stacks)]
-        unit = u * u.H if self._unit_is_one else u * self.unit * u.H
-        bound = _conjugation_bound(self.residual, u.blocks, len(self.outcomes))
+        gram = u * u.H
+        unit = gram if self._unit_is_one else u * self.unit * u.H
+        bound = _conjugation_bound(self.residual, gram.blocks, len(self.outcomes))
         if not bound <= VALIDATION_TOL / 2:
             return PVM(self.algebra, self.outcomes, stacks, unit=unit)
         return PVM._trusted(self.algebra, self.outcomes, stacks, bound, unit=unit)
@@ -559,12 +561,14 @@ def _rounding_slack(n: int, k: int) -> float:
     return (5 * k + 8) * e + 3 * k * (k + 1) * math.sqrt(n) * _UNIT_ROUNDOFF
 
 
-def _conjugation_bound(residual: float, blocks, k: int) -> float:
+def _conjugation_bound(residual: float, grams, k: int) -> float:
     """A bound on every validation residual of the k-outcome PVM u P u*,
-    given a bound ``residual`` on those of P and the blocks of u.
+    given a bound ``residual`` on those of P and the blocks of u u*.
 
-    Take delta >= ||u* u - 1|| (the Frobenius norm of u* u - 1 per block, as
-    computed, over ``_SCREEN_MARGIN``, plus the rounding of its product),
+    Take delta >= ||u* u - 1|| (the Frobenius norm of u u* - 1 per block, as
+    computed, over ``_SCREEN_MARGIN``, plus the rounding of its product;
+    for square u, u u* and u* u have the same singular values, so
+    ||u u* - 1||_F = ||u* u - 1||_F exactly),
     r = ``residual``, so that ||p|| <= 1 + 2 r, and e the unit.  In exact
     arithmetic ||u (p - p*) u*|| and ||u (sum p - e) u*|| are at most
     (1 + delta) r; as u p u* u q u* = u p q u* + u p (u* u - 1) q u*, the
@@ -572,8 +576,8 @@ def _conjugation_bound(residual: float, blocks, k: int) -> float:
     (1 + delta)(r + delta (1 + 2 r)^2), the largest of the four.
     ``_rounding_slack`` is added for the computed stacks.
     """
-    n = max(len(m) for m in blocks)
-    delta = max(np.linalg.norm(m.conj().T @ m - np.eye(len(m))) for m in blocks)
+    n = max(len(m) for m in grams)
+    delta = max(np.linalg.norm(m - np.eye(len(m))) for m in grams)
     delta = delta / _SCREEN_MARGIN + _product_rounding(n)
     r = residual
     return (1 + delta) * (r + delta * (1 + 2 * r) ** 2) + _rounding_slack(n, k)

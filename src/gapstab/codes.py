@@ -10,6 +10,7 @@ supply of measures with certified kappa.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -182,6 +183,12 @@ class FiniteField:
     def trace(self, a: int) -> int:
         return int(self.trace_table[a])
 
+    @cached_property
+    def _dual_digits(self) -> np.ndarray:
+        """Row x: ``trace_pairing() @ digits(x) mod p``, the coordinates of x
+        in the dual group under the trace pairing."""
+        return self._digits @ self.trace_pairing().T % self.p
+
     def trace_pairing(self) -> np.ndarray:
         """T[s, t] = Tr(x^s x^t) in F_p; identifies the dual group with F_q."""
         if self.k == 1:
@@ -265,17 +272,19 @@ class LinearCode:
                 f"{total} codewords exceed the enumeration cap {DISTANCE_CAP}; "
                 "certified distance unavailable"
             )
-        f, gen = self.field, self.generator
+        add = self.field.add_table
+        multiples = self.field.mul_table[:, self.generator]  # [t, j] = t b_j
+        powers = self.q ** np.arange(self.dim, dtype=np.int64)
         best = self.length + 1
         chunk = 1 << 15
         for start in range(1, total + 1, chunk):
             idx = np.arange(start, min(start + chunk, total + 1), dtype=np.int64)
-            msgs = (idx[:, None] // self.q ** np.arange(self.dim)) % self.q
-            acc = np.zeros((len(idx), self.length), dtype=np.int64)
-            for j in range(self.dim):
-                acc = f.add_table[acc, f.mul_table[msgs[:, j]][:, gen[j]]]
-            w = np.count_nonzero(acc, axis=1).min()
-            best = min(best, int(w))
+            msgs = idx[:, None] // powers % self.q  # message digits, first row fastest
+            # the codewords sum_j m_j b_j: one row gather of m_j b_j per generator row
+            acc = multiples[msgs[:, 0], 0]
+            for j in range(1, self.dim):
+                acc = add[acc, multiples[msgs[:, j], j]]
+            best = min(best, int(np.count_nonzero(acc, axis=1).min()))
         if self.distance_bound is not None and best < self.distance_bound:
             raise InvalidArgument(
                 f"computed distance {best} violates the declared bound "
@@ -295,21 +304,26 @@ def measure_from_code(code: LinearCode):
     For each column i and each nontrivial additive character chi of F_q, the
     map y -> chi(sum_j y_j b_j(i)) is a character of F_q^N; the measure is
     uniform on this multiset of (q-1)*K characters.  Characters are encoded
-    as elements of the same group via the trace pairing.
+    as elements of the same group via the trace pairing.  The measure is
+    built from the integer counts of the distinct rows, in first-appearance
+    order as :meth:`ProbMeasure.uniform_on` counts a multiset, through
+    ``ProbMeasure._trusted``: each row is a group element by construction.
 
     Returns (group, measure, predicted_kappa) with
     predicted_kappa = ((q-1)/q) * K/d exactly.
     """
     f = code.field
-    p, k = f.p, f.k
-    group = AbelianGroup((p,) * (k * code.dim))
-    pairing = f.trace_pairing()
+    group = AbelianGroup((f.p,) * (f.k * code.dim))
 
     # exps[t-1, j, i] = pairing @ digits(t * b_j(i)) mod p; one support row per
     # (column i, scalar t), entries ordered by generator row j, then digit
-    exps = f._digits[f.mul_table[1:, code.generator]] @ pairing.T % p
-    support = exps.transpose(2, 0, 1, 3).reshape(code.length * (f.q - 1), -1)
-    mu = ProbMeasure.uniform_on(group, map(tuple, support.tolist()))
+    exps = f._dual_digits[f.mul_table[1:, code.generator]]
+    rows = np.ascontiguousarray(exps.transpose(2, 0, 1, 3)).reshape(code.length * (f.q - 1), -1)
+    # each row's bytes as its key: the counts in first-appearance order, as
+    # ProbMeasure.uniform_on counts a multiset, and the distinct rows read back
+    counts = Counter(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist())
+    points = np.frombuffer(b"".join(counts), dtype=np.int64).reshape(len(counts), -1)
+    mu = ProbMeasure._trusted(group, points, list(counts.values()))
     d = code.distance()
     predicted = Fraction((f.q - 1) * code.length, f.q * d)
     return group, mu, predicted

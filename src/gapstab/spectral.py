@@ -5,13 +5,16 @@ symmetrized averaging operator away from constants.  For abelian groups this
 is a Fourier computation over characters; in general the regular
 representation contains every irreducible, so its gap is the universal one.
 
-Exactness: a ``ProbMeasure`` is validated once, when it is built, and then
-holds its weights both as ``Fraction``s and as integer numerators over one
-common denominator; the weights sum to 1 exactly when the numerators sum to
-the denominator.  On an abelian group of exponent at most 2 (every Z2^r, so
-the measures of codes over F_2 and F_4) every character value is +-1, and
-kappa and lambda_2 are exact ``Fraction``s computed from those stored
-integers.  For any other exponent they are floats.
+Exactness: a ``ProbMeasure`` holds its weights as integer numerators over
+one common denominator; the weights sum to 1 exactly when the numerators
+sum to the denominator.  A measure given by ``Fraction`` weights is
+validated once, when it is built.  A code's measure is built from the
+integer counts of its support rows (``ProbMeasure._trusted``), whose
+points are in range by construction, and its ``Fraction`` weights are
+derived only when read.  On an abelian group of exponent at most 2 (every
+Z2^r, so the measures of codes over F_2 and F_4) every character value is
++-1, and kappa and lambda_2 are exact ``Fraction``s computed from the
+stored integers.  For any other exponent they are floats.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +44,13 @@ _SAMPLE_TRIES = 32
 class ProbMeasure:
     """Probability measure with exact rational weights.
 
-    ``weights`` maps each support element to its positive ``Fraction``;
-    ``numerators`` holds the same weights, in the same order, as integers
-    over the common ``denominator`` (the lcm of the weights' denominators).
-    Both are fixed at validation.
+    ``numerators`` holds the weights as integers over the common
+    ``denominator`` (the lcm of the weights' denominators), in ``support``
+    order; ``weights`` maps each support element to its positive
+    ``Fraction``, in the same order.  ``ProbMeasure(group, weights)``
+    validates its input and fixes all of them at once.  A measure built from
+    counts (:meth:`_trusted`) stores the integers and its point array
+    and builds ``support`` and ``weights`` on first read.
     """
 
     def __init__(self, group: FiniteGroup, weights: dict):
@@ -63,8 +70,42 @@ class ProbMeasure:
         if sum(nums) != denom:
             raise InvalidArgument(f"weights sum to {Fraction(sum(nums), denom)}, expected 1")
         self.weights = w
+        self.support = tuple(w)
         self.denominator = denom
         self.numerators = nums
+
+    @classmethod
+    def _trusted(cls, group: AbelianGroup, points: np.ndarray, counts) -> "ProbMeasure":
+        """The measure weighing each row of ``points`` by its count over the
+        counts' total, for builders whose points are in range by construction.
+
+        ``points`` is a distinct ``(s, rank)`` int64 array of elements of
+        ``group`` and ``counts`` are s positive ints in the same order; neither
+        is validated again.  ``support`` and ``weights`` are built from them
+        on first read, in this order.
+        """
+        mu = cls.__new__(cls)
+        mu.group = group
+        mu._points = points
+        g = math.gcd(*counts)
+        mu.numerators = tuple(c // g for c in counts)
+        mu.denominator = sum(counts) // g
+        return mu
+
+    @cached_property
+    def support(self):
+        return tuple(map(tuple, self._points.tolist()))
+
+    @cached_property
+    def weights(self):
+        d = self.denominator
+        return {g: Fraction(n, d) for g, n in zip(self.support, self.numerators)}
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        """The support as an ``(s, rank)`` int64 array, for an abelian group's
+        character phases."""
+        return np.array(self.support, dtype=np.int64)
 
     @classmethod
     def uniform(cls, group: FiniteGroup) -> "ProbMeasure":
@@ -88,10 +129,6 @@ class ProbMeasure:
 
     def items_nonzero(self):
         return self.weights.items()
-
-    @property
-    def support(self):
-        return tuple(self.weights.keys())
 
     def symmetrized(self) -> "ProbMeasure":
         w = {}
@@ -123,7 +160,7 @@ class ProbMeasure:
         inverses).
         """
         if isinstance(self.group, AbelianGroup):
-            chunks = self.group._phase_chunks(np.array(self.support, dtype=np.int64), 1)
+            chunks = self.group._phase_chunks(self._points, 1)
             return all(ph.any(axis=1).all() for _, ph in chunks)
         seen = {self.group.identity}
         frontier = list(seen)
@@ -165,7 +202,7 @@ class GapReport:
     method: str
 
     def __post_init__(self):
-        if self.kappa != math.inf and self.kappa < 0:
+        if self.kappa < 0:
             raise InvalidArgument("kappa must be nonnegative")
 
 
@@ -184,25 +221,27 @@ def kappa_abelian(group: AbelianGroup, mu: ProbMeasure) -> GapReport:
     both checks generation (the annihilator test: no nontrivial character
     may be 1 on the whole support) and takes the maximum.  At exponent at
     most 2, mu-hat(chi) = (L - 2 ph @ n) / L with the measure's integer
-    ``numerators`` n over its common ``denominator`` L, both fixed when the
-    measure was validated, so kappa and lambda_2 are exact ``Fraction``s
-    (int64 while L < 2^63, Python ints beyond).  For other exponents
-    Re mu-hat = cos(2 pi ph / e) @ w in floating point.
+    ``numerators`` n over its common ``denominator`` L, so kappa and
+    lambda_2 are exact ``Fraction``s (int64 while L < 2^63, Python ints
+    beyond).  For other exponents Re mu-hat = cos(2 pi ph / e) @ w in
+    floating point, with w = n / L.  The phases are taken on the measure's
+    stored point array; its ``Fraction`` weights are not read.
     """
     if not isinstance(group, AbelianGroup):
         raise InvalidArgument("kappa_abelian requires an AbelianGroup")
     if mu.group is not group and mu.group.elements != group.elements:
         raise InvalidArgument("measure lives on a different group")
     exact = group.exponent <= 2
+    denom = mu.denominator
     if exact:
-        denom = mu.denominator
         coef = np.array(mu.numerators, dtype=np.int64 if denom < 2**63 else object)
     else:
         e = group.exponent
-        coef = np.array([float(p) for p in mu.weights.values()])
+        # n / L is correctly rounded, so bit for bit float(Fraction(n, L))
+        coef = np.array([n / denom for n in mu.numerators])
         cosines = np.cos(2 * np.pi * np.arange(e) / e)
     best = None
-    for _, ph in group._phase_chunks(np.array(mu.support, dtype=np.int64), 1):
+    for _, ph in group._phase_chunks(mu._points, 1):
         if not ph.any(axis=1).all():
             raise NonGeneratingSupport(_NON_GENERATING)
         if exact:

@@ -333,8 +333,10 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
         ||P - w w*||_2^2 <= 16 * defect
         trace excess     <= 16 * defect
 
-    together with the contraction-stage intermediates.  Eigenvalues within
-    1e-9 of the 1/2 cut are kept in the projection and flagged.
+    together with the contraction-stage intermediates, whose contraction
+    distance (mean of ||phi(g) - X* pi(g) X||_2^2) is checked against
+    25 * defect: a larger value raises :class:`GapstabError`.  Eigenvalues
+    within 1e-9 of the 1/2 cut are kept in the projection and flagged.
 
     A is a group convolution, A[h1, h2] = B(h2^{-1} h1) with
     B(k) = n^-2 sum_v phi(v) phi(kv)*.  The Fourier transform over the
@@ -404,6 +406,7 @@ def gowers_hatami_round(phi: AlmostHom) -> RoundingCertificate:
     contraction = float(
         _pullback_sq(x_mats, coeffs, phi.stacks, [blk["core"] for blk in blocks]).mean()
     )
+    _check_bound(contraction, CONTRACTION_CONSTANT * eps, "contraction distance")
 
     # pi is a direct sum of the group's checked irreps and an identity block:
     # it is unitary, and its law residual is the worst over the irreps that occur

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gapstab import abelian
 from gapstab.abelian import (
     AbelianGroup,
     boolean_group,
@@ -249,3 +250,23 @@ def test_membership_and_index_match_the_element_dict():
     assert group.order == 24
     assert "elements" not in vars(group)  # nothing above built it
     assert group.elements == tuple(oracle)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("orders", [(2, 4, 3), (5,), (2,) * 6])
+def test_phase_chunks_match_unravel_index(monkeypatch, orders, first):
+    """The mixed-radix character coordinates of ``_phase_chunks`` against
+    ``np.unravel_index``, with two characters per chunk so that the phases
+    cross chunk boundaries; each phase is the per-coordinate sum."""
+    group = AbelianGroup(orders)
+    e = group.exponent
+    points = np.array(group.elements[::2], dtype=np.int64)
+    monkeypatch.setattr(abelian, "_PHASE_ENTRIES", 2 * len(points))
+    chunks = list(group._phase_chunks(points, first))
+    assert [start for start, _ in chunks] == list(range(first, group.order, 2))
+    chars = np.stack(np.unravel_index(np.arange(first, group.order), orders), axis=1)
+    want = [
+        [sum(c * a * (e // m) for c, a, m in zip(chi, pt, orders)) % e for pt in points.tolist()]
+        for chi in chars.tolist()
+    ]
+    assert np.vstack([ph for _, ph in chunks]).tolist() == want

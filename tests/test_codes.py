@@ -185,6 +185,68 @@ def test_measure_support_order_matches_column_loop(q):
     assert list(mu.weights.items()) == list(want.weights.items())
 
 
+def _ac1_binary_family():
+    """The 6378 systematic binary codes of AC1: identity, then parity columns."""
+    for n in range(1, 5):
+        for k in range(n, 9):
+            for cols in itertools.combinations_with_replacement(range(2**n), k - n):
+                yield LinearCode(2, [[int(j == i) for j in range(n)] + [c >> i & 1 for c in cols]
+                                     for i in range(n)])
+
+
+def _seeded_codes():
+    """Random codes over F_3, F_4 and F_5, 20 each, seeded."""
+    rng = np.random.default_rng(28)
+    for q, cap in ((3, 5), (4, 4), (5, 3)):
+        for j in range(20):
+            n = 1 + j % cap
+            yield random_code(q, int(rng.integers(n, 11)), n, 1, rng=rng)
+
+
+def test_count_built_measure_equals_uniform_on():
+    """measure_from_code's count-built measure against ProbMeasure.uniform_on
+    on the per-column support: the same weights in the same order, the same
+    integers, and the same kappa (equal Fractions, floats bit for bit)."""
+    seen = 0
+    for code in itertools.chain(_ac1_binary_family(), _seeded_codes()):
+        group, mu, _ = measure_from_code(code)
+        want = ProbMeasure.uniform_on(group, _support_by_columns(code, code.field.trace_pairing()))
+        assert (mu.numerators, mu.denominator) == (want.numerators, want.denominator)
+        assert mu.support == want.support
+        assert list(mu.weights.items()) == list(want.weights.items())
+        got, ref = kappa(group, mu), kappa(group, want)
+        assert type(got.kappa) is type(ref.kappa) is (Fraction if code.q in (2, 4) else float)
+        if code.q in (2, 4):
+            assert (got.kappa, got.second_eigenvalue) == (ref.kappa, ref.second_eigenvalue)
+        else:
+            assert got.kappa.hex() == ref.kappa.hex()
+            assert got.second_eigenvalue.hex() == ref.second_eigenvalue.hex()
+        seen += 1
+    assert seen == 6378 + 60
+
+
+def _distance_by_messages(code):
+    """Minimum weight over the nonzero messages, one codeword at a time."""
+    add, mul, _, _ = code.field._lists
+    gen = code.generator.tolist()
+    best = code.length
+    for msg in itertools.product(range(code.q), repeat=code.dim):
+        word = [0] * code.length
+        for m, row in zip(msg, gen):
+            word = [add[w][mul[m][b]] for w, b in zip(word, row)]
+        if any(msg):
+            best = min(best, sum(map(bool, word)))
+    return best
+
+
+def test_distance_equals_the_per_message_enumeration():
+    rng = np.random.default_rng(8)
+    extra = [reed_muller_multilinear(8, 2), random_code(8, 6, 3, 1, rng=rng),
+             random_code(9, 6, 3, 1, rng=rng)]
+    for code in itertools.chain(_ac1_binary_family(), _seeded_codes(), extra):
+        assert code.distance() == _distance_by_messages(code), code.generator.tolist()
+
+
 def test_reed_muller_multilinear():
     code = reed_muller_multilinear(2, 3)
     # multilinear polynomials in 3 boolean variables, evaluated on 8 points

@@ -116,6 +116,18 @@ def test_round_noisy_rep_bounds():
     assert r["contraction_distance"] <= r["contraction_bound"] * (1 + 1e-9) + 1e-12
 
 
+def test_round_enforces_the_contraction_bound(monkeypatch):
+    """The 25 eps contraction bound is checked, not only reported: with the
+    constant forced far below the measured ratio the rounding raises."""
+    rep = regular_rep(cyclic(5))
+    phi = AlmostHom(rep.group, rep.algebra, _noisy_images(rep, 0.2, np.random.default_rng(0)))
+    r = gowers_hatami_round(phi).report()
+    assert r["contraction_distance"] > 1e-6
+    monkeypatch.setattr(stability, "CONTRACTION_CONSTANT", 1e-6)
+    with pytest.raises(GapstabError, match="contraction distance"):
+        gowers_hatami_round(phi)
+
+
 def test_round_pullback():
     rep = regular_rep(cyclic(3))
     rng = np.random.default_rng(1)
@@ -1118,23 +1130,27 @@ def test_stabilize_product_away_from_the_commutant(g1, g2, sigma, seed):
 
 def test_stabilize_product_checks_its_stage_two_bounds(monkeypatch):
     """eta's two bounds and the stage-two defect's bound are hard checks: each
-    goes through _check_bound with the reported numbers, and with kappa(mu1)
-    forced to 0 the eta bounds are 0 and the stabilization raises."""
+    goes through _check_bound with the reported numbers, as does each
+    rounding's contraction distance, and with kappa(mu1) forced to 0 the eta
+    bounds are 0 and the stabilization raises."""
     g1, g2 = cyclic(2), cyclic(3)
     phi = _independently_noisy_product(g1, g2, 0.05, np.random.default_rng(0))
     mu1, mu2 = ProbMeasure.uniform(g1), ProbMeasure.uniform(g2)
     checked, check = {}, stability._check_bound
 
     def recorded(value, bound, label):
-        checked[label] = (value, bound)
+        checked.setdefault(label, []).append((value, bound))
         check(value, bound, label)
 
     monkeypatch.setattr(stability, "_check_bound", recorded)
     pi, rep = stabilize_product(phi, mu1, mu2)
     assert checked == {
-        "commutant distance (triangle form)": (rep.eta_sq_mu2, rep.eta_bound_triangle),
-        "commutant distance (gap form)": (rep.eta_sq_mu2, rep.eta_bound_gap_form),
-        "stage-two defect": (rep.v_defect_mu2, rep.v_defect_bound),
+        "contraction distance": [
+            (r["contraction_distance"], r["contraction_bound"]) for r in (rep.stage1, rep.stage2)
+        ],
+        "commutant distance (triangle form)": [(rep.eta_sq_mu2, rep.eta_bound_triangle)],
+        "commutant distance (gap form)": [(rep.eta_sq_mu2, rep.eta_bound_gap_form)],
+        "stage-two defect": [(rep.v_defect_mu2, rep.v_defect_bound)],
     }
     monkeypatch.setattr(stability, "kappa", lambda group, mu: SimpleNamespace(kappa=0))
     with pytest.raises(GapstabError, match=r"commutant distance \(triangle form\)"):
