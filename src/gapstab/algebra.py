@@ -18,7 +18,10 @@ phi(gh) - phi(g)phi(h) of listed pairs (for operator norms), their squared
 the pair defects ||U(a)V(b) - gamma(a, b) V(b)U(a)||_2^2, the weighted sums
 sum_k W[j, k] X_k (the Fourier transforms between PVMs and representations)
 and the trace pairings tau(P Q) are each formed on those stacks by one
-kernel, as are the noise unitaries e^{i sigma H} (``_noise_unitaries``).  Validation has one exact path: ``_exact_residuals``
+kernel, as are the noise unitaries e^{i sigma H} (``_noise_unitaries``,
+whose batched ``eigh`` runs on one helper thread, the module's only one,
+when a stream spans several chunks and two CPUs are available).
+Validation has one exact path: ``_exact_residuals``
 screens a family's residuals by Frobenius norm and computes the operator
 norms of the terms that fail the screen with one batched SVD (a modulus for
 1 x 1 residuals, such as a character's); the PVM, unitarity and
@@ -49,7 +52,9 @@ product stabilization take E from one compression, without a group sum.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import os
+import threading
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -247,29 +252,109 @@ def _noise_unitaries(dims, count: int, sigma: float, rng: np.random.Generator):
 
     The Gaussians are drawn in the order of a loop over the count, then the
     blocks, real part then imaginary part, so the unitaries and the state of
-    ``rng`` afterwards are those of drawing them one at a time.  They are
-    drawn and exponentiated in chunks (of at least one draw) whose whole
+    ``rng`` after a full read are those of drawing them one at a time.  They
+    are drawn and exponentiated in chunks (of at least one draw) whose whole
     working set, about six complex temporaries of a chunk's entries, stays
     near ``_STACK_ENTRIES``: a chunk holds at most a quarter of that many
     entries.  Per block, one batched SVD takes the operator norms, one
     batched ``eigh`` diagonalizes and one batched product exponentiates;
     each works matrix by matrix, so the chunk size changes no bit.
+
+    When the stream spans more than one chunk and the process may run on at
+    least two CPUs, each chunk's batched ``eigh`` runs on the module's one
+    helper thread, up to ``_LOOKAHEAD`` chunks ahead of the chunk being
+    read; the draws, the norms, the exponentiation and the reader's own work
+    stay on the calling thread, so the unitaries are bit-identical to the
+    inline path's, and an ``eigh`` failure surfaces at the same chunk.  A
+    stream abandoned partway (closed, or left after an error) discards its
+    pending chunks, and ``rng`` is then ahead of the inline path by at most
+    the draws of those ``_LOOKAHEAD`` chunks.
     """
     sizes = [2 * n * n for n in dims]
+    splits = np.cumsum(sizes)[:-1]
     step = max(1, _STACK_ENTRIES // 4 // (sum(sizes) // 2))
-    for start in range(0, count, step):
+    starts = range(0, count, step)
+
+    def normalized(start):
         k = min(step, count - start)
         raw = rng.standard_normal((k, sum(sizes)))
-        chunk = []
-        for n, part in zip(dims, np.split(raw, np.cumsum(sizes)[:-1], axis=1)):
+        hs = []
+        for n, part in zip(dims, np.split(raw, splits, axis=1)):
             x = part.reshape(k, 2, n, n)
             h = x[:, 0] + 1j * x[:, 1]
             h = (h + h.conj().transpose(0, 2, 1)) / 2
             nrm = np.linalg.svd(h, compute_uv=False)[:, 0]
             h /= np.where(nrm > 0, nrm, 1.0)[:, None, None]
-            vals, vecs = np.linalg.eigh(h)
-            chunk.append((vecs * np.exp(1j * sigma * vals)[:, None]) @ vecs.conj().transpose(0, 2, 1))
-        yield from zip(*chunk)
+            hs.append(h)
+        return hs
+
+    def exponentiated(eigs):
+        return zip(*[
+            (vecs * np.exp(1j * sigma * vals)[:, None]) @ vecs.conj().transpose(0, 2, 1)
+            for vals, vecs in eigs
+        ])
+
+    if len(starts) < 2 or not _spare_cpu():
+        for start in starts:
+            yield from exponentiated(_eigh_each(normalized(start)))
+        return
+    helper = _eigh_helper()
+    pending = deque()
+    try:
+        for start in starts:
+            pending.append(helper.submit(_eigh_each, normalized(start)))
+            if len(pending) > _LOOKAHEAD:
+                yield from exponentiated(pending.popleft().result())
+        while pending:
+            yield from exponentiated(pending.popleft().result())
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+# Chunks of a noise stream whose eigh the helper may hold beyond the one
+# being read.  One would do in the steady state, where the caller is the
+# slower side; the second absorbs a slow chunk without a wait.
+_LOOKAHEAD = 2
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _eigh_each(hs):
+    return [np.linalg.eigh(h) for h in hs]
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on at least two CPUs."""
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) >= 2
+
+
+def _eigh_helper():
+    """The one-thread executor that runs noise streams' ``eigh``, started on
+    first use."""
+    # imported here: it adds about 10 ms to importing the package
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="gapstab-eigh")
+        return _helper
+
+
+def _drop_helper():
+    # A forked child inherits the executor but not its thread, so work sent
+    # to it would never run; the child starts its own on first use.
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_drop_helper)
 
 
 # -- projective valued measures and representations ---------------------------

@@ -684,9 +684,13 @@ def anticommutation_bound_check(
     """Anticommutation at the distinguished cells forced by a large value.
 
     lhs = ||UV + VU||_2^2 for the (1,1) and (2,2) sign observables, bounded
-    by 432 epsilon.  The per-line defects eta_l (how far each cell
-    observable is from the line's induced observable) are returned with
-    their stated budget sum_l eta_l^2 <= 24 epsilon.
+    by 432 epsilon.  The per-line defect eta_l^2 is the mean over the line's
+    three cells of ||A_c - B_{c,l}||_2^2, the distance of the cell observable
+    from the one the line induces on that cell.  Since ||A - B||_2^2 is four
+    times the disagreement probability of two +-1 observables and each of
+    the 18 (cell, line) questions has mass 1/18, sum_l eta_l^2 = 24 epsilon
+    when epsilon is the strategy's 1 - value: the budget is checked (it
+    raises past rounding) as well as returned.
     """
     alg = strategy.algebra
     obs = {c: _sign_observable(strategy[c]) for c in _CELLS}
@@ -698,11 +702,12 @@ def anticommutation_bound_check(
         total = 0.0
         for c, blocks in zip(line_cells(line), zip(*induced)):
             total += alg.norm2(obs[c] - AlgebraElement(alg, blocks)) ** 2
-        eta_by_line[line] = math.sqrt(total)
+        eta_by_line[line] = math.sqrt(total / 3)
     u = obs[(1, 1)]
     v = obs[(2, 2)]
     lhs = alg.norm2(u * v + v * u) ** 2
     eta_sq = sum(e**2 for e in eta_by_line.values())
+    _check_bound(eta_sq, ETA_SQUARE_CONSTANT * epsilon, "sum of line defects")
     return AnticommutationBounds(
         lhs,
         ANTICOMMUTATION_CONSTANT * epsilon,
@@ -1152,7 +1157,10 @@ def perturb_strategy(
     exceeds half of ``VALIDATION_TOL``.  The PVMs come from
     :func:`_perturbed_pvms`, which the rigidity sweep streams instead into
     the one rigidity core, quick and full points alike, without holding the
-    perturbed strategy.
+    perturbed strategy.  The noise comes from ``algebra._noise_unitaries``:
+    when it spans several chunks and two CPUs are available, each chunk's
+    ``eigh`` runs on one helper thread while this thread draws and conjugates;
+    the PVMs and the state of ``rng`` afterwards are the same bit for bit.
     """
     return SynchronousStrategy(strategy.algebra, dict(_perturbed_pvms(strategy, sigma, rng)))
 
@@ -1161,7 +1169,9 @@ def _perturbed_pvms(strategy: SynchronousStrategy, sigma: float, rng):
     """``(question, conjugated PVM)`` pairs of :func:`perturb_strategy`, in
     strategy order, each PVM formed only when it is drawn: the noise is
     drawn chunk by chunk as the pairs are read, in the same order as when
-    they are all read at once.  A negative sigma raises at once."""
+    they are all read at once.  A stream left partway may have drawn up to
+    ``algebra._LOOKAHEAD`` chunks of noise beyond the pairs read.  A
+    negative sigma raises at once."""
     if sigma < 0:
         raise InvalidArgument("perturbation size must be nonnegative")
     alg = strategy.algebra

@@ -184,7 +184,6 @@ def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:
     game = magic_square_game()
     rows = []
     failures = 0
-    eta_violations = 0
     worst = 0.0
     for i in range(trials):
         rng = _rng(seed, i)
@@ -195,7 +194,6 @@ def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:
         chk = anticommutation_bound_check(strat, eps)
         ok = _holds(chk.lhs, chk.bound)
         failures += not ok
-        eta_violations += not _holds(chk.eta_square_sum, chk.eta_square_bound)
         worst = max(worst, _ratio(chk.lhs, chk.bound))
         rows.append(
             (i, 4 * k, sigma, eps, chk.lhs, chk.bound, chk.eta_square_sum, chk.eta_square_bound)
@@ -208,7 +206,6 @@ def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:
         worst,
         ("trial", "dim", "sigma", "eps", "lhs", "bound", "eta_sq_sum", "eta_sq_budget"),
         rows,
-        details={"eta_budget_violations": eta_violations},
     )
 
 
@@ -537,7 +534,10 @@ def rigidity_sweep(
     is also rounded and the closeness distance recorded; the rounding cap is
     then checked before any noise is drawn.  Both modes draw the same noise
     and sum the value in the same order, so their eps and lhs agree bit for
-    bit.
+    bit.  A point whose noise spans several chunks (the Hamming game's 449
+    questions and larger) runs the noise's ``eigh`` on one helper thread when
+    two CPUs are available, with the same bits as on one CPU; each point
+    reads its whole stream from its own generator.
     """
     points = []
     for j, sigma in enumerate(sigmas):

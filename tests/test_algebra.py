@@ -1,4 +1,9 @@
+import hashlib
 import math
+import multiprocessing
+import os
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -889,32 +894,151 @@ def _noise_unitary_loop(n, sigma, rng):
     return (vecs * np.exp(1j * sigma * vals)) @ vecs.conj().T
 
 
+def _cpus(monkeypatch, n):
+    """Let the noise kernel see ``n`` CPUs: two or more start its helper."""
+    monkeypatch.setattr(algebra.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 @pytest.mark.parametrize(
     "dims, count, stack_entries",
-    [((8,), 20, None), ((2, 3), 7, None), ((4,), 11, 40), ((2, 3), 5, 20), ((32,), 449, None)],
+    [
+        ((8,), 20, None),
+        ((2, 3), 7, None),
+        ((4,), 11, 40),
+        ((2, 3), 5, 20),
+        ((32,), 449, None),
+        ((3, 5), 13, 400),
+    ],
 )
 def test_noise_unitaries_equal_one_at_a_time_draws(monkeypatch, dims, count, stack_entries):
     """The batched noise kernel yields, bit for bit, the unitaries of a loop
     that draws one per count and block in turn, and leaves the generator in
-    the same state; no batched eigh holds more than a quarter of
-    _STACK_ENTRIES entries (or one draw's block).  449 draws at d = 32, a
-    Hamming strategy's, span several chunks at the default cap."""
+    the same state, on one CPU and on two; no batched eigh holds more than a
+    quarter of _STACK_ENTRIES entries (or one draw's block).  449 draws at
+    d = 32, a Hamming strategy's, span several chunks at the default cap,
+    and so do 13 draws on blocks (3, 5) at 400 entries, two draws a chunk.
+    On two CPUs the eigh of a stream of several chunks runs on the helper
+    thread, and on one CPU, or for one chunk, on the caller's."""
     if stack_entries is not None:
         monkeypatch.setattr(algebra, "_STACK_ENTRIES", stack_entries)
-    batched, alone = np.random.default_rng(3), np.random.default_rng(3)
-    sizes = []
-    eigh = np.linalg.eigh
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", lambda h: sizes.append(h.size) or eigh(h))
-        got = list(algebra._noise_unitaries(dims, count, 0.3, batched))
+    alone = np.random.default_rng(3)
     want = [[_noise_unitary_loop(n, 0.3, alone) for n in dims] for _ in range(count)]
-    assert len(got) == count
-    for blocks, ref in zip(got, want):
-        assert all(np.array_equal(u, r) for u, r in zip(blocks, ref, strict=True))
-    assert batched.random() == alone.random()
-    assert max(sizes) <= max(algebra._STACK_ENTRIES // 4, max(dims) ** 2)
-    if stack_entries is not None or count > 100:
-        assert len(sizes) > len(dims)  # several chunks
+    after = alone.random()
+    eigh = np.linalg.eigh
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        batched = np.random.default_rng(3)
+        sizes, threads = [], set()
+
+        def recorded(h):
+            sizes.append(h.size)
+            threads.add(threading.get_ident())
+            return eigh(h)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", recorded)
+            got = list(algebra._noise_unitaries(dims, count, 0.3, batched))
+        assert len(got) == count
+        for blocks, ref in zip(got, want):
+            assert all(np.array_equal(u, r) for u, r in zip(blocks, ref, strict=True))
+        assert batched.random() == after
+        assert max(sizes) <= max(algebra._STACK_ENTRIES // 4, max(dims) ** 2)
+        several = len(sizes) > len(dims)
+        if stack_entries is not None or count > 100:
+            assert several
+        assert len(threads) == 1
+        assert (threading.get_ident() in threads) == (cpus == 1 or not several)
+
+
+def test_one_chunk_noise_stream_starts_no_thread(monkeypatch):
+    """A stream that fits one chunk takes the inline path even on two CPUs:
+    no helper is started and no thread is added."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(algebra, "_helper", None)
+    before = threading.active_count()
+    got = list(algebra._noise_unitaries((32,), 16, 0.3, np.random.default_rng(1)))
+    assert len(got) == 16
+    assert algebra._helper is None
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_noise_eigh_failure_surfaces_at_its_chunk(monkeypatch, cpus):
+    """An eigh that fails on the third chunk raises after exactly the first
+    two chunks' unitaries, on the helper as inline; the next stream is still
+    bit for bit that of the one-at-a-time loop."""
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(algebra, "_STACK_ENTRIES", 40)  # (4,): one draw a chunk
+    eigh, calls = np.linalg.eigh, []
+
+    def failing(h):
+        calls.append(h)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return eigh(h)
+
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            for u in algebra._noise_unitaries((4,), 11, 0.3, np.random.default_rng(2)):
+                got.append(u)
+    assert len(got) == 2
+    alone = np.random.default_rng(4)
+    want = [_noise_unitary_loop(4, 0.3, alone) for _ in range(11)]
+    rng = np.random.default_rng(4)
+    again = list(algebra._noise_unitaries((4,), 11, 0.3, rng))
+    assert all(np.array_equal(u, r) for (u,), r in zip(again, want, strict=True))
+    assert rng.random() == alone.random()
+
+
+def test_closing_a_noise_stream_partway_returns_promptly(monkeypatch):
+    """Closing a stream after its first unitary cancels the helper's pending
+    chunks and waits for none of them, however slow their eigh."""
+    _cpus(monkeypatch, 2)
+    eigh = np.linalg.eigh
+
+    def slow(h):
+        time.sleep(0.5)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", slow)
+    gen = algebra._noise_unitaries((32,), 449, 0.3, np.random.default_rng(0))
+    next(gen)
+    start = time.perf_counter()
+    gen.close()
+    assert time.perf_counter() - start < 0.25
+
+
+def _noise_digest(conn, count):
+    blocks = algebra._noise_unitaries((32,), count, 0.3, np.random.default_rng(9))
+    conn.send(hashlib.sha256(b"".join(u.tobytes() for (u,) in blocks)).hexdigest())
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with a live thread
+def test_forked_child_draws_noise_on_its_own_helper(monkeypatch):
+    """A child forked after the helper has run gets no copy of its thread:
+    it starts its own and draws a 449-unitary stream to the parent's bits."""
+    _cpus(monkeypatch, 2)
+    recv, send = multiprocessing.Pipe(duplex=False)
+    _noise_digest(send, 449)
+    want = recv.recv()
+    assert algebra._helper is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_noise_digest, args=(send, 449))
+    child.start()
+    try:
+        got = recv.recv() if recv.poll(60) else None
+        child.join(10)
+        assert not child.is_alive()
+    finally:
+        child.kill()
+        child.join(10)
+    assert got == want
+    assert child.exitcode == 0
 
 
 def _pair_defects_by_formula(u, v, gamma):

@@ -15,6 +15,7 @@ from gapstab.games import (
     ANTICOMMUTATION_CONSTANT,
     COMMUTATION_PROJECTION_CONSTANT,
     COMMUTATION_UNITARY_CONSTANT,
+    ETA_SQUARE_CONSTANT,
     Game,
     SignedPerm,
     SynchronousStrategy,
@@ -379,6 +380,40 @@ def test_magic_square_perturbed():
         assert chk.bound == ANTICOMMUTATION_CONSTANT * eps
         assert chk.lhs <= chk.bound * (1 + 1e-9)
         assert set(chk.eta_by_line) == set(_LINES)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3, 0.6, 1.0])
+def test_line_defects_sum_to_their_budget(sigma):
+    """sum_l eta_l^2 = 24 eps to rounding, with eta_l^2 the mean over a
+    line's three cells, up to sigma = 1; the budget check never trips."""
+    game = magic_square_game()
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        strat = perturb_strategy(_magic_strategy(game), sigma, rng)
+        eps = 1.0 - value(game, strat)
+        chk = anticommutation_bound_check(strat, eps)
+        assert chk.eta_square_bound == ETA_SQUARE_CONSTANT * eps
+        assert chk.eta_square_sum == pytest.approx(chk.eta_square_bound, rel=1e-9)
+        assert sum(e**2 for e in chk.eta_by_line.values()) == chk.eta_square_sum
+
+
+def test_line_defects_over_budget_raise():
+    """The line-defect budget is a hard check: an epsilon below the
+    strategy's own raises."""
+    game = magic_square_game()
+    strat = perturb_strategy(_magic_strategy(game), 0.1, np.random.default_rng(3))
+    eps = 1.0 - value(game, strat)
+    with pytest.raises(GapstabError, match="line defects"):
+        anticommutation_bound_check(strat, eps / 2)
+
+
+def test_lemma19_suite_line_defects_equal_their_budget():
+    """Over 100 trials of the lemma19 suite, sum_l eta_l^2 equals its
+    24 eps budget to relative 1e-9."""
+    res = suites.suite_lemma19(trials=100)
+    col = res.header.index("eta_sq_sum")
+    for row in res.rows:
+        assert row[col] == pytest.approx(row[col + 1], rel=1e-9)
 
 
 def test_magic_grid_rejects_commuting_pair():
