@@ -289,9 +289,11 @@ def _op_verify(man: ExperimentManifest) -> int:
 
 def _op_sweep(man: ExperimentManifest) -> int:
     p = {**DEFAULTS, **man.parameters}
+    points = int(p["points"])
+    if points < 1:
+        raise InvalidArgument(f"a sweep needs at least one point, not {points}")
     game = _load_game(p["game"])
     honest = honest_strategy(game)
-    points = int(p["points"])
     lo, hi = float(p["sigma_min"]), float(p["sigma_max"])
     if not (0 < lo <= hi):
         raise InvalidArgument("need 0 < sigma_min <= sigma_max")

@@ -798,14 +798,14 @@ def _exact_pvm(alg, outcomes, stack) -> PVM:
     float16 stack: a quarter of the float64 bytes and an eighth of a complex
     stack's.
 
-    The stack is the caller's exact projections (dyadic entries of signed
-    permutations), so every validation residual is exactly zero and the
-    recorded ``residual`` is the rounding slack alone, the value a full
-    validation records.  Two checks are left, both exact: the projections
-    must sum to the identity, else a nonzero projection is missing, and
-    every entry must survive the cast to float16, as the entries +-2^-k or
-    0 (k <= 12) of the Pauli strategies do; either failure raises
-    :class:`InvalidPVM`.
+    Its one caller is :func:`_spectral_pvm`, so the stack holds the joint
+    spectral projections of signed permutations (dyadic entries), every
+    validation residual is exactly zero and the recorded ``residual`` is the
+    rounding slack alone, the value a full validation records.  Two checks
+    are left, both exact: the projections must sum to the identity, else a
+    nonzero projection is missing, and every entry must survive the cast to
+    float16, as the entries +-2^-k or 0 (k <= 12) of the Pauli strategies
+    do; either failure raises :class:`InvalidPVM`.
     """
     outcomes = list(outcomes)
     stack = np.asarray(stack, dtype=float)
@@ -860,32 +860,35 @@ def _spectral_pvm(alg, outcomes, signs, ops) -> PVM:
 
 # -- Pauli PVMs -------------------------------------------------------------------
 
-# the one-qubit X- and Z-basis projections, indexed by the outcome bit
-_TAU_X = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]])
-_TAU_Z = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
-
 
 def pauli_pvms(n: int):
     """The X- and Z-basis product PVMs on 2^n dimensions.
 
     Outcomes are the elements of (Z/2)^n read as characters (X side) and
     group elements (Z side); the associated unitary representations are the
-    translations and the modulations.  The projections are Kronecker
-    products of the exact one-qubit ones, so they are stored through
-    :func:`_exact_pvm` with completeness checked exactly.
+    translations and the modulations.  Each is the joint spectral PVM
+    (:func:`_spectral_pvm`) of the signed permutations X_i or Z_i, outcome
+    bit b_i taking the eigenvalue (-1)^{b_i}; forming it holds about 8^n
+    index and value entries.
     """
+    return _pauli_pvms(n, SignedPerm.identity(1))
+
+
+def _pauli_pvms(n: int, aux: SignedPerm):
+    """The PVMs of :func:`pauli_pvms` tensored with the identity ``aux`` on
+    an auxiliary factor, the last one."""
     if n < 1:
         raise InvalidArgument("the number of qubits must be positive")
     if n > PAULI_DIM_CAP:
         raise ResourceCap(f"{n} qubits exceed the cap {PAULI_DIM_CAP}")
-    group = boolean_group(n)
-    alg = TracialAlgebra.matrix(2**n)
-    # the Kronecker product of stacks runs the outcome bits, first bit outermost,
-    # in the order of group.elements
-    x_stack = z_stack = np.ones((1, 1, 1))
-    for _ in range(n):
-        x_stack, z_stack = np.kron(x_stack, _TAU_X), np.kron(z_stack, _TAU_Z)
-    return _exact_pvm(alg, group.elements, x_stack), _exact_pvm(alg, group.elements, z_stack)
+    outcomes = boolean_group(n).elements
+    alg = TracialAlgebra.matrix(2**n * len(aux))
+    signs = 1 - 2 * np.array(outcomes)
+    bits = np.eye(n, dtype=int)  # the one-qubit factors, first bit outermost
+    return tuple(
+        _spectral_pvm(alg, outcomes, signs, [_pauli(letter, b).kron(aux) for b in bits])
+        for letter in (_SIGMA_X, _SIGMA_Z)
+    )
 
 
 def _pauli(letter: SignedPerm, bits) -> SignedPerm:
@@ -1123,15 +1126,8 @@ def honest_strategy(game: Game) -> SynchronousStrategy:
     """
     if game.omega is None:
         raise InvalidArgument("the game does not carry combined-game structure")
-    group = game.h_group
-    tau_x, tau_z = pauli_pvms(len(group.orders))
-    alg = TracialAlgebra.matrix(2 * group.order)
-    # PX and PZ act as the Pauli PVMs on the qubits and trivially on the
-    # auxiliary one: every projection p becomes p (x) 1_2
-    pvms = {
-        q: _exact_pvm(alg, pvm.outcomes, np.kron(pvm.stacks[0], np.eye(2)[None]))
-        for q, pvm in (("PX", tau_x), ("PZ", tau_z))
-    }
+    pvms = dict(zip(("PX", "PZ"), _pauli_pvms(len(game.h_group.orders), _ONE_QUBIT)))
+    alg = pvms["PX"].algebra
     for w, pt in game.omega.items():
         p, q = _pauli(_SIGMA_X, pt.alpha), _pauli(_SIGMA_Z, pt.beta)
         if game.sign(w) == 1:

@@ -4,8 +4,9 @@ Each suite draws deterministic per-trial seeds from a single entropy value,
 checks one of the library's guaranteed inequalities on every trial, and
 returns a :class:`SuiteResult` carrying pass/fail, the worst measured
 ratio against the guaranteed constant, and the per-trial rows that the CLI
-writes out as CSV.  Aggregation uses only sums and maxima, so trial order
-never matters.
+writes out as CSV.  A suite is one trial function run by :func:`_suite`,
+which holds the tally; aggregation uses only sums and maxima, so trial
+order never matters.
 """
 
 from __future__ import annotations
@@ -99,6 +100,23 @@ class SuiteResult:
         )
 
 
+def _suite(name, constant, header, trials, seed, trial, **details) -> SuiteResult:
+    """Run ``trial(i, rng, details)`` for each trial i on its own generator
+    ``_rng(seed, i)``.  Each call returns ``(ok, ratio, row)``; the result
+    counts the trials that fail, keeps the worst ratio and the rows in trial
+    order, and reports ``details``: the keyword arguments, as the trials
+    leave them."""
+    rows = []
+    failures = 0
+    worst = 0.0
+    for i in range(trials):
+        ok, ratio, row = trial(i, _rng(seed, i), details)
+        failures += not ok
+        worst = max(worst, ratio)
+        rows.append(row)
+    return SuiteResult(name, constant, trials, failures, worst, header, rows, details)
+
+
 # -- suite lemma17: value forces commutation----------------------------------------
 
 
@@ -123,11 +141,8 @@ def _random_commuting_strategy(game, d: int, rng) -> SynchronousStrategy:
 def suite_lemma17(trials: int = 500, seed: int = 7) -> SuiteResult:
     """Perturbed commutation-game strategies against the 16e and 64e bounds."""
     game = commutation_game((-1, 1), (-1, 1))
-    rows = []
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        rng = _rng(seed, i)
+
+    def trial(i, rng, details):
         d = int(rng.integers(2, 33))
         sigma = 10.0 ** rng.uniform(-2.5, -0.5)
         strat = perturb_strategy(_random_commuting_strategy(game, d, rng), sigma, rng)
@@ -136,33 +151,15 @@ def suite_lemma17(trials: int = 500, seed: int = 7) -> SuiteResult:
         ok = _holds(chk.lhs_projections, chk.bound_projections) and _holds(
             chk.lhs_unitary, chk.bound_unitary
         )
-        failures += not ok
-        worst = max(
-            worst,
+        ratio = max(
             _ratio(chk.lhs_projections, chk.bound_projections),
             _ratio(chk.lhs_unitary, chk.bound_unitary),
         )
-        rows.append(
-            (
-                i,
-                d,
-                sigma,
-                eps,
-                chk.lhs_projections,
-                chk.bound_projections,
-                chk.lhs_unitary,
-                chk.bound_unitary,
-            )
-        )
-    return SuiteResult(
-        "lemma17",
-        16.0,
-        trials,
-        failures,
-        worst,
-        ("trial", "dim", "sigma", "eps", "lhs_proj", "bound_proj", "lhs_unit", "bound_unit"),
-        rows,
-    )
+        row = (i, d, sigma, eps, chk.lhs_projections, chk.bound_projections)
+        return ok, ratio, row + (chk.lhs_unitary, chk.bound_unitary)
+
+    header = ("trial", "dim", "sigma", "eps", "lhs_proj", "bound_proj", "lhs_unit", "bound_unit")
+    return _suite("lemma17", 16.0, header, trials, seed, trial)
 
 
 # -- suite lemma19: value forces anticommutation------------------------------------
@@ -182,31 +179,18 @@ def _random_grid_strategy(game, k: int, rng) -> SynchronousStrategy:
 def suite_lemma19(trials: int = 500, seed: int = 7) -> SuiteResult:
     """Perturbed magic-square strategies against the 432e bound."""
     game = magic_square_game()
-    rows = []
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        rng = _rng(seed, i)
+
+    def trial(i, rng, details):
         k = int(rng.integers(1, 9))  # strategy dimension 4k <= 32
         sigma = 10.0 ** rng.uniform(-2.5, -0.6)
         strat = perturb_strategy(_random_grid_strategy(game, k, rng), sigma, rng)
         eps = 1.0 - value(game, strat)
         chk = anticommutation_bound_check(strat, eps)
-        ok = _holds(chk.lhs, chk.bound)
-        failures += not ok
-        worst = max(worst, _ratio(chk.lhs, chk.bound))
-        rows.append(
-            (i, 4 * k, sigma, eps, chk.lhs, chk.bound, chk.eta_square_sum, chk.eta_square_bound)
-        )
-    return SuiteResult(
-        "lemma19",
-        432.0,
-        trials,
-        failures,
-        worst,
-        ("trial", "dim", "sigma", "eps", "lhs", "bound", "eta_sq_sum", "eta_sq_budget"),
-        rows,
-    )
+        row = (i, 4 * k, sigma, eps, chk.lhs, chk.bound, chk.eta_square_sum, chk.eta_square_bound)
+        return _holds(chk.lhs, chk.bound), _ratio(chk.lhs, chk.bound), row
+
+    header = ("trial", "dim", "sigma", "eps", "lhs", "bound", "eta_sq_sum", "eta_sq_budget")
+    return _suite("lemma19", 432.0, header, trials, seed, trial)
 
 
 # -- Gowers-Hatami rounding --------------------------------------------------------
@@ -250,56 +234,32 @@ def _noisy_hom(rep: UnitaryRep, sigma: float, rng) -> AlmostHom:
 
 def suite_gh(trials: int = 200, seed: int = 7) -> SuiteResult:
     """Random almost-homomorphisms through the full rounding pipeline."""
-    rows = []
-    failures = 0
-    worst = 0.0
-    exact_trials = 0
-    for i in range(trials):
-        rng = _rng(seed, i)
+
+    def trial(i, rng, details):
         rep = _rep_pool_entry(i, rng)
         exact = i % 20 == 0
         sigma = 0.0 if exact else 10.0 ** rng.uniform(-2.85, -0.5)
         phi = _noisy_hom(rep, sigma, rng)
+        head = (i, rep.group.order, sum(rep.algebra.dims))
         try:
             cert = stability.gowers_hatami_round(phi)
         except GapstabError as err:
-            failures += 1
             # the defect's Fourier blocks are what the refusing cap bounds
             eps = math.nan if isinstance(err, ResourceCap) else defect(phi)
-            rows.append((i, rep.group.order, sum(rep.algebra.dims), eps) + (math.nan,) * 4)
-            continue
+            return False, 0.0, head + (eps,) + (math.nan,) * 4
         # the certificate's defect is defect(phi), bit for bit
         eps = cert.input_defect
         rep_report = cert.report()
-        dist = rep_report["distance"]
-        ok = _holds(dist, 169.0 * eps) and _holds(rep_report["trace_excess"], 16.0 * eps)
+        dist, excess = rep_report["distance"], rep_report["trace_excess"]
+        ok = _holds(dist, 169.0 * eps) and _holds(excess, 16.0 * eps)
         if exact:
-            exact_trials += 1
+            details["exact_trials"] += 1
             ok = ok and dist < 1e-10
-        failures += not ok
-        worst = max(worst, _ratio(dist, 169.0 * eps))
-        rows.append(
-            (
-                i,
-                rep.group.order,
-                sum(rep.algebra.dims),
-                eps,
-                dist,
-                169.0 * eps,
-                rep_report["trace_excess"],
-                16.0 * eps,
-            )
-        )
-    return SuiteResult(
-        "gh",
-        169.0,
-        trials,
-        failures,
-        worst,
-        ("trial", "group_order", "dim", "eps", "distance", "bound", "trace_excess", "trace_bound"),
-        rows,
-        details={"exact_trials": exact_trials},
-    )
+        row = head + (eps, dist, 169.0 * eps, excess, 16.0 * eps)
+        return ok, _ratio(dist, 169.0 * eps), row
+
+    header = ("trial", "group_order", "dim", "eps", "distance", "bound", "trace_excess", "trace_bound")
+    return _suite("gh", 169.0, header, trials, seed, trial, exact_trials=0)
 
 
 # -- sqrt(2) nearest unitary -------------------------------------------------------
@@ -320,12 +280,8 @@ def suite_sqrt2(trials: int = 1000, seed: int = 7) -> SuiteResult:
     Trial 0 is the tightness witness: the regular two-element group with the
     mean-zero unitary diag(1, -1) achieves the bound exactly.
     """
-    rows = []
-    failures = 0
-    worst = 0.0
-    tightness_gap = math.nan
-    for i in range(trials):
-        rng = _rng(seed, i)
+
+    def trial(i, rng, details):
         if i == 0:
             rep = regular_rep(cyclic(2))
             v = AlgebraElement(rep.algebra, [np.diag([1.0, -1.0])])
@@ -340,21 +296,12 @@ def suite_sqrt2(trials: int = 1000, seed: int = 7) -> SuiteResult:
         rhs = math.sqrt(2.0) * alg.norm2(v - conditional_expectation_commutant(rep, v))
         ok = _holds(lhs, rhs)
         if i == 0:
-            tightness_gap = abs(lhs - rhs)
-            ok = ok and tightness_gap <= 1e-9 and abs(lhs - math.sqrt(2.0)) <= 1e-9
-        failures += not ok
-        worst = max(worst, _ratio(lhs, rhs))
-        rows.append((i, rep.group.order, sum(alg.dims), lhs, rhs))
-    return SuiteResult(
-        "sqrt2",
-        math.sqrt(2.0),
-        trials,
-        failures,
-        worst,
-        ("trial", "group_order", "dim", "lhs", "bound"),
-        rows,
-        details={"tightness_gap": tightness_gap},
-    )
+            gap = details["tightness_gap"] = abs(lhs - rhs)
+            ok = ok and gap <= 1e-9 and abs(lhs - math.sqrt(2.0)) <= 1e-9
+        return ok, _ratio(lhs, rhs), (i, rep.group.order, sum(alg.dims), lhs, rhs)
+
+    header = ("trial", "group_order", "dim", "lhs", "bound")
+    return _suite("sqrt2", math.sqrt(2.0), header, trials, seed, trial, tightness_gap=math.nan)
 
 
 # -- Poincare inequality -----------------------------------------------------------
@@ -378,12 +325,8 @@ def _random_generating_measure(group, rng) -> ProbMeasure:
 
 def suite_poincare(trials: int = 1000, seed: int = 7) -> SuiteResult:
     """Commutator and vector Poincare inequalities on random measures."""
-    rows = []
-    failures = 0
-    worst = 0.0
-    identity_worst = 0.0
-    for i in range(trials):
-        rng = _rng(seed, i)
+
+    def trial(i, rng, details):
         rep = _small_rep(i, rng)
         alg = rep.algebra
         mu = _random_generating_measure(rep.group, rng)
@@ -406,22 +349,13 @@ def suite_poincare(trials: int = 1000, seed: int = 7) -> SuiteResult:
         scale = max(1.0, chk.uniform_average)
         identity_gap = abs(chk.uniform_average - 2.0 * chk.lhs) / scale
         ok = ok and identity_gap <= 1e-10
-        failures += not ok
-        worst = max(worst, _ratio(chk.lhs, chk.rhs_half), _ratio(vec_lhs, vec_rhs))
-        identity_worst = max(identity_worst, identity_gap)
-        rows.append(
-            (i, rep.group.order, chk.lhs, chk.rhs_half, chk.uniform_average, chk.rhs_full, vec_lhs, vec_rhs)
-        )
-    return SuiteResult(
-        "poincare",
-        1.0,
-        trials,
-        failures,
-        worst,
-        ("trial", "group_order", "lhs", "rhs_half", "uniform", "rhs_full", "vec_lhs", "vec_rhs"),
-        rows,
-        details={"identity_worst_gap": identity_worst},
-    )
+        details["identity_worst_gap"] = max(details["identity_worst_gap"], identity_gap)
+        ratio = max(_ratio(chk.lhs, chk.rhs_half), _ratio(vec_lhs, vec_rhs))
+        row = (i, rep.group.order, chk.lhs, chk.rhs_half, chk.uniform_average, chk.rhs_full)
+        return ok, ratio, row + (vec_lhs, vec_rhs)
+
+    header = ("trial", "group_order", "lhs", "rhs_half", "uniform", "rhs_full", "vec_lhs", "vec_rhs")
+    return _suite("poincare", 1.0, header, trials, seed, trial, identity_worst_gap=0.0)
 
 
 # -- amplification (plain and twisted) ---------------------------------------------
@@ -449,12 +383,8 @@ def _conjugated_pauli_reps(n: int, rng):
 def _amplification_suite(name: str, check, trials: int, seed: int) -> SuiteResult:
     """An amplification check on conjugated Pauli pairs with code-derived
     measures; every fifth trial also checks equality at uniform measures."""
-    rows = []
-    failures = 0
-    eq_failures = 0
-    worst = 0.0
-    for i in range(trials):
-        rng = _rng(seed, i)
+
+    def trial(i, rng, details):
         n = int(rng.integers(1, 5))
         u, v = _conjugated_pauli_reps(n, rng)
         mu = _code_measure(n, rng)
@@ -466,21 +396,12 @@ def _amplification_suite(name: str, check, trials: int, seed: int) -> SuiteResul
             ueq = check(u, v, ProbMeasure.uniform(u.group), ProbMeasure.uniform(v.group))
             eq_gap = abs(ueq.lhs - ueq.rhs)
             if eq_gap > 1e-10 * max(1.0, ueq.rhs):
-                eq_failures += 1
+                details["uniform_equality_failures"] += 1
                 ok = False
-        failures += not ok
-        worst = max(worst, _ratio(chk.lhs, chk.rhs))
-        rows.append((i, n, chk.lhs, chk.rhs))
-    return SuiteResult(
-        name,
-        1.0,
-        trials,
-        failures,
-        worst,
-        ("trial", "qubits", "lhs", "bound"),
-        rows,
-        details={"uniform_equality_failures": eq_failures},
-    )
+        return ok, _ratio(chk.lhs, chk.rhs), (i, n, chk.lhs, chk.rhs)
+
+    header = ("trial", "qubits", "lhs", "bound")
+    return _suite(name, 1.0, header, trials, seed, trial, uniform_equality_failures=0)
 
 
 def suite_thm12(trials: int = 500, seed: int = 7) -> SuiteResult:
@@ -578,33 +499,20 @@ def suite_prop24(trials: int = 200, seed: int = 7) -> SuiteResult:
     """
     per_game = max(trials // 2, 2)
     sigmas = np.logspace(-2.2, -0.45, per_game)
+    game_r, game_h = named_game("repetition"), named_game("hamming")
+    rep_points = rigidity_sweep(game_r, honest_strategy(game_r), sigmas, seed=seed)
+    ham_points = rigidity_sweep(
+        game_h, honest_strategy(game_h), sigmas, seed=seed, full_report=False, spawn_base=per_game
+    )
     rows = []
     failures = 0
     worst = 0.0
-
-    game_r = named_game("repetition")
-    hon_r = honest_strategy(game_r)
-    rep_points = rigidity_sweep(game_r, hon_r, sigmas, seed=seed, full_report=True)
-    for j, pt in enumerate(rep_points):
-        ok = _holds(pt["lhs"], pt["bound"])
-        failures += not ok
-        worst = max(worst, _ratio(pt["lhs"], pt["bound"]))
-        rows.append(
-            ("repetition", j, pt["sigma"], pt["eps"], pt["lhs"], pt["bound"], pt["closeness"])
-        )
-
-    game_h = named_game("hamming")
-    hon_h = honest_strategy(game_h)
-    ham_points = rigidity_sweep(
-        game_h, hon_h, sigmas, seed=seed, full_report=False, spawn_base=per_game
-    )
-    for j, pt in enumerate(ham_points):
-        ok = _holds(pt["lhs"], pt["bound"])
-        failures += not ok
-        worst = max(worst, _ratio(pt["lhs"], pt["bound"]))
-        rows.append(
-            ("hamming", j, pt["sigma"], pt["eps"], pt["lhs"], pt["bound"], ""),
-        )
+    for game, points in (("repetition", rep_points), ("hamming", ham_points)):
+        for j, pt in enumerate(points):
+            failures += not _holds(pt["lhs"], pt["bound"])
+            worst = max(worst, _ratio(pt["lhs"], pt["bound"]))
+            closeness = "" if pt["closeness"] is None else pt["closeness"]
+            rows.append((game, j, pt["sigma"], pt["eps"], pt["lhs"], pt["bound"], closeness))
 
     fit = [
         (pt["eps"], pt["closeness"])
@@ -613,13 +521,11 @@ def suite_prop24(trials: int = 200, seed: int = 7) -> SuiteResult:
     ]
     slope = _loglog_slope([x for x, _ in fit], [y for _, y in fit])
     slope_ok = not math.isnan(slope) and abs(slope - 1.0) <= 0.2
-    if not slope_ok:
-        failures += 1
     return SuiteResult(
         "prop24",
         COMBINED_CONSTANT,
         len(rows),
-        failures,
+        failures + (not slope_ok),
         worst,
         ("game", "point", "sigma", "eps", "lhs", "bound", "closeness"),
         rows,
@@ -640,9 +546,13 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 7) -> SuiteResult:
-    """Run one suite; without ``trials`` the suite's own default applies."""
+    """Run one suite; without ``trials`` the suite's own default applies.  A
+    trial count below 1 raises :class:`InvalidArgument`, so no verification
+    passes without running a trial."""
     if name not in SUITES:
         raise InvalidArgument(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
+    if trials is not None and trials < 1:
+        raise InvalidArgument(f"a suite needs at least one trial, not {trials}")
     return SUITES[name](seed=seed) if trials is None else SUITES[name](trials=trials, seed=seed)

@@ -26,8 +26,6 @@ from gapstab.games import (
     _joint_pvm,
     _magic_grid,
     _sign_pvm,
-    _TAU_X,
-    _TAU_Z,
     _rigidity,
     _value_terms,
     anticommutation_bound_check,
@@ -423,6 +421,44 @@ def test_magic_grid_rejects_commuting_pair():
 
 # -- Pauli PVMs --------------------------------------------------------------------
 
+# the one-qubit X- and Z-basis projections, indexed by the outcome bit
+_TAU_X = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]])
+_TAU_Z = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+
+
+def _kron_pauli_stacks(n):
+    """The X- and Z-basis stacks as Kronecker products of the one-qubit
+    ones: the outcome bits run first bit outermost, in the order of
+    boolean_group(n).elements."""
+    x_stack = z_stack = np.ones((1, 1, 1))
+    for _ in range(n):
+        x_stack, z_stack = np.kron(x_stack, _TAU_X), np.kron(z_stack, _TAU_Z)
+    return x_stack, z_stack
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pauli_pvms_are_the_kronecker_products_byte_for_byte(n):
+    """The joint spectral PVMs of X_i and Z_i are the PVMs stored from the
+    Kronecker products of the one-qubit projections: same outcomes, same
+    float16 bytes (no -0.0 either side), same residual."""
+    alg = TracialAlgebra.matrix(2**n)
+    elements = boolean_group(n).elements
+    for got, stack in zip(pauli_pvms(n), _kron_pauli_stacks(n)):
+        want = games._exact_pvm(alg, elements, stack)
+        assert got.outcomes == want.outcomes
+        assert [s.dtype for s in got.stacks] == [np.float16]
+        assert got.stacks[0].tobytes() == want.stacks[0].tobytes()
+        assert got.residual == want.residual
+
+
+@pytest.mark.parametrize("name", ["repetition", "hamming"])
+def test_honest_pauli_pvms_are_pauli_pvms_times_the_auxiliary_identity(name):
+    game = named_game(name)
+    honest = honest_strategy(game)
+    for q, pvm in zip(("PX", "PZ"), pauli_pvms(len(game.h_group.orders))):
+        assert honest[q].outcomes == pvm.outcomes
+        assert np.array_equal(honest[q].stacks[0], np.kron(pvm.stacks[0], np.eye(2)[None]))
+
 
 def test_pauli_pvms_single_qubit():
     tau_x, tau_z = pauli_pvms(1)
@@ -816,9 +852,7 @@ def _float_grid_pvms(alg, p, q, answers):
 
 def _float_pauli_pvms(n):
     alg = TracialAlgebra.matrix(2**n)
-    x_stack = z_stack = np.ones((1, 1, 1))
-    for _ in range(n):
-        x_stack, z_stack = np.kron(x_stack, _TAU_X), np.kron(z_stack, _TAU_Z)
+    x_stack, z_stack = _kron_pauli_stacks(n)
     elements = list(boolean_group(n).elements)
     return PVM(alg, elements, [x_stack]), PVM(alg, elements, [z_stack])
 
@@ -830,8 +864,10 @@ def _float_honest_strategy(game):
     lam = rep_from_pvm(tau_x, group).images
     mod = rep_from_pvm(tau_z, group).images
     alg = TracialAlgebra.matrix(2 ** (n + 1))
+    # + 0.0 turns the -0.0 that np.kron forms from -1/2 times 0 into the
+    # +0.0 of the exact joint spectral stacks
     pvms = {
-        q: PVM(alg, pvm.outcomes, [np.kron(pvm.stacks[0], np.eye(2)[None])])
+        q: PVM(alg, pvm.outcomes, [np.kron(pvm.stacks[0], np.eye(2)[None]) + 0.0])
         for q, pvm in (("PX", tau_x), ("PZ", tau_z))
     }
     for w, (_, alpha, beta) in game.omega.items():

@@ -73,6 +73,43 @@ def test_suite_small(name):
     assert all(len(row) == len(res.header) for row in res.rows)
 
 
+def test_suite_driver_tallies_the_trials_in_order():
+    """_suite gives each trial its own generator, counts the failed trials,
+    keeps the worst ratio and the rows in trial order, and reports the
+    details as the trials leave them."""
+
+    def trial(i, rng, details):
+        assert rng.random() == suites._rng(5, i).random()
+        details["calls"] += 1
+        return i != 1, [0.5, 2.0, 1.0][i], (i,)
+
+    res = suites._suite("t", 2.0, ("trial",), 3, 5, trial, calls=0)
+    assert (res.name, res.constant, res.trials, res.header) == ("t", 2.0, 3, ("trial",))
+    assert (res.failures, res.worst_ratio, res.rows) == (1, 2.0, [(0,), (1,), (2,)])
+    assert res.details == {"calls": 3}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_cli_verify_without_trials_exits_3(name, capsys):
+    """run_suite, which the CLI, manifests and the benchmark's replays go
+    through, refuses a trial count below 1."""
+    for trials in ("0", "-5"):
+        assert main(["verify", name, "--trials", trials]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "at least one trial" in json.loads(captured.err)["message"]
+
+
+def test_cli_sweep_without_points_exits_3(monkeypatch, capsys):
+    """A sweep of no points is refused before the game is read."""
+    monkeypatch.setattr(cli, "_load_game", lambda path: pytest.fail("game read"))
+    for points in ("0", "-5"):
+        assert main(["sweep", "--points", points]) == 3
+        captured = capsys.readouterr()
+        assert "violations" not in captured.out
+        assert "at least one point" in json.loads(captured.err)["message"]
+
+
 def test_suite_determinism():
     a = run_suite("gh", trials=6, seed=123)
     b = run_suite("gh", trials=6, seed=123)
